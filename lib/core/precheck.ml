@@ -30,13 +30,15 @@ let run machine func =
   in
   Cfg.iter_blocks
     (fun b ->
-      let written : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-      let check_use (l : Loc.t) where =
+      (* Keyed by [Mreg.hash], which is injective over registers. *)
+      let written : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+      (* [where] renders the reading instruction or terminator; it is
+         called only to report a violation. *)
+      let check_use where (l : Loc.t) =
         match l with
         | Loc.Temp _ -> ()
         | Loc.Reg r ->
-          let key = Mreg.to_string r in
-          if not (Hashtbl.mem written key) then
+          if not (Hashtbl.mem written (Mreg.hash r)) then
             if
               Block.label b = entry
               && List.exists (Mreg.equal r) arg_regs
@@ -45,20 +47,21 @@ let run machine func =
               fail
                 "%s: block %s reads %s before writing it (register live \
                  ranges must be block-local): %s"
-                (Func.name func) (Block.label b) key where
+                (Func.name func) (Block.label b) (Mreg.to_string r) (where ())
       in
       Array.iter
         (fun i ->
-          List.iter (fun l -> check_use l (Instr.to_string i)) (Instr.uses i);
+          List.iter (check_use (fun () -> Instr.to_string i)) (Instr.uses i);
           List.iter
             (fun (l : Loc.t) ->
               match l with
-              | Loc.Reg r -> Hashtbl.replace written (Mreg.to_string r) ()
+              | Loc.Reg r -> Hashtbl.replace written (Mreg.hash r) ()
               | Loc.Temp _ -> ())
             (Instr.defs i))
         (Block.body b);
+      let term = Block.term b in
       List.iter
-        (fun l -> check_use l (Block.term_to_string (Block.term b)))
+        (check_use (fun () -> Block.term_to_string term))
         (Block.term_uses b))
     cfg;
   (* 3. Registers named by instructions must exist on the machine. *)

@@ -37,12 +37,26 @@ type error = { fn : string; block : string; where : string; what : string }
 
 exception Mismatch of error
 
+(* The site of an error: an instruction or terminator, printed, or a
+   block named by its label. It is rendered only when a check fails. *)
+type site =
+  | At_instr of Instr.t
+  | At_term of Block.terminator
+  | At_label of string
+
+let render_site = function
+  | At_instr i -> Instr.to_string i
+  | At_term t -> Block.term_to_string t
+  | At_label l -> l
+
 (* Errors are raised from deep inside the abstract execution, where only
    the instruction is in scope; the block and function names are filled
    in by the walkers below as the exception propagates outward. *)
-let fail where fmt =
+let fail site fmt =
   Printf.ksprintf
-    (fun what -> raise (Mismatch { fn = ""; block = ""; where; what }))
+    (fun what ->
+      raise
+        (Mismatch { fn = ""; block = ""; where = render_site site; what }))
     fmt
 
 let within_block label f =
@@ -114,22 +128,21 @@ let run machine ~original ~allocated =
   Cfg.iter_blocks
     (fun b ->
       within_block (Block.label b) @@ fun () ->
-      let check_loc where (l : Loc.t) =
+      let check_loc site (l : Loc.t) =
         match l with
         | Loc.Temp t ->
-          fail where "temporary %s survives allocation" (Temp.to_string t)
+          fail site "temporary %s survives allocation" (Temp.to_string t)
         | Loc.Reg _ -> ()
       in
       Array.iter
         (fun i ->
           if Instr.tag i = Instr.Original then
             Hashtbl.replace present (Instr.uid i) ();
-          List.iter (check_loc (Instr.to_string i)) (Instr.uses i);
-          List.iter (check_loc (Instr.to_string i)) (Instr.defs i))
+          let site = At_instr i in
+          List.iter (check_loc site) (Instr.uses i);
+          List.iter (check_loc site) (Instr.defs i))
         (Block.body b);
-      List.iter
-        (check_loc (Block.term_to_string (Block.term b)))
-        (Block.term_uses b))
+      List.iter (check_loc (At_term (Block.term b))) (Block.term_uses b))
     cfg;
 
   let kill_temp st id =
@@ -164,17 +177,17 @@ let run machine ~original ~allocated =
       match Instr.desc oi with
       | Instr.Nop -> ()
       | _ ->
-        fail (Instr.to_string oi)
+        fail (At_instr oi)
           "original instruction was deleted by a cleanup pass but is \
            neither a move nor a nop")
   in
 
   let exec_instr sync st (i : Instr.t) =
-    let where = Instr.to_string i in
-    let reg_of where (l : Loc.t) =
+    let site = At_instr i in
+    let reg_of site (l : Loc.t) =
       match l with
       | Loc.Reg r -> r
-      | Loc.Temp _ -> fail where "unexpected temporary"
+      | Loc.Temp _ -> fail site "unexpected temporary"
     in
     let check_original_refs o uses defs =
       (* Uses: original temp operands must be found, positionally, in
@@ -184,19 +197,19 @@ let run machine ~original ~allocated =
         (fun (ol : Loc.t) (al : Loc.t) ->
           match ol with
           | Loc.Temp t ->
-            let r = reg_of where al in
+            let r = reg_of site al in
             if not (Bitset.mem st.regs.(flat r) (Temp.id t)) then
               if Bitset.is_empty st.regs.(flat r) then
-                fail where "use of %s reads %s, whose contents are unknown"
+                fail site "use of %s reads %s, whose contents are unknown"
                   (Temp.to_string t) (Mreg.to_string r)
               else
-                fail where
+                fail site
                   "use of %s reads %s, which holds the value of other temps"
                   (Temp.to_string t) (Mreg.to_string r)
           | Loc.Reg r ->
-            let r' = reg_of where al in
+            let r' = reg_of site al in
             if not (Mreg.equal r r') then
-              fail where "register operand %s was rewritten to %s"
+              fail site "register operand %s was rewritten to %s"
                 (Mreg.to_string r) (Mreg.to_string r'))
         o.o_uses uses;
       (* Defs: stale copies of the defined temp die everywhere; the
@@ -220,7 +233,7 @@ let run machine ~original ~allocated =
         (fun (ol : Loc.t) (al : Loc.t) ->
           match ol with
           | Loc.Temp t ->
-            let r = reg_of where al in
+            let r = reg_of site al in
             let id = Temp.id t in
             kill_temp st id;
             let dst = st.regs.(flat r) in
@@ -232,9 +245,9 @@ let run machine ~original ~allocated =
             | None -> ());
             Bitset.add dst id
           | Loc.Reg r ->
-            let r' = reg_of where al in
+            let r' = reg_of site al in
             if not (Mreg.equal r r') then
-              fail where "register def %s was rewritten to %s"
+              fail site "register def %s was rewritten to %s"
                 (Mreg.to_string r) (Mreg.to_string r');
             let dst = st.regs.(flat r) in
             Bitset.clear dst;
@@ -246,7 +259,7 @@ let run machine ~original ~allocated =
     match Instr.tag i with
     | Instr.Original -> (
       match Hashtbl.find_opt orig (Instr.uid i) with
-      | None -> fail where "instruction does not come from the input program"
+      | None -> fail site "instruction does not come from the input program"
       | Some o ->
         check_original_refs o (Instr.uses i) (Instr.defs i);
         (* Calls additionally clobber caller-saved registers. *)
@@ -264,47 +277,48 @@ let run machine ~original ~allocated =
         (* Only now move the deletion cursor: instructions deleted just
            after this one apply their value flow to the post-instruction
            state, before any following allocator-inserted code runs. *)
-        sync (Instr.uid i) where)
+        sync (Instr.uid i) site)
     | Instr.Spill _ -> (
       (* Allocator-inserted code copies content sets around. *)
       match Instr.desc i with
       | Instr.Spill_load { dst; slot } ->
-        let r = reg_of where dst in
-        if slot >= nslots then fail where "slot %d out of range" slot;
+        let r = reg_of site dst in
+        if slot >= nslots then fail site "slot %d out of range" slot;
         Bitset.assign ~dst:st.regs.(flat r) ~src:st.slots.(slot)
       | Instr.Spill_store { src; slot } ->
-        let r = reg_of where src in
-        if slot >= nslots then fail where "slot %d out of range" slot;
+        let r = reg_of site src in
+        if slot >= nslots then fail site "slot %d out of range" slot;
         Bitset.assign ~dst:st.slots.(slot) ~src:st.regs.(flat r)
       | Instr.Move { dst; src = Operand.Loc srcl } ->
-        let rd = reg_of where dst and rs = reg_of where srcl in
+        let rd = reg_of site dst and rs = reg_of site srcl in
         Bitset.assign ~dst:st.regs.(flat rd) ~src:st.regs.(flat rs)
       | Instr.Move _ | Instr.Bin _ | Instr.Un _ | Instr.Cmp _
       | Instr.Load _ | Instr.Store _ | Instr.Call _ | Instr.Nop ->
-        fail where "unexpected allocator-inserted instruction shape")
+        fail site "unexpected allocator-inserted instruction shape")
   in
 
   let exec_term st (b : Block.t) =
+    let site = At_label (Block.label b) in
     match Hashtbl.find_opt orig (Block.term_uid b) with
     | None ->
       (* A block created by resolution: its terminator is a plain jump. *)
       (match Block.term b with
       | Block.Jump _ -> ()
       | Block.Branch _ | Block.Ret ->
-        fail (Block.label b) "resolution block with a non-jump terminator")
+        fail site "resolution block with a non-jump terminator")
     | Some o ->
       List.iter2
         (fun (ol : Loc.t) (al : Loc.t) ->
           match ol, al with
           | Loc.Temp t, Loc.Reg r ->
             if not (Bitset.mem st.regs.(flat r) (Temp.id t)) then
-              fail (Block.label b) "terminator use of %s unsatisfied"
+              fail site "terminator use of %s unsatisfied"
                 (Temp.to_string t)
           | Loc.Reg r, Loc.Reg r' ->
             if not (Mreg.equal r r') then
-              fail (Block.label b) "terminator register operand rewritten"
+              fail site "terminator register operand rewritten"
           | _, Loc.Temp t ->
-            fail (Block.label b) "temporary %s in terminator"
+            fail site "temporary %s in terminator"
               (Temp.to_string t))
         o.o_uses (Block.term_uses b)
   in
@@ -362,7 +376,7 @@ let run machine ~original ~allocated =
                   incr pos
                 done
               in
-              let sync uid where =
+              let sync uid site =
                 if
                   !pos < Array.length obody
                   && Instr.uid obody.(!pos) = uid
@@ -370,7 +384,7 @@ let run machine ~original ~allocated =
                   incr pos;
                   advance ()
                 end
-                else fail where "original instruction out of source order"
+                else fail site "original instruction out of source order"
               in
               advance ();
               Array.iter
@@ -382,7 +396,7 @@ let run machine ~original ~allocated =
                 (Block.body b);
               flush_late ();
               if !pos < Array.length obody then
-                fail (Block.label b)
+                fail (At_label (Block.label b))
                   "original instruction missing from its block";
               exec_term st b);
           List.iter

@@ -21,7 +21,9 @@ open Lsra_target
 type error = {
   fn : string;  (** function being verified *)
   block : string;  (** label of the block holding the faulty site *)
-  where : string;  (** the instruction or terminator, printed *)
+  where : string;
+      (** the instruction or terminator, printed; the block's label for
+          errors at a terminator use or in a resolution block *)
   what : string;  (** what went wrong there *)
 }
 

@@ -63,12 +63,27 @@ let retarget_term b ~from ~to_ =
     b.term <- Branch { op; a; b = rhs; ifso; ifnot }
   | Ret -> ()
 
-let term_to_string = function
-  | Jump l -> Printf.sprintf "jump %s" l
+let term_to_buffer buf = function
+  | Jump l ->
+    Buffer.add_string buf "jump ";
+    Buffer.add_string buf l
   | Branch { op; a; b; ifso; ifnot } ->
-    Printf.sprintf "br.%s %s, %s ? %s : %s" (Instr.cmp_to_string op)
-      (Operand.to_string a) (Operand.to_string b) ifso ifnot
-  | Ret -> "ret"
+    Buffer.add_string buf "br.";
+    Buffer.add_string buf (Instr.cmp_to_string op);
+    Buffer.add_char buf ' ';
+    Operand.to_buffer buf a;
+    Buffer.add_string buf ", ";
+    Operand.to_buffer buf b;
+    Buffer.add_string buf " ? ";
+    Buffer.add_string buf ifso;
+    Buffer.add_string buf " : ";
+    Buffer.add_string buf ifnot
+  | Ret -> Buffer.add_string buf "ret"
+
+let term_to_string term =
+  let buf = Buffer.create 32 in
+  term_to_buffer buf term;
+  Buffer.contents buf
 
 let pp fmt b =
   Format.fprintf fmt "@[<v 2>%s:" b.label;

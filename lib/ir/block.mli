@@ -41,6 +41,10 @@ val rewrite_term : use:(Loc.t -> Loc.t) -> t -> unit
 (** Replace occurrences of successor label [from] with [to_]. *)
 val retarget_term : t -> from:string -> to_:string -> unit
 
+(** Append the printed form of a terminator to a buffer;
+    {!term_to_string} is this into a fresh buffer. *)
+val term_to_buffer : Buffer.t -> terminator -> unit
+
 val term_to_string : terminator -> string
 val pp : Format.formatter -> t -> unit
 

@@ -165,50 +165,109 @@ let cmp_to_string = function
   | Flt -> "flt"
   | Fle -> "fle"
 
-let tag_to_string = function
-  | Original -> ""
+let tag_to_buffer buf = function
+  | Original -> ()
   | Spill { phase; kind } ->
-    let p = match phase with Evict -> "evict" | Resolve -> "resolve" in
-    let k =
-      match kind with
+    Buffer.add_string buf
+      (match phase with
+      | Evict -> "  ; spill:evict-"
+      | Resolve -> "  ; spill:resolve-");
+    Buffer.add_string buf
+      (match kind with
       | Spill_ld -> "load"
       | Spill_st -> "store"
-      | Spill_mv -> "move"
-    in
-    Printf.sprintf "  ; spill:%s-%s" p k
+      | Spill_mv -> "move")
+
+let to_buffer ?(clobbers = false) buf t =
+  let str = Buffer.add_string buf in
+  let int i = str (string_of_int i) in
+  let loc = Loc.to_buffer buf and opnd = Operand.to_buffer buf in
+  let regs sep = function
+    | [] -> ()
+    | r :: rs ->
+      Mreg.to_buffer buf r;
+      List.iter
+        (fun r ->
+          str sep;
+          Mreg.to_buffer buf r)
+        rs
+  in
+  let assign dst =
+    loc dst;
+    str " := "
+  in
+  (match t.desc with
+  | Move { dst; src } ->
+    assign dst;
+    opnd src
+  | Bin { op; dst; a; b } ->
+    assign dst;
+    str (binop_to_string op);
+    str " ";
+    opnd a;
+    str ", ";
+    opnd b
+  | Un { op; dst; src } ->
+    assign dst;
+    str (unop_to_string op);
+    str " ";
+    opnd src
+  | Cmp { op; dst; a; b } ->
+    assign dst;
+    str "cmp.";
+    str (cmp_to_string op);
+    str " ";
+    opnd a;
+    str ", ";
+    opnd b
+  | Load { dst; base; off } ->
+    assign dst;
+    str "load ";
+    opnd base;
+    str "[";
+    int off;
+    str "]"
+  | Store { src; base; off } ->
+    str "store ";
+    opnd src;
+    str ", ";
+    opnd base;
+    str "[";
+    int off;
+    str "]"
+  | Spill_load { dst; slot } ->
+    assign dst;
+    str "sload slot";
+    int slot
+  | Spill_store { src; slot } ->
+    str "sstore ";
+    loc src;
+    str ", slot";
+    int slot
+  | Call { func; args; rets; clobbers = clobbered } ->
+    str "call ";
+    str func;
+    str "(";
+    regs ", " args;
+    str ")";
+    if rets <> [] then begin
+      str " -> ";
+      regs ", " rets
+    end;
+    if clobbers then begin
+      str " !";
+      List.iter
+        (fun r ->
+          str " ";
+          Mreg.to_buffer buf r)
+        clobbered
+    end
+  | Nop -> str "nop");
+  tag_to_buffer buf t.tag
 
 let to_string t =
-  let body =
-    match t.desc with
-    | Move { dst; src } ->
-      Printf.sprintf "%s := %s" (Loc.to_string dst) (Operand.to_string src)
-    | Bin { op; dst; a; b } ->
-      Printf.sprintf "%s := %s %s, %s" (Loc.to_string dst)
-        (binop_to_string op) (Operand.to_string a) (Operand.to_string b)
-    | Un { op; dst; src } ->
-      Printf.sprintf "%s := %s %s" (Loc.to_string dst) (unop_to_string op)
-        (Operand.to_string src)
-    | Cmp { op; dst; a; b } ->
-      Printf.sprintf "%s := cmp.%s %s, %s" (Loc.to_string dst)
-        (cmp_to_string op) (Operand.to_string a) (Operand.to_string b)
-    | Load { dst; base; off } ->
-      Printf.sprintf "%s := load %s[%d]" (Loc.to_string dst)
-        (Operand.to_string base) off
-    | Store { src; base; off } ->
-      Printf.sprintf "store %s, %s[%d]" (Operand.to_string src)
-        (Operand.to_string base) off
-    | Spill_load { dst; slot } ->
-      Printf.sprintf "%s := sload slot%d" (Loc.to_string dst) slot
-    | Spill_store { src; slot } ->
-      Printf.sprintf "sstore %s, slot%d" (Loc.to_string src) slot
-    | Call { func; args; rets; _ } ->
-      Printf.sprintf "call %s(%s)%s" func
-        (String.concat ", " (List.map Mreg.to_string args))
-        (match rets with
-        | [] -> ""
-        | rs -> " -> " ^ String.concat ", " (List.map Mreg.to_string rs))
-    | Nop -> "nop"
-  in
-  body ^ tag_to_string t.tag
+  let buf = Buffer.create 32 in
+  to_buffer buf t;
+  Buffer.contents buf
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -101,5 +101,12 @@ val cmp_operand_cls : cmp -> Rclass.t
 val binop_to_string : binop -> string
 val unop_to_string : unop -> string
 val cmp_to_string : cmp -> string
+
+(** Append the printed form to a buffer: the instruction, then its spill
+    tag as a [; spill:<phase>-<kind>] comment. With [~clobbers:true] a
+    call also lists its clobber set ([! $r0 $f1 ...]), as the textual IR
+    does; {!to_string} is this without clobbers into a fresh buffer. *)
+val to_buffer : ?clobbers:bool -> Buffer.t -> t -> unit
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -24,8 +24,13 @@ let is_temp = function Temp _ -> true | Reg _ -> false
 let as_temp = function Temp t -> Some t | Reg _ -> None
 let as_reg = function Reg r -> Some r | Temp _ -> None
 
-let to_string = function
-  | Temp t -> Temp.to_string t
-  | Reg r -> Mreg.to_string r
+let to_buffer buf = function
+  | Temp t -> Temp.to_buffer buf t
+  | Reg r -> Mreg.to_buffer buf r
+
+let to_string l =
+  let buf = Buffer.create 16 in
+  to_buffer buf l;
+  Buffer.contents buf
 
 let pp fmt l = Format.pp_print_string fmt (to_string l)

@@ -18,10 +18,15 @@ let hash r =
   | Rclass.Int -> r.idx * 2
   | Rclass.Float -> (r.idx * 2) + 1
 
+let to_buffer buf r =
+  Buffer.add_string buf
+    (match r.cls with Rclass.Int -> "$r" | Rclass.Float -> "$f");
+  Buffer.add_string buf (string_of_int r.idx)
+
 let to_string r =
-  match r.cls with
-  | Rclass.Int -> Printf.sprintf "$r%d" r.idx
-  | Rclass.Float -> Printf.sprintf "$f%d" r.idx
+  let buf = Buffer.create 8 in
+  to_buffer buf r;
+  Buffer.contents buf
 
 let pp fmt r = Format.pp_print_string fmt (to_string r)
 

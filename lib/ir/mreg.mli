@@ -13,6 +13,11 @@ val cls : t -> Rclass.t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+
+(** Append the printed form ([$r<idx>] or [$f<idx>]) to a buffer;
+    {!to_string} is this into a fresh buffer. *)
+val to_buffer : Buffer.t -> t -> unit
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

@@ -20,9 +20,14 @@ let equal a b =
   | Float x, Float y -> Float.equal x y
   | (Loc _ | Int _ | Float _), _ -> false
 
-let to_string = function
-  | Loc l -> Loc.to_string l
-  | Int i -> string_of_int i
-  | Float f -> Printf.sprintf "%h" f
+let to_buffer buf = function
+  | Loc l -> Loc.to_buffer buf l
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Float f -> Printf.bprintf buf "%h" f
+
+let to_string o =
+  let buf = Buffer.create 16 in
+  to_buffer buf o;
+  Buffer.contents buf
 
 let pp fmt o = Format.pp_print_string fmt (to_string o)

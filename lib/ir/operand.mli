@@ -10,5 +10,10 @@ val float : float -> t
 val cls : t -> Rclass.t
 val as_loc : t -> Loc.t option
 val equal : t -> t -> bool
+
+(** Floats print in OCaml's exact hexadecimal notation ([%h]), so the
+    text parses back to the same bits. *)
+val to_buffer : Buffer.t -> t -> unit
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

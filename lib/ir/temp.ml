@@ -11,10 +11,18 @@ let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id
 let hash t = t.id
 
+let to_buffer buf t =
+  (match t.name with
+  | None -> Buffer.add_char buf 't'
+  | Some n ->
+    Buffer.add_string buf n;
+    Buffer.add_char buf '.');
+  Buffer.add_string buf (string_of_int t.id)
+
 let to_string t =
-  match t.name with
-  | None -> Printf.sprintf "t%d" t.id
-  | Some n -> Printf.sprintf "%s.%d" n t.id
+  let buf = Buffer.create 16 in
+  to_buffer buf t;
+  Buffer.contents buf
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

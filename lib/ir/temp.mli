@@ -17,6 +17,11 @@ val name : t -> string option
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
+
+(** Append the printed form ([name.id], or [t<id>] when anonymous) to a
+    buffer; {!to_string} is this into a fresh buffer. *)
+val to_buffer : Buffer.t -> t -> unit
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

@@ -6,10 +6,18 @@ exception Unsupported of string
 
 let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
+type note =
+  | Insn of Instr.t
+  | Label of string
+  | Goto of string
+  | Cond of { ifso : string; ifnot : string }
+  | Prologue of { slots : int; save_area : int; frame_bytes : int }
+  | Text of string
+
 type compiled = {
   code : bytes;
   fn_offsets : (string * int) list;
-  listing : (string * int * string) list;
+  listing : (string * int * note) list;
   n_iregs : int;
   n_fregs : int;
 }
@@ -47,7 +55,7 @@ type env = {
   n_int : int;
   n_direct : int;
   fn_labels : (string, E.label) Hashtbl.t;
-  mutable notes : (string * int * string) list; (* reversed *)
+  mutable notes : (string * int * note) list; (* reversed *)
   mutable cur_fn : string;
   (* Per-function state, reset by emit_func. *)
   mutable epi : E.label;
@@ -57,10 +65,8 @@ type env = {
   mutable n_slots : int;
 }
 
-let note env fmt =
-  Printf.ksprintf
-    (fun s -> env.notes <- (env.cur_fn, E.pos env.e, s) :: env.notes)
-    fmt
+(* Notes keep what they describe; only [dump_asm] renders them. *)
+let note env n = env.notes <- (env.cur_fn, E.pos env.e, n) :: env.notes
 
 let ireg_off _env i = off_regs + (8 * i)
 let freg_off env j = off_regs + (8 * (env.n_int + j))
@@ -329,7 +335,7 @@ let emit_ir_call env name rets =
     saved
 
 let emit_instr env (i : Instr.t) =
-  note env "%s" (Instr.to_string i);
+  note env (Insn i);
   match Instr.desc i with
   | Instr.Nop -> ()
   | Instr.Move { dst; src } -> (
@@ -419,14 +425,14 @@ let emit_term env blk_label (term : Block.terminator) ~next =
   let is_next l = match next with Some n -> n = l | None -> false in
   match term with
   | Block.Ret ->
-    note env "ret";
+    note env (Text "ret");
     if next <> None then E.jmp e env.epi
     (* else: last block falls through into the epilogue *)
   | Block.Jump l ->
-    note env "jump %s" l;
+    note env (Goto l);
     if not (is_next l) then E.jmp e (blk_label l)
   | Block.Branch { op; a; b; ifso; ifnot } ->
-    note env "branch %s / %s" ifso ifnot;
+    note env (Cond { ifso; ifnot });
     eval_cond env op a b;
     E.test_rr e E.rax E.rax;
     if is_next ifnot then E.jcc e E.NE (blk_label ifso)
@@ -448,8 +454,8 @@ let emit_func env name (f : Func.t) =
   let n_save = List.length saved in
   let frame_bytes = (((env.n_slots + n_save) * 8) + 15) / 16 * 16 in
   E.bind e (Hashtbl.find env.fn_labels name);
-  note env "prologue (slots=%d, save-area=%d, frame=%d bytes)" env.n_slots
-    n_save frame_bytes;
+  note env
+    (Prologue { slots = env.n_slots; save_area = n_save; frame_bytes });
   E.push e E.rbp;
   E.mov_rr e ~dst:E.rbp ~src:E.rsp;
   if frame_bytes > 0 then E.sub_rsp e frame_bytes;
@@ -477,7 +483,7 @@ let emit_func env name (f : Func.t) =
       let next =
         match rest with [] -> None | n :: _ -> Some (Block.label n)
       in
-      note env "%s:" (Block.label b);
+      note env (Label (Block.label b));
       E.bind e (blk_label (Block.label b));
       (* One fuel tick per block: a strict under-count of the
          interpreter's per-instruction budget, so an interpreter-clean
@@ -489,12 +495,12 @@ let emit_func env name (f : Func.t) =
       emit_blocks rest
   in
   emit_blocks order;
-  note env "epilogue";
+  note env (Text "epilogue");
   E.bind e env.epi;
   E.mov_rr e ~dst:E.rsp ~src:E.rbp;
   E.pop e E.rbp;
   E.ret e;
-  note env "trap stubs";
+  note env (Text "trap stubs");
   E.bind e env.l_div;
   emit_trap env trap_div0;
   E.bind e env.l_oob;
@@ -509,7 +515,7 @@ let emit_func env name (f : Func.t) =
 let emit_entry env main_label =
   let e = env.e in
   env.cur_fn <- "<entry>";
-  note env "entry stub";
+  note env (Text "entry stub");
   E.push e E.rbp;
   E.mov_rr e ~dst:E.rbp ~src:E.rsp;
   E.push e E.rbx;
@@ -586,19 +592,31 @@ let compile machine prog =
   | Unsupported msg -> Error msg
   | Invalid_argument msg -> Error ("encoding failed: " ^ msg)
 
+let note_to_string = function
+  | Insn i -> Instr.to_string i
+  | Label l -> l ^ ":"
+  | Goto l -> "jump " ^ l
+  | Cond { ifso; ifnot } -> Printf.sprintf "branch %s / %s" ifso ifnot
+  | Prologue { slots; save_area; frame_bytes } ->
+    Printf.sprintf "prologue (slots=%d, save-area=%d, frame=%d bytes)" slots
+      save_area frame_bytes
+  | Text s -> s
+
 let dump_asm ?fn c =
   let buf = Buffer.create 4096 in
   let size = Bytes.length c.code in
   let rec walk = function
     | [] -> ()
-    | (f, off, text) :: rest ->
+    | (f, off, note) :: rest ->
       let next =
         match rest with (_, n, _) :: _ -> n | [] -> size
       in
       if match fn with None -> true | Some want -> want = f then begin
-        if text <> "" && text.[String.length text - 1] = ':' then
+        let text = note_to_string note in
+        match note with
+        | Label _ ->
           Buffer.add_string buf (Printf.sprintf "%06x %s\n" off text)
-        else begin
+        | Insn _ | Goto _ | Cond _ | Prologue _ | Text _ ->
           Buffer.add_string buf (Printf.sprintf "%06x   %-40s" off text);
           (* Hex of everything this note emitted, wrapped in 12-byte
              rows so long sequences (call save/restore) stay readable. *)
@@ -616,7 +634,6 @@ let dump_asm ?fn c =
             pos := !pos + n
           done;
           if len = 0 then Buffer.add_char buf '\n'
-        end
       end;
       walk rest
   in

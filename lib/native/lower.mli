@@ -28,11 +28,22 @@
 
 open Lsra_target
 
+(** What the code at a listing offset was emitted for. Notes keep their
+    subject and are rendered only by {!dump_asm}, so compiling formats no
+    text. *)
+type note =
+  | Insn of Lsra_ir.Instr.t  (** an IR instruction *)
+  | Label of string  (** the start of a block *)
+  | Goto of string  (** an unconditional jump terminator *)
+  | Cond of { ifso : string; ifnot : string }  (** a conditional branch *)
+  | Prologue of { slots : int; save_area : int; frame_bytes : int }
+  | Text of string  (** fixed code: return, epilogue, trap and entry stubs *)
+
 type compiled = {
   code : bytes;
   fn_offsets : (string * int) list;
-  listing : (string * int * string) list;
-      (** (function, code offset, text) notes, in emission order *)
+  listing : (string * int * note) list;
+      (** (function, code offset, note), in emission order *)
   n_iregs : int;
   n_fregs : int;
 }

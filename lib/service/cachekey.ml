@@ -30,7 +30,7 @@ let algo_fingerprint (algo : Lsra.Allocator.algorithm) =
     Printf.sprintf "optimal{budget=%d,gate=%d}" opts.Lsra.Optimal.node_budget
       opts.Lsra.Optimal.max_instrs
 
-let digest ?backend ~machine ~algo ~passes prog =
+let digest_canonical ?backend ~machine ~algo ~passes canonical =
   (* NUL separators: no component can masquerade as another by embedding
      a delimiter (the canonical IR text never contains NUL). The backend
      fingerprint is appended only when present, so every pre-existing
@@ -41,11 +41,15 @@ let digest ?backend ~machine ~algo ~passes prog =
          machine_fingerprint machine;
          algo_fingerprint algo;
          Lsra.Passes.to_spec (Lsra.Passes.normalize passes);
-         Lsra_text.Ir_text.to_string prog;
+         canonical;
        ]
       @ match backend with None -> [] | Some b -> [ b ])
   in
   Digest.to_hex (Digest.string key)
+
+let digest ?backend ~machine ~algo ~passes prog =
+  digest_canonical ?backend ~machine ~algo ~passes
+    (Lsra_text.Ir_text.to_string prog)
 
 let digest_source ?backend ~machine ~algo ~passes source =
   digest ?backend ~machine ~algo ~passes (Lsra_text.Ir_text.of_string source)

@@ -6,12 +6,22 @@
     binds all four, so the cache needs no invalidation logic — a config
     change simply addresses different entries.
 
+    What is digested: the MD5 of the machine fingerprint, the algorithm
+    fingerprint, the normalized pass spec, the program's canonical text
+    and (native mode only) the backend fingerprint, joined by NUL bytes.
+
     Stability: the program component is digested from its {e canonical}
     textual rendering ({!Lsra_text.Ir_text.to_string} of the parsed
     program), not from the request's raw bytes, so a program survives
     textual round-trips, comment changes and whitespace reformatting with
     its address intact. Instruction uids are regenerated on every parse
-    and never printed, so they cannot leak into the digest. *)
+    and never printed, so they cannot leak into the digest.
+
+    Where the text is rendered: {!digest} renders it itself. The service
+    renders it once per request, derives every key of that request from
+    the string with {!digest_canonical} and re-parses the same string for
+    spot checks. Both calls digest the same bytes for the same program,
+    so journals written through either stay valid. *)
 
 open Lsra_ir
 open Lsra_target
@@ -40,6 +50,17 @@ val digest :
   algo:Lsra.Allocator.algorithm ->
   passes:Lsra.Passes.t list ->
   Program.t ->
+  string
+
+(** {!digest} of a program given as its canonical text: [canonical] must
+    be {!Lsra_text.Ir_text.to_string} of the program, which this does not
+    check. *)
+val digest_canonical :
+  ?backend:string ->
+  machine:Machine.t ->
+  algo:Lsra.Allocator.algorithm ->
+  passes:Lsra.Passes.t list ->
+  string ->
   string
 
 (** {!digest} of source text: parses, canonicalizes and digests. Raises

@@ -277,8 +277,14 @@ let degrade t ~req_id ~budget ~n_instrs requested =
   end;
   effective
 
+(* Request and compile walls come from the monotonic clock: a wall-clock
+   step must neither skew a reported [wall-us] nor feed the cost model a
+   negative sample. *)
+let seconds_since t0 =
+  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
+
 let compile t ~req_id ~passes algo prog =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let stats =
     Lsra.Allocator.pipeline ~precheck:true ~verify:t.cfg.verify_cold ~passes
       algo t.cfg.machine prog
@@ -294,7 +300,7 @@ let compile t ~req_id ~passes algo prog =
     | Ok _ -> ()
     | Error msg -> raise (Native_emit_failed { req_id; msg })
   end;
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = seconds_since t0 in
   (stats, dt)
 
 (* Re-allocate a hit from scratch and require the cached payload
@@ -312,16 +318,18 @@ let spot_check t ~req_id ~key ~canonical ~passes algo (entry : Cache.entry) =
     raise (Spot_check_failed { req_id; key })
 
 let handle t (req : request) =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   locked t (fun () -> t.requests <- t.requests + 1);
   let prog = Lsra_text.Ir_text.of_string req.source in
+  (* Rendered once: the cache keys and the spot check both use it. *)
   let canonical = Lsra_text.Ir_text.to_string prog in
   let passes = Lsra.Passes.normalize req.passes in
   let key_of algo =
     let backend =
       if t.cfg.native then Some Lsra_native.Lower.fingerprint else None
     in
-    Cachekey.digest ?backend ~machine:t.cfg.machine ~algo ~passes prog
+    Cachekey.digest_canonical ?backend ~machine:t.cfg.machine ~algo ~passes
+      canonical
   in
   let respond ~key ~cached ~downgraded_to ~output ~(stats : Lsra.Stats.t) =
     {
@@ -331,7 +339,7 @@ let handle t (req : request) =
       cached;
       downgraded_to;
       stats;
-      elapsed = Unix.gettimeofday () -. t0;
+      elapsed = seconds_since t0;
     }
   in
   let serve_hit ~key ~downgraded_to algo (entry : Cache.entry) =

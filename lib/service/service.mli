@@ -95,7 +95,8 @@ type response = {
       (** short name of the allocator that ran instead of the requested
           one, when the deadline forced a downgrade *)
   stats : Lsra.Stats.t;
-  elapsed : float;  (** service-side wall seconds for this request *)
+  elapsed : float;
+      (** service-side wall seconds for this request, monotonic clock *)
 }
 
 (** A spot-checked cache hit did not reproduce byte-identically: either

@@ -12,7 +12,7 @@ open Lsra_ir
        <terminator>
    }
 
-   Instructions follow {!Instr.to_string}, with calls extended by an
+   Instructions follow {!Instr.to_buffer}, with calls extended by an
    explicit clobber list:
 
      call foo($r0, $f1) -> $r0 ! $r0 $r1 $f0
@@ -25,69 +25,43 @@ exception Parse_error of { line : int; msg : string }
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 
-let print_instr buf i =
-  let base = Instr.to_string i in
-  match Instr.desc i with
-  | Instr.Call { func; args; rets; clobbers } ->
-    (* re-render with clobbers *)
-    Buffer.add_string buf
-      (Printf.sprintf "call %s(%s)%s !%s" func
-         (String.concat ", " (List.map Mreg.to_string args))
-         (match rets with
-         | [] -> ""
-         | rs -> " -> " ^ String.concat ", " (List.map Mreg.to_string rs))
-         (String.concat ""
-            (List.map (fun r -> " " ^ Mreg.to_string r) clobbers)))
-  | Instr.Move _ | Instr.Bin _ | Instr.Un _ | Instr.Cmp _ | Instr.Load _
-  | Instr.Store _ | Instr.Spill_load _ | Instr.Spill_store _ | Instr.Nop ->
-    Buffer.add_string buf base
-
 let print_func buf f =
-  Buffer.add_string buf (Printf.sprintf "func %s {\n" (Func.name f));
+  let str = Buffer.add_string buf in
+  str "func ";
+  str (Func.name f);
+  str " {\n";
   List.iter
     (fun t ->
-      Buffer.add_string buf
-        (Printf.sprintf "  temp %s %s\n" (Temp.to_string t)
-           (Rclass.to_string (Temp.cls t))))
+      str "  temp ";
+      Temp.to_buffer buf t;
+      str " ";
+      str (Rclass.to_string (Temp.cls t));
+      str "\n")
     (Func.temps f);
   Cfg.iter_blocks
     (fun b ->
-      Buffer.add_string buf (Printf.sprintf "  block %s:\n" (Block.label b));
+      str "  block ";
+      str (Block.label b);
+      str ":\n";
       Array.iter
         (fun i ->
-          Buffer.add_string buf "    ";
-          (match Instr.tag i with
-          | Instr.Original -> print_instr buf i
-          | Instr.Spill _ ->
-            print_instr buf
-              (Instr.with_desc i (Instr.desc i));
-            (* tag rendered by to_string only for non-calls; ensure it *)
-            ());
-          (match Instr.tag i, Instr.desc i with
-          | Instr.Spill { phase; kind }, Instr.Call _ ->
-            let p =
-              match phase with Instr.Evict -> "evict" | Instr.Resolve -> "resolve"
-            in
-            let k =
-              match kind with
-              | Instr.Spill_ld -> "load"
-              | Instr.Spill_st -> "store"
-              | Instr.Spill_mv -> "move"
-            in
-            Buffer.add_string buf (Printf.sprintf "  ; spill:%s-%s" p k)
-          | _, _ -> ());
-          Buffer.add_char buf '\n')
+          str "    ";
+          Instr.to_buffer ~clobbers:true buf i;
+          str "\n")
         (Block.body b);
-      Buffer.add_string buf
-        (Printf.sprintf "    %s\n" (Block.term_to_string (Block.term b))))
+      str "    ";
+      Block.term_to_buffer buf (Block.term b);
+      str "\n")
     (Func.cfg f);
-  Buffer.add_string buf "}\n"
+  str "}\n"
 
 let to_string prog =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "program main=%s heap=%d\n\n" (Program.main prog)
-       (Program.heap_words prog));
+  Buffer.add_string buf "program main=";
+  Buffer.add_string buf (Program.main prog);
+  Buffer.add_string buf " heap=";
+  Buffer.add_string buf (string_of_int (Program.heap_words prog));
+  Buffer.add_string buf "\n\n";
   List.iter
     (fun (_, f) ->
       print_func buf f;

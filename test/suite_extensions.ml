@@ -44,8 +44,32 @@ let test_precheck_rejects_cross_block_register () =
   B.movet b t (Operand.reg r) (* reads $r0 defined in another block *);
   B.ret b;
   let f = B.finish b in
-  Alcotest.(check bool) "rejected" true
-    (Result.is_error (Lsra.Precheck.check machine f))
+  Alcotest.(check (result unit string))
+    "message"
+    (Error
+       "f: block next reads $r0 before writing it (register live ranges \
+        must be block-local): t0 := $r0")
+    (Lsra.Precheck.check machine f)
+
+let test_precheck_rejects_cross_block_terminator () =
+  let machine = Machine.small () in
+  let r = Machine.int_ret machine in
+  let b = B.create ~name:"f" in
+  B.start_block b "entry";
+  B.move b (Loc.Reg r) (Operand.int 1);
+  B.jump b "next";
+  B.start_block b "next";
+  B.branch b Instr.Lt (Operand.reg r) (Operand.int 2) ~ifso:"done"
+    ~ifnot:"done";
+  B.start_block b "done";
+  B.ret b;
+  let f = B.finish b in
+  Alcotest.(check (result unit string))
+    "message"
+    (Error
+       "f: block next reads $r0 before writing it (register live ranges \
+        must be block-local): br.lt $r0, 2 ? done : done")
+    (Lsra.Precheck.check machine f)
 
 let test_precheck_allows_entry_params () =
   let machine = Machine.small ~int_regs:6 ~int_caller_saved:3 () in
@@ -281,6 +305,8 @@ let suite =
       test_precheck_rejects_spill_code;
     Alcotest.test_case "precheck rejects cross-block registers" `Quick
       test_precheck_rejects_cross_block_register;
+    Alcotest.test_case "precheck names a cross-block terminator read" `Quick
+      test_precheck_rejects_cross_block_terminator;
     Alcotest.test_case "precheck allows entry parameters" `Quick
       test_precheck_allows_entry_params;
     Alcotest.test_case "precheck rejects unknown registers" `Quick

@@ -156,6 +156,18 @@ let test_rejects_clobbered_across_call () =
     (Func.cfg f);
   expect_reject "value in caller-saved across call" original f
 
+(* Error reports are rendered only when a check fails; these pin the
+   exact text of each kind of site, so rendering them lazily cannot
+   change what a user sees. *)
+let expect_error ~fn ~block ~where ~what original allocated =
+  match Lsra.Verify.check machine ~original ~allocated with
+  | Ok () -> Alcotest.fail "accepted"
+  | Error e ->
+    Alcotest.(check string) "fn" fn e.Lsra.Verify.fn;
+    Alcotest.(check string) "block" block e.Lsra.Verify.block;
+    Alcotest.(check string) "where" where e.Lsra.Verify.where;
+    Alcotest.(check string) "what" what e.Lsra.Verify.what
+
 let test_error_message_mentions_site () =
   let original, allocated = allocated_pair () in
   let t = Temp.make ~cls:Rclass.Int 0 in
@@ -164,13 +176,49 @@ let test_error_message_mentions_site () =
       | Instr.Move { dst; _ } ->
         Instr.with_desc i (Instr.Move { dst; src = Operand.temp t })
       | _ -> i);
-  match Lsra.Verify.check machine ~original ~allocated with
-  | Ok () -> Alcotest.fail "accepted"
-  | Error e ->
-    Alcotest.(check bool) "where is populated" true
-      (String.length e.Lsra.Verify.where > 0);
-    Alcotest.(check bool) "what is populated" true
-      (String.length e.Lsra.Verify.what > 0)
+  expect_error ~fn:"f" ~block:"join" ~where:"$r0 := t0"
+    ~what:"temporary t0 survives allocation" original allocated
+
+let test_error_instruction_use () =
+  let original, allocated = allocated_pair () in
+  let evil = Mreg.make ~cls:Rclass.Int 3 in
+  map_instr_in_block allocated "a" (fun i ->
+      match Instr.desc i with
+      | Instr.Bin { op; dst; a; b = _ } ->
+        Instr.with_desc i
+          (Instr.Bin { op; dst; a; b = Operand.Loc (Loc.Reg evil) })
+      | _ -> i);
+  expect_error ~fn:"f" ~block:"a" ~where:"$r0 := add $r0, $r3"
+    ~what:"use of y.1 reads $r3, whose contents are unknown" original
+    allocated
+
+let test_error_terminator_use () =
+  let original, allocated = allocated_pair () in
+  let evil = Mreg.make ~cls:Rclass.Int 3 in
+  Block.rewrite_term
+    (Cfg.block (Func.cfg allocated) "entry")
+    ~use:(fun _ -> Loc.Reg evil);
+  expect_error ~fn:"f" ~block:"entry" ~where:"entry"
+    ~what:"terminator use of x.0 unsatisfied" original allocated
+
+let test_error_terminator_temp () =
+  let original, allocated = allocated_pair () in
+  let t = Temp.make ~cls:Rclass.Int 0 in
+  Block.rewrite_term
+    (Cfg.block (Func.cfg allocated) "entry")
+    ~use:(fun _ -> Loc.Temp t);
+  expect_error ~fn:"f" ~block:"entry" ~where:"br.lt t0, 5 ? a : bb"
+    ~what:"temporary t0 survives allocation" original allocated
+
+let test_error_resolution_block () =
+  (* an edge routed through a block the input never had (as resolution
+     inserts them), which returns instead of jumping on *)
+  let original, allocated = allocated_pair () in
+  let cfg = Func.cfg allocated in
+  Cfg.append_block cfg (Block.make ~label:"res" ~body:[||] ~term:Block.Ret);
+  Block.retarget_term (Cfg.block cfg "a") ~from:"join" ~to_:"res";
+  expect_error ~fn:"f" ~block:"res" ~where:"res"
+    ~what:"resolution block with a non-jump terminator" original allocated
 
 (* The intersection-meet case the verifier's header comment describes:
    a value that survives a loop iteration in *different* locations on
@@ -349,6 +397,14 @@ let suite =
       test_rejects_clobbered_across_call;
     Alcotest.test_case "error reports name the site" `Quick
       test_error_message_mentions_site;
+    Alcotest.test_case "error report for an instruction use" `Quick
+      test_error_instruction_use;
+    Alcotest.test_case "error report for a terminator use" `Quick
+      test_error_terminator_use;
+    Alcotest.test_case "error report for a terminator temporary" `Quick
+      test_error_terminator_temp;
+    Alcotest.test_case "error report for a resolution block" `Quick
+      test_error_resolution_block;
     Alcotest.test_case "all allocators verify on all workloads" `Slow
       test_all_allocators_verify_on_workloads;
   ]
