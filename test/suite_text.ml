@@ -82,6 +82,426 @@ func main {
       (Lsra_sim.Value.to_string o.Lsra_sim.Interp.ret)
   | Error e -> Alcotest.failf "trapped: %s" e
 
+(* ------------------------------------------------------------------ *)
+(* Error table: the exact (line, message) of every parse error site.   *)
+
+(* What parsing [text] does, as one comparable string. *)
+let outcome text =
+  match Lsra_text.Ir_text.of_string text with
+  | _ -> "ok"
+  | exception Lsra_text.Ir_text.Parse_error { line; msg } ->
+    Printf.sprintf "%d: %s" line msg
+  | exception Cfg.Malformed msg -> "malformed: " ^ msg
+  | exception e -> "exception: " ^ Printexc.to_string e
+
+(* A one-function program whose entry block holds [body] (lines 6 on),
+   followed by [ret] and the closing brace. *)
+let in_entry body =
+  "program main=f heap=10\n\
+   func f {\n\
+  \  temp x.1 int\n\
+  \  temp g.2 float\n\
+  \  block entry:\n" ^ body ^ "\n    ret\n}\n"
+
+let header = "program main=f heap=10\n"
+
+let error_table =
+  [
+    (* lexing *)
+    ("truncated register", header ^ "$", "2: truncated register");
+    ("bad register class", in_entry "    $q1 := 1", "6: bad register class");
+    ( "register needs an index",
+      in_entry "    $r := 1",
+      "6: register needs an index" );
+    ( "bad float literal",
+      in_entry "    g.2 := 1.2.3",
+      "6: bad float literal \"1.2.3\"" );
+    ( "bad numeric literal",
+      in_entry "    x.1 := 12abc",
+      "6: bad numeric literal \"12abc\"" );
+    ( "unexpected character",
+      in_entry "    x.1 := 1 @",
+      "6: unexpected character '@'" );
+    (* program header *)
+    ("empty input", "", "0: unexpected end of input");
+    ("expected 'program'", "prog main=f\n", "1: expected 'program'");
+    ("expected '='", "program main f\n", "1: expected '='");
+    ( "expected main function name",
+      "program main=5\n",
+      "1: expected main function name" );
+    ( "expected a heap size",
+      "program main=f heap=x\n",
+      "1: expected a heap size" );
+    ("expected 'func'", header ^ "foo\n", "2: expected 'func'");
+    ("header junk", "program main=f heap=10 junk\n", "1: expected 'func'");
+    ( "missing main=",
+      "program heap=10\n",
+      "0: missing main= in program header" );
+    (* function and declarations *)
+    ( "expected function name",
+      header ^ "func { }\n",
+      "2: expected function name" );
+    ("expected '{'", header ^ "func f (\n", "2: expected '{'");
+    ( "expected temp name",
+      header ^ "func f {\n  temp 5 int\n}\n",
+      "3: expected temp name" );
+    ( "expected class",
+      header ^ "func f {\n  temp x.1 5\n}\n",
+      "3: expected class" );
+    ( "unknown class",
+      header ^ "func f {\n  temp x.1 bool\n}\n",
+      "3: unknown class bool" );
+    ( "cannot infer id",
+      header ^ "func f {\n  temp foo int\n}\n",
+      "3: cannot infer id of temp foo" );
+    ( "cannot infer id (t)",
+      header ^ "func f {\n  temp t int\n}\n",
+      "3: cannot infer id of temp t" );
+    ( "expected 'block' or '}'",
+      header ^ "func f {\n  temp x.1 int\n  x.1 := 5\n}\n",
+      "4: expected 'block' or '}'" );
+    ( "unterminated function",
+      header ^ "func f {\n  block entry:\n    ret\n",
+      "0: unterminated function" );
+    ( "function with no blocks",
+      header ^ "func f {\n}\n",
+      "3: function with no blocks" );
+    ( "function with no blocks at eof",
+      header ^ "func f {\n}",
+      "0: function with no blocks" );
+    ( "expected label (block)",
+      header ^ "func f {\n  block 5:\n",
+      "3: expected label" );
+    ( "expected ':' (block)",
+      header ^ "func f {\n  block entry\n",
+      "0: expected ':'" );
+    (* lines *)
+    ("bad line", in_entry "    5 := x.1", "6: bad line");
+    ("expected ':='", in_entry "    x.1 = 5", "6: expected ':='");
+    ("register expected ':='", in_entry "    $r0 5", "6: expected ':='");
+    ( "undeclared temporary (dst)",
+      in_entry "    y.9 := 1",
+      "6: undeclared temporary y.9" );
+    ( "undeclared temporary (src)",
+      in_entry "    x.1 := y.9",
+      "6: undeclared temporary y.9" );
+    ( "undeclared temporary (operand)",
+      in_entry "    x.1 := add x.1, y.9",
+      "6: undeclared temporary y.9" );
+    ( "expected end of line",
+      in_entry "    x.1 := 1 2",
+      "6: expected end of line" );
+    ( "expected end of line after comment",
+      in_entry "    x.1 := 1 ; c\n    x.1 := 1 2",
+      "7: expected end of line" );
+    ( "bad instruction right-hand side",
+      in_entry "    x.1 := ,",
+      "6: bad instruction right-hand side" );
+    ("expected ','", in_entry "    x.1 := add x.1 x.1", "6: expected ','");
+    ( "expected ',' (cmp)",
+      in_entry "    x.1 := cmp.lt x.1 x.1",
+      "6: expected ','" );
+    ( "unknown comparison",
+      in_entry "    x.1 := cmp.zz x.1, 1",
+      "6: unknown comparison cmp.zz" );
+    ("expected '['", in_entry "    x.1 := load x.1 5", "6: expected '['");
+    ( "expected an offset (load)",
+      in_entry "    x.1 := load x.1[x.1]",
+      "6: expected an offset" );
+    ("expected ']'", in_entry "    x.1 := load x.1[5 6", "6: expected ']'");
+    ( "expected an offset (store)",
+      in_entry "    store x.1, x.1[x.1]",
+      "6: expected an offset" );
+    ( "expected ',' (store)",
+      in_entry "    store x.1 x.1[0]",
+      "6: expected ','" );
+    ( "expected slotN (sload)",
+      in_entry "    x.1 := sload x.1",
+      "6: expected slotN" );
+    ( "expected slotN (sload slot)",
+      in_entry "    x.1 := sload slot",
+      "6: expected slotN" );
+    ( "expected slotN (sstore)",
+      in_entry "    sstore x.1, 3",
+      "6: expected slotN" );
+    ( "expected a register or temporary",
+      in_entry "    sstore 5, slot0",
+      "6: expected a register or temporary" );
+    ("expected '('", in_entry "    call g $r0", "6: expected '('");
+    ( "call arguments must be registers",
+      in_entry "    call g(x.1)",
+      "6: call arguments must be registers" );
+    ( "expected ',' or ')'",
+      in_entry "    call g($r0 $r1)",
+      "6: expected ',' or ')'" );
+    ( "unterminated call",
+      header ^ "func f {\n  block entry:\n    call g(",
+      "0: unterminated call" );
+    ( "call results must be registers",
+      in_entry "    call g() -> x.1",
+      "6: call results must be registers" );
+    ( "expected function name (call)",
+      in_entry "    call (",
+      "6: expected function name" );
+    ( "unknown branch comparison",
+      header ^ "func f {\n  block entry:\n    br.zz $r0, 1 ? a : b\n}\n",
+      "4: unknown branch comparison" );
+    ( "expected '?'",
+      header ^ "func f {\n  block entry:\n    br.lt $r0, 1 : a ? b\n}\n",
+      "4: expected '?'" );
+    ( "expected ':' (branch)",
+      header ^ "func f {\n  block entry:\n    br.lt $r0, 1 ? a b\n}\n",
+      "4: expected ':'" );
+    ( "expected label (jump)",
+      header ^ "func f {\n  block entry:\n    jump 5\n}\n",
+      "4: expected label" );
+    ( "unexpected end of input",
+      header ^ "func f {\n  block entry:\n    $r0 := ",
+      "0: unexpected end of input" );
+    (* an error on line 6 ahead of a lexing error on line 7 *)
+    ( "syntax error before lexing error",
+      in_entry "    x.1 := ,\n    x.1 := 1 @",
+      "7: unexpected character '@'" );
+    ( "syntax error before bad register",
+      in_entry "    x.1 := ,\n    $q0 := 1",
+      "7: bad register class" );
+    (* structural errors come from validation *)
+    ( "jump to an unknown block",
+      header ^ "func f {\n  block entry:\n    jump nowhere\n}\n",
+      "malformed: block entry targets unknown label nowhere" );
+    ( "unknown main",
+      "program main=g\nfunc f {\n  block entry:\n    ret\n}\n",
+      "malformed: main function g missing" );
+  ]
+
+let test_error_table () =
+  let failures =
+    List.filter_map
+      (fun (name, text, want) ->
+        let got = outcome text in
+        if got = want then None
+        else Some (Printf.sprintf "%s: want %S, got %S" name want got))
+      error_table
+  in
+  if failures <> [] then Alcotest.fail (String.concat "\n" failures)
+
+(* ------------------------------------------------------------------ *)
+(* Golden programs read back                                           *)
+
+let small8 =
+  Machine.small ~int_regs:8 ~float_regs:8 ~int_caller_saved:4
+    ~float_caller_saved:4 ()
+
+(* Every program in the golden IR text (before and after allocation)
+   parses and prints back byte-identically, and every pre-allocation
+   program keeps the cache key recorded next to it. *)
+let test_golden_reparse () =
+  let path =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "golden/irtext.expected"
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let sections =
+    (* the text ends in a newline: drop the empty string after it *)
+    match List.rev (String.split_on_char '\n' text) with
+    | [] -> []
+    | _ :: rev_lines ->
+      let lines = List.rev rev_lines in
+      let flush acc cur =
+        match cur with
+        | Some (h, body) -> (h, List.rev body) :: acc
+        | None -> acc
+      in
+      let acc, cur =
+        List.fold_left
+          (fun (acc, cur) l ->
+            if String.starts_with ~prefix:"==== " l then (flush acc cur, Some (l, []))
+            else
+              match cur with
+              | Some (h, body) -> (acc, Some (h, l :: body))
+              | None -> (acc, None))
+          ([], None) lines
+      in
+      List.rev (flush acc cur)
+  in
+  let programs = ref 0 in
+  List.iter
+    (fun (header, body) ->
+      let machine =
+        if String.ends_with ~suffix:", small-8 ====" header
+           || String.ends_with ~suffix:", small-8, after binpack ====" header
+        then small8
+        else Machine.alpha_like
+      in
+      let key, body =
+        match body with
+        | k :: rest when String.starts_with ~prefix:"key " k ->
+          (Some (String.sub k 4 (String.length k - 4)), rest)
+        | _ -> (None, body)
+      in
+      match body with
+      | l :: _ when String.starts_with ~prefix:"frontend rejected" l -> ()
+      | _ ->
+        let src = String.concat "\n" body ^ "\n" in
+        let prog =
+          try Lsra_text.Ir_text.of_string src
+          with Lsra_text.Ir_text.Parse_error { line; msg } ->
+            Alcotest.failf "%s: parse error at line %d: %s" header line msg
+        in
+        incr programs;
+        Alcotest.(check string) (header ^ ": re-print") src
+          (Lsra_text.Ir_text.to_string prog);
+        Option.iter
+          (fun key ->
+            Alcotest.(check string) (header ^ ": cache key") key
+              (Lsra_service.Cachekey.digest ~machine
+                 ~algo:Lsra.Allocator.default_second_chance
+                 ~passes:Lsra.Passes.default prog))
+          key)
+    sections;
+  Alcotest.(check bool) "found the golden programs" true (!programs > 100)
+
+(* ------------------------------------------------------------------ *)
+(* Properties over generated programs                                  *)
+
+(* The canonical text of a small generated program: even seeds on the
+   alpha, odd ones on small-8; every other pair from the call-dense
+   hostile profile; half of them after the allocation pipeline. *)
+let canonical_of_seed seed =
+  let machine = if seed land 1 = 0 then Machine.alpha_like else small8 in
+  let base =
+    if seed land 2 = 0 then
+      { Lsra_workloads.Gen.default_params with Lsra_workloads.Gen.seed }
+    else Lsra_workloads.Gen.hostile_params ~seed
+  in
+  let params =
+    {
+      base with
+      Lsra_workloads.Gen.n_funcs = 2;
+      n_stmts = 4;
+      max_depth = 1;
+      n_temps = 8;
+    }
+  in
+  let prog = Lsra_workloads.Gen.program ~params machine in
+  if seed land 4 <> 0 then
+    ignore
+      (Lsra.Allocator.pipeline ~passes:Lsra.Passes.default
+         Lsra.Allocator.default_second_chance machine prog);
+  Lsra_text.Ir_text.to_string prog
+
+(* Re-spell canonical text: random runs of spaces and tabs between
+   tokens and before them, blank and comment-only lines, trailing
+   comments, spacing inside spill tags, and CRLF line ends. *)
+let respell rs text =
+  let buf = Buffer.create (String.length text * 2) in
+  let pick l = List.nth l (Random.State.int rs (List.length l)) in
+  let blanks ~min =
+    String.init
+      (min + Random.State.int rs 3)
+      (fun _ -> if Random.State.bool rs then ' ' else '\t')
+  in
+  let eol () = Buffer.add_string buf (if Random.State.int rs 4 = 0 then "\r\n" else "\n") in
+  let lines = String.split_on_char '\n' text in
+  let n = List.length lines in
+  List.iteri
+    (fun k line ->
+      if k = n - 1 then Buffer.add_string buf line
+      else begin
+        if Random.State.int rs 4 = 0 then begin
+          Buffer.add_string buf
+            (pick [ ""; blanks ~min:0; blanks ~min:0 ^ "; a comment"; ";" ]);
+          eol ()
+        end;
+        let code, comment =
+          match String.index_opt line ';' with
+          | Some i ->
+            ( String.sub line 0 i,
+              Some (String.trim (String.sub line (i + 1) (String.length line - i - 1))) )
+          | None -> (line, None)
+        in
+        let words = List.filter (fun w -> w <> "") (String.split_on_char ' ' code) in
+        Buffer.add_string buf (blanks ~min:0);
+        List.iteri
+          (fun j w ->
+            if j > 0 then Buffer.add_string buf (blanks ~min:1);
+            Buffer.add_string buf w)
+          words;
+        (match comment with
+        | Some c ->
+          Buffer.add_string buf (blanks ~min:0);
+          Buffer.add_char buf ';';
+          Buffer.add_string buf (blanks ~min:0);
+          Buffer.add_string buf c;
+          Buffer.add_string buf (blanks ~min:0)
+        | None ->
+          if Random.State.int rs 5 = 0 then begin
+            Buffer.add_string buf (blanks ~min:1);
+            Buffer.add_string buf "; note"
+          end);
+        eol ()
+      end)
+    lines;
+  Buffer.contents buf
+
+let prop_respelled =
+  QCheck.Test.make ~count:60 ~name:"re-spelled programs parse to the same text"
+    QCheck.(pair (int_range 0 10_000) int)
+    (fun (seed, spell) ->
+      let text = canonical_of_seed seed in
+      let rs = Random.State.make [| spell |] in
+      let spelled = respell rs text in
+      match Lsra_text.Ir_text.of_string spelled with
+      | prog ->
+        let back = Lsra_text.Ir_text.to_string prog in
+        if back <> text then
+          QCheck.Test.fail_reportf "seed %d: re-spelled text prints back differently:\n%s"
+            seed spelled;
+        true
+      | exception Lsra_text.Ir_text.Parse_error { line; msg } ->
+        QCheck.Test.fail_reportf "seed %d: parse error at line %d: %s\n%s" seed
+          line msg spelled)
+
+(* Truncations, byte flips and line deletions of canonical text. *)
+let mutate rs text =
+  let alphabet = "0123456789$rfxt.;:-=>,()[]!?{}@ \n\tpslo" in
+  let once text =
+    let n = String.length text in
+    if n = 0 then text
+    else
+      match Random.State.int rs 3 with
+      | 0 -> String.sub text 0 (Random.State.int rs n)
+      | 1 ->
+        let b = Bytes.of_string text in
+        let c =
+          if Random.State.bool rs then Char.chr (Random.State.int rs 256)
+          else alphabet.[Random.State.int rs (String.length alphabet)]
+        in
+        Bytes.set b (Random.State.int rs n) c;
+        Bytes.to_string b
+      | _ ->
+        let lines = String.split_on_char '\n' text in
+        let k = Random.State.int rs (List.length lines) in
+        String.concat "\n" (List.filteri (fun i _ -> i <> k) lines)
+  in
+  let rec go k text = if k = 0 then text else go (k - 1) (once text) in
+  go (1 + Random.State.int rs 3) text
+
+let prop_fuzz =
+  QCheck.Test.make ~count:300
+    ~name:"mutated programs raise only Parse_error or Malformed"
+    QCheck.(pair (int_range 0 10_000) int)
+    (fun (seed, m) ->
+      let rs = Random.State.make [| m |] in
+      let text = mutate rs (canonical_of_seed seed) in
+      match Lsra_text.Ir_text.of_string text with
+      | _ -> true
+      | exception (Lsra_text.Ir_text.Parse_error _ | Cfg.Malformed _) -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "seed %d: %s on\n%s" seed
+          (Printexc.to_string e) text)
+
 let suite =
   [
     Alcotest.test_case "round-trip all workloads" `Quick
@@ -92,4 +512,10 @@ let suite =
       test_parse_error_reporting;
     Alcotest.test_case "hand-written program parses and runs" `Quick
       test_small_handwritten;
+    Alcotest.test_case "every parse error site: line and message" `Quick
+      test_error_table;
+    Alcotest.test_case "golden programs re-parse with the same key" `Quick
+      test_golden_reparse;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false)
+      [ prop_respelled; prop_fuzz ]
