@@ -117,6 +117,53 @@ let ids replies =
     replies
 
 (* ------------------------------------------------------------------ *)
+(* Hostile IR text.                                                    *)
+
+let fixture name =
+  In_channel.with_open_bin
+    (Filename.concat (Filename.dirname Sys.executable_name) ("fixtures/" ^ name))
+    In_channel.input_all
+
+(* Each hostile program between two valid requests: one ERR with exit
+   code 1 and a parse error, and the server goes on to answer the next
+   request. *)
+let test_hostile_ir_between_valid () =
+  let src = source () in
+  List.iter
+    (fun name ->
+      let input = req "a" src ^ req "bad" (fixture name) ^ req "b" src ^ "QUIT\n" in
+      let sev, out = serve_io input in
+      Alcotest.(check int) (name ^ ": bad input is severity 0") 0 sev;
+      match parse_replies out with
+      | [ (Protocol.R_ok { id = "a"; _ }, Some _);
+          (Protocol.R_err { id = "bad"; code = 1; msg }, None);
+          (Protocol.R_ok { id = "b"; _ }, Some body) ] ->
+        Alcotest.(check bool) (name ^ ": " ^ msg) true
+          (String.starts_with ~prefix:"parse error at line " msg);
+        Alcotest.(check string) (name ^ ": next request served") (direct_output src) body
+      | rs -> Alcotest.failf "%s: unexpected replies: %s" name (String.concat " " (ids rs)))
+    [
+      "hostile_register.lsra";
+      "hostile_slot_name.lsra";
+      "hostile_slot_bound.lsra";
+      "hostile_temp_id.lsra";
+      "hostile_shared_id.lsra";
+    ]
+
+(* A cache hit is spot-checked by re-reading the canonical text, which
+   spells an infinite constant `infinity`. *)
+let test_nonfinite_spot_check () =
+  let src = fixture "nonfinite.lsra" in
+  let input = req "cold" src ^ req "hit" src ^ "QUIT\n" in
+  let sev, out = serve_io ~spot_check:1 input in
+  Alcotest.(check int) "clean" 0 sev;
+  match parse_replies out with
+  | [ (Protocol.R_ok { id = "cold"; hit = false; _ }, Some a);
+      (Protocol.R_ok { id = "hit"; hit = true; _ }, Some b) ] ->
+    Alcotest.(check string) "same payload" a b
+  | rs -> Alcotest.failf "unexpected replies: %s" (String.concat " " (ids rs))
+
+(* ------------------------------------------------------------------ *)
 (* Framing edge cases.                                                 *)
 
 (* A len=-framed body may contain a literal END line. The old framing
@@ -476,6 +523,10 @@ let suite =
       test_legacy_missing_end;
     Alcotest.test_case "framing: len= body cut by EOF is ERR" `Quick
       test_len_truncated_by_eof;
+    Alcotest.test_case "hostile IR text: ERR 1, then the next request" `Quick
+      test_hostile_ir_between_valid;
+    Alcotest.test_case "non-finite constants survive a spot check" `Quick
+      test_nonfinite_spot_check;
     Alcotest.test_case "frames: QUIT flushes the pending batch" `Quick
       test_quit_mid_batch;
     Alcotest.test_case "frames: STATS mid-batch flushes first" `Quick

@@ -258,13 +258,90 @@ let error_table =
     ( "unexpected end of input",
       header ^ "func f {\n  block entry:\n    $r0 := ",
       "0: unexpected end of input" );
-    (* an error on line 6 ahead of a lexing error on line 7 *)
+    (* the first error in reading order wins: a syntax error on line 6
+       ahead of a lexing error on line 7 (the whole text used to be
+       lexed first, so the lexing error won) *)
     ( "syntax error before lexing error",
       in_entry "    x.1 := ,\n    x.1 := 1 @",
-      "7: unexpected character '@'" );
+      "6: bad instruction right-hand side" );
     ( "syntax error before bad register",
       in_entry "    x.1 := ,\n    $q0 := 1",
-      "7: bad register class" );
+      "6: bad instruction right-hand side" );
+    ( "lexing error before syntax error",
+      in_entry "    x.1 := @\n    x.1 := ,",
+      "6: unexpected character '@'" );
+    (* numbers: typed errors and the index bound *)
+    ( "register index overflows",
+      in_entry "    $r99999999999999999999 := x.1",
+      "6: register index above 1048576 in $r99999999999999999999" );
+    ( "register index above the bound",
+      in_entry "    $r1048577 := x.1",
+      "6: register index above 1048576 in $r1048577" );
+    ("register index at the bound", in_entry "    $r1048576 := x.1", "ok");
+    ("non-numeric slot", in_entry "    x.1 := sload slotq", "6: expected slotN");
+    ("negative slot", in_entry "    x.1 := sload slot-1", "6: expected slotN");
+    ("hexadecimal slot", in_entry "    sstore x.1, slot0x1", "6: expected slotN");
+    ( "slot above the bound",
+      in_entry "    sstore $r1, slot4000000000",
+      "6: slot number above 1048576 in slot4000000000" );
+    ("slot at the bound", in_entry "    x.1 := sload slot1048576", "ok");
+    ( "temp id above the bound",
+      header ^ "func f {\n  temp y.4000000000 int\n}\n",
+      "3: temp id above 1048576 in y.4000000000" );
+    ( "overflowing temp id",
+      header ^ "func f {\n  temp t99999999999999999999 int\n}\n",
+      "3: temp id above 1048576 in t99999999999999999999" );
+    ( "hexadecimal temp id",
+      header ^ "func f {\n  temp x.0x10 int\n}\n",
+      "3: cannot infer id of temp x.0x10" );
+    ( "negative temp id",
+      header ^ "func f {\n  temp t-1 int\n}\n",
+      "3: cannot infer id of temp t-1" );
+    ( "integer literal out of range",
+      in_entry "    x.1 := 4611686018427387904",
+      "6: integer literal out of range \"4611686018427387904\"" );
+    ( "negative integer literal out of range",
+      in_entry "    x.1 := -4611686018427387905",
+      "6: integer literal out of range \"-4611686018427387905\"" );
+    ("largest integer literal", in_entry "    x.1 := 4611686018427387903", "ok");
+    ("smallest integer literal", in_entry "    x.1 := -4611686018427387904", "ok");
+    ( "overflowing offset",
+      in_entry "    x.1 := load x.1[99999999999999999999]",
+      "6: integer literal out of range \"99999999999999999999\"" );
+    (* temps: one declaration per id, uses spelled as declared *)
+    ( "duplicate temp id",
+      header ^ "func f {\n  temp x.1 int\n  temp y.1 int\n}\n",
+      "4: temporaries x.1 and y.1 share id 1" );
+    ( "duplicate temp name",
+      header ^ "func f {\n  temp x.1 int\n  temp x.1 float\n}\n",
+      "4: duplicate temporary x.1" );
+    ( "duplicate id spelled two ways",
+      header ^ "func f {\n  temp x.1 int\n  temp x.01 int\n}\n",
+      "4: temporaries x.1 and x.01 share id 1" );
+    ( "use spelled unlike its declaration",
+      header ^ "func f {\n  temp x.01 int\n  block entry:\n    x.1 := 0\n    ret\n}\n",
+      "5: undeclared temporary x.1" );
+    ( "declared in another function",
+      header ^ "func g {\n  temp x.1 int\n  block entry:\n    ret\n}\n\
+               func f {\n  block entry:\n    x.1 := 0\n    ret\n}\n",
+      "9: undeclared temporary x.1" );
+    ( "same temps in two functions",
+      "program main=f\n\
+       func f {\n  temp x.1 int\n  block entry:\n    x.1 := 0\n    ret\n}\n\
+       func g {\n  temp x.1 int\n  block entry:\n    x.1 := 0\n    ret\n}\n",
+      "ok" );
+    (* non-finite float literals, as the printer spells them *)
+    ("infinity", in_entry "    g.2 := infinity", "ok");
+    ("-infinity", in_entry "    g.2 := fadd g.2, -infinity", "ok");
+    ("nan", in_entry "    g.2 := nan", "ok");
+    ("-nan", in_entry "    store -nan, x.1[0]", "ok");
+    ("inf is not a literal", in_entry "    g.2 := inf", "6: undeclared temporary inf");
+    ( "a float literal is not a location",
+      in_entry "    sstore nan, slot0",
+      "6: undeclared temporary nan" );
+    ( "a block may be called nan",
+      header ^ "func f {\n  block entry:\n    jump nan\n  block nan:\n    ret\n}\n",
+      "ok" );
     (* structural errors come from validation *)
     ( "jump to an unknown block",
       header ^ "func f {\n  block entry:\n    jump nowhere\n}\n",
@@ -502,6 +579,93 @@ let prop_fuzz =
         QCheck.Test.fail_reportf "seed %d: %s on\n%s" seed
           (Printexc.to_string e) text)
 
+(* ------------------------------------------------------------------ *)
+(* Regressions                                                         *)
+
+let parse_error_of text =
+  match Lsra_text.Ir_text.of_string text with
+  | _ -> Alcotest.failf "expected a parse error on\n%s" text
+  | exception Lsra_text.Ir_text.Parse_error { line; msg } -> (line, msg)
+
+(* Two temps sharing an id used to become one temp: this program was
+   allocated to `$r0 := 7; $r0 := add $r0, $r0`, which computes 14, not
+   12 (and to `$r0 := $f0` when y.1 was a float). *)
+let test_shared_id_rejected () =
+  List.iter
+    (fun cls ->
+      let text =
+        Printf.sprintf
+          "program main=main heap=64\n\n\
+           func main {\n\
+          \  temp x.1 int\n\
+          \  temp y.1 %s\n\
+          \  block entry:\n\
+          \    x.1 := 5\n\
+          \    y.1 := 7\n\
+          \    $r0 := add x.1, y.1\n\
+          \    ret\n\
+           }\n"
+          cls
+      in
+      Alcotest.(check (pair int string))
+        ("y.1 " ^ cls) (5, "temporaries x.1 and y.1 share id 1")
+        (parse_error_of text))
+    [ "int"; "float" ]
+
+(* The printer spells an infinite constant `infinity`; the allocated
+   program must read back and compute the same. *)
+let test_nonfinite_round_trip () =
+  let text =
+    "program main=main heap=64\n\n\
+     func main {\n\
+    \  temp x.1 float\n\
+    \  temp y.2 float\n\
+    \  temp z.3 float\n\
+    \  block entry:\n\
+    \    x.1 := 0x1p+1024\n\
+    \    y.2 := fneg x.1\n\
+    \    z.3 := fadd x.1, y.2\n\
+    \    $f0 := fadd x.1, z.3\n\
+    \    $f1 := fsub 0x0p+0, z.3\n\
+    \    ret\n\
+     }\n"
+  in
+  let prog = Lsra_text.Ir_text.of_string text in
+  let run p =
+    match Lsra_sim.Interp.run Machine.alpha_like p ~input:"" with
+    | Ok o -> Lsra_sim.Value.to_string o.Lsra_sim.Interp.ret
+    | Error e -> Alcotest.failf "trapped: %s" e
+  in
+  let before = run prog in
+  ignore
+    (Lsra.Allocator.pipeline ~passes:[] Lsra.Allocator.default_second_chance
+       Machine.alpha_like prog);
+  let allocated = Lsra_text.Ir_text.to_string prog in
+  Alcotest.(check bool) "prints infinity" true
+    (List.exists
+       (fun l -> String.ends_with ~suffix:":= infinity" l)
+       (String.split_on_char '\n' allocated));
+  let back =
+    try Lsra_text.Ir_text.of_string allocated
+    with Lsra_text.Ir_text.Parse_error { line; msg } ->
+      Alcotest.failf "line %d: %s\n%s" line msg allocated
+  in
+  Alcotest.(check string) "re-prints" allocated (Lsra_text.Ir_text.to_string back);
+  Alcotest.(check string) "same result" before (run back);
+  (* every spelling the printer has for a non-finite float reads back *)
+  List.iter
+    (fun f ->
+      let spelled = Printf.sprintf "%h" f in
+      let src =
+        Printf.sprintf
+          "program main=main\nfunc main {\n  block entry:\n    $f0 := %s\n    ret\n}\n"
+          spelled
+      in
+      let printed = Lsra_text.Ir_text.to_string (Lsra_text.Ir_text.of_string src) in
+      Alcotest.(check bool) (spelled ^ " reads back") true
+        (List.mem ("    $f0 := " ^ spelled) (String.split_on_char '\n' printed)))
+    [ infinity; neg_infinity; nan; Float.neg nan ]
+
 let suite =
   [
     Alcotest.test_case "round-trip all workloads" `Quick
@@ -516,6 +680,10 @@ let suite =
       test_error_table;
     Alcotest.test_case "golden programs re-parse with the same key" `Quick
       test_golden_reparse;
+    Alcotest.test_case "temps sharing an id are rejected" `Quick
+      test_shared_id_rejected;
+    Alcotest.test_case "non-finite float literals read back" `Quick
+      test_nonfinite_round_trip;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
       [ prop_respelled; prop_fuzz ]
