@@ -405,12 +405,6 @@ let test_golden_reparse () =
   let programs = ref 0 in
   List.iter
     (fun (header, body) ->
-      let machine =
-        if String.ends_with ~suffix:", small-8 ====" header
-           || String.ends_with ~suffix:", small-8, after binpack ====" header
-        then small8
-        else Machine.alpha_like
-      in
       let key, body =
         match body with
         | k :: rest when String.starts_with ~prefix:"key " k ->
@@ -431,6 +425,10 @@ let test_golden_reparse () =
           (Lsra_text.Ir_text.to_string prog);
         Option.iter
           (fun key ->
+            let machine =
+              if String.ends_with ~suffix:", small-8 ====" header then small8
+              else Machine.alpha_like
+            in
             Alcotest.(check string) (header ^ ": cache key") key
               (Lsra_service.Cachekey.digest ~machine
                  ~algo:Lsra.Allocator.default_second_chance
