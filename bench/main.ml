@@ -1328,7 +1328,7 @@ let service_clients k =
     in
     let srv =
       Domain.spawn (fun () ->
-          Lsra_service.Server.serve_socket ~max_clients:(k + 4) sched
+          Lsra_service.Mux.serve_socket ~max_clients:(k + 4) sched
             sock_path)
     in
     let r = f () in

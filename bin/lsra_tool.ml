@@ -758,8 +758,8 @@ let serve_cmd =
       & info [ "socket" ] ~docv:"PATH"
           ~doc:
             "Serve over a Unix-domain socket bound at $(docv) instead of \
-             stdin/stdout; connections are accepted one at a time until a \
-             QUIT frame.")
+             stdin/stdout: up to $(b,--max-clients) connections are served \
+             at once until a QUIT frame.")
   in
   let cache_bytes_arg =
     Arg.(
@@ -908,9 +908,11 @@ let serve_cmd =
         in
         let severity =
           match socket with
-          | None -> Lsra_service.Server.serve_stdio sched
+          | None ->
+            Lsra_service.Mux.serve_fds sched ~input:Unix.stdin
+              ~output:Unix.stdout
           | Some path ->
-            Lsra_service.Server.serve_socket ~max_clients sched path
+            Lsra_service.Mux.serve_socket ~max_clients sched path
         in
         if severity > 0 then exit severity)
   in
@@ -918,11 +920,14 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the allocation service: newline-framed textual-IR requests \
-          (REQ frames with len=-prefixed bodies, batched by FLUSH or a \
-          full queue) over stdin/stdout or a Unix socket, answered from a \
-          content-addressed result cache with LRU eviction. In socket mode \
-          a select-based multiplexer serves many connections at once and \
-          coalesces their concurrent requests into shared batches; with \
+          (REQ frames with len=-prefixed bodies) over stdin/stdout or a \
+          Unix socket, answered from a content-addressed result cache with \
+          LRU eviction. One select-based loop serves stdin/stdout as a \
+          single connection and, in socket mode, many connections at once; \
+          the requests that arrive in one round of the loop, across every \
+          connection, are allocated as one batch (FLUSH, STATS or a full \
+          queue flush earlier), and both modes share the same frame caps. \
+          With \
           $(b,--store-dir) the cache is journaled to disk and warm-loaded \
           on restart. Requests may carry a deadline-ms compile budget; \
           when the requested allocator's predicted time would blow it, the \

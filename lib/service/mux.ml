@@ -1,41 +1,23 @@
-(* Event-driven connection multiplexer.
-
-   One [Unix.select] loop owns the listening socket and every client
-   connection. Frames are parsed incrementally out of per-connection
-   read buffers (a connection may deliver half a header, a megabyte of
-   body, or six whole frames per readiness event — all are fine), and
-   completed requests from *all* connections feed the one shared
-   batched {!Scheduler}, so independent clients' concurrent requests
-   coalesce into one domain-pool batch. Responses are routed back by
-   (connection, request id): the scheduler returns each response paired
-   with the request it answers, and the mux keeps its own
-   submission-order queue of (connection, id) — any disagreement
-   between the two is a hard internal error, never a frame written to
-   the wrong client.
-
-   The batch boundary is the event-loop round: after every readiness
-   sweep, whatever requests arrived — across every connection — are
-   flushed as one batch. FLUSH/STATS force a flush mid-round exactly as
-   they do on the blocking path, and the scheduler's bounded queue
-   still auto-drains on capacity. *)
-
-type req_hdr = {
-  id : string;
-  algo : Lsra.Allocator.algorithm;
-  passes : Lsra.Passes.t list;
-  deadline : float option;
-}
+(* The one serving loop, for a Unix socket and for stdin/stdout alike
+   (see mux.mli). *)
 
 type istate =
   | Idle  (* awaiting a header line *)
-  | Body_len of { hdr : req_hdr; need : int }  (* length-prefixed body *)
-  | Body_lines of { hdr : req_hdr; body : Buffer.t }  (* legacy END *)
+  | Body of { req : Protocol.req option; need : int }
+      (* [need] body bytes; [None] is a rejected request's body, skipped *)
 
+(* A connection reads [rfd] and writes [wfd]: the same descriptor for a
+   socket, stdin and stdout for stdio. The mux closes only the sockets
+   it accepted ([owned] until closed); stdio stays open, and blocking,
+   for its caller. *)
 type conn = {
-  fd : Unix.file_descr;
+  rfd : Unix.file_descr;
+  wfd : Unix.file_descr;
+  mutable owned : bool;
   mutable rbuf : Bytes.t;
   mutable rlen : int;  (* valid bytes in [rbuf] *)
   mutable rpos : int;  (* consumed prefix of [rbuf] *)
+  mutable scan : int;  (* [rbuf] before here holds no '\n' past [rpos] *)
   mutable state : istate;
   (* Write queue as a [whead, wtail) window over [wbuf]: each select
      round writes straight out of the buffer at [whead] — no copy of the
@@ -49,12 +31,11 @@ type conn = {
   mutable severity : int;
   mutable eof : bool;  (* read side done (EOF or reset) *)
   mutable dead : bool;  (* fully abandoned; fd closed *)
-  mutable closed : bool;
 }
 
 type t = {
   sched : Scheduler.t;
-  lsock : Unix.file_descr;
+  lsock : Unix.file_descr option;
   max_clients : int;
   mutable conns : conn list;
   (* Submission order across all connections; must stay in lockstep
@@ -64,17 +45,15 @@ type t = {
   mutable severity : int;
 }
 
-(* A len= larger than this is a protocol violation, not a request: the
-   connection is answered with an ERR and dropped rather than letting a
-   single header commit the server to buffering gigabytes. *)
-let max_body = 64 * 1024 * 1024
-
-let make_conn fd =
+let make_conn ~owned rfd wfd =
   {
-    fd;
+    rfd;
+    wfd;
+    owned;
     rbuf = Bytes.create 8192;
     rlen = 0;
     rpos = 0;
+    scan = 0;
     state = Idle;
     wbuf = Bytes.create 1024;
     whead = 0;
@@ -82,13 +61,12 @@ let make_conn fd =
     severity = 0;
     eof = false;
     dead = false;
-    closed = false;
   }
 
 let close_conn t c =
-  if not c.closed then begin
-    c.closed <- true;
-    (try Unix.close c.fd with Unix.Unix_error _ -> ())
+  if c.owned then begin
+    c.owned <- false;
+    (try Unix.close c.rfd with Unix.Unix_error _ -> ())
   end;
   (* Per-connection severity, aggregated explicitly at close: one
      client's verifier reject or spot-check divergence raises the
@@ -132,7 +110,7 @@ let queue_frame c line payload =
 
 let try_write t c =
   if (not c.dead) && wq_len c > 0 then begin
-    match Unix.write c.fd c.wbuf c.whead (wq_len c) with
+    match Unix.write c.wfd c.wbuf c.whead (wq_len c) with
     | n ->
       c.whead <- c.whead + n;
       if c.whead = c.wtail then begin
@@ -176,12 +154,12 @@ let route t pairs =
 
 let flush_batch t = route t (Scheduler.flush t.sched)
 
-let submit_req t c (hdr : req_hdr) body =
+let submit_req t c (r : Protocol.req) body =
   let req =
-    Service.request ~algo:hdr.algo ~passes:hdr.passes ?deadline:hdr.deadline
-      ~id:hdr.id body
+    Service.request ~algo:r.algo ~passes:r.passes ?deadline:r.deadline
+      ~id:r.id body
   in
-  Queue.push (c, hdr.id) t.pending;
+  Queue.push (c, r.id) t.pending;
   (* Capacity auto-drain may answer a whole batch right here. *)
   route t (Scheduler.submit t.sched req)
 
@@ -194,6 +172,7 @@ let ensure_read_capacity c =
     if c.rpos > 0 then begin
       Bytes.blit c.rbuf c.rpos c.rbuf 0 (c.rlen - c.rpos);
       c.rlen <- c.rlen - c.rpos;
+      c.scan <- max 0 (c.scan - c.rpos);
       c.rpos <- 0
     end;
     if c.rlen = Bytes.length c.rbuf then begin
@@ -205,19 +184,25 @@ let ensure_read_capacity c =
 
 let read_chunk c =
   ensure_read_capacity c;
-  match Unix.read c.fd c.rbuf c.rlen (Bytes.length c.rbuf - c.rlen) with
+  match Unix.read c.rfd c.rbuf c.rlen (Bytes.length c.rbuf - c.rlen) with
   | 0 -> c.eof <- true
   | n -> c.rlen <- c.rlen + n
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error _ -> c.eof <- true  (* reset: same as EOF *)
 
+(* The next '\n' within [Protocol.max_header] bytes of [rpos]. Each
+   byte is scanned once, however the line arrives. *)
 let find_nl c =
+  let limit = min c.rlen (c.rpos + Protocol.max_header + 1) in
   let rec go i =
-    if i >= c.rlen then None
+    if i >= limit then begin
+      c.scan <- i;
+      None
+    end
     else if Bytes.get c.rbuf i = '\n' then Some i
     else go (i + 1)
   in
-  go c.rpos
+  go (max c.scan c.rpos)
 
 let take_line c nl =
   let s = Bytes.sub_string c.rbuf c.rpos (nl - c.rpos) in
@@ -232,8 +217,7 @@ let poison c =
   c.state <- Idle;
   c.eof <- true
 
-let stats_line t id =
-  Protocol.render_stats ~id (Service.counters (Scheduler.service t.sched))
+let reject c id msg = queue_frame c (Protocol.render_err ~id ~code:1 msg) None
 
 let rec parse_conn t c =
   if c.dead || t.quit then ()
@@ -242,79 +226,60 @@ let rec parse_conn t c =
     | Idle -> (
       match find_nl c with
       | None ->
-        (* Incomplete header. At EOF the stub is unanswerable — the
-           client vanished mid-frame; drop it and let the close path
-           run. Other connections are unaffected. *)
-        if c.eof then c.rpos <- c.rlen
+        if c.rlen - c.rpos > Protocol.max_header then begin
+          reject c "-"
+            (Printf.sprintf "header line exceeds %d bytes"
+               Protocol.max_header);
+          poison c
+        end
+        else if c.eof then
+          (* An unterminated last line is not a frame: the client
+             vanished mid-header. Drop it and let the close path run. *)
+          c.rpos <- c.rlen
       | Some nl -> (
         let line = take_line c nl in
         if line = "" then parse_conn t c
         else
           match Protocol.parse_header line with
-          | Error msg ->
-            queue_frame c (Protocol.render_err ~id:"-" ~code:1 msg) None;
+          | Error { id; body_len = Some need; msg } ->
+            reject c id msg;
+            c.state <- Body { req = None; need };
             parse_conn t c
-          | Ok (Protocol.H_req { id; algo; passes; deadline; body_len }) -> (
-            let hdr = { id; algo; passes; deadline } in
-            match body_len with
-            | Some need when need > max_body ->
-              queue_frame c
-                (Protocol.render_err ~id ~code:1
-                   (Printf.sprintf "len=%d exceeds the %d-byte frame cap"
-                      need max_body))
-                None;
-              poison c
-            | Some need ->
-              c.state <- Body_len { hdr; need };
-              parse_conn t c
-            | None ->
-              c.state <- Body_lines { hdr; body = Buffer.create 256 };
-              parse_conn t c)
+          | Error { id; body_len = None; msg } ->
+            reject c id msg;
+            poison c
+          | Ok (Protocol.H_req r) ->
+            c.state <- Body { req = Some r; need = r.body_len };
+            parse_conn t c
           | Ok Protocol.H_flush ->
             flush_batch t;
             parse_conn t c
           | Ok (Protocol.H_stats id) ->
             flush_batch t;
-            queue_frame c (stats_line t id) None;
+            queue_frame c
+              (Protocol.render_stats ~id
+                 (Service.counters (Scheduler.service t.sched)))
+              None;
             parse_conn t c
           | Ok Protocol.H_quit -> t.quit <- true))
-    | Body_len { hdr; need } ->
+    | Body { req; need } ->
       if c.rlen - c.rpos >= need then begin
-        let body = Bytes.sub_string c.rbuf c.rpos need in
+        let start = c.rpos in
         c.rpos <- c.rpos + need;
         c.state <- Idle;
-        submit_req t c hdr body;
+        Option.iter
+          (fun r -> submit_req t c r (Bytes.sub_string c.rbuf start need))
+          req;
         parse_conn t c
       end
       else if c.eof then begin
-        queue_frame c
-          (Protocol.render_err ~id:hdr.id ~code:1
-             "end of input inside a REQ frame (len= body truncated)")
-          None;
+        Option.iter
+          (fun (r : Protocol.req) ->
+            reject c r.id
+              "end of input inside a REQ frame (len= body truncated)")
+          req;
         poison c
       end
-    | Body_lines { hdr; body } -> (
-      match find_nl c with
-      | None ->
-        if c.eof then begin
-          queue_frame c
-            (Protocol.render_err ~id:hdr.id ~code:1
-               "end of input inside a REQ frame (missing END)")
-            None;
-          poison c
-        end
-      | Some nl ->
-        let line = take_line c nl in
-        if line = "END" then begin
-          c.state <- Idle;
-          submit_req t c hdr (Buffer.contents body);
-          parse_conn t c
-        end
-        else begin
-          Buffer.add_string body line;
-          Buffer.add_char body '\n';
-          parse_conn t c
-        end)
 
 (* ------------------------------------------------------------------ *)
 (* Accepting                                                           *)
@@ -323,13 +288,13 @@ let rec parse_conn t c =
    queued — neither may kill the accept loop (they used to). EAGAIN
    ends the sweep: the listening socket is non-blocking, so a readiness
    event is drained to empty every time. *)
-let accept_clients t =
+let accept_clients t lsock =
   let rec go () =
     if (not t.quit) && List.length t.conns < t.max_clients then
-      match Unix.accept t.lsock with
+      match Unix.accept lsock with
       | fd, _ ->
         Unix.set_nonblock fd;
-        t.conns <- make_conn fd :: t.conns;
+        t.conns <- make_conn ~owned:true fd fd :: t.conns;
         go ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
       | exception Unix.Unix_error (EINTR, _, _) -> go ()
@@ -356,73 +321,98 @@ let drained_all t = List.for_all (fun c -> c.dead || wq_len c = 0) t.conns
    reject impossible limits at startup rather than degrade at load. *)
 let fd_setsize = 1024
 
-let run ?(max_clients = 64) sched lsock =
-  if max_clients >= fd_setsize then
-    invalid_arg
-      (Printf.sprintf
-         "Mux.run: max_clients %d is not serveable — select(2) cannot \
-          watch more than FD_SETSIZE (%d) descriptors; use %d or fewer"
-         max_clients fd_setsize (fd_setsize - 1));
-  (* A client that hangs up right before we answer must surface as
-     EPIPE on the write (handled per connection), not as a SIGPIPE that
-     kills the whole server. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  Unix.set_nonblock lsock;
+(* Serve until QUIT, or until there is no listener and no connection
+   left; pending responses are drained first. *)
+let serve sched ?lsock ~max_clients conns =
   let t =
     {
       sched;
       lsock;
       max_clients = max 1 max_clients;
-      conns = [];
+      conns;
       pending = Queue.create ();
       quit = false;
       severity = 0;
     }
   in
-  let running = ref true in
-  while !running do
-    if t.quit && drained_all t then running := false
-    else begin
+  (* A client that hangs up right before we answer must surface as
+     EPIPE on the write (handled per connection), not as a SIGPIPE that
+     kills the whole server. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
+  let rec loop () =
+    let finished =
+      (t.quit && drained_all t) || (Option.is_none t.lsock && t.conns = [])
+    in
+    if not finished then begin
       let reads =
         if t.quit then []
         else
-          (if List.length t.conns < t.max_clients then [ t.lsock ] else [])
+          (match t.lsock with
+          | Some l when List.length t.conns < t.max_clients -> [ l ]
+          | _ -> [])
           @ List.filter_map
-              (fun c -> if c.dead || c.eof then None else Some c.fd)
+              (fun c -> if c.dead || c.eof then None else Some c.rfd)
               t.conns
       in
       let writes =
         List.filter_map
-          (fun c -> if (not c.dead) && wq_len c > 0 then Some c.fd else None)
+          (fun c -> if (not c.dead) && wq_len c > 0 then Some c.wfd else None)
           t.conns
       in
-      if reads = [] && writes = [] then
-        (* All connections quiesced mid-shutdown or at the client cap
-           with nothing to do: breathe instead of spinning. *)
-        ignore (Unix.select [] [] [] 0.05)
-      else begin
-        match Unix.select reads writes [] (-1.) with
-        | exception Unix.Unix_error (EINTR, _, _) -> ()
-        | rs, ws, _ ->
-          if List.memq t.lsock rs then accept_clients t;
-          List.iter
-            (fun c ->
-              if List.memq c.fd rs then begin
-                read_chunk c;
-                parse_conn t c
-              end)
-            t.conns;
-          (* Batch boundary: everything that arrived this round — from
-             every connection — is one scheduler batch. *)
-          if Scheduler.pending t.sched > 0 then flush_batch t;
-          List.iter
-            (fun c -> if List.memq c.fd ws || wq_len c > 0 then try_write t c)
-            t.conns;
-          reap t
-      end
+      (if reads = [] && writes = [] then
+         (* All connections quiesced mid-shutdown or at the client cap
+            with nothing to do: breathe instead of spinning. *)
+         ignore (Unix.select [] [] [] 0.05)
+       else
+         match Unix.select reads writes [] (-1.) with
+         | exception Unix.Unix_error (EINTR, _, _) -> ()
+         | rs, ws, _ ->
+           Option.iter
+             (fun l -> if List.memq l rs then accept_clients t l)
+             t.lsock;
+           List.iter
+             (fun c ->
+               if List.memq c.rfd rs then begin
+                 read_chunk c;
+                 parse_conn t c
+               end)
+             t.conns;
+           (* Batch boundary: everything that arrived this round — from
+              every connection — is one scheduler batch. *)
+           if Scheduler.pending t.sched > 0 then flush_batch t;
+           List.iter
+             (fun c ->
+               if List.memq c.wfd ws || wq_len c > 0 then try_write t c)
+             t.conns;
+           reap t);
+      loop ()
     end
-  done;
+  in
+  loop ();
   List.iter (fun c -> close_conn t c) t.conns;
   t.conns <- [];
   t.severity
+
+let serve_fds sched ~input ~output =
+  serve sched ~max_clients:1 [ make_conn ~owned:false input output ]
+
+let serve_socket ?(max_clients = 64) sched path =
+  if max_clients >= fd_setsize then
+    invalid_arg
+      (Printf.sprintf
+         "Mux.serve_socket: max_clients %d is not serveable — select(2) \
+          cannot watch more than FD_SETSIZE (%d) descriptors; use %d or \
+          fewer"
+         max_clients fd_setsize (fd_setsize - 1));
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.bind sock (Unix.ADDR_UNIX path);
+      Unix.listen sock 64;
+      Unix.set_nonblock sock;
+      serve sched ~lsock:sock ~max_clients [])

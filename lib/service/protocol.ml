@@ -1,14 +1,17 @@
-type header =
-  | H_req of {
-      id : string;
-      algo : Lsra.Allocator.algorithm;
-      passes : Lsra.Passes.t list;
-      deadline : float option;
-      body_len : int option;
-    }
-  | H_flush
-  | H_stats of string
-  | H_quit
+type req = {
+  id : string;
+  algo : Lsra.Allocator.algorithm;
+  passes : Lsra.Passes.t list;
+  deadline : float option;
+  body_len : int;
+}
+
+type header = H_req of req | H_flush | H_stats of string | H_quit
+
+type rejection = { id : string; body_len : int option; msg : string }
+
+let max_header = 4096
+let max_body = 64 * 1024 * 1024
 
 let split_words s =
   String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
@@ -24,55 +27,78 @@ let valid_id id =
          | _ -> false)
        id
 
-let parse_opt (algo, passes, deadline, body_len) word =
-  match String.index_opt word '=' with
-  | None -> Error (Printf.sprintf "malformed option %S (expected k=v)" word)
-  | Some i -> (
-    let k = String.sub word 0 i in
-    let v = String.sub word (i + 1) (String.length word - i - 1) in
-    match k with
-    | "algo" -> (
-      match Service.algo_of_name v with
-      | Some a -> Ok (a, passes, deadline, body_len)
-      | None -> Error (Printf.sprintf "unknown allocator %S" v))
-    | "passes" -> (
-      match Lsra.Passes.parse v with
-      | Ok ps -> Ok (algo, ps, deadline, body_len)
-      | Error m -> Error m)
-    | "deadline-ms" -> (
-      match float_of_string_opt v with
-      | Some ms when ms >= 0. -> Ok (algo, passes, Some (ms /. 1e3), body_len)
-      | Some _ | None ->
-        Error (Printf.sprintf "malformed deadline-ms %S" v))
-    | "len" -> (
-      match int_of_string_opt v with
-      | Some n when n >= 0 -> Ok (algo, passes, deadline, Some n)
-      | Some _ | None ->
-        Error (Printf.sprintf "malformed len %S (expected bytes >= 0)" v))
-    | _ -> Error (Printf.sprintf "unknown option %S" k))
+let kv_of w =
+  match String.index_opt w '=' with
+  | None -> None
+  | Some i ->
+    Some (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1))
+
+(* The words after [REQ]: an id, then options. [len=] is read whatever
+   else is wrong, since a rejected request's body must still be
+   skipped; the last [len=] and the first other error win. *)
+let parse_req words =
+  let id, opts =
+    match words with
+    | id :: opts when valid_id id -> (Some id, opts)
+    | _ -> (None, words)
+  in
+  let body_len =
+    ref (Error "REQ needs len=<bytes>: its body cannot be delimited")
+  and algo = ref Lsra.Allocator.default_second_chance
+  and passes = ref Lsra.Passes.default
+  and deadline = ref None
+  and bad = ref None in
+  let fail msg = if Option.is_none !bad then bad := Some msg in
+  List.iter
+    (fun w ->
+      match kv_of w with
+      | Some ("len", v) ->
+        body_len :=
+          (match int_of_string_opt v with
+          | Some n when n > max_body ->
+            Error
+              (Printf.sprintf "len=%d exceeds the %d-byte frame cap" n
+                 max_body)
+          | Some n when n >= 0 -> Ok n
+          | Some _ | None ->
+            Error (Printf.sprintf "malformed len %S (expected bytes >= 0)" v))
+      | Some ("algo", v) -> (
+        match Service.algo_of_name v with
+        | Some a -> algo := a
+        | None -> fail (Printf.sprintf "unknown allocator %S" v))
+      | Some ("passes", v) -> (
+        match Lsra.Passes.parse v with
+        | Ok ps -> passes := ps
+        | Error m -> fail m)
+      | Some ("deadline-ms", v) -> (
+        match float_of_string_opt v with
+        | Some ms when ms >= 0. -> deadline := Some (ms /. 1e3)
+        | Some _ | None -> fail (Printf.sprintf "malformed deadline-ms %S" v))
+      | Some (k, _) -> fail (Printf.sprintf "unknown option %S" k)
+      | None -> fail (Printf.sprintf "malformed option %S (expected k=v)" w))
+    opts;
+  let reject body_len msg =
+    Error { id = Option.value id ~default:"-"; body_len; msg }
+  in
+  match (!body_len, id, !bad) with
+  | Error msg, _, _ -> reject None msg
+  | Ok n, None, _ -> reject (Some n) "REQ needs an id ([A-Za-z0-9._:-]+)"
+  | Ok n, Some _, Some msg -> reject (Some n) msg
+  | Ok body_len, Some id, None ->
+    Ok
+      (H_req
+         { id; algo = !algo; passes = !passes; deadline = !deadline; body_len })
 
 let parse_header line =
+  let reject msg = Error { id = "-"; body_len = Some 0; msg } in
   match split_words line with
   | [ "FLUSH" ] -> Ok H_flush
   | [ "QUIT" ] -> Ok H_quit
   | [ "STATS"; id ] when valid_id id -> Ok (H_stats id)
-  | "REQ" :: id :: opts when valid_id id ->
-    let init =
-      (Lsra.Allocator.default_second_chance, Lsra.Passes.default, None, None)
-    in
-    let folded =
-      List.fold_left
-        (fun acc w -> Result.bind acc (fun quad -> parse_opt quad w))
-        (Ok init) opts
-    in
-    Result.map
-      (fun (algo, passes, deadline, body_len) ->
-        H_req { id; algo; passes; deadline; body_len })
-      folded
-  | "REQ" :: _ -> Error "REQ needs an id ([A-Za-z0-9._:-]+)"
-  | "STATS" :: _ -> Error "STATS needs an id ([A-Za-z0-9._:-]+)"
-  | w :: _ -> Error (Printf.sprintf "unknown frame %S" w)
-  | [] -> Error "empty header line"
+  | "REQ" :: words -> parse_req words
+  | "STATS" :: _ -> reject "STATS needs an id ([A-Za-z0-9._:-]+)"
+  | w :: _ -> reject (Printf.sprintf "unknown frame %S" w)
+  | [] -> reject "empty header line"
 
 let render_ok (r : Service.response) =
   Printf.sprintf "OK %s cache=%s%s wall-us=%d" r.Service.resp_id
@@ -107,8 +133,7 @@ let frame_body body =
 
 (* [render_frame line payload] is the full wire rendering of one frame:
    the header line — with [len=<bytes>] appended when there is a
-   payload — followed by the payload bytes. Shared by the blocking
-   server loop and the multiplexer so both emit identical frames. *)
+   payload — followed by the payload bytes. *)
 let render_frame line payload =
   match payload with
   | None -> line ^ "\n"
@@ -148,12 +173,6 @@ type reply =
     }
   | R_err of { id : string; code : int; msg : string }
   | R_stats of { id : string; fields : (string * string) list }
-
-let kv_of w =
-  match String.index_opt w '=' with
-  | None -> None
-  | Some i ->
-    Some (String.sub w 0 i, String.sub w (i + 1) (String.length w - i - 1))
 
 let parse_reply line =
   match split_words line with

@@ -8,19 +8,23 @@
     STATS <id>
     QUIT
     v}
-    A [REQ] header carrying [len=<bytes>] is followed by exactly that
-    many body bytes — the body may therefore contain {e any} line,
-    including a literal [END]. A [REQ] without [len=] falls back to the
-    legacy line framing: the body is every line up to the first line
-    equal to [END] (such a body can never itself contain an [END]
-    line — prefer [len=]).
+    A [REQ] header is followed by exactly [len=] body bytes, so the
+    body may contain any line at all. A [REQ] the server rejects (an
+    unknown option, a malformed id) is answered with [ERR <id> 1] and
+    its body skipped; one whose body cannot be delimited (no usable
+    [len=], or one over {!max_body}) is answered the same way, and the
+    rest of that connection's input is discarded. A header line longer
+    than {!max_header} bytes gets [ERR - 1], and the rest of the
+    connection's input is discarded too. An unterminated line at end
+    of input is not a frame.
 
     [FLUSH] processes the pending batch and writes the responses in
     submission order; [STATS] flushes, then reports the service
-    counters; [QUIT] (or end of input) flushes and shuts the server
-    down. The bounded queue also flushes itself when full, and the
-    socket multiplexer additionally flushes whatever has arrived across
-    {e all} connections at the end of every event-loop round.
+    counters; [QUIT] flushes and shuts the server down. End of input
+    closes the connection after its requests are answered. The bounded
+    queue also flushes itself when full, and the server flushes
+    whatever has arrived across {e all} connections at the end of
+    every event-loop round.
 
     Server → client frames:
     {v
@@ -35,22 +39,33 @@
     input (parse/malformed/rejected), 3 = the abstract verifier rejected
     the allocation, 4 = a spot-check found a divergence. *)
 
-type header =
-  | H_req of {
-      id : string;
-      algo : Lsra.Allocator.algorithm;
-      passes : Lsra.Passes.t list;
-      deadline : float option;  (** seconds *)
-      body_len : int option;
-          (** [Some n]: the body is exactly [n] bytes. [None]: legacy
-              [END]-terminated line framing. *)
-    }
-  | H_flush
-  | H_stats of string
-  | H_quit
+type req = {
+  id : string;
+  algo : Lsra.Allocator.algorithm;
+  passes : Lsra.Passes.t list;
+  deadline : float option;  (** seconds *)
+  body_len : int;  (** the body is exactly this many bytes *)
+}
+
+type header = H_req of req | H_flush | H_stats of string | H_quit
+
+(** A header line that opens no servable frame: the server answers
+    [ERR <id> 1 <msg>] ([id] is ["-"] when the line carries no valid
+    request id), then skips [body_len] bytes — [Some 0] for a line
+    without a body — or, when [body_len] is [None], discards the rest of
+    the connection's input, since the frame's end cannot be found. *)
+type rejection = { id : string; body_len : int option; msg : string }
+
+(** The longest header line, in bytes before its newline, a server
+    reads. *)
+val max_header : int
+
+(** The largest [len=] a [REQ] may carry: a header cannot commit the
+    server to buffering more than this. *)
+val max_body : int
 
 (** Parse one header line (the line that opens a frame). *)
-val parse_header : string -> (header, string) result
+val parse_header : string -> (header, rejection) result
 
 (** The [OK] header line {e without} the [len=] field or trailing
     newline — {!render_frame} appends both when given the payload. *)
@@ -66,9 +81,7 @@ val frame_body : string -> string
 
 (** [render_frame line payload] is the complete wire rendering of one
     frame: [line] with [ len=<bytes>] appended when [payload] is
-    [Some _], the newline, and the (normalised) payload bytes. The
-    blocking loop and the multiplexer both emit through this, so frames
-    are identical regardless of the serving path. *)
+    [Some _], the newline, and the (normalised) payload bytes. *)
 val render_frame : string -> string option -> string
 
 (** Map an exception raised while serving a request to its [ERR] code:

@@ -144,16 +144,18 @@ let test_cachekey_backend () =
        ~passes prog)
 
 let test_mux_rejects_fd_setsize () =
-  (* The guard must fire before the listening socket is touched, so any
-     descriptor works for the probe. *)
+  (* The guard must fire before the socket path is touched. *)
   let svc =
     Lsra_service.Service.create
       (Lsra_service.Service.default_config (Machine.small ()))
   in
   let sched = Lsra_service.Scheduler.create ~capacity:4 ~jobs:1 svc in
-  match Lsra_service.Mux.run ~max_clients:1024 sched Unix.stdin with
+  let path = Filename.temp_file "lsra-mux" ".sock" in
+  Sys.remove path;
+  (match Lsra_service.Mux.serve_socket ~max_clients:1024 sched path with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "max_clients=1024 (FD_SETSIZE) must be rejected"
+  | _ -> Alcotest.fail "max_clients=1024 (FD_SETSIZE) must be rejected");
+  Alcotest.(check bool) "socket path not created" false (Sys.file_exists path)
 
 (* ------------------------------------------------------------------ *)
 (* Execution (x86-64 hosts only).                                      *)

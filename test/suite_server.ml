@@ -1,4 +1,4 @@
-(* Serving-path tests: wire framing edge cases over serve_channels, the
+(* Serving-path tests: wire framing edge cases over serve_fds, the
    persistent store's journal (round-trip, torn tail, compaction),
    restart warm-loading, and the socket multiplexer with concurrent
    clients. *)
@@ -6,7 +6,7 @@
 open Lsra_target
 module Service = Lsra_service.Service
 module Scheduler = Lsra_service.Scheduler
-module Server = Lsra_service.Server
+module Mux = Lsra_service.Mux
 module Protocol = Lsra_service.Protocol
 module Store = Lsra_service.Store
 
@@ -48,28 +48,30 @@ let rec rm_rf path =
   | _ -> Unix.unlink path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-(* Run one blocking serving session over the given input bytes; returns
-   (severity, raw output bytes). *)
-let serve_io ?(spot_check = 0) ?store_dir ?(shards = 1) input =
-  let svc =
-    Service.create
-      {
-        (Service.default_config machine) with
-        Service.spot_check;
-        store_dir;
-        shards;
-      }
-  in
-  let sched = Scheduler.create svc in
+let make_sched ?(spot_check = 0) ?store_dir ?(shards = 1) () =
+  Scheduler.create
+    (Service.create
+       {
+         (Service.default_config machine) with
+         Service.spot_check;
+         store_dir;
+         shards;
+       })
+
+(* Serve the given input bytes as one connection over file descriptors,
+   as [lsra_tool serve] serves stdin/stdout; returns (severity, raw
+   output bytes). *)
+let serve_io ?spot_check ?store_dir ?shards input =
+  let sched = make_sched ?spot_check ?store_dir ?shards () in
   let in_path = Filename.temp_file "lsra-serve" ".in" in
   let out_path = Filename.temp_file "lsra-serve" ".out" in
   Out_channel.with_open_bin in_path (fun oc ->
       Out_channel.output_string oc input);
-  let ic = In_channel.open_bin in_path in
-  let oc = Out_channel.open_bin out_path in
-  let sev = Server.serve_channels sched ic oc in
-  In_channel.close ic;
-  Out_channel.close oc;
+  let input = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+  let output = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let sev = Mux.serve_fds sched ~input ~output in
+  Unix.close input;
+  Unix.close output;
   let out = In_channel.with_open_bin out_path In_channel.input_all in
   Sys.remove in_path;
   Sys.remove out_path;
@@ -102,17 +104,14 @@ let parse_replies s =
   in
   go 0 []
 
-let req ?legacy_end id body =
-  match legacy_end with
-  | Some () -> Printf.sprintf "REQ %s\n%sEND\n" id body
-  | None -> Protocol.render_frame ("REQ " ^ id) (Some body)
+let req id body = Protocol.render_frame ("REQ " ^ id) (Some body)
 
 let ids replies =
   List.map
     (fun (r, _) ->
       match r with
       | Protocol.R_ok { id; _ } -> "OK:" ^ id
-      | Protocol.R_err { id; _ } -> "ERR:" ^ id
+      | Protocol.R_err { id; code; _ } -> Printf.sprintf "ERR:%s:%d" id code
       | Protocol.R_stats { id; _ } -> "STATS:" ^ id)
     replies
 
@@ -166,10 +165,9 @@ let test_nonfinite_spot_check () =
 (* ------------------------------------------------------------------ *)
 (* Framing edge cases.                                                 *)
 
-(* A len=-framed body may contain a literal END line. The old framing
-   silently truncated the body there and desynchronised the stream;
-   now the full body reaches the parser (one clean ERR for this
-   invalid program) and the next request is served normally. *)
+(* A len=-framed body may contain any line: the full body reaches the
+   parser (one clean ERR for this invalid program) and the next request
+   is served normally. *)
 let test_len_body_contains_end () =
   let src = source () in
   let evil = "this is not ir\nEND\nmore garbage\n" in
@@ -195,32 +193,86 @@ let test_len_zero_body () =
     Alcotest.(check string) "second request intact" (direct_output src) body
   | rs -> Alcotest.failf "unexpected replies: %s" (String.concat " " (ids rs))
 
-let test_legacy_end_framing () =
-  let src = source () in
-  let input = req ~legacy_end:() "leg" src ^ "QUIT\n" in
-  let sev, out = serve_io input in
-  Alcotest.(check int) "clean" 0 sev;
-  match parse_replies out with
-  | [ (Protocol.R_ok { id = "leg"; hit = false; _ }, Some body) ] ->
-    Alcotest.(check string) "legacy END framing still served" (direct_output src)
-      body
-  | rs -> Alcotest.failf "unexpected replies: %s" (String.concat " " (ids rs))
-
-let test_legacy_missing_end () =
-  let input = "REQ trunc\nsome body line\n" (* EOF, no END *) in
-  let _, out = serve_io input in
-  match parse_replies out with
-  | [ (Protocol.R_err { id = "trunc"; code = 1; msg }, None) ] ->
-    Alcotest.(check bool) "mentions the missing terminator" true
-      (String.length msg > 0)
-  | rs -> Alcotest.failf "unexpected replies: %s" (String.concat " " (ids rs))
-
 let test_len_truncated_by_eof () =
   let input = "REQ cut len=100\nonly a few bytes" in
   let _, out = serve_io input in
   match parse_replies out with
   | [ (Protocol.R_err { id = "cut"; code = 1; _ }, None) ] -> ()
   | rs -> Alcotest.failf "unexpected replies: %s" (String.concat " " (ids rs))
+
+(* Serve [input] and check the replies in order, by kind and id (an ERR
+   with its code); bad input never raises the severity. Returns the
+   replies' bodies and ERR messages, in order. *)
+let check_replies input expected =
+  let sev, out = serve_io input in
+  Alcotest.(check int) "bad input is severity 0" 0 sev;
+  let rs = parse_replies out in
+  Alcotest.(check (list string)) "replies" expected (ids rs);
+  List.map
+    (function
+      | Protocol.R_err { msg; _ }, _ -> msg
+      | _, body -> Option.value body ~default:"")
+    rs
+
+(* A client-chosen len= over the cap is one ERR, not an allocation:
+   the body cannot be delimited, so nothing after it is read. *)
+let test_len_over_cap () =
+  let input = "REQ a len=100000000000\nabc\n" ^ req "b" (source ()) in
+  match check_replies input [ "ERR:a:1" ] with
+  | [ msg ] ->
+    Alcotest.(check bool) ("names the cap: " ^ msg) true
+      (String.ends_with ~suffix:"frame cap" msg)
+  | _ -> assert false
+
+(* A rejected REQ's body is skipped, never read as frames: a QUIT line
+   in it must not shut the server down. *)
+let test_rejected_body_skipped () =
+  let src = source () in
+  let input =
+    Protocol.render_frame "REQ x algo=nope" (Some "QUIT\n") ^ req "good" src
+    ^ "QUIT\n"
+  in
+  Alcotest.(check string) "next request served" (direct_output src)
+    (List.nth (check_replies input [ "ERR:x:1"; "OK:good" ]) 1)
+
+let test_req_without_len () =
+  let src = source () in
+  let input = "REQ nolen\n" ^ src ^ req "b" src ^ "QUIT\n" in
+  ignore (check_replies input [ "ERR:nolen:1" ])
+
+(* A header of exactly max_header bytes is read; one byte more is one
+   ERR, and the rest of the input (here a megabyte with no newline) is
+   not. *)
+let test_header_cap () =
+  let src = source () in
+  let hdr = Printf.sprintf "REQ fits len=%d" (String.length src) in
+  let input =
+    hdr ^ String.make (Protocol.max_header - String.length hdr) ' ' ^ "\n" ^ src
+    ^ String.make (Protocol.max_header + 1) 'x'
+    ^ "\n" ^ req "b" src ^ String.make (1 lsl 20) 'y'
+  in
+  Alcotest.(check string) "longest header served" (direct_output src)
+    (List.hd (check_replies input [ "OK:fits"; "ERR:-:1" ]))
+
+(* An unterminated last line is not a frame. *)
+let test_unterminated_last_line () =
+  ignore (check_replies (req "a" (source ()) ^ "STATS s") [ "OK:a" ])
+
+(* A reader that goes away is EPIPE on the write, not SIGPIPE: the
+   loop ends cleanly. *)
+let test_output_reader_closed () =
+  let src = source () in
+  let in_path = Filename.temp_file "lsra-serve" ".in" in
+  Out_channel.with_open_bin in_path (fun oc ->
+      Out_channel.output_string oc (req "a" src ^ req "b" src ^ "QUIT\n"));
+  let input = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+  let r, w = Unix.pipe () in
+  Unix.close r;
+  let sev = Mux.serve_fds (make_sched ()) ~input ~output:w in
+  Unix.close input;
+  Unix.close w;
+  Sys.remove in_path;
+  Alcotest.(check int) "severity 0" 0 sev
 
 let test_quit_mid_batch () =
   let a = source ~seed:21 () and b = source ~seed:22 () in
@@ -441,7 +493,7 @@ let test_mux_concurrent_clients () =
   let sched = Scheduler.create ~jobs:2 svc in
   let path = Filename.concat dir "serve.sock" in
   let srv =
-    Domain.spawn (fun () -> Server.serve_socket ~max_clients:8 sched path)
+    Domain.spawn (fun () -> Mux.serve_socket ~max_clients:8 sched path)
   in
   let src = source ~seed:41 () in
   let expected = direct_output src in
@@ -452,33 +504,25 @@ let test_mux_concurrent_clients () =
   output_string roc "REQ ragged len=1000\nonly a little";
   flush roc;
   Unix.close ragged;
-  (* Three well-behaved concurrent clients, two requests each: one
-     len=-framed, one legacy END-framed; all six answers must be
-     byte-identical and routed to the connection that asked. *)
+  (* Three well-behaved concurrent clients, two requests each; all six
+     answers must be byte-identical and routed to the connection that
+     asked. *)
   let client i =
     let fd = connect path in
     let ic = Unix.in_channel_of_descr fd in
     let oc = Unix.out_channel_of_descr fd in
-    let check_one id send =
-      send ();
-      flush oc;
-      match read_reply ic with
-      | Protocol.R_ok { id = rid; _ }, Some body ->
-        Alcotest.(check string) "routed to the requesting connection" id rid;
-        Alcotest.(check string) "payload bit-identical" expected body
-      | _ -> Alcotest.failf "request %s: unexpected reply" id
-    in
-    check_one
-      (Printf.sprintf "c%d.len" i)
-      (fun () ->
-        output_string oc
-          (Protocol.render_frame
-             (Printf.sprintf "REQ c%d.len" i)
-             (Some src)));
-    check_one
-      (Printf.sprintf "c%d.legacy" i)
-      (fun () ->
-        output_string oc (Printf.sprintf "REQ c%d.legacy\n%sEND\n" i src));
+    List.iter
+      (fun round ->
+        let id = Printf.sprintf "c%d.%d" i round in
+        output_string oc (req id src);
+        flush oc;
+        match read_reply ic with
+        | Protocol.R_ok { id = rid; _ }, Some body ->
+          Alcotest.(check string) "routed to the requesting connection" id
+            rid;
+          Alcotest.(check string) "payload bit-identical" expected body
+        | _ -> Alcotest.failf "request %s: unexpected reply" id)
+      [ 1; 2 ];
     Unix.close fd
   in
   let doms = List.init 3 (fun i -> Domain.spawn (fun () -> client i)) in
@@ -517,12 +561,20 @@ let suite =
       test_len_body_contains_end;
     Alcotest.test_case "framing: len=0 empty body stays in sync" `Quick
       test_len_zero_body;
-    Alcotest.test_case "framing: legacy END body still served" `Quick
-      test_legacy_end_framing;
-    Alcotest.test_case "framing: missing END is one clean ERR" `Quick
-      test_legacy_missing_end;
     Alcotest.test_case "framing: len= body cut by EOF is ERR" `Quick
       test_len_truncated_by_eof;
+    Alcotest.test_case "framing: over-cap len= is one ERR" `Quick
+      test_len_over_cap;
+    Alcotest.test_case "framing: rejected REQ body is skipped" `Quick
+      test_rejected_body_skipped;
+    Alcotest.test_case "framing: REQ without len= is one ERR" `Quick
+      test_req_without_len;
+    Alcotest.test_case "framing: header line capped at max_header" `Quick
+      test_header_cap;
+    Alcotest.test_case "framing: unterminated last line is no frame" `Quick
+      test_unterminated_last_line;
+    Alcotest.test_case "stdio: closed output reader ends cleanly" `Quick
+      test_output_reader_closed;
     Alcotest.test_case "hostile IR text: ERR 1, then the next request" `Quick
       test_hostile_ir_between_valid;
     Alcotest.test_case "non-finite constants survive a spot check" `Quick

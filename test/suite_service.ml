@@ -321,44 +321,58 @@ let test_capacity_auto_drain () =
 (* ------------------------------------------------------------------ *)
 (* Wire protocol headers.                                              *)
 
+(* One line per parse: a request with its options, a bodiless frame,
+   or a rejection with the bytes to skip ("rest": the connection's
+   input is discarded). *)
+let show_header = function
+  | Ok (Protocol.H_req { id; algo; passes; deadline; body_len }) ->
+    Printf.sprintf "REQ %s algo=%s passes=%s deadline=%s len=%d" id
+      (Lsra.Allocator.short_name algo)
+      (Lsra.Passes.to_spec passes)
+      (match deadline with None -> "-" | Some d -> Printf.sprintf "%g" d)
+      body_len
+  | Ok Protocol.H_flush -> "FLUSH"
+  | Ok (Protocol.H_stats id) -> "STATS " ^ id
+  | Ok Protocol.H_quit -> "QUIT"
+  | Error { Protocol.id; body_len; msg = _ } ->
+    Printf.sprintf "ERR %s skip=%s" id
+      (match body_len with None -> "rest" | Some n -> string_of_int n)
+
 let test_protocol_headers () =
-  (match Protocol.parse_header "REQ r1 algo=poletto deadline-ms=5" with
-  | Ok (Protocol.H_req { id; algo; deadline; _ }) ->
-    Alcotest.(check string) "id" "r1" id;
-    Alcotest.(check string) "algo" "poletto" (Lsra.Allocator.short_name algo);
-    (match deadline with
-    | Some d -> Alcotest.(check (float 1e-9)) "ms -> s" 0.005 d
-    | None -> Alcotest.fail "deadline dropped")
-  | Ok _ -> Alcotest.fail "wrong header kind"
-  | Error e -> Alcotest.failf "parse failed: %s" e);
-  (match Protocol.parse_header "FLUSH" with
-  | Ok Protocol.H_flush -> ()
-  | _ -> Alcotest.fail "FLUSH");
-  (match Protocol.parse_header "STATS s1" with
-  | Ok (Protocol.H_stats id) -> Alcotest.(check string) "stats id" "s1" id
-  | _ -> Alcotest.fail "STATS");
-  (match Protocol.parse_header "QUIT" with
-  | Ok Protocol.H_quit -> ()
-  | _ -> Alcotest.fail "QUIT");
-  (match Protocol.parse_header "REQ bad id with spaces" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed REQ accepted");
-  (match Protocol.parse_header "REQ r2 algo=nonsense" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown algorithm accepted");
-  (match Protocol.parse_header "REQ r3 len=17" with
-  | Ok (Protocol.H_req { id; body_len; _ }) ->
-    Alcotest.(check string) "len= id" "r3" id;
-    Alcotest.(check (option int)) "body length" (Some 17) body_len
-  | Ok _ -> Alcotest.fail "wrong header kind"
-  | Error e -> Alcotest.failf "len= parse failed: %s" e);
-  (match Protocol.parse_header "REQ r4 algo=poletto" with
-  | Ok (Protocol.H_req { body_len = None; _ }) -> ()
-  | Ok _ -> Alcotest.fail "no len= must mean legacy framing"
-  | Error e -> Alcotest.failf "parse failed: %s" e);
-  (match Protocol.parse_header "REQ r5 len=-3" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "negative len accepted");
+  let default_req id len =
+    Printf.sprintf "REQ %s algo=%s passes=%s deadline=- len=%d" id
+      (Lsra.Allocator.short_name Lsra.Allocator.default_second_chance)
+      (Lsra.Passes.to_spec Lsra.Passes.default)
+      len
+  in
+  List.iter
+    (fun (line, expected) ->
+      Alcotest.(check string) line expected
+        (show_header (Protocol.parse_header line)))
+    [
+      ( "REQ r1 algo=poletto passes=none deadline-ms=5 len=0",
+        "REQ r1 algo=poletto passes=none deadline=0.005 len=0" );
+      ("REQ r3 len=17", default_req "r3" 17);
+      ("REQ r7 len=3 len=9", default_req "r7" 9);
+      ("FLUSH", "FLUSH");
+      ("STATS s1", "STATS s1");
+      ("QUIT", "QUIT");
+      (* Rejected, with a body to skip. *)
+      ("REQ r2 algo=nonsense len=5", "ERR r2 skip=5");
+      ("REQ r8 deadline-ms=-1 len=5", "ERR r8 skip=5");
+      ("REQ bad id with spaces len=4", "ERR bad skip=4");
+      ("REQ bad!id len=5", "ERR - skip=5");
+      (* Rejected, and the body cannot be delimited. *)
+      ("REQ r4 algo=poletto", "ERR r4 skip=rest");
+      ("REQ r5 len=-3", "ERR r5 skip=rest");
+      ("REQ r6 len=x", "ERR r6 skip=rest");
+      ( Printf.sprintf "REQ r9 len=%d" (Protocol.max_body + 1),
+        "ERR r9 skip=rest" );
+      ("REQ", "ERR - skip=rest");
+      (* Not a frame at all: nothing to skip. *)
+      ("STATS", "ERR - skip=0");
+      ("BOGUS 1", "ERR - skip=0");
+    ];
   Alcotest.(check int) "spot-check divergence is exit-code 4" 4
     (Protocol.err_code_of_exn
        (Service.Spot_check_failed { req_id = "x"; key = "k" }))
