@@ -15,6 +15,7 @@
 
 open Lsra_ir
 open Lsra_target
+module Sweep = Lsra_sim.Sweep
 
 let machine = Machine.alpha_like
 
@@ -409,10 +410,7 @@ let frames () =
 " "benchmark" "slots" "compacted"
     "saved";
   hrule 60;
-  let m =
-    Machine.small ~int_regs:7 ~float_regs:7 ~int_caller_saved:4
-      ~float_caller_saved:4 ()
-  in
+  let m = Sweep.small_7_7 in
   List.iter
     (fun (case : Lsra_workloads.Specbench.case) ->
       let prog = Program.copy case.Lsra_workloads.Specbench.program in
@@ -473,7 +471,8 @@ let corpus () =
    exact allocation is also pushed through the differential-execution
    oracle, which verifies and trace-checks it. Writes
    BENCH_optgap.json; exits 4 if any heuristic ever beats the optimum
-   (an optimality bug by construction) or the oracle diverges. *)
+   (an optimality bug by construction) or the oracle diverges, 3 if the
+   verifier only rejected. *)
 let optgap () =
   let node_budget =
     if Array.length Sys.argv <= 2 then
@@ -489,58 +488,30 @@ let optgap () =
   in
   let opts = { Lsra.Optimal.default_options with Lsra.Optimal.node_budget } in
   let heuristics =
-    [
-      ("gc", coloring);
-      ("binpack", binpack);
-      ("twopass", Lsra.Allocator.Two_pass);
-      ("poletto", Lsra.Allocator.Poletto);
-    ]
-  in
-  let machines =
-    (* The same register-starved machine the differential fuzzer uses:
-       enough argument registers for the corpus conventions, few enough
-       total for real spill pressure (the alpha rarely spills at all). *)
-    [
-      ("alpha", machine);
-      ( "small-8",
-        Machine.small ~int_regs:8 ~float_regs:8 ~int_caller_saved:4
-          ~float_caller_saved:4 () );
-    ]
-  in
-  let corpus_of m =
-    List.map
-      (fun (case : Lsra_workloads.Specbench.case) ->
-        ( "spec:" ^ case.Lsra_workloads.Specbench.name,
-          case.Lsra_workloads.Specbench.program,
-          case.Lsra_workloads.Specbench.input ))
-      (Lsra_workloads.Specbench.all m ~scale)
-    @ List.filter_map
-        (fun { Lsra_workloads.Mini_corpus.mname; source; minput } ->
-          (* A small machine may not support a program's calling
-             convention; skip those entries there. *)
-          match Lsra_frontend.Minilang.compile m source with
-          | prog -> Some ("mini:" ^ mname, prog, minput)
-          | exception Lsra_frontend.Lower.Error _ -> None)
-        Lsra_workloads.Mini_corpus.all
+    [ coloring; binpack; Lsra.Allocator.Two_pass; Lsra.Allocator.Poletto ]
   in
   let buf = Buffer.create 4096 in
   Printf.bprintf buf
     "{\n  \"bench\": \"optgap\",\n  \"scale\": %d,\n  \"node_budget\": %d,\n\
     \  \"machines\": [" scale node_budget;
-  let violations = ref 0 and divergences = ref 0 in
+  (* [beats] holds a Diverge per heuristic that beat the optimum (an
+     optimality bug by construction), [oracle] the differential check of
+     each exact allocation. *)
+  let beats = Sweep.tally () and oracle = Sweep.tally () in
   List.iteri
     (fun mi (mname, m) ->
       if mi > 0 then Buffer.add_string buf ",";
       Printf.printf "optgap on %s (node budget %d):\n" mname node_budget;
-      let cases = corpus_of m in
+      let cases = Sweep.corpus ~pressure:false ~scale m in
       (* gaps.(h) collects (heuristic spill - exact spill) per measured
          function, one slot per heuristic, measurement order. *)
       let gaps = Array.make (List.length heuristics) [] in
       let measured = ref 0 and skipped = ref 0 in
-      List.iter
-        (fun (_pname, prog, input) ->
+      Sweep.run oracle cases
+        [ Lsra.Allocator.Optimal opts ]
+        (fun { Sweep.name; program; input } algo ->
           List.iter
-            (fun (_fname, f) ->
+            (fun (fname, f) ->
               match
                 Lsra.Optimal.run_exact ~opts m (Lsra_ir.Func.copy f)
               with
@@ -549,36 +520,32 @@ let optgap () =
                 let exact = Lsra.Stats.total_spill exact_stats in
                 incr measured;
                 List.iteri
-                  (fun hi (hname, algo) ->
-                    let st =
-                      Lsra.Allocator.run algo m (Lsra_ir.Func.copy f)
-                    in
+                  (fun hi h ->
+                    let st = Lsra.Allocator.run h m (Lsra_ir.Func.copy f) in
                     let gap = Lsra.Stats.total_spill st - exact in
                     if gap < 0 then begin
-                      incr violations;
-                      Printf.printf
-                        "  VIOLATION: %s beats optimal on %s/%s (%d < %d)\n"
-                        hname _pname _fname
-                        (Lsra.Stats.total_spill st)
-                        exact
+                      let why =
+                        Printf.sprintf "%s beats optimal on %s/%s (%d < %d)"
+                          (Lsra.Allocator.short_name h)
+                          name fname
+                          (Lsra.Stats.total_spill st)
+                          exact
+                      in
+                      Printf.printf "  VIOLATION: %s\n" why;
+                      Sweep.record beats (Sweep.Diverge why)
                     end;
                     gaps.(hi) <- gap :: gaps.(hi))
                   heuristics)
-            (Program.funcs prog);
+            (Program.funcs program);
           (* The exact allocator's output must survive the strongest
              oracle we have: differential execution with the abstract
              verifier and trace replay-check inside. *)
-          match
-            Lsra_sim.Diffexec.check ~input m
-              (Lsra.Allocator.Optimal opts)
-              prog
-          with
-          | Ok () -> ()
+          match Lsra_sim.Diffexec.check ~input m algo program with
+          | Ok () -> Sweep.Pass
           | Error d ->
-            incr divergences;
-            Printf.printf "  DIVERGENCE on %s: %s\n" _pname
-              (Lsra_sim.Diffexec.divergence_to_string d))
-        cases;
+            Printf.printf "  DIVERGENCE on %s: %s\n" name
+              (Lsra_sim.Diffexec.divergence_to_string d);
+            Sweep.of_divergence d);
       Printf.printf
         "  %d function(s) solved to optimality, %d skipped (over budget)\n"
         !measured !skipped;
@@ -588,7 +555,8 @@ let optgap () =
       Printf.printf "  %-10s %8s %8s %8s %8s %8s\n" "allocator" "mean"
         "p95" "max" "ties" "beats";
       List.iteri
-        (fun hi (hname, _) ->
+        (fun hi h ->
+          let hname = Lsra.Allocator.short_name h in
           let g = Array.of_list (List.rev gaps.(hi)) in
           Array.sort compare g;
           let n = Array.length g in
@@ -630,21 +598,22 @@ let optgap () =
         heuristics;
       Buffer.add_string buf " ] }";
       print_newline ())
-    machines;
+    Sweep.bench_machines;
+  let violations = beats.Sweep.diverged
+  and divergences = oracle.Sweep.diverged + oracle.Sweep.rejected in
   Printf.bprintf buf
     "\n  ],\n  \"violations\": %d,\n  \"diffexec_divergences\": %d\n}\n"
-    !violations !divergences;
+    violations divergences;
   let out = bench_out_path "BENCH_optgap.json" in
   Out_channel.with_open_text out (fun oc ->
       Out_channel.output_string oc (Buffer.contents buf));
   Printf.printf "wrote %s\n" out;
-  if !violations > 0 || !divergences > 0 then begin
+  if violations > 0 || divergences > 0 then
     Printf.eprintf
       "optgap: FAIL — %d heuristic-beats-optimal case(s), %d differential \
        divergence(s)\n%!"
-      !violations !divergences;
-    exit 4
-  end
+      violations divergences;
+  Sweep.exit_on [ beats; oracle ]
 
 (* jit: compile-to-native and run-native measurements over the corpus —
    allocation wall, emission wall (with emitted bytes/sec, the figure of
@@ -674,41 +643,16 @@ let jit () =
     out ()
   end
   else begin
+    (* The four heuristics; the exact allocator's output is native-checked
+       by lsra_tool jit. *)
     let allocators =
-      [
-        ("binpack", binpack);
-        ("twopass", Lsra.Allocator.Two_pass);
-        ("poletto", Lsra.Allocator.Poletto);
-        ("gc", coloring);
-      ]
-    in
-    let machines =
-      [
-        ("alpha", machine);
-        ( "small-8",
-          Machine.small ~int_regs:8 ~float_regs:8 ~int_caller_saved:4
-            ~float_caller_saved:4 () );
-      ]
-    in
-    let corpus_of m =
-      List.map
-        (fun (case : Lsra_workloads.Specbench.case) ->
-          ( "spec:" ^ case.Lsra_workloads.Specbench.name,
-            case.Lsra_workloads.Specbench.program,
-            case.Lsra_workloads.Specbench.input ))
-        (Lsra_workloads.Specbench.all m ~scale)
-      @ List.filter_map
-          (fun { Lsra_workloads.Mini_corpus.mname; source; minput } ->
-            match Lsra_frontend.Minilang.compile m source with
-            | prog -> Some ("mini:" ^ mname, prog, minput)
-            | exception Lsra_frontend.Lower.Error _ -> None)
-          Lsra_workloads.Mini_corpus.all
+      [ binpack; Lsra.Allocator.Two_pass; Lsra.Allocator.Poletto; coloring ]
     in
     Printf.bprintf buf
       "{\n  \"bench\": \"jit\",\n  \"available\": true,\n  \"scale\": %d,\n\
       \  \"fingerprint\": %S,\n  \"machines\": [" scale
       Lsra_native.Lower.fingerprint;
-    let divergences = ref 0 and skips = ref 0 in
+    let tally = Sweep.tally () in
     List.iteri
       (fun mi (mname, m) ->
         if mi > 0 then Buffer.add_string buf ",";
@@ -718,69 +662,64 @@ let jit () =
           "speedup";
         Printf.bprintf buf "\n    { \"machine\": %S, \"allocators\": ["
           mname;
-        let cases = corpus_of m in
+        let cases = Sweep.corpus ~pressure:false ~scale m in
         List.iteri
-          (fun ai (aname, algo) ->
+          (fun ai algo ->
+            let aname = Lsra.Allocator.short_name algo in
             let programs = ref 0
             and alloc_s = ref 0.0
             and emit_s = ref 0.0
             and bytes = ref 0
             and interp_s = ref 0.0
             and native_s = ref 0.0 in
-            List.iter
-              (fun (pname, prog, input) ->
-                let copy = Program.copy prog in
+            Sweep.run tally cases [ algo ]
+              (fun { Sweep.name; program; input } algo ->
+                let diverge why =
+                  Printf.printf "  DIVERGENCE %s under %s: %s\n" name aname
+                    why;
+                  Sweep.Diverge why
+                in
+                let copy = Program.copy program in
                 let t0 = Unix.gettimeofday () in
                 ignore
                   (Lsra.Allocator.pipeline ~precheck:false ~verify:false
                      algo m copy);
                 let t1 = Unix.gettimeofday () in
                 match Lsra_native.Lower.compile m copy with
-                | Error e ->
-                  incr divergences;
-                  Printf.printf
-                    "  DIVERGENCE %s under %s: emission failed: %s\n" pname
-                    aname e
+                | Error e -> diverge ("emission failed: " ^ e)
                 | Ok compiled -> (
                   let t2 = Unix.gettimeofday () in
                   match Lsra_sim.Interp.run m copy ~input with
-                  | Error _ ->
+                  | Error e ->
                     (* A post-allocation interpreter trap is an allocator
                        finding owned by diffcheck, not a native one;
                        nothing to compare against. *)
-                    incr skips
+                    Sweep.Skip ("allocated program traps: " ^ e)
                   | Ok expected -> (
                     let t3 = Unix.gettimeofday () in
                     let o =
                       Lsra_native.Exec.run_compiled ~input compiled
-                        ~heap_words:(Program.heap_words prog)
+                        ~heap_words:(Program.heap_words program)
                     in
                     let t4 = Unix.gettimeofday () in
-                    let diverge why =
-                      incr divergences;
-                      Printf.printf "  DIVERGENCE %s under %s: %s\n" pname
-                        aname why
-                    in
                     match o.Lsra_native.Exec.trap with
                     | Some t -> diverge ("native run trapped: " ^ t)
-                    | None ->
-                      if
-                        o.Lsra_native.Exec.output
-                        <> expected.Lsra_sim.Interp.output
-                      then diverge "output mismatch"
-                      else (
-                        (match expected.Lsra_sim.Interp.ret with
-                        | Lsra_sim.Value.Int k
-                          when k <> o.Lsra_native.Exec.ret ->
-                          diverge "return-value mismatch"
-                        | _ -> ());
-                        incr programs;
-                        alloc_s := !alloc_s +. (t1 -. t0);
-                        emit_s := !emit_s +. (t2 -. t1);
-                        bytes := !bytes + o.Lsra_native.Exec.code_bytes;
-                        interp_s := !interp_s +. (t3 -. t2);
-                        native_s := !native_s +. (t4 -. t3)))))
-              cases;
+                    | None
+                      when o.Lsra_native.Exec.output
+                           <> expected.Lsra_sim.Interp.output ->
+                      diverge "output mismatch"
+                    | None -> (
+                      incr programs;
+                      alloc_s := !alloc_s +. (t1 -. t0);
+                      emit_s := !emit_s +. (t2 -. t1);
+                      bytes := !bytes + o.Lsra_native.Exec.code_bytes;
+                      interp_s := !interp_s +. (t3 -. t2);
+                      native_s := !native_s +. (t4 -. t3);
+                      match expected.Lsra_sim.Interp.ret with
+                      | Lsra_sim.Value.Int k when k <> o.Lsra_native.Exec.ret
+                        ->
+                        diverge "return-value mismatch"
+                      | _ -> Sweep.Pass))));
             let mb_s =
               if !emit_s > 0.0 then
                 float_of_int !bytes /. !emit_s /. 1.0e6
@@ -805,15 +744,15 @@ let jit () =
           allocators;
         Buffer.add_string buf " ] }";
         print_newline ())
-      machines;
+      Sweep.bench_machines;
     Printf.bprintf buf
-      "\n  ],\n  \"skipped\": %d,\n  \"divergences\": %d\n}\n" !skips
-      !divergences;
+      "\n  ],\n  \"skipped\": %d,\n  \"divergences\": %d\n}\n"
+      tally.Sweep.skipped tally.Sweep.diverged;
     out ();
-    if !divergences > 0 then begin
-      Printf.eprintf "jit: FAIL — %d native divergence(s)\n%!" !divergences;
-      exit 4
-    end
+    if tally.Sweep.diverged > 0 then
+      Printf.eprintf "jit: FAIL — %d native divergence(s)\n%!"
+        tally.Sweep.diverged;
+    Sweep.exit_on [ tally ]
   end
 
 let bechamel () =
@@ -892,11 +831,6 @@ let perfdump () =
         (cases ())
   in
   let job_counts = if jobs > 1 then [ 1; jobs ] else [ 1 ] in
-  let lifetime_impl =
-    match Sys.getenv_opt "LSRA_LIFETIME_IMPL" with
-    | Some s -> s
-    | None -> "arena"
-  in
   let buf = Buffer.create 4096 in
   let totals = Array.make (List.length job_counts) 0. in
   let divergent = ref 0 in
@@ -905,9 +839,8 @@ let perfdump () =
     \  \"machine\": %S,\n\
     \  \"scale\": %d,\n\
     \  \"jobs\": %d,\n\
-    \  \"lifetime_impl\": %S,\n\
     \  \"workloads\": [\n"
-    (Machine.name machine) scale jobs lifetime_impl;
+    (Machine.name machine) scale jobs;
   List.iteri
     (fun i (name, prog) ->
       let funcs = Program.funcs prog in
@@ -1429,62 +1362,11 @@ let service () =
 
 (* ------------------------------------------------------------------ *)
 
-(* With LSRA_FUZZ_ARTIFACT_DIR set, every divergence leaves durable
-   artifacts there: the shrunk reproducer as textual IR, plus the
-   diverging allocator's decision trace over that reproducer in both
-   renderings (so a CI failure can be diagnosed from the uploaded
-   artifacts alone, without re-running the seed). *)
-let write_fuzz_artifacts dir reports =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let write path contents =
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
-  in
-  List.iter
-    (fun r ->
-      let stem =
-        Printf.sprintf "%s/seed%d_%s_%s" dir r.Lsra_sim.Diffexec.seed
-          r.Lsra_sim.Diffexec.machine_name r.Lsra_sim.Diffexec.algorithm
-      in
-      write (stem ^ ".lsra") r.Lsra_sim.Diffexec.reproducer;
-      let m =
-        List.assoc_opt r.Lsra_sim.Diffexec.machine_name
-          Lsra_sim.Diffexec.default_fuzz_machines
-      in
-      let algo =
-        List.find_opt
-          (fun a ->
-            Lsra.Allocator.short_name a = r.Lsra_sim.Diffexec.algorithm)
-          Lsra.Allocator.all
-      in
-      match m, algo with
-      | Some m, Some algo -> (
-        try
-          let prog =
-            Lsra_text.Ir_text.of_string r.Lsra_sim.Diffexec.reproducer
-          in
-          let trace = Lsra.Trace.create () in
-          ignore (Lsra.Allocator.run_program ~trace algo m prog);
-          let events = Lsra.Trace.events trace in
-          write (stem ^ ".trace.txt") (Lsra.Trace.to_text events);
-          write (stem ^ ".trace.jsonl") (Lsra.Trace.to_jsonl events)
-        with e ->
-          (* e.g. the divergence is the allocator crashing: record that
-             instead of a trace *)
-          write (stem ^ ".trace.txt")
-            ("no trace: allocation failed with " ^ Printexc.to_string e ^ "\n"))
-      | _ ->
-        write (stem ^ ".trace.txt")
-          "no trace: unknown machine or allocator name\n")
-    reports;
-  Printf.printf "fuzz: wrote %d reproducer(s) + trace(s) under %s\n%!"
-    (List.length reports) dir
-
 (* Differential fuzz run: seeded random programs through every allocator
    on every fuzz machine, divergences shrunk to minimal reproducers.
    `fuzz [COUNT] [BASE]` checks seeds BASE..BASE+COUNT-1 (default 100
-   from 0) — a fixed seed set, so CI runs are reproducible. *)
+   from 0) — a fixed seed set, so CI runs are reproducible. Exits 4 on
+   any divergence, 3 if every divergence is a verifier reject. *)
 let fuzz () =
   let argv_int pos ~default ~what =
     if Array.length Sys.argv <= pos then default
@@ -1502,24 +1384,45 @@ let fuzz () =
   Printf.printf
     "diffexec fuzz: seeds %d..%d, %d machines x %d allocators\n%!" base
     (base + count - 1)
-    (List.length Lsra_sim.Diffexec.default_fuzz_machines)
+    (List.length Sweep.fuzz_machines)
     (List.length Lsra.Allocator.all);
   let t0 = Unix.gettimeofday () in
   let reports =
-    Lsra_sim.Diffexec.fuzz ~log:(Printf.printf "  %s\n%!") ~seeds ()
+    Lsra_sim.Diffexec.fuzz ~log:(Printf.printf "  %s\n%!")
+      ~machines:Sweep.fuzz_machines ~seeds ()
   in
   Printf.printf "fuzz: %d seeds in %.1fs, %d divergences\n%!" count
     (Unix.gettimeofday () -. t0)
     (List.length reports);
+  let tally = Sweep.tally () in
   List.iter
     (fun r ->
       print_newline ();
-      print_endline (Lsra_sim.Diffexec.pp_fuzz_report r))
+      print_endline (Lsra_sim.Diffexec.pp_fuzz_report r);
+      Sweep.record tally
+        (Sweep.of_divergence r.Lsra_sim.Diffexec.divergence))
     reports;
+  (* With LSRA_FUZZ_ARTIFACT_DIR set, every divergence leaves its shrunk
+     reproducer and the diverging allocator's decision trace there, so a
+     CI failure can be diagnosed from the upload alone. *)
   (match Sys.getenv_opt "LSRA_FUZZ_ARTIFACT_DIR" with
-  | Some dir when reports <> [] -> write_fuzz_artifacts dir reports
+  | Some dir when reports <> [] ->
+    List.iter
+      (fun (r : Lsra_sim.Diffexec.fuzz_report) ->
+        ignore
+          (Sweep.write_artifact ~dir
+             ~name:
+               [
+                 Printf.sprintf "seed%d" r.seed;
+                 r.machine_name;
+                 Lsra.Allocator.short_name r.algorithm;
+               ]
+             r.machine r.algorithm r.reproducer))
+      reports;
+    Printf.printf "fuzz: wrote %d reproducer(s) + trace(s) under %s\n%!"
+      (List.length reports) dir
   | Some _ | None -> ());
-  if reports <> [] then exit 1
+  Sweep.exit_on [ tally ]
 
 let () =
   let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in

@@ -10,6 +10,8 @@
 open Lsra_ir
 open Lsra_target
 open Cmdliner
+module Sweep = Lsra_sim.Sweep
+module Diffexec = Lsra_sim.Diffexec
 
 let read_input = function
   | "-" -> In_channel.input_all stdin
@@ -138,9 +140,9 @@ let load file = Lsra_text.Ir_text.of_string (read_input file)
 
 (* Exit codes: 1 = bad input (parse/malformed/trap), 2 = cmdliner usage,
    3 = the abstract verifier rejected an allocation, 4 = the differential
-   oracle found a divergence. *)
+   oracle found a divergence. The sweeps take 3 and 4 from
+   [Sweep.exit_code]. *)
 let exit_verify_failed = 3
-let exit_divergence = 4
 
 let handle_errors f =
   try f () with
@@ -334,35 +336,6 @@ let exec_cmd =
       $ passes_arg ~default:Lsra.Passes.default
       $ no_cleanup_arg)
 
-(* The whole built-in corpus, as (name, program, input) triples: the
-   eleven synthetic benchmarks, the Minilang corpus through the frontend,
-   and the Table-3 pressure modules. *)
-let corpus machine ~scale =
-  List.map
-    (fun (case : Lsra_workloads.Specbench.case) ->
-      ( "spec:" ^ case.Lsra_workloads.Specbench.name,
-        case.Lsra_workloads.Specbench.program,
-        case.Lsra_workloads.Specbench.input ))
-    (Lsra_workloads.Specbench.all machine ~scale)
-  @ List.filter_map
-      (fun { Lsra_workloads.Mini_corpus.mname; source; minput } ->
-        (* A small machine may not support a program's calling convention
-           (e.g. too few argument registers); skip those entries there. *)
-        match Lsra_frontend.Minilang.compile machine source with
-        | prog -> Some ("mini:" ^ mname, prog, minput)
-        | exception Lsra_frontend.Lower.Error _ -> None)
-      Lsra_workloads.Mini_corpus.all
-  @ List.map
-      (fun shape ->
-        ( "pressure:" ^ shape.Lsra_workloads.Pressure.sname,
-          Lsra_workloads.Pressure.build machine shape,
-          "" ))
-      [
-        Lsra_workloads.Pressure.cvrin;
-        Lsra_workloads.Pressure.twldrv;
-        Lsra_workloads.Pressure.fpppp;
-      ]
-
 let diffcheck_cmd =
   let file_arg =
     Arg.(
@@ -379,120 +352,73 @@ let diffcheck_cmd =
       & info [ "scale" ] ~docv:"N" ~doc:"Corpus workload scale factor.")
   in
   (* With LSRA_DIFF_ARTIFACT_DIR set, every divergence leaves its shrunk
-     reproducer there as textual IR, mirroring the fuzz-artifact
-     convention, so a CI failure can be diagnosed from the upload alone. *)
+     reproducer and the diverging allocator's decision trace there,
+     mirroring the fuzz-artifact convention, so a CI failure can be
+     diagnosed from the upload alone. *)
   let artifact_dir = Sys.getenv_opt "LSRA_DIFF_ARTIFACT_DIR" in
-  let write_artifact ~pname ~mname ~algo text =
-    match artifact_dir with
-    | None -> ()
-    | Some dir ->
-      (try Unix.mkdir dir 0o755
-       with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let sanitize s =
-        String.map
-          (fun c ->
-            match c with
-            | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c
-            | _ -> '-')
-          s
-      in
-      let path =
-        Printf.sprintf "%s/%s_%s_%s.lsra" dir (sanitize pname)
-          (sanitize mname) (sanitize algo)
-      in
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc text);
-      Printf.eprintf "  reproducer written to %s\n%!" path
-  in
   let run file machine input fuel scale passes no_cleanup =
     handle_errors (fun () ->
         let passes = resolve_passes passes no_cleanup in
         let jobs =
           match file with
-          | Some f -> [ (machine, [ ("file:" ^ f, load f, input) ]) ]
+          | Some f ->
+            let case = { Sweep.name = "file:" ^ f; program = load f; input } in
+            [ (machine, [ case ]) ]
           | None ->
             (* The given machine, plus a spill-heavy one so the oracle
                exercises eviction and resolution, not just renaming. *)
-            let small7 =
-              Machine.small ~int_regs:7 ~float_regs:7 ~int_caller_saved:4
-                ~float_caller_saved:4 ()
-            in
-            [
-              (machine, corpus machine ~scale);
-              (small7, corpus small7 ~scale);
-            ]
+            List.map
+              (fun m -> (m, Sweep.corpus m ~scale))
+              [ machine; Sweep.small_7_7 ]
         in
-        let checks = ref 0 and behavioral = ref 0 and rejects = ref 0 in
+        let tally = Sweep.tally () in
         let frame_saved = ref 0 in
-        (* The exact allocator joins the sweep under a tight node
-           budget: small functions are proven optimal, the rest take
-           the budget-downgrade path — both paths covered without the
-           full search on every corpus function (bench optgap does
-           that). *)
-        let allocators =
-          List.map
-            (function
-              | Lsra.Allocator.Optimal o ->
-                Lsra.Allocator.Optimal
-                  { o with Lsra.Optimal.node_budget = 2_000 }
-              | a -> a)
-            Lsra.Allocator.all
-        in
         List.iter
-          (fun (m, programs) ->
-            let mname = Machine.name m in
-            let m_saved = ref 0 in
-            List.iter
-              (fun (pname, prog, inp) ->
-                List.iter
-                  (fun algo ->
-                    incr checks;
-                    match
-                      Lsra_sim.Diffexec.check_pipeline ~fuel ~input:inp
-                        ~passes m algo prog
-                    with
-                    | Ok stats ->
-                      m_saved := !m_saved + stats.Lsra.Stats.frame_saved
-                    | Error d ->
-                      if Lsra_sim.Diffexec.is_verifier_reject d then
-                        incr rejects
-                      else incr behavioral;
-                      Printf.eprintf "DIVERGENCE %s on %s under %s: %s\n%!"
-                        pname mname
-                        (Lsra.Allocator.short_name algo)
-                        (Lsra_sim.Diffexec.divergence_to_string d);
-                      (* Minimise with the same full-pipeline oracle and
-                         dump the reproducer, as the fuzzer would. *)
-                      let small =
-                        Lsra_sim.Diffexec.shrink_pipeline ~input:inp ~passes
-                          m algo prog
-                      in
-                      let text = Lsra_text.Ir_text.to_string small in
-                      Printf.eprintf "minimal reproducer:\n%s%!" text;
-                      write_artifact ~pname ~mname
-                        ~algo:(Lsra.Allocator.short_name algo)
-                        text)
-                  allocators)
-              programs;
-            if !m_saved > 0 then
+          (fun (m, cases) ->
+            let mname = Machine.name m and saved_before = !frame_saved in
+            Sweep.run tally cases Sweep.oracle_algorithms
+              (fun { Sweep.name; program; input } algo ->
+                match
+                  Diffexec.check_pipeline ~fuel ~input ~passes m algo program
+                with
+                | Ok stats ->
+                  frame_saved := !frame_saved + stats.Lsra.Stats.frame_saved;
+                  Sweep.Pass
+                | Error d ->
+                  let aname = Lsra.Allocator.short_name algo in
+                  Printf.eprintf "DIVERGENCE %s on %s under %s: %s\n%!" name
+                    mname aname
+                    (Diffexec.divergence_to_string d);
+                  (* Minimise with the same full-pipeline oracle and dump
+                     the reproducer, as the fuzzer would. *)
+                  let text =
+                    Lsra_text.Ir_text.to_string
+                      (Diffexec.shrink_pipeline ~input ~passes m algo program)
+                  in
+                  Printf.eprintf "minimal reproducer:\n%s%!" text;
+                  Option.iter
+                    (fun dir ->
+                      Printf.eprintf "  reproducer written to %s\n%!"
+                        (Sweep.write_artifact ~dir ~name:[ name; mname; aname ]
+                           m algo text))
+                    artifact_dir;
+                  Sweep.of_divergence d);
+            if !frame_saved > saved_before then
               Printf.printf "diffcheck: %s: %d frame words saved by slots\n"
-                mname !m_saved;
-            frame_saved := !frame_saved + !m_saved)
+                mname (!frame_saved - saved_before))
           jobs;
         Printf.printf
           "diffcheck: %d checks (passes: %s), %d divergences (%d verifier \
            rejects), %d frame words saved\n"
-          !checks
+          (Sweep.checks tally)
           (Lsra.Passes.to_spec passes)
-          (!behavioral + !rejects)
-          !rejects !frame_saved;
-        (* Exit-code contract: behavioral divergences (wrong output, traps,
-           allocator exceptions, trace mismatches — from allocation or any
-           cleanup pass) dominate and exit 4; a run whose only failures are
-           abstract-verifier rejections exits 3, matching the
-           [handle_errors] convention for Verify.Mismatch. *)
-        if !behavioral > 0 then exit exit_divergence
-        else if !rejects > 0 then exit exit_verify_failed)
+          (tally.Sweep.diverged + tally.Sweep.rejected)
+          tally.Sweep.rejected !frame_saved;
+        (* Behavioral divergences (wrong output, traps, allocator
+           exceptions, trace mismatches — from allocation or any cleanup
+           pass) exit 4; a run whose only failures are verifier
+           rejections exits 3, like [handle_errors] on Verify.Mismatch. *)
+        Sweep.exit_on [ tally ])
   in
   Cmd.v
     (Cmd.info "diffcheck"
@@ -596,86 +522,42 @@ let jit_cmd =
              spill-heavy one, and hostile generated programs, through
              every allocator — each compared against the interpreter by
              the native oracle. Divergences gate the exit code at 4. *)
-          if not (Lsra_sim.Diffexec.native_available ()) then (
+          if not (Diffexec.native_available ()) then (
             Printf.printf
               "jit: native execution unavailable on this host (not \
                x86-64); nothing checked\n";
             exit 0);
-          let small7 =
-            Machine.small ~int_regs:7 ~float_regs:7 ~int_caller_saved:4
-              ~float_caller_saved:4 ()
-          in
-          let hostile m =
-            List.init seeds (fun i ->
-                let params =
-                  Lsra_workloads.Gen.hostile_params ~seed:(1000 + i)
-                in
-                ( Printf.sprintf "hostile:%d" (1000 + i),
-                  Lsra_workloads.Gen.program ~params m,
-                  "" ))
-          in
-          let jobs =
-            [
-              (machine, corpus machine ~scale @ hostile machine);
-              (small7, corpus small7 ~scale @ hostile small7);
-            ]
-          in
-          let allocators =
-            List.map
-              (function
-                | Lsra.Allocator.Optimal o ->
-                  Lsra.Allocator.Optimal
-                    { o with Lsra.Optimal.node_budget = 2_000 }
-                | a -> a)
-              Lsra.Allocator.all
-          in
-          let checks = ref 0
-          and ok = ref 0
-          and skipped = ref 0
-          and diverged = ref 0
-          and bytes = ref 0 in
-          let skip_reasons : (string, int) Hashtbl.t = Hashtbl.create 8 in
+          let bytes = ref 0 and tally = Sweep.tally () in
           List.iter
-            (fun (m, programs) ->
-              let mname = Machine.name m in
-              List.iter
-                (fun (pname, prog, inp) ->
-                  List.iter
-                    (fun a ->
-                      incr checks;
-                      match
-                        Lsra_sim.Diffexec.check_native ~fuel ~input:inp
-                          ~passes m a prog
-                      with
-                      | Lsra_sim.Diffexec.Native_ok { code_bytes } ->
-                        incr ok;
-                        bytes := !bytes + code_bytes
-                      | Lsra_sim.Diffexec.Native_skipped why ->
-                        incr skipped;
-                        Hashtbl.replace skip_reasons why
-                          (1
-                          + Option.value ~default:0
-                              (Hashtbl.find_opt skip_reasons why))
-                      | Lsra_sim.Diffexec.Native_diverged why ->
-                        incr diverged;
-                        Printf.eprintf
-                          "NATIVE DIVERGENCE %s on %s under %s: %s\n%!"
-                          pname mname
-                          (Lsra.Allocator.short_name a)
-                          why)
-                    allocators)
-                programs)
-            jobs;
+            (fun m ->
+              Sweep.run tally
+                (Sweep.corpus m ~scale @ Sweep.hostile ~count:seeds m)
+                Sweep.oracle_algorithms
+                (fun { Sweep.name; program; input } a ->
+                  let status =
+                    Diffexec.check_native ~fuel ~input ~passes m a program
+                  in
+                  (match status with
+                  | Diffexec.Native_ok { code_bytes } ->
+                    bytes := !bytes + code_bytes
+                  | Diffexec.Native_skipped _ -> ()
+                  | Diffexec.Native_diverged why ->
+                    Printf.eprintf "NATIVE DIVERGENCE %s on %s under %s: %s\n%!"
+                      name (Machine.name m)
+                      (Lsra.Allocator.short_name a)
+                      why);
+                  Sweep.of_native status))
+            [ machine; Sweep.small_7_7 ];
           Printf.printf
             "jit: %d checks (passes: %s), %d native runs ok (%d bytes \
              emitted), %d skipped, %d divergences\n"
-            !checks
+            (Sweep.checks tally)
             (Lsra.Passes.to_spec passes)
-            !ok !bytes !skipped !diverged;
-          Hashtbl.iter
-            (fun why n -> Printf.printf "jit:   skipped %dx: %s\n" n why)
-            skip_reasons;
-          if !diverged > 0 then exit exit_divergence)
+            tally.Sweep.passed !bytes tally.Sweep.skipped tally.Sweep.diverged;
+          List.iter
+            (fun (why, n) -> Printf.printf "jit:   skipped %dx: %s\n" n why)
+            tally.Sweep.skip_reasons;
+          Sweep.exit_on [ tally ])
   in
   Cmd.v
     (Cmd.info "jit"

@@ -31,7 +31,7 @@ let iter_regs f locs =
    backward fill yields them sorted; the forward reference walk fills
    forward). The only per-function allocations are the exact-size output
    arrays the returned intervals point into. *)
-let compute_arena regidx func liveness loops =
+let compute regidx func liveness loops =
   let linear = Linear.number func in
   let cfg = Func.cfg func in
   let blocks = Cfg.blocks cfg in
@@ -256,9 +256,8 @@ let compute_arena regidx func liveness loops =
   { linear; intervals; reg_busy; block_depth }
 
 (* The retired list-based construction, kept verbatim as the structural
-   oracle for the arena path (qcheck compares the two on random programs)
-   and selectable at run time with LSRA_LIFETIME_IMPL=boxed for GC-
-   pressure ablations. Do not optimise this: its value is being the
+   oracle for the arena path (qcheck compares the two on random
+   programs). Do not optimise this: its value is being the
    obviously-correct original. *)
 let compute_boxed regidx func liveness loops =
   let linear = Linear.number func in
@@ -405,21 +404,6 @@ let compute_boxed regidx func liveness loops =
     Array.init nregs (fun ri -> Array.of_list (merge_segments reg_segs.(ri)))
   in
   { linear; intervals; reg_busy; block_depth }
-
-(* Selected once at startup; the boxed path exists for oracle tests and
-   GC ablations, not production. *)
-let use_boxed =
-  match Sys.getenv_opt "LSRA_LIFETIME_IMPL" with
-  | Some "boxed" -> true
-  | Some "arena" | None -> false
-  | Some other ->
-    invalid_arg
-      (Printf.sprintf
-         "LSRA_LIFETIME_IMPL=%S (expected \"arena\" or \"boxed\")" other)
-
-let compute regidx func liveness loops =
-  if use_boxed then compute_boxed regidx func liveness loops
-  else compute_arena regidx func liveness loops
 
 let linear t = t.linear
 let interval t temp = t.intervals.(Temp.id temp)

@@ -18,8 +18,8 @@ val compute : Regidx.t -> Func.t -> Liveness.t -> Loop.t -> t
 
 (** The retired list-based construction, kept as a structural oracle:
     produces intervals, references and busy segments identical to
-    {!compute}. Setting LSRA_LIFETIME_IMPL=boxed makes {!compute} use it
-    process-wide, for GC-pressure ablations. *)
+    {!compute}. Nothing in the library calls it; the lifetime tests
+    compare the two. *)
 val compute_boxed : Regidx.t -> Func.t -> Liveness.t -> Loop.t -> t
 val linear : t -> Linear.t
 val interval : t -> Temp.t -> Interval.t

@@ -461,6 +461,19 @@ let baselines machine :
     ("poletto", fun ?trace f -> Poletto.run ?trace machine f);
   ]
 
+(* Charge [stats] with exactly the cost measured since [t0]/[g0]. An
+   adopted rung or the coloring fallback has already recorded its own
+   share of that window into [stats]; it is overwritten, not added to,
+   so every word and second is counted once. *)
+let charge stats t0 g0 =
+  stats.Stats.minor_words <- 0.;
+  stats.Stats.promoted_words <- 0.;
+  stats.Stats.major_words <- 0.;
+  stats.Stats.minor_collections <- 0;
+  stats.Stats.major_collections <- 0;
+  Stats.record_gc_since stats g0;
+  stats.Stats.alloc_time <- Unix.gettimeofday () -. t0
+
 let run_exact ?(opts = default_options) ?trace machine func =
   let t0 = Unix.gettimeofday () in
   let g0 = Gc.quick_stat () in
@@ -523,11 +536,12 @@ let run_exact ?(opts = default_options) ?trace machine func =
   in
   stats.Stats.opt_nodes <- ctx.nodes;
   stats.Stats.opt_proven <- 1;
-  Stats.record_gc_since stats g0;
-  stats.Stats.alloc_time <- Unix.gettimeofday () -. t0;
+  charge stats t0 g0;
   stats
 
 let run ?(opts = default_options) ?trace machine func =
+  let t0 = Unix.gettimeofday () in
+  let g0 = Gc.quick_stat () in
   match run_exact ~opts ?trace machine func with
   | stats -> stats
   | exception Budget_exceeded _ ->
@@ -548,6 +562,8 @@ let run ?(opts = default_options) ?trace machine func =
            }));
     let stats = Coloring.run ?trace machine func in
     stats.Stats.downgrades <- stats.Stats.downgrades + 1;
+    (* The search that blew its budget is part of this call's cost. *)
+    charge stats t0 g0;
     stats
 
 let run_program ?opts ?jobs ?trace machine prog =

@@ -42,8 +42,8 @@ let rec divergence_to_string = function
       (divergence_to_string underlying)
 
 (* A Verifier_reject (even one attributed to a cleanup pass) means the
-   abstract checker balked; everything else is a behavioral failure. The
-   diffcheck driver keys its exit code on this split. *)
+   abstract checker balked; everything else is a behavioral failure.
+   [Sweep.of_divergence] keys its verdict on this split. *)
 let rec is_verifier_reject = function
   | Verifier_reject _ -> true
   | Pass_divergence { underlying; _ } -> is_verifier_reject underlying
@@ -450,7 +450,8 @@ let shrink_pipeline ?fuel ?verify ?input ?passes ?max_checks machine algo prog
 type fuzz_report = {
   seed : int;
   machine_name : string;
-  algorithm : string;
+  machine : Machine.t;
+  algorithm : Lsra.Allocator.algorithm;
   divergence : divergence;
   reproducer : string;
 }
@@ -458,7 +459,8 @@ type fuzz_report = {
 let pp_fuzz_report r =
   Printf.sprintf
     "seed %d on %s under %s: %s\nminimal reproducer:\n%s" r.seed
-    r.machine_name r.algorithm
+    r.machine_name
+    (Lsra.Allocator.short_name r.algorithm)
     (divergence_to_string r.divergence)
     r.reproducer
 
@@ -476,18 +478,8 @@ let fuzz_params seed =
     ext_call_prob = 0.05 +. (0.02 *. float_of_int (seed mod 5));
   }
 
-let default_fuzz_machines =
-  [
-    ("alpha", Machine.alpha_like);
-    ( "small-8",
-      Machine.small ~int_regs:8 ~float_regs:8 ~int_caller_saved:4
-        ~float_caller_saved:4 () );
-    ("tiny-4", Machine.small ~int_regs:4 ~float_regs:4 ());
-  ]
-
-let fuzz ?fuel ?(verify = true) ?(machines = default_fuzz_machines)
-    ?(algorithms = Lsra.Allocator.all) ?(passes = Lsra.Passes.all)
-    ?(log = ignore) ~seeds () =
+let fuzz ?fuel ?(verify = true) ~machines ?(algorithms = Lsra.Allocator.all)
+    ?(passes = Lsra.Passes.all) ?(log = ignore) ~seeds () =
   let failures = ref [] in
   List.iter
     (fun seed ->
@@ -507,10 +499,11 @@ let fuzz ?fuel ?(verify = true) ?(machines = default_fuzz_machines)
               with
               | Ok () -> ()
               | Error d ->
-                let algorithm = Lsra.Allocator.short_name algo in
                 log
                   (Printf.sprintf "seed %d on %s under %s: %s — shrinking"
-                     seed machine_name algorithm (divergence_to_string d));
+                     seed machine_name
+                     (Lsra.Allocator.short_name algo)
+                     (divergence_to_string d));
                 (* Shrink under the very same full-pipeline (traced)
                    oracle, so divergences from cleanup passes and trace
                    mismatches keep reproducing while the program
@@ -531,7 +524,8 @@ let fuzz ?fuel ?(verify = true) ?(machines = default_fuzz_machines)
                   {
                     seed;
                     machine_name;
-                    algorithm;
+                    machine;
+                    algorithm = algo;
                     divergence;
                     reproducer = Lsra_text.Ir_text.to_string small;
                   }

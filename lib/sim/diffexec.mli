@@ -38,7 +38,8 @@ type divergence =
 val divergence_to_string : divergence -> string
 
 (** [true] for {!Verifier_reject}, including one wrapped in a
-    {!Pass_divergence} — the exit-code split the diffcheck driver uses. *)
+    {!Pass_divergence} — the split between {!Sweep.Reject} and
+    {!Sweep.Diverge}. *)
 val is_verifier_reject : divergence -> bool
 
 (** An in-place per-function allocator, as the test suites use. *)
@@ -181,8 +182,9 @@ val shrink_pipeline :
 
 type fuzz_report = {
   seed : int;
-  machine_name : string;
-  algorithm : string;
+  machine_name : string;  (** the machine's label in [machines] *)
+  machine : Machine.t;
+  algorithm : Lsra.Allocator.algorithm;
   divergence : divergence;
   reproducer : string;  (** textual IR of the shrunk failing program *)
 }
@@ -192,9 +194,8 @@ val pp_fuzz_report : fuzz_report -> string
 (** The generator parameters a given fuzz seed runs with. *)
 val fuzz_params : int -> Lsra_workloads.Gen.params
 
-val default_fuzz_machines : (string * Machine.t) list
-
-(** [fuzz ~seeds ()] generates one program per seed and machine, checks
+(** [fuzz ~machines ~seeds ()] generates one program per seed and
+    labelled machine ({!Sweep.fuzz_machines} in [bench fuzz]), checks
     it under every algorithm {e through the full managed pipeline}
     ({!check_pipeline} with [passes], default {!Lsra.Passes.all} — so
     the fuzzer exercises Copyprop, DCE, Motion, Peephole and Slots, not
@@ -204,7 +205,7 @@ val default_fuzz_machines : (string * Machine.t) list
 val fuzz :
   ?fuel:int ->
   ?verify:bool ->
-  ?machines:(string * Machine.t) list ->
+  machines:(string * Machine.t) list ->
   ?algorithms:Lsra.Allocator.algorithm list ->
   ?passes:Lsra.Passes.t list ->
   ?log:(string -> unit) ->

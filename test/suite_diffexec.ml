@@ -125,10 +125,7 @@ let test_shrink_keeps_passing_program () =
 let test_corpus_spot_check () =
   (* one synthetic benchmark and one Minilang program, all four
      allocators, on a spill-heavy machine *)
-  let machine =
-    Machine.small ~int_regs:7 ~float_regs:7 ~int_caller_saved:4
-      ~float_caller_saved:4 ()
-  in
+  let machine = Lsra_sim.Sweep.small_7_7 in
   (match Lsra_workloads.Specbench.find machine ~scale:1 "wc" with
   | None -> Alcotest.fail "wc benchmark missing"
   | Some case -> (
@@ -149,7 +146,9 @@ let test_corpus_spot_check () =
     Alcotest.failf "collatz under %s: %s" algo (D.divergence_to_string d)
 
 let test_fuzz_smoke () =
-  let reports = D.fuzz ~seeds:[ 0; 1; 2 ] () in
+  let reports =
+    D.fuzz ~machines:Lsra_sim.Sweep.fuzz_machines ~seeds:[ 0; 1; 2 ] ()
+  in
   match reports with
   | [] -> ()
   | r :: _ -> Alcotest.failf "fuzz found: %s" (D.pp_fuzz_report r)

@@ -164,10 +164,7 @@ let test_slots_shares_disjoint_lifetimes () =
       | _ -> ())
 
 let test_slots_compaction_on_workloads () =
-  let machine =
-    Machine.small ~int_regs:7 ~float_regs:7 ~int_caller_saved:4
-      ~float_caller_saved:4 ()
-  in
+  let machine = Lsra_sim.Sweep.small_7_7 in
   List.iter
     (fun (case : Lsra_workloads.Specbench.case) ->
       let reference =

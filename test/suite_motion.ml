@@ -86,10 +86,7 @@ let test_dead_store_removed () =
 let test_motion_preserves_workloads () =
   (* cleanup + peephole never change observable behaviour, and never
      increase the executed instruction count *)
-  let machine =
-    Machine.small ~int_regs:7 ~float_regs:7 ~int_caller_saved:4
-      ~float_caller_saved:4 ()
-  in
+  let machine = Lsra_sim.Sweep.small_7_7 in
   List.iter
     (fun (case : Lsra_workloads.Specbench.case) ->
       let base = Program.copy case.Lsra_workloads.Specbench.program in

@@ -265,10 +265,7 @@ let test_exec_deep_spill_calls () =
      small enough that the save area and Slots frame indices are
      exercised on every call. *)
   exec_gate "exec hostile" (fun () ->
-      let machine =
-        Machine.small ~int_regs:8 ~float_regs:8 ~int_caller_saved:4
-          ~float_caller_saved:4 ()
-      in
+      let machine = Lsra_sim.Sweep.small_8 in
       List.iter
         (fun seed ->
           let params = Lsra_workloads.Gen.hostile_params ~seed in
@@ -286,11 +283,6 @@ let test_exec_deep_spill_calls () =
 
 (* ------------------------------------------------------------------ *)
 (* Property: native vs interpreter over machines × allocators.         *)
-
-let budgeted = function
-  | Lsra.Allocator.Optimal o ->
-    Lsra.Allocator.Optimal { o with Lsra.Optimal.node_budget = 2_000 }
-  | a -> a
 
 let native_property ~mname machine ~aname algo seed =
   let params =
@@ -318,15 +310,14 @@ let property_tests =
       (fun (mname, machine) ->
         List.map
           (fun algo ->
-            let algo = budgeted algo in
             let aname = Lsra.Allocator.short_name algo in
             QCheck.Test.make
               ~name:(Printf.sprintf "native vs interp: %s on %s" aname mname)
               ~count:8
               QCheck.(int_range 0 100_000)
               (fun seed -> native_property ~mname machine ~aname algo seed))
-          Lsra.Allocator.all)
-      Lsra_sim.Diffexec.default_fuzz_machines
+          Lsra_sim.Sweep.oracle_algorithms)
+      Lsra_sim.Sweep.fuzz_machines
 
 let suite =
   [

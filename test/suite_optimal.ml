@@ -11,9 +11,7 @@ open Lsra_target
 
 let machines =
   [
-    ( "small-8",
-      Machine.small ~int_regs:8 ~float_regs:8 ~int_caller_saved:4
-        ~float_caller_saved:4 () );
+    ("small-8", Lsra_sim.Sweep.small_8);
     ("tiny-4", Machine.small ~int_regs:4 ~float_regs:4 ());
   ]
 
@@ -185,6 +183,32 @@ let test_proven_counters () =
       Alcotest.(check int) "no downgrade" 0 stats.Lsra.Stats.downgrades)
     (Program.funcs prog)
 
+(* [Optimal.run] charges each call exactly once: the GC words it
+   reports equal a [Gc.quick_stat] delta taken around the call, whether
+   it adopts a heuristic rung, emits its own solution or falls back to
+   coloring on a blown budget. [Gc.quick_stat] counts minor words a
+   minor heap at a time, so an empty minor heap at the start keeps the
+   few words allocated before the call's own snapshot from crossing a
+   collection. *)
+let test_cost_counted_once () =
+  let m = Machine.alpha_like in
+  List.iter
+    (fun (case : Lsra_workloads.Specbench.case) ->
+      List.iter
+        (fun (fname, f) ->
+          let f = Func.copy f in
+          Gc.minor ();
+          let g0 = Gc.quick_stat () in
+          let stats = Lsra.Optimal.run m f in
+          let g1 = Gc.quick_stat () in
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s/%s minor words"
+               case.Lsra_workloads.Specbench.name fname)
+            (g1.Gc.minor_words -. g0.Gc.minor_words)
+            stats.Lsra.Stats.minor_words)
+        (Program.funcs case.Lsra_workloads.Specbench.program))
+    (Lsra_workloads.Specbench.all m ~scale:1)
+
 let suite =
   List.map (QCheck_alcotest.to_alcotest ~long:false) optimality_tests
   @ [
@@ -194,4 +218,6 @@ let suite =
         test_budget_downgrade;
       Alcotest.test_case "in-budget search proves optimality" `Quick
         test_proven_counters;
+      Alcotest.test_case "cost is counted once on every path" `Quick
+        test_cost_counted_once;
     ]

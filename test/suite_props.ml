@@ -9,7 +9,7 @@ open Lsra_target
 let machines =
   [
     ("alpha", Machine.alpha_like);
-    ("small-8", Machine.small ~int_regs:8 ~float_regs:8 ~int_caller_saved:4 ~float_caller_saved:4 ());
+    ("small-8", Lsra_sim.Sweep.small_8);
     ("tiny-4", Machine.small ~int_regs:4 ~float_regs:4 ());
     ("min-3", Machine.small ~int_regs:3 ~float_regs:3 ~int_caller_saved:1 ~float_caller_saved:1 ());
   ]

@@ -1,0 +1,109 @@
+open Lsra_target
+module S = Lsra_sim.Sweep
+
+let tally_of verdicts =
+  let t = S.tally () in
+  List.iter (S.record t) verdicts;
+  t
+
+(* The one exit-code rule every sweep shares. *)
+let test_exit_code () =
+  List.iter
+    (fun (what, verdicts, expected) ->
+      Alcotest.(check int) what expected (S.exit_code (tally_of verdicts)))
+    [
+      ("empty tally", [], 0);
+      ("skip only", [ S.Pass; S.Skip "no host" ], 0);
+      ("reject only", [ S.Pass; S.Reject "r" ], 3);
+      ("reject plus diverge", [ S.Reject "r"; S.Diverge "d"; S.Pass ], 4);
+    ]
+
+let test_tally_counts () =
+  let t =
+    tally_of [ S.Pass; S.Skip "a"; S.Skip "b"; S.Skip "a"; S.Reject "r" ]
+  in
+  Alcotest.(check int) "checks" 5 (S.checks t);
+  Alcotest.(check (list (pair string int)))
+    "skip reasons" [ ("a", 2); ("b", 1) ] t.S.skip_reasons
+
+(* small:7:7 has too few argument registers for quicksort's calling
+   convention: that entry is dropped there, not raised. *)
+let test_corpus_order () =
+  let spec =
+    List.map (( ^ ) "spec:")
+      [ "alvinn"; "doduc"; "eqntott"; "espresso"; "fpppp"; "li"; "tomcatv";
+        "compress"; "m88ksim"; "sort"; "wc" ]
+  and minis names = List.map (( ^ ) "mini:") names
+  and pressure = [ "pressure:cvrin"; "pressure:twldrv"; "pressure:fpppp" ] in
+  let names ?pressure m =
+    List.map (fun c -> c.S.name) (S.corpus ?pressure ~scale:1 m)
+  in
+  let small_minis = minis [ "matmul"; "collatz"; "newton"; "wordcount" ] in
+  Alcotest.(check (list string))
+    "alpha"
+    (spec
+    @ minis [ "matmul"; "quicksort"; "collatz"; "newton"; "wordcount" ]
+    @ pressure)
+    (names Machine.alpha_like);
+  Alcotest.(check (list string))
+    "small:7:7" (spec @ small_minis @ pressure) (names S.small_7_7);
+  Alcotest.(check (list string))
+    "no pressure" (spec @ small_minis) (names ~pressure:false S.small_7_7)
+
+let test_oracle_budget () =
+  Alcotest.(check (list string))
+    "Allocator.all's order"
+    (List.map Lsra.Allocator.short_name Lsra.Allocator.all)
+    (List.map Lsra.Allocator.short_name S.oracle_algorithms);
+  Alcotest.(check (list int))
+    "node budget" [ 2000 ]
+    (List.filter_map
+       (function
+         | Lsra.Allocator.Optimal o -> Some o.Lsra.Optimal.node_budget
+         | _ -> None)
+       S.oracle_algorithms)
+
+let test_artifact_writer () =
+  let dir = Filename.temp_dir "lsra_sweep" "" in
+  let read suffix =
+    In_channel.with_open_text (Filename.concat dir suffix) In_channel.input_all
+  in
+  let write name m text =
+    S.write_artifact ~dir ~name m Lsra.Allocator.default_second_chance text
+  in
+  let case = List.hd (S.corpus ~scale:1 S.small_8) in
+  let text = Lsra_text.Ir_text.to_string case.S.program in
+  Alcotest.(check string)
+    "path"
+    (Filename.concat dir "spec-alvinn_small-8_binpack.lsra")
+    (write [ case.S.name; "small-8"; "binpack" ] S.small_8 text);
+  Alcotest.(check string) "reproducer" text
+    (read "spec-alvinn_small-8_binpack.lsra");
+  List.iter
+    (fun suffix ->
+      let trace = read ("spec-alvinn_small-8_binpack" ^ suffix) in
+      if trace = "" || String.starts_with ~prefix:"no trace" trace then
+        Alcotest.failf "%s: no trace" suffix)
+    [ ".trace.txt"; ".trace.jsonl" ];
+  (* The four-register machine has no $r30, so allocation raises. *)
+  let bad =
+    "program main=main heap=65536\n\nfunc main {\n  temp x.0 int\n\
+    \  block entry:\n    $r30 := 1\n    x.0 := $r30\n    $r0 := x.0\n\
+    \    ret\n}\n"
+  in
+  ignore (write [ "bad" ] (Machine.small ()) bad);
+  Alcotest.(check string) "bad reproducer" bad (read "bad.lsra");
+  let note = read "bad.trace.txt" in
+  if not (String.starts_with ~prefix:"no trace: allocation failed" note) then
+    Alcotest.failf "expected a no-trace note, got %S" note;
+  Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+let suite =
+  [
+    Alcotest.test_case "exit code rule" `Quick test_exit_code;
+    Alcotest.test_case "tally counts" `Quick test_tally_counts;
+    Alcotest.test_case "corpus names and order" `Quick test_corpus_order;
+    Alcotest.test_case "oracle budget 2000" `Quick test_oracle_budget;
+    Alcotest.test_case "artifact writer" `Quick test_artifact_writer;
+  ]

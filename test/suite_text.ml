@@ -365,9 +365,7 @@ let test_error_table () =
 (* ------------------------------------------------------------------ *)
 (* Golden programs read back                                           *)
 
-let small8 =
-  Machine.small ~int_regs:8 ~float_regs:8 ~int_caller_saved:4
-    ~float_caller_saved:4 ()
+let small8 = Lsra_sim.Sweep.small_8
 
 (* Every program in the golden IR text (before and after allocation)
    parses and prints back byte-identically, and every pre-allocation

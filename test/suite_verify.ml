@@ -352,10 +352,7 @@ let test_rejects_loop_carried_slot_clobber () =
 let test_all_allocators_verify_on_workloads () =
   (* belt-and-braces: the verifier accepts all four allocators across the
      whole workload suite on a spill-heavy machine *)
-  let machine =
-    Machine.small ~int_regs:7 ~float_regs:7 ~int_caller_saved:4
-      ~float_caller_saved:4 ()
-  in
+  let machine = Lsra_sim.Sweep.small_7_7 in
   List.iter
     (fun (case : Lsra_workloads.Specbench.case) ->
       List.iter

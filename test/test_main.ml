@@ -19,6 +19,7 @@ let () =
       ("optimal", Suite_optimal.suite);
       ("properties", Suite_props.suite);
       ("diffexec", Suite_diffexec.suite);
+      ("sweep", Suite_sweep.suite);
       ("workloads", Suite_workloads.suite);
       ("text", Suite_text.suite);
       ("trace", Suite_trace.suite);
