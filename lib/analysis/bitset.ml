@@ -66,20 +66,30 @@ let is_empty t =
   let rec go i = i >= Array.length t.words || (t.words.(i) = 0 && go (i + 1)) in
   go 0
 
+(* Both walk set bits only: [w land (w - 1)] clears the lowest set bit,
+   also of a negative word (bit [bits_per_word - 1] is the sign bit). *)
 let cardinal t =
-  let pop x =
-    let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-    go x 0
-  in
-  Array.fold_left (fun acc w -> acc + pop w) 0 t.words
+  let rec pop w acc = if w = 0 then acc else pop (w land (w - 1)) (acc + 1) in
+  Array.fold_left (fun acc w -> pop w acc) 0 t.words
+
+(* Index of the lowest set bit of a non-zero word, by halving. *)
+let lowest_bit w =
+  let w = ref (w land -w) and n = ref 0 in
+  if !w land 0xffffffff = 0 then begin n := 32; w := !w lsr 32 end;
+  if !w land 0xffff = 0 then begin n := !n + 16; w := !w lsr 16 end;
+  if !w land 0xff = 0 then begin n := !n + 8; w := !w lsr 8 end;
+  if !w land 0xf = 0 then begin n := !n + 4; w := !w lsr 4 end;
+  if !w land 0x3 = 0 then begin n := !n + 2; w := !w lsr 2 end;
+  if !w land 0x1 = 0 then incr n;
+  !n
 
 let iter f t =
-  for w = 0 to Array.length t.words - 1 do
-    let word = t.words.(w) in
-    if word <> 0 then
-      for b = 0 to bits_per_word - 1 do
-        if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
-      done
+  for i = 0 to Array.length t.words - 1 do
+    let w = ref t.words.(i) in
+    while !w <> 0 do
+      f ((i * bits_per_word) + lowest_bit !w);
+      w := !w land (!w - 1)
+    done
   done
 
 let fold f t acc =

@@ -70,6 +70,24 @@ let bitset_props =
         ignore (Bitset.diff_into ~dst:d ~src:(Bitset.of_list 200 lb));
         ignore (Bitset.union_into ~dst:d ~src:(Bitset.of_list 200 lb));
         List.for_all (Bitset.mem d) la);
+    (* iter and cardinal walk set bits only; check them against a
+       bit-by-bit reference over random widths, including the top bit of
+       a word (62 on 64-bit hosts, the sign bit) and the empty set. *)
+    QCheck.Test.make ~name:"bitset iter/cardinal = naive scan" ~count:300
+      QCheck.(
+        pair (int_range 0 300)
+          (pair bool (list_of_size (Gen.int_range 0 60) (int_range 0 299))))
+      (fun (width, (top_bits, l)) ->
+        let s = Bitset.create width in
+        List.iter (fun i -> if i < width then Bitset.add s i) l;
+        if top_bits then
+          List.iter
+            (fun i -> if i < width then Bitset.add s i)
+            [ Sys.int_size - 1; (2 * Sys.int_size) - 1; Sys.int_size ];
+        let naive = List.filter (Bitset.mem s) (List.init width Fun.id) in
+        let visited = ref [] in
+        Bitset.iter (fun i -> visited := i :: !visited) s;
+        List.rev !visited = naive && Bitset.cardinal s = List.length naive);
   ]
 
 (* ---------------- liveness ---------------- *)
