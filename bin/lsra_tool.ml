@@ -138,6 +138,15 @@ let resolve_passes passes no_cleanup =
 
 let load file = Lsra_text.Ir_text.of_string (read_input file)
 
+(* [load], then {!Lsra.Precheck} on every function: for the commands that
+   allocate without [Allocator.pipeline ~precheck:true]. *)
+let load_checked ?allow_undefined machine file =
+  let prog = load file in
+  List.iter
+    (fun (_, f) -> Lsra.Precheck.run ?allow_undefined machine f)
+    (Program.funcs prog);
+  prog
+
 (* Exit codes: 1 = bad input (parse/malformed/trap), 2 = cmdliner usage,
    3 = the abstract verifier rejected an allocation, 4 = the differential
    oracle found a divergence. The sweeps take 3 and 4 from
@@ -362,7 +371,10 @@ let diffcheck_cmd =
         let jobs =
           match file with
           | Some f ->
-            let case = { Sweep.name = "file:" ^ f; program = load f; input } in
+            (* Uses before definition stay in: the verifier half of the
+               oracle must see them (test/fixtures/use_before_def.lsra). *)
+            let program = load_checked ~allow_undefined:true machine f in
+            let case = { Sweep.name = "file:" ^ f; program; input } in
             [ (machine, [ case ]) ]
           | None ->
             (* The given machine, plus a spill-heavy one so the oracle
@@ -595,10 +607,7 @@ let trace_cmd =
   in
   let run file fn machine algo format =
     handle_errors (fun () ->
-        let prog = load file in
-        List.iter
-          (fun (_, f) -> Lsra.Precheck.run machine f)
-          (Program.funcs prog);
+        let prog = load_checked machine file in
         (match fn with
         | Some n when not (List.mem_assoc n (Program.funcs prog)) ->
           Printf.eprintf "no function named '%s' in %s\n" n file;

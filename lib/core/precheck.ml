@@ -8,7 +8,7 @@ exception Rejected of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Rejected s)) fmt
 
-let run machine func =
+let run ?(allow_undefined = false) machine func =
   Func.validate func;
   let cfg = Func.cfg func in
   (* 1. No spill instructions before allocation. *)
@@ -80,13 +80,16 @@ let run machine func =
      definition on some path). The compressed liveness excludes
      single-block temps, which can still be used-before-def inside the
      entry block, so this check needs the full vectors. *)
-  let liveness = Lsra_analysis.Liveness.compute ~compress:false func in
-  let live_entry = Lsra_analysis.Liveness.live_in liveness entry in
-  if not (Lsra_analysis.Bitset.is_empty live_entry) then
-    fail "%s: temporaries possibly used before definition: %s"
-      (Func.name func)
-      (String.concat ", "
-         (List.map string_of_int (Lsra_analysis.Bitset.elements live_entry)))
+  if not allow_undefined then begin
+    let liveness = Lsra_analysis.Liveness.compute ~compress:false func in
+    let live_entry = Lsra_analysis.Liveness.live_in liveness entry in
+    if not (Lsra_analysis.Bitset.is_empty live_entry) then
+      fail "%s: temporaries possibly used before definition: %s"
+        (Func.name func)
+        (String.concat ", "
+           (List.map string_of_int
+              (Lsra_analysis.Bitset.elements live_entry)))
+  end
 
 let check machine func =
   match run machine func with

@@ -9,7 +9,9 @@ open Lsra_target
 
 exception Rejected of string
 
-(** Raises {!Rejected} with a description of the first violation. *)
-val run : Machine.t -> Func.t -> unit
+(** Raises {!Rejected} with a description of the first violation. With
+    [~allow_undefined:true] temporaries used before definition pass: the
+    differential oracle's verifier reports those itself. *)
+val run : ?allow_undefined:bool -> Machine.t -> Func.t -> unit
 
 val check : Machine.t -> Func.t -> (unit, string) result
