@@ -20,8 +20,8 @@ type t = {
   regidx : Regidx.t;
   liveness : Liveness.t;
   lifetimes : Lifetime.t;
-  top_loc : (int, rloc) Hashtbl.t array;
-  bottom_loc : (int, rloc) Hashtbl.t array;
+  top_loc : int array array;
+  bottom_loc : int array array;
   are_consistent : Bitset.t array;
   used_consistency : Bitset.t array;
   wrote_tr : Bitset.t array;
@@ -150,6 +150,22 @@ let benefit st id ~pos =
 
 let reg_of_flat st ri = Regidx.to_reg st.res.regidx ri
 let flat_of_reg st r = Regidx.of_reg st.res.regidx r
+
+(* The scan's location of every temp of [live], in [Bitset.iter] order:
+   the flat register index, or -1 for memory. Never-seen temps are placed
+   in memory. *)
+let boundary_locs st live =
+  let a = Array.make (Bitset.cardinal live) (-1) in
+  let k = ref 0 in
+  Bitset.iter
+    (fun id ->
+      (match st.loc.(id) with
+      | Some (In_reg r) -> a.(!k) <- flat_of_reg st r
+      | Some In_mem -> ()
+      | None -> st.loc.(id) <- Some In_mem);
+      incr k)
+    live;
+  a
 
 let set_occupant st ri id ~pos =
   st.occ_temp.(ri) <- id;
@@ -659,8 +675,8 @@ let scan ?(opts = default_options) ?trace machine func =
       regidx;
       liveness;
       lifetimes;
-      top_loc = Array.init nb (fun _ -> Hashtbl.create 8);
-      bottom_loc = Array.init nb (fun _ -> Hashtbl.create 8);
+      top_loc = Array.make nb [||];
+      bottom_loc = Array.make nb [||];
       are_consistent = Array.init nb (fun _ -> Bitset.create ntemps);
       used_consistency = Array.init nb (fun _ -> Bitset.create ntemps);
       wrote_tr = Array.init nb (fun _ -> Bitset.create ntemps);
@@ -691,7 +707,7 @@ let scan ?(opts = default_options) ?trace machine func =
     }
   in
   let linear = Lifetime.linear lifetimes in
-  let preds = Cfg.preds_table cfg in
+  let preds = lazy (Cfg.preds_table cfg) in
   let visited = Array.make nb false in
   let scan_t0 = Unix.gettimeofday () in
   for bi = 0 to nb - 1 do
@@ -705,23 +721,13 @@ let scan ?(opts = default_options) ?trace machine func =
     st.cur_u <- res.used_consistency.(bi);
     (* Record the allocation assumptions at the top of the block: the
        linear state, with never-seen temporaries placed in memory. *)
-    Bitset.iter
-      (fun id ->
-        let l =
-          match st.loc.(id) with
-          | Some l -> l
-          | None ->
-            st.loc.(id) <- Some In_mem;
-            In_mem
-        in
-        Hashtbl.replace res.top_loc.(bi) id l)
-      (Liveness.live_in liveness label);
+    res.top_loc.(bi) <- boundary_locs st (Liveness.live_in liveness label);
     (match opts.consistency with
     | Iterative -> ()
     | Conservative ->
       (* Strictly linear variant (paper §2.6): trust consistency at block
          entry only when every predecessor's saved vector grants it. *)
-      let ps = Hashtbl.find preds label in
+      let ps = Hashtbl.find (Lazy.force preds) label in
       let granted id =
         ps <> []
         && List.for_all
@@ -841,17 +847,7 @@ let scan ?(opts = default_options) ?trace machine func =
       (Block.term_uses b);
     release_dead st ~pos:(Linear.use_pos tk);
     (* Record bottom-of-block state and the consistency snapshot. *)
-    Bitset.iter
-      (fun id ->
-        let l =
-          match st.loc.(id) with
-          | Some l -> l
-          | None ->
-            st.loc.(id) <- Some In_mem;
-            In_mem
-        in
-        Hashtbl.replace res.bottom_loc.(bi) id l)
-      (Liveness.live_out liveness label);
+    res.bottom_loc.(bi) <- boundary_locs st (Liveness.live_out liveness label);
     for id = 0 to ntemps - 1 do
       if st.consistent.(id) then Bitset.add res.are_consistent.(bi) id
     done;

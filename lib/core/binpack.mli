@@ -10,9 +10,6 @@ open Lsra_ir
 open Lsra_analysis
 open Lsra_target
 
-(** Where a temporary's current value lives, in the scan's view. *)
-type rloc = In_reg of Mreg.t | In_mem
-
 type consistency_mode =
   | Iterative
       (** trust consistency along the linear order; repair with the
@@ -32,17 +29,23 @@ type options = {
 val default_options : options
 
 (** Scan result: the function with rewritten bodies plus everything the
-    resolution phase needs. Arrays are indexed by linear block index;
-    hashtables map temp ids. *)
+    resolution phase needs. The outer arrays are indexed by linear block
+    index, bitsets by temp id. *)
 type t = {
   func : Func.t;
   regidx : Regidx.t;
   liveness : Liveness.t;
   lifetimes : Lifetime.t;
-  top_loc : (int, rloc) Hashtbl.t array;
-  bottom_loc : (int, rloc) Hashtbl.t array;
+  top_loc : int array array;
+      (** per block, the scan's location of every temp live on entry, in
+          the [Bitset.iter] order of the block's [live_in]: [-1] for
+          memory, otherwise the register's {!Regidx} flat index *)
+  bottom_loc : int array array;
+      (** the same for the block's [live_out], at its bottom *)
   are_consistent : Bitset.t array;
   used_consistency : Bitset.t array;
+      (** the paper's USED_CONSISTENCY per block; {!Resolution.run} adds
+          the stores it suppresses on the block's out-edges *)
   wrote_tr : Bitset.t array;
   slot_of : int option array;
   stats : Stats.t;

@@ -6,118 +6,8 @@ open Lsra_analysis
    spill slot [`Slot s] (a load). *)
 type wop = { dst : Mreg.t; src : [ `Reg of Mreg.t | `Slot of int ]; temp_id : int }
 
-let spill_tag kind = Instr.Spill { phase = Instr.Resolve; kind }
-
-let store_instr r slot =
-  Instr.make ~tag:(spill_tag Instr.Spill_st)
-    (Instr.Spill_store { src = Loc.Reg r; slot })
-
-let load_instr r slot =
-  Instr.make ~tag:(spill_tag Instr.Spill_ld)
-    (Instr.Spill_load { dst = Loc.Reg r; slot })
-
-let move_instr dst src =
-  Instr.make ~tag:(spill_tag Instr.Spill_mv)
-    (Instr.Move { dst = Loc.Reg dst; src = Operand.Loc (Loc.Reg src) })
-
-(* Sequentialise the parallel writes of one edge. Destinations are
-   distinct, and each register is the source of at most one op (bottom
-   locations are injective over live temps), so blocked configurations are
-   pure register cycles; we break them with a scratch register when one is
-   free across the edge, falling back to the temp's spill slot. *)
-let sequentialize (res : Binpack.t) ~trace ~tname ~get_slot ~scratch_for
-    (ops : wop list) =
-  let stats = res.Binpack.stats in
-  let out = ref [] in
-  let emit i = out := i :: !out in
-  let tr ev = match trace with None -> () | Some t -> Trace.emit t ev in
-  let pending = ref ops in
-  while !pending <> [] do
-    let blockers =
-      List.filter_map
-        (fun w -> match w.src with `Reg r -> Some r | `Slot _ -> None)
-        !pending
-    in
-    let ready, stuck =
-      List.partition
-        (fun w -> not (List.exists (Mreg.equal w.dst) blockers))
-        !pending
-    in
-    match ready with
-    | _ :: _ ->
-      List.iter
-        (fun w ->
-          match w.src with
-          | `Reg r ->
-            emit (move_instr w.dst r);
-            stats.Stats.resolve_moves <- stats.Stats.resolve_moves + 1;
-            tr
-              (Trace.Resolve_move
-                 {
-                   temp = tname w.temp_id;
-                   id = w.temp_id;
-                   dst = w.dst;
-                   src = r;
-                   cycle = false;
-                 })
-          | `Slot s ->
-            emit (load_instr w.dst s);
-            stats.Stats.resolve_loads <- stats.Stats.resolve_loads + 1;
-            tr
-              (Trace.Resolve_load
-                 { temp = tname w.temp_id; id = w.temp_id; reg = w.dst; slot = s }))
-        ready;
-      pending := stuck
-    | [] -> (
-      (* Pure cycle(s) of register moves. Pick one edge to detach. *)
-      match stuck with
-      | [] -> assert false
-      | w0 :: _ -> (
-        let v =
-          match w0.src with `Reg r -> r | `Slot _ -> assert false
-        in
-        match scratch_for (Mreg.cls v) with
-        | Some scratch ->
-          emit (move_instr scratch v);
-          stats.Stats.resolve_moves <- stats.Stats.resolve_moves + 1;
-          tr
-            (Trace.Resolve_move
-               {
-                 temp = tname w0.temp_id;
-                 id = w0.temp_id;
-                 dst = scratch;
-                 src = v;
-                 cycle = true;
-               });
-          pending :=
-            List.map
-              (fun w ->
-                match w.src with
-                | `Reg r when Mreg.equal r v -> { w with src = `Reg scratch }
-                | `Reg _ | `Slot _ -> w)
-              !pending
-        | None ->
-          let slot = get_slot w0.temp_id in
-          emit (store_instr v slot);
-          stats.Stats.resolve_stores <- stats.Stats.resolve_stores + 1;
-          tr
-            (Trace.Resolve_store
-               {
-                 temp = tname w0.temp_id;
-                 id = w0.temp_id;
-                 reg = v;
-                 slot;
-                 cycle = true;
-               });
-          pending :=
-            List.map
-              (fun w ->
-                match w.src with
-                | `Reg r when Mreg.equal r v -> { w with src = `Slot slot }
-                | `Reg _ | `Slot _ -> w)
-              !pending))
-  done;
-  List.rev !out
+let resolve_instr kind desc =
+  Instr.make ~tag:(Instr.Spill { phase = Instr.Resolve; kind }) desc
 
 let run ?trace (res : Binpack.t) =
   let trace = match trace with Some _ as t -> t | None -> res.Binpack.trace in
@@ -125,10 +15,28 @@ let run ?trace (res : Binpack.t) =
   let func = res.Binpack.func in
   let cfg = Func.cfg func in
   let stats = res.Binpack.stats in
-  let ntemps = Liveness.width res.Binpack.liveness in
-  let bi l = Cfg.block_index cfg l in
-  let preds = Cfg.preds_table cfg in
-  let edges = Cfg.edges cfg in
+  let ridx = res.Binpack.regidx in
+  let liveness = res.Binpack.liveness in
+  let ntemps = Liveness.width liveness in
+  (* Everything about the CFG as ints, taken before edge splitting appends
+     blocks: liveness per block index, predecessor counts, and the edges
+     as index pairs in [Cfg.edges] order. *)
+  let blocks = Cfg.blocks cfg in
+  let nb = Array.length blocks in
+  let label i = Block.label blocks.(i) in
+  let live_in = Array.init nb (fun i -> Liveness.live_in liveness (label i)) in
+  let live_out = Array.init nb (fun i -> Liveness.live_out liveness (label i)) in
+  let n_preds = Array.make nb 0 in
+  let edges =
+    List.concat
+      (List.init nb (fun p ->
+           List.map
+             (fun l ->
+               let s = Cfg.block_index cfg l in
+               n_preds.(s) <- n_preds.(s) + 1;
+               (p, s))
+             (Block.succ_labels blocks.(p))))
+  in
   let tname id =
     Temp.to_string
       (Interval.temp (Lifetime.interval_of_id res.Binpack.lifetimes id))
@@ -142,150 +50,198 @@ let run ?trace (res : Binpack.t) =
       tr (Trace.Slot_alloc { temp = tname id; id; slot = s });
       s
   in
-  let loc_bottom p id =
-    match Hashtbl.find_opt res.Binpack.bottom_loc.(bi p) id with
-    | Some l -> l
-    | None -> Binpack.In_mem
+  (* Repair instructions, counted and traced as they are made. *)
+  let move ~cycle id dst src =
+    stats.Stats.resolve_moves <- stats.Stats.resolve_moves + 1;
+    tr (Trace.Resolve_move { temp = tname id; id; dst; src; cycle });
+    resolve_instr Instr.Spill_mv
+      (Instr.Move { dst = Loc.Reg dst; src = Operand.Loc (Loc.Reg src) })
   in
-  let loc_top s id =
-    match Hashtbl.find_opt res.Binpack.top_loc.(bi s) id with
-    | Some l -> l
-    | None -> Binpack.In_mem
+  let load id reg slot =
+    stats.Stats.resolve_loads <- stats.Stats.resolve_loads + 1;
+    tr (Trace.Resolve_load { temp = tname id; id; reg; slot });
+    resolve_instr Instr.Spill_ld (Instr.Spill_load { dst = Loc.Reg reg; slot })
   in
-  let a_bit p id = Bitset.mem res.Binpack.are_consistent.(bi p) id in
-  let w_bit p id = Bitset.mem res.Binpack.wrote_tr.(bi p) id in
+  let store ~cycle id reg =
+    let slot = get_slot id in
+    stats.Stats.resolve_stores <- stats.Stats.resolve_stores + 1;
+    tr (Trace.Resolve_store { temp = tname id; id; reg; slot; cycle });
+    resolve_instr Instr.Spill_st (Instr.Spill_store { src = Loc.Reg reg; slot })
+  in
+  (* Sequentialise the parallel writes of one edge. Destinations are
+     distinct, and each register is the source of at most one op (bottom
+     locations are injective over live temps), so blocked configurations
+     are pure register cycles; we break them with a scratch register when
+     one is free across the edge, falling back to the temp's spill slot. *)
+  let sequentialize ~scratch_for ops =
+    let out = ref [] and pending = ref ops in
+    while !pending <> [] do
+      let blockers =
+        List.filter_map
+          (fun w -> match w.src with `Reg r -> Some r | `Slot _ -> None)
+          !pending
+      in
+      match
+        List.partition
+          (fun w -> not (List.exists (Mreg.equal w.dst) blockers))
+          !pending
+      with
+      | (_ :: _ as ready), stuck ->
+        List.iter
+          (fun w ->
+            out :=
+              (match w.src with
+              | `Reg r -> move ~cycle:false w.temp_id w.dst r
+              | `Slot s -> load w.temp_id w.dst s)
+              :: !out)
+          ready;
+        pending := stuck
+      | [], { src = `Reg v; temp_id; _ } :: _ ->
+        (* Pure cycle(s) of register moves. Detach the first. *)
+        let i, src =
+          match scratch_for (Mreg.cls v) with
+          | Some scratch -> (move ~cycle:true temp_id scratch v, `Reg scratch)
+          | None -> (store ~cycle:true temp_id v, `Slot (get_slot temp_id))
+        in
+        out := i :: !out;
+        pending :=
+          List.map
+            (fun w ->
+              match w.src with
+              | `Reg r when Mreg.equal r v -> { w with src }
+              | `Reg _ | `Slot _ -> w)
+            !pending
+      | [], _ -> assert false
+    done;
+    List.rev !out
+  in
+  (* The scan's locations across one edge, by temp id: [bot] at the bottom
+     of the predecessor, [top] at the top of the successor; -1 is memory,
+     otherwise a flat register index. Loaded from the scan's boundary
+     slices; live_in of the successor is within live_out of the
+     predecessor, so every temp live across the edge has both. *)
+  let bot = Array.make ntemps (-1) and top = Array.make ntemps (-1) in
+  let load_edge p s =
+    let k = ref 0 in
+    Bitset.iter
+      (fun id ->
+        bot.(id) <- res.Binpack.bottom_loc.(p).(!k);
+        incr k)
+      live_out.(p);
+    k := 0;
+    Bitset.iter
+      (fun id ->
+        top.(id) <- res.Binpack.top_loc.(s).(!k);
+        incr k)
+      live_in.(s)
+  in
+  let reg = Regidx.to_reg ridx in
+  let a_bit p id = Bitset.mem res.Binpack.are_consistent.(p) id in
+  let used_c = res.Binpack.used_consistency in
 
   (* Pass 1: location-mismatch repairs. Suppressing a store because the
      register and memory were consistent at the bottom of [p] relies on
      consistency holding on every path into [p] whenever it was not
      (re-)established inside [p] itself, so such suppressions feed the
-     same dataflow as in-scan ones. *)
-  let extra_used = Array.init (Cfg.n_blocks cfg) (fun _ -> Bitset.create ntemps) in
+     same dataflow as in-scan ones: they join [p]'s USED_CONSISTENCY. *)
   let base_ops =
     List.map
       (fun (p, s) ->
-        let stores = ref [] in
-        let writes = ref [] in
+        load_edge p s;
+        let stores = ref [] and writes = ref [] in
         Bitset.iter
           (fun id ->
-            let lp = loc_bottom p id and ls = loc_top s id in
-            match lp, ls with
-            | Binpack.In_reg rp, Binpack.In_mem ->
-              if a_bit p id then begin
-                if not (w_bit p id) then Bitset.add extra_used.(bi p) id
-              end
-              else stores := (rp, id) :: !stores
-            | Binpack.In_mem, Binpack.In_reg rs ->
-              writes := { dst = rs; src = `Slot (get_slot id); temp_id = id } :: !writes
-            | Binpack.In_reg rp, Binpack.In_reg rs ->
-              if not (Mreg.equal rp rs) then
-                writes := { dst = rs; src = `Reg rp; temp_id = id } :: !writes
-            | Binpack.In_mem, Binpack.In_mem -> ())
-          (Liveness.live_in res.Binpack.liveness s);
-        ((p, s), (!stores, !writes)))
+            let lp = bot.(id) and ls = top.(id) in
+            if lp >= 0 && ls < 0 then begin
+              if not (a_bit p id) then stores := (reg lp, id) :: !stores
+              else if not (Bitset.mem res.Binpack.wrote_tr.(p) id) then
+                Bitset.add used_c.(p) id
+            end
+            else if lp < 0 && ls >= 0 then
+              writes :=
+                { dst = reg ls; src = `Slot (get_slot id); temp_id = id }
+                :: !writes
+            else if lp <> ls then
+              writes :=
+                { dst = reg ls; src = `Reg (reg lp); temp_id = id } :: !writes)
+          live_in.(s);
+        (!stores, !writes))
       edges
   in
 
   (* Consistency dataflow (paper §2.4): USED_C_in/out over the
-     USED_CONSISTENCY gen and WROTE_TR kill sets. *)
+     USED_CONSISTENCY gen and WROTE_TR kill sets. The meet is union and
+     the kill sets only remove bits, so when every gen set is empty the
+     least fixed point is empty: the solve is skipped, reporting 0
+     rounds. *)
   let used_c_in =
     match res.Binpack.opts.Binpack.consistency with
     | Binpack.Conservative -> None
+    | Binpack.Iterative when Array.for_all Bitset.is_empty used_c -> None
     | Binpack.Iterative ->
       let rounds = ref 0 in
-      let gen b =
-        let i = bi (Block.label b) in
-        let g = Bitset.copy res.Binpack.used_consistency.(i) in
-        ignore (Bitset.union_into ~dst:g ~src:extra_used.(i));
-        g
-      in
-      let kill b = res.Binpack.wrote_tr.(bi (Block.label b)) in
+      let bi b = Cfg.block_index cfg (Block.label b) in
       let r =
         Dataflow.solve cfg ~direction:Dataflow.Backward ~meet:Dataflow.Union
-          ~width:ntemps ~gen ~kill ~rounds ()
+          ~width:ntemps
+          ~gen:(fun b -> used_c.(bi b))
+          ~kill:(fun b -> res.Binpack.wrote_tr.(bi b))
+          ~rounds ()
       in
       stats.Stats.dataflow_rounds <- !rounds;
       Some r.Dataflow.in_of
   in
 
-  (* Pass 2: consistency-repair stores on edges whose successor (or deeper)
-     relies on register/memory agreement the predecessor does not
-     provide. Only needed when the temp stays register-resident across the
-     edge; the mismatch cases established consistency in pass 1. *)
-  let ops_per_edge =
-    List.map
-      (fun ((p, s), (stores, writes)) ->
-        let stores = ref stores in
-        (match used_c_in with
-        | None -> ()
-        | Some inv ->
+  (* Per edge: pass 2, then sequentialise and place. Pass 2 adds
+     consistency-repair stores on edges whose successor (or deeper) relies
+     on register/memory agreement the predecessor does not provide. Only
+     needed when the temp stays register-resident across the edge; the
+     mismatch cases established consistency in pass 1. *)
+  let used_regs = Array.make (Regidx.total ridx) false in
+  List.iter2
+    (fun (p, s) (stores, writes) ->
+      let stores =
+        match used_c_in with
+        | Some inv when not (Bitset.is_empty inv.(s)) ->
+          load_edge p s;
+          let stores = ref stores in
           Bitset.iter
             (fun id ->
               if
-                Bitset.mem (Liveness.live_in res.Binpack.liveness s) id
-                && not (a_bit p id)
-              then
-                match loc_bottom p id, loc_top s id with
-                | Binpack.In_reg rp, Binpack.In_reg _ ->
-                  stores := (rp, id) :: !stores
-                | Binpack.In_reg _, Binpack.In_mem
-                | Binpack.In_mem, (Binpack.In_reg _ | Binpack.In_mem) ->
-                  ())
-            inv.(bi s));
-        ((p, s), (!stores, writes)))
-      base_ops
-  in
-
-  (* Sequentialise and place. *)
-  List.iter
-    (fun ((p, s), (stores, writes)) ->
+                Bitset.mem live_in.(s) id
+                && (not (a_bit p id))
+                && bot.(id) >= 0 && top.(id) >= 0
+              then stores := (reg bot.(id), id) :: !stores)
+            inv.(s);
+          !stores
+        | Some _ | None -> stores
+      in
       if stores <> [] || writes <> [] then begin
-        tr (Trace.Edge { src = p; dst = s });
+        tr (Trace.Edge { src = label p; dst = label s });
         let store_instrs =
-          List.map
-            (fun (rp, id) ->
-              stats.Stats.resolve_stores <- stats.Stats.resolve_stores + 1;
-              let slot = get_slot id in
-              tr
-                (Trace.Resolve_store
-                   { temp = tname id; id; reg = rp; slot; cycle = false });
-              store_instr rp slot)
-            stores
+          List.map (fun (rp, id) -> store ~cycle:false id rp) stores
         in
         (* Registers holding live values across this edge must not be used
-           as scratch; a flat bool table makes the scratch search O(regs)
-           instead of O(regs × live). *)
-        let ridx = res.Binpack.regidx in
-        let used_regs = Array.make (Regidx.total ridx) false in
-        let mark = function
-          | Binpack.In_reg r -> used_regs.(Regidx.of_reg ridx r) <- true
-          | Binpack.In_mem -> ()
-        in
-        Bitset.iter
-          (fun id ->
-            mark (loc_bottom p id);
-            mark (loc_top s id))
-          (Liveness.live_in res.Binpack.liveness s);
-        Bitset.iter
-          (fun id -> mark (loc_bottom p id))
-          (Liveness.live_out res.Binpack.liveness p);
+           as scratch: every register of the two boundary slices. *)
+        Array.fill used_regs 0 (Array.length used_regs) false;
+        let mark r = if r >= 0 then used_regs.(r) <- true in
+        Array.iter mark res.Binpack.bottom_loc.(p);
+        Array.iter mark res.Binpack.top_loc.(s);
         let scratch_for cls =
-          List.find_map
-            (fun i ->
-              if used_regs.(i) then None else Some (Regidx.to_reg ridx i))
-            (Regidx.of_cls ridx cls)
+          let lo, hi = Regidx.cls_range ridx cls in
+          let rec free i =
+            if i >= hi then None
+            else if used_regs.(i) then free (i + 1)
+            else Some (reg i)
+          in
+          free lo
         in
-        let write_instrs =
-          sequentialize res ~trace ~tname ~get_slot ~scratch_for writes
-        in
-        let instrs = store_instrs @ write_instrs in
+        let instrs = store_instrs @ sequentialize ~scratch_for writes in
         (* Placement (paper §2.4 footnote): top of a single-predecessor
            successor, else bottom of a single-successor predecessor ending
            in an unconditional jump, else split the edge. *)
-        let s_block = Cfg.block cfg s in
-        let p_block = Cfg.block cfg p in
-        let single_pred = List.length (Hashtbl.find preds s) = 1 in
-        if single_pred then
+        let s_block = blocks.(s) and p_block = blocks.(p) in
+        if n_preds.(s) = 1 then
           Block.set_body s_block
             (Array.append (Array.of_list instrs) (Block.body s_block))
         else begin
@@ -297,11 +253,11 @@ let run ?trace (res : Binpack.t) =
             let l = Func.fresh_label ~hint:"resolve" func in
             let nb =
               Block.make ~label:l ~body:(Array.of_list instrs)
-                ~term:(Block.Jump s)
+                ~term:(Block.Jump (label s))
             in
             Cfg.append_block cfg nb;
-            Block.retarget_term p_block ~from:s ~to_:l
+            Block.retarget_term p_block ~from:(label s) ~to_:l
         end
       end)
-    ops_per_edge;
+    edges base_ops;
   stats.Stats.slots <- Func.n_slots func

@@ -12,6 +12,8 @@ let count_tagged f pred =
   Func.iter_instrs f (fun i -> if pred i then incr n);
   !n
 
+let consistency_machine = Machine.small ~int_regs:3 ~float_regs:3 ()
+
 let is_resolve i =
   match Instr.tag i with
   | Instr.Spill { phase = Instr.Resolve; _ } -> true
@@ -156,46 +158,77 @@ let test_critical_edge_split () =
   Alcotest.(check bool) "no fewer blocks after resolution" true
     (Cfg.n_blocks (Func.cfg f') >= n_blocks_before)
 
-(* The consistency dataflow: a temp whose spill store is suppressed on one
-   path must get an edge store on the path where memory is stale. This is
-   the situation of §2.4's analysis; we check end-to-end correctness on
-   every option combination. *)
-let test_consistency_paths () =
-  let machine = Machine.small ~int_regs:3 ~float_regs:3 () in
+(* The consistency dataflow (§2.4). [t] is modified on the path through
+   [mod] and left alone on the path through [keep]; in linear order
+   [keep] comes last before [join], so the scan enters [join] with [t]
+   consistent (reloaded in [keep]) and suppresses [t]'s store when
+   [join]'s pressure evicts it. The dataflow must put that store back on
+   the edge from [mod], where memory is stale. With [~pressure:false]
+   nothing spills, no store is suppressed, and the solve has nothing to
+   solve. *)
+let consistency_prog ~pressure =
   let b = B.create ~name:"consist" in
   let t = B.temp b Rclass.Int ~name:"t" in
-  let u1 = B.temp b Rclass.Int in
-  let u2 = B.temp b Rclass.Int in
+  let squeeze k =
+    (* three more values live at once on a three-register machine *)
+    if pressure then begin
+      let u = B.temp b Rclass.Int and v = B.temp b Rclass.Int in
+      let w = B.temp b Rclass.Int in
+      B.li b u 3;
+      B.li b v 4;
+      B.li b w 5;
+      B.bin b Instr.Add u (Operand.temp u) (Operand.temp v);
+      B.bin b Instr.Add u (Operand.temp u) (Operand.temp w);
+      B.store b (Operand.temp u) (Operand.int k) 0
+    end
+  in
   B.start_block b "entry";
   B.li b t 5;
   B.branch b Instr.Lt (Operand.temp t) (Operand.int 10) ~ifso:"mod" ~ifnot:"keep";
   B.start_block b "mod";
-  (* modifies t, then spills it via pressure: store happens here *)
   B.bin b Instr.Add t (Operand.temp t) (Operand.int 1);
-  B.li b u1 1;
-  B.li b u2 2;
-  B.bin b Instr.Add u1 (Operand.temp u1) (Operand.temp u2);
-  B.store b (Operand.temp u1) (Operand.int 0) 0;
   B.jump b "join";
   B.start_block b "keep";
-  (* t unmodified: pressure spills t; the store may be suppressed only if
-     consistency holds on entry *)
-  B.li b u1 3;
-  B.li b u2 4;
-  B.bin b Instr.Add u1 (Operand.temp u1) (Operand.temp u2);
-  B.store b (Operand.temp u1) (Operand.int 1) 0;
+  squeeze 1;
+  B.store b (Operand.temp t) (Operand.int 2) 0;
   B.jump b "join";
   B.start_block b "join";
-  B.move b (Loc.Reg (Machine.int_ret machine)) (Operand.temp t);
+  squeeze 1;
+  B.move b (Loc.Reg (Machine.int_ret consistency_machine)) (Operand.temp t);
   B.ret b;
-  let f = B.finish b in
-  let prog = prog_of_func f in
+  prog_of_func (B.finish b)
+
+let allocate_consist prog =
+  let f = Program.find_exn (Program.copy prog) "consist" in
+  (f, Lsra.Second_chance.run consistency_machine f)
+
+let test_consistency_paths () =
+  let prog = consistency_prog ~pressure:true in
   List.iter
     (fun opts ->
       ignore
-        (check_differential ~name:"consistency" machine prog
-           (second_chance ~opts machine)))
-    (Suite_binpack.all_option_combos ())
+        (check_differential ~name:"consistency" consistency_machine prog
+           (second_chance ~opts consistency_machine)))
+    (Suite_binpack.all_option_combos ());
+  let f, stats = allocate_consist prog in
+  Alcotest.(check bool) "the solve runs" true
+    (stats.Lsra.Stats.dataflow_rounds >= 1);
+  Alcotest.(check int) "one compensating store" 1
+    stats.Lsra.Stats.resolve_stores;
+  let mod_body = Block.body (Cfg.block (Func.cfg f) "mod") in
+  Alcotest.(check bool) "it ends mod" true
+    (let last = mod_body.(Array.length mod_body - 1) in
+     is_resolve last
+     && match Instr.desc last with Instr.Spill_store _ -> true | _ -> false)
+
+(* No suppressed store anywhere: every gen set of the consistency
+   dataflow is empty, so the solve is skipped and reports 0 rounds. *)
+let test_consistency_skip () =
+  let _, stats = allocate_consist (consistency_prog ~pressure:false) in
+  Alcotest.(check int) "no rounds" 0 stats.Lsra.Stats.dataflow_rounds;
+  Alcotest.(check int) "no resolution code" 0
+    (stats.Lsra.Stats.resolve_stores + stats.Lsra.Stats.resolve_loads
+   + stats.Lsra.Stats.resolve_moves)
 
 (* Early second chance: at a convention eviction with a pending store and
    a free sufficient register, a move must be used instead. *)
@@ -251,6 +284,8 @@ let suite =
       test_critical_edge_split;
     Alcotest.test_case "consistency across paths (all options)" `Quick
       test_consistency_paths;
+    Alcotest.test_case "consistency solve skipped when nothing to solve"
+      `Quick test_consistency_skip;
     Alcotest.test_case "early second chance" `Quick
       test_early_second_chance_move;
   ]
