@@ -399,15 +399,21 @@ let run machine ~original ~allocated =
                 fail (At_label (Block.label b))
                   "original instruction missing from its block";
               exec_term st b);
-          List.iter
-            (fun l ->
+          (* [st] is dead after this: the last successor without a
+             state takes it, earlier ones take copies. *)
+          let rec feed = function
+            | [] -> ()
+            | l :: rest ->
               let si = Cfg.block_index cfg l in
-              match in_state.(si) with
+              (match in_state.(si) with
               | None ->
-                in_state.(si) <- Some (copy_state st);
+                in_state.(si) <-
+                  Some (if rest = [] then st else copy_state st);
                 changed := true
-              | Some dst -> if meet_into ~dst ~src:st then changed := true)
-            (Block.succ_labels b))
+              | Some dst -> if meet_into ~dst ~src:st then changed := true);
+              feed rest
+          in
+          feed (Block.succ_labels b))
       blocks
   done;
   ()
