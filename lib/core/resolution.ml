@@ -251,11 +251,9 @@ let run ?trace (res : Binpack.t) =
               (Array.append (Block.body p_block) (Array.of_list instrs))
           | Block.Branch _ | Block.Ret ->
             let l = Func.fresh_label ~hint:"resolve" func in
-            let nb =
-              Block.make ~label:l ~body:(Array.of_list instrs)
-                ~term:(Block.Jump (label s))
-            in
-            Cfg.append_block cfg nb;
+            Cfg.append_block cfg
+              (Block.make ~label:l ~body:(Array.of_list instrs)
+                 ~term:(Block.Jump (label s)));
             Block.retarget_term p_block ~from:(label s) ~to_:l
         end
       end)
