@@ -210,7 +210,8 @@ let table3 () =
     "(candidates and interference-graph edges are per procedure, summed";
   print_endline " over all coloring iterations, as in the paper;";
   print_endline
-    " rds = worklist dataflow rounds, passes = binpack per-pass wall ms)";
+    " rds = worklist dataflow rounds, 0 when there is nothing to solve,";
+  print_endline " passes = binpack per-pass wall ms)";
   hrule 78;
   Printf.printf "%-10s %10s %12s %12s %12s %8s %4s\n" "module" "cands"
     "edges" "coloring" "binpack" "gc/bp" "rds";

@@ -4,9 +4,11 @@
 #
 #   bash bench/pairs.sh REV WORKLOAD N [NAME] [SECONDS] [FIRST_SEED]
 #
-# REV is exported with `git archive` into a temporary directory and
-# built there. Pair i runs `perfbench/run.sh --seed FIRST_SEED+i-1` once
-# per side, REV first on odd pairs and this checkout first on even ones.
+# REV is exported with `git archive` into a temporary directory under
+# this checkout's _build and built there. Pair i runs
+# `perfbench/run.sh --seed FIRST_SEED+i-1` once per side, REV first on
+# odd pairs and this checkout first on even ones, both in the caller's
+# environment.
 # Every result line is appended to doc/perf/NAME-runs.jsonl (NAME
 # defaults to "pairs", SECONDS to 15, FIRST_SEED to 2) as
 # {"workload", "commit": "before"|"after", "seed", "trace": 0, "result"}.
@@ -18,7 +20,8 @@ set -eu
 [ $# -ge 3 ] || { sed -n '5p' "$0" >&2; exit 2; }
 rev=$1 workload=$2 n=$3 name=${4:-pairs} seconds=${5:-15} seed0=${6:-2}
 root=$(git rev-parse --show-toplevel)
-before=$(mktemp -d)
+mkdir -p "$root/_build"
+before=$(mktemp -d -p "$root/_build" pairs.XXXXXX)
 trap 'rm -rf "$before"' EXIT
 git -C "$root" archive "$rev" | tar -x -C "$before"
 out="$root/doc/perf/$name-runs.jsonl"
