@@ -6,6 +6,9 @@
 
 (** Mutates the scanned function; resolution instructions carry the
     [Resolve] spill tag and are counted into the scan's {!Stats.t}.
+    The consistency dataflow's sweep count goes to [dataflow_rounds]; it
+    stays 0 in [Conservative] mode and when no store was suppressed, as
+    the solve is then skipped.
     Edge repairs are recorded into [trace] (default: the sink the scan
     used, so a traced scan's section continues seamlessly) in emission
     order — an {!Trace.Edge} event followed by its repair code in
