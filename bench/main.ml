@@ -193,16 +193,17 @@ let figure3 () =
 
 (* Wall clock, not [Sys.time]: CPU time sums over domains and would hide
    any parallel speedup. The copy the allocator mutates is made outside
-   the timed region, so only allocation is measured. *)
-let best_of_5_alloc prog run =
-  let best = ref infinity in
+   the timed region, so only allocation is measured. Returns the best
+   time and the last run's stats. *)
+let best_of_5_alloc ?jobs algo prog =
+  let best = ref infinity and stats = ref (Lsra.Stats.create ()) in
   for _ = 1 to 5 do
     let p = Program.copy prog in
     let t0 = Unix.gettimeofday () in
-    run p;
+    stats := Lsra.Allocator.run_program ?jobs algo machine p;
     best := min !best (Unix.gettimeofday () -. t0)
   done;
-  !best
+  (!best, !stats)
 
 let table3 () =
   print_endline "Table 3: allocation time (seconds, best of 5 runs)";
@@ -219,30 +220,22 @@ let table3 () =
   List.iter
     (fun shape ->
       let prog = Lsra_workloads.Pressure.build machine shape in
-      let gc_stats = ref (Lsra.Stats.create ()) in
-      let t_gc =
-        best_of_5_alloc prog (fun p ->
-            gc_stats := Lsra.Coloring.run_program machine p)
-      in
-      let bp_stats = ref (Lsra.Stats.create ()) in
-      let t_bp =
-        best_of_5_alloc prog (fun p ->
-            bp_stats := Lsra.Second_chance.run_program machine p)
-      in
+      let t_gc, gc_stats = best_of_5_alloc coloring prog in
+      let t_bp, bp_stats = best_of_5_alloc binpack prog in
       let nproc = shape.Lsra_workloads.Pressure.procs in
       Printf.printf "%-10s %10d %12d %12.4f %12.4f %8.2f %4d\n"
         shape.Lsra_workloads.Pressure.sname
         shape.Lsra_workloads.Pressure.candidates
-        (!gc_stats.Lsra.Stats.interference_edges / nproc)
-        t_gc t_bp (t_gc /. t_bp) !bp_stats.Lsra.Stats.dataflow_rounds;
+        (gc_stats.Lsra.Stats.interference_edges / nproc)
+        t_gc t_bp (t_gc /. t_bp) bp_stats.Lsra.Stats.dataflow_rounds;
       Printf.printf
         "%-10s   passes(ms): liveness %.2f, lifetime %.2f, scan %.2f, \
          resolution %.2f\n"
         ""
-        (1e3 *. !bp_stats.Lsra.Stats.time_liveness)
-        (1e3 *. !bp_stats.Lsra.Stats.time_lifetime)
-        (1e3 *. !bp_stats.Lsra.Stats.time_scan)
-        (1e3 *. !bp_stats.Lsra.Stats.time_resolution))
+        (1e3 *. bp_stats.Lsra.Stats.time_liveness)
+        (1e3 *. bp_stats.Lsra.Stats.time_lifetime)
+        (1e3 *. bp_stats.Lsra.Stats.time_scan)
+        (1e3 *. bp_stats.Lsra.Stats.time_resolution))
     [
       Lsra_workloads.Pressure.cvrin;
       Lsra_workloads.Pressure.twldrv;
@@ -263,14 +256,8 @@ let table3 () =
                 ~window ~clique );
           ]
       in
-      let t_gc =
-        best_of_5_alloc prog (fun p ->
-            ignore (Lsra.Coloring.run_program machine p))
-      in
-      let t_bp =
-        best_of_5_alloc prog (fun p ->
-            ignore (Lsra.Second_chance.run_program machine p))
-      in
+      let t_gc, _ = best_of_5_alloc coloring prog in
+      let t_bp, _ = best_of_5_alloc binpack prog in
       Printf.printf "%-10d %10d %12.4f %12.4f %8.2f\n" candidates window t_gc
         t_bp (t_gc /. t_bp))
     [
@@ -375,7 +362,7 @@ let layout () =
     let prog = Lsra_workloads.Gen.program ~params m in
     let resolution f =
       let f = Func.copy f in
-      let stats = Lsra.Second_chance.run m f in
+      let stats = Lsra.Allocator.run binpack m f in
       stats.Lsra.Stats.resolve_loads + stats.Lsra.Stats.resolve_stores
       + stats.Lsra.Stats.resolve_moves
     in
@@ -646,9 +633,7 @@ let jit () =
   else begin
     (* The four heuristics; the exact allocator's output is native-checked
        by lsra_tool jit. *)
-    let allocators =
-      [ binpack; Lsra.Allocator.Two_pass; Lsra.Allocator.Poletto; coloring ]
-    in
+    let allocators = Lsra.Allocator.heuristics in
     Printf.bprintf buf
       "{\n  \"bench\": \"jit\",\n  \"available\": true,\n  \"scale\": %d,\n\
       \  \"fingerprint\": %S,\n  \"machines\": [" scale
@@ -848,33 +833,25 @@ let perfdump () =
       let n_instrs =
         List.fold_left (fun acc (_, f) -> acc + Func.n_instrs f) 0 funcs
       in
-      (* Reference run: sequential output text, stats and GC profile. *)
-      let seq_stats = ref (Lsra.Stats.create ()) in
-      let seq_text =
+      let alloc ?jobs () =
         let p = Program.copy prog in
-        seq_stats := Lsra.Second_chance.run_program machine p;
-        Lsra_text.Ir_text.to_string p
+        let stats = Lsra.Allocator.run_program ?jobs binpack machine p in
+        (stats, Lsra_text.Ir_text.to_string p)
       in
+      (* Reference run: sequential output text, stats and GC profile. *)
+      let seq_stats, seq_text = alloc () in
       let per_jobs =
         List.map
           (fun j ->
-            let stats = ref (Lsra.Stats.create ()) in
-            let text =
-              let p = Program.copy prog in
-              stats := Lsra.Second_chance.run_program ~jobs:j machine p;
-              Lsra_text.Ir_text.to_string p
-            in
+            let stats, text = alloc ~jobs:j () in
             if not (String.equal text seq_text) then begin
               incr divergent;
               Printf.eprintf
                 "perfdump: %s: output at %d jobs diverges from sequential\n%!"
                 name j
             end;
-            let wall =
-              best_of_5_alloc prog (fun p ->
-                  ignore (Lsra.Second_chance.run_program ~jobs:j machine p))
-            in
-            (j, wall, !stats))
+            let wall, _ = best_of_5_alloc ~jobs:j binpack prog in
+            (j, wall, stats))
           job_counts
       in
       let wall1 =
@@ -883,7 +860,7 @@ let perfdump () =
       List.iteri
         (fun k (_, w, _) -> totals.(k) <- totals.(k) +. w)
         per_jobs;
-      let s = !seq_stats in
+      let s = seq_stats in
       let pw p = s.Lsra.Stats.pass_minor_words.(Lsra.Stats.pass_index p) in
       if i > 0 then Buffer.add_string buf ",\n";
       Printf.bprintf buf

@@ -38,13 +38,9 @@ let machine_conv =
 
 let algo_conv =
   let parse s =
-    match s with
-    | "binpack" | "second-chance" -> Ok Lsra.Allocator.default_second_chance
-    | "gc" | "coloring" -> Ok Lsra.Allocator.Graph_coloring
-    | "twopass" -> Ok Lsra.Allocator.Two_pass
-    | "poletto" -> Ok Lsra.Allocator.Poletto
-    | "optimal" | "exact" -> Ok Lsra.Allocator.default_optimal
-    | _ -> Error (`Msg (Printf.sprintf "unknown allocator %S" s))
+    match Lsra.Allocator.of_name s with
+    | Some a -> Ok a
+    | None -> Error (`Msg (Printf.sprintf "unknown allocator %S" s))
   in
   let print fmt a = Format.pp_print_string fmt (Lsra.Allocator.short_name a) in
   Arg.conv (parse, print)

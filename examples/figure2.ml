@@ -53,7 +53,9 @@ let () =
   let copy = Program.copy prog in
   let f' = Program.find_exn copy "fig2" in
   let original = Func.copy f' in
-  let stats = Lsra.Second_chance.run machine f' in
+  let stats =
+    Lsra.Allocator.run Lsra.Allocator.default_second_chance machine f'
+  in
   Lsra.Verify.run machine ~original ~allocated:f';
   Format.printf "@[<v>After second-chance binpacking on two registers:@,%a@,@]@."
     Func.pp f';

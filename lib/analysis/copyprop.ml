@@ -61,6 +61,3 @@ let run func =
           | Loc.Reg _ -> l))
     (Func.cfg func);
   !rewritten
-
-let run_program prog =
-  List.fold_left (fun acc (_, f) -> acc + run f) 0 (Program.funcs prog)

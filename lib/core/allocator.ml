@@ -10,12 +10,12 @@ type algorithm =
 let default_second_chance = Second_chance Binpack.default_options
 let default_optimal = Optimal Optimal.default_options
 
-(* The four heuristic allocators in the order the paper discusses them,
-   plus the exact branch-and-bound oracle as the top rung. Corpus-wide
-   oracles (verification, differential execution) iterate this list so a
-   new allocator is checked everywhere by adding it here. *)
-let all =
-  [ default_second_chance; Two_pass; Poletto; Graph_coloring; default_optimal ]
+(* The four heuristic allocators in the order the paper discusses them;
+   [all] adds the exact branch-and-bound oracle as the top rung.
+   Corpus-wide oracles (verification, differential execution) iterate
+   [all] so a new allocator is checked everywhere by adding it here. *)
+let heuristics = [ default_second_chance; Two_pass; Poletto; Graph_coloring ]
+let all = heuristics @ [ default_optimal ]
 
 let name = function
   | Second_chance _ -> "second-chance binpacking"
@@ -31,13 +31,39 @@ let short_name = function
   | Graph_coloring -> "gc"
   | Optimal _ -> "optimal"
 
+let of_name = function
+  | "binpack" | "second-chance" -> Some default_second_chance
+  | "twopass" -> Some Two_pass
+  | "poletto" -> Some Poletto
+  | "gc" | "coloring" -> Some Graph_coloring
+  | "optimal" | "exact" -> Some default_optimal
+  | _ -> None
+
+(* The one place an allocation is measured: the clock and the GC
+   counters are read once around the dispatch, so the allocators that run
+   others (the exact allocator's rungs and its coloring fallback) are
+   counted once. [Gc.quick_stat] reads the calling domain's counters,
+   which keeps the attribution right under [Parallel.fold_stats]. *)
 let run ?trace algorithm machine func =
-  match algorithm with
-  | Second_chance opts -> Second_chance.run ~opts ?trace machine func
-  | Two_pass -> Two_pass.run ?trace machine func
-  | Poletto -> Poletto.run ?trace machine func
-  | Graph_coloring -> Coloring.run ?trace machine func
-  | Optimal opts -> Optimal.run ~opts ?trace machine func
+  let t0 = Monotonic_clock.now () in
+  let g0 = Gc.quick_stat () in
+  let stats =
+    match algorithm with
+    | Second_chance opts ->
+      (* The paper's allocator: the allocate-and-rewrite scan, then
+         CFG-edge resolution. *)
+      let scanned = Binpack.scan ~opts ?trace machine func in
+      Stats.timed scanned.Binpack.stats Stats.Resolution (fun () ->
+          Resolution.run scanned);
+      scanned.Binpack.stats
+    | Two_pass -> Two_pass.run ?trace machine func
+    | Poletto -> Poletto.run ?trace machine func
+    | Graph_coloring -> Coloring.run ?trace machine func
+    | Optimal opts -> Optimal.run ~opts ?trace machine func
+  in
+  Stats.record_gc_since stats g0;
+  stats.Stats.alloc_time <- Stats.seconds_since t0;
+  stats
 
 let run_program ?jobs ?trace algorithm machine prog =
   (* A shared trace sink is not domain-safe: force sequential. *)

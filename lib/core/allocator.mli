@@ -16,20 +16,33 @@ type algorithm =
 val default_second_chance : algorithm
 val default_optimal : algorithm
 
-(** The four heuristic allocators (default options) in the paper's order,
-    with the exact allocator as the top rung. The corpus-wide oracles —
-    {!run_program} callers, the verifier sweeps in the test suite, and
-    the differential-execution checker — iterate this list, so adding an
-    allocator here puts it under every oracle. *)
+(** The four heuristic allocators (default options) in the paper's
+    order: binpack, twopass, poletto, gc. *)
+val heuristics : algorithm list
+
+(** {!heuristics} with the exact allocator as the top rung. The
+    corpus-wide oracles — {!run_program} callers, the verifier sweeps in
+    the test suite, and the differential-execution checker — iterate
+    this list, so adding an allocator here puts it under every oracle. *)
 val all : algorithm list
 
 val name : algorithm -> string
 val short_name : algorithm -> string
 
+(** Parse a {!short_name} (default options); also accepts
+    second-chance, coloring and exact. *)
+val of_name : string -> algorithm option
+
 (** Allocate one function. [trace] records every allocation decision into
     the given sink (see {!Trace}); replaying the stream with
     {!Trace.replay_check} against the returned stats turns any traced run
-    into a self-checking test. *)
+    into a self-checking test. [Second_chance] runs {!Binpack.scan} and
+    then {!Resolution.run}.
+
+    This is the only code that measures an allocation: [alloc_time] (on
+    the monotonic clock) and the GC counters of the returned stats cover
+    the whole call, counted once even when the exact allocator runs other
+    allocators inside it. *)
 val run : ?trace:Trace.t -> algorithm -> Machine.t -> Func.t -> Stats.t
 
 (** Allocate every function of the program and return the merged stats.

@@ -655,10 +655,7 @@ let release_dead st ~pos =
 let scan ?(opts = default_options) ?trace machine func =
   let regidx = Regidx.create machine in
   let stats = Stats.create () in
-  (match trace with
-  | None -> ()
-  | Some t ->
-    Trace.emit t (Fn { name = Func.name func; slots0 = Func.n_slots func }));
+  Trace.emit_fn trace func;
   let liveness = Stats.timed stats Stats.Liveness (fun () -> Liveness.compute func) in
   let lifetimes =
     Stats.timed stats Stats.Lifetime (fun () ->
@@ -709,7 +706,7 @@ let scan ?(opts = default_options) ?trace machine func =
   let linear = Lifetime.linear lifetimes in
   let preds = lazy (Cfg.preds_table cfg) in
   let visited = Array.make nb false in
-  let scan_t0 = Unix.gettimeofday () in
+  let scan_t0 = Monotonic_clock.now () in
   for bi = 0 to nb - 1 do
     let b = blocks.(bi) in
     let label = Block.label b in
@@ -854,6 +851,5 @@ let scan ?(opts = default_options) ?trace machine func =
     Block.set_body b (Array.of_list (List.rev st.emit_rev));
     visited.(bi) <- true
   done;
-  stats.Stats.time_scan <-
-    stats.Stats.time_scan +. (Unix.gettimeofday () -. scan_t0);
+  stats.Stats.time_scan <- stats.Stats.time_scan +. Stats.seconds_since scan_t0;
   res

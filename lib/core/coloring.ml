@@ -651,22 +651,9 @@ let allocate_class ?trace machine func cls stats no_spill_seed =
   round no_spill_seed 1
 
 let run ?trace machine func =
-  let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
-  (match trace with
-  | None -> ()
-  | Some sink ->
-    Trace.emit sink
-      (Trace.Fn { name = Func.name func; slots0 = Func.n_slots func }));
+  Trace.emit_fn trace func;
   let stats = Stats.create () in
   allocate_class ?trace machine func Rclass.Int stats [];
   allocate_class ?trace machine func Rclass.Float stats [];
   stats.Stats.slots <- Func.n_slots func;
-  Stats.record_gc_since stats g0;
-  stats.Stats.alloc_time <- Unix.gettimeofday () -. t0;
   stats
-
-let run_program ?jobs ?trace machine prog =
-  (* A shared trace sink is not domain-safe: force sequential. *)
-  let jobs = if trace = None then jobs else Some 1 in
-  Parallel.fold_stats ?jobs prog (run ?trace machine)

@@ -13,11 +13,6 @@ exception Coloring_failure of string
 
 (** Allocate one function in place. [trace] records spill-slot grants,
     spill/reload insertions and the final color of every temporary (see
-    {!Trace}). *)
+    {!Trace}). [coloring_iterations] and [interference_edges] feed
+    Table 3. *)
 val run : ?trace:Trace.t -> Machine.t -> Func.t -> Stats.t
-
-(** Allocate every function of a program; returns accumulated stats
-    ([coloring_iterations] and [interference_edges] feed Table 3).
-    [jobs] fans out across domains via {!Parallel.fold_stats}. *)
-val run_program :
-  ?jobs:int -> ?trace:Trace.t -> Machine.t -> Program.t -> Stats.t

@@ -93,6 +93,3 @@ let run func =
     (Func.cfg func);
   let removed = dead_store_sweep func in
   !rewritten + removed
-
-let run_program prog =
-  List.fold_left (fun acc (_, f) -> acc + run f) 0 (Program.funcs prog)

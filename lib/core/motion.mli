@@ -11,4 +11,3 @@
 open Lsra_ir
 
 val run : Func.t -> int
-val run_program : Program.t -> int

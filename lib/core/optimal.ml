@@ -292,7 +292,7 @@ let emit_solution ctx trace stats =
   let tname id =
     Temp.to_string (Interval.temp (Lifetime.interval_of_id lifetimes id))
   in
-  tr (Trace.Fn { name = Func.name func; slots0 = Func.n_slots func });
+  Trace.emit_fn trace func;
   (* Rebuild occupancy from conventions plus the winning assignments. *)
   Array.iter (fun occ -> Bytes.fill occ 0 ctx.npos '\000') ctx.occ;
   for ri = 0 to Regidx.total ctx.regidx - 1 do
@@ -452,31 +452,19 @@ let emit_solution ctx trace stats =
    when the search cannot strictly beat it, so [Optimal]'s output is
    never worse than any rung — even where intra-lifetime splitting beats
    the whole-lifetime model. *)
-let baselines machine :
-    (string * (?trace:Trace.t -> Func.t -> Stats.t)) list =
+let baselines machine : (?trace:Trace.t -> Func.t -> Stats.t) list =
   [
-    ("gc", fun ?trace f -> Coloring.run ?trace machine f);
-    ("binpack", fun ?trace f -> Second_chance.run ?trace machine f);
-    ("twopass", fun ?trace f -> Two_pass.run ?trace machine f);
-    ("poletto", fun ?trace f -> Poletto.run ?trace machine f);
+    (fun ?trace f -> Coloring.run ?trace machine f);
+    (fun ?trace f ->
+      let scanned = Binpack.scan ?trace machine f in
+      Stats.timed scanned.Binpack.stats Stats.Resolution (fun () ->
+          Resolution.run scanned);
+      scanned.Binpack.stats);
+    (fun ?trace f -> Two_pass.run ?trace machine f);
+    (fun ?trace f -> Poletto.run ?trace machine f);
   ]
 
-(* Charge [stats] with exactly the cost measured since [t0]/[g0]. An
-   adopted rung or the coloring fallback has already recorded its own
-   share of that window into [stats]; it is overwritten, not added to,
-   so every word and second is counted once. *)
-let charge stats t0 g0 =
-  stats.Stats.minor_words <- 0.;
-  stats.Stats.promoted_words <- 0.;
-  stats.Stats.major_words <- 0.;
-  stats.Stats.minor_collections <- 0;
-  stats.Stats.major_collections <- 0;
-  Stats.record_gc_since stats g0;
-  stats.Stats.alloc_time <- Unix.gettimeofday () -. t0
-
 let run_exact ?(opts = default_options) ?trace machine func =
-  let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
   if Func.n_instrs func > opts.max_instrs then
     raise
       (Budget_exceeded
@@ -484,13 +472,13 @@ let run_exact ?(opts = default_options) ?trace machine func =
             (Func.name func) (Func.n_instrs func) opts.max_instrs));
   let incumbent =
     List.fold_left
-      (fun best ((nm, go) : string * (?trace:Trace.t -> Func.t -> Stats.t)) ->
+      (fun best (go : ?trace:Trace.t -> Func.t -> Stats.t) ->
         match go (Func.copy func) with
         | s -> (
           let c = Stats.total_spill s in
           match best with
-          | Some (_, bc, _) when bc <= c -> best
-          | _ -> Some (nm, c, go))
+          | Some (bc, _) when bc <= c -> best
+          | _ -> Some (c, go))
         | exception _ -> best)
       None (baselines machine)
   in
@@ -524,7 +512,7 @@ let run_exact ?(opts = default_options) ?trace machine func =
   in
   let stats =
     match incumbent with
-    | Some (_, bc, go) when bc <= exact_cost ->
+    | Some (bc, go) when bc <= exact_cost ->
       (* The best rung is at least as good as the model optimum: adopt
          its output verbatim (its own trace section stands in for
          ours). *)
@@ -536,12 +524,9 @@ let run_exact ?(opts = default_options) ?trace machine func =
   in
   stats.Stats.opt_nodes <- ctx.nodes;
   stats.Stats.opt_proven <- 1;
-  charge stats t0 g0;
   stats
 
 let run ?(opts = default_options) ?trace machine func =
-  let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
   match run_exact ~opts ?trace machine func with
   | stats -> stats
   | exception Budget_exceeded _ ->
@@ -562,11 +547,4 @@ let run ?(opts = default_options) ?trace machine func =
            }));
     let stats = Coloring.run ?trace machine func in
     stats.Stats.downgrades <- stats.Stats.downgrades + 1;
-    (* The search that blew its budget is part of this call's cost. *)
-    charge stats t0 g0;
     stats
-
-let run_program ?opts ?jobs ?trace machine prog =
-  (* A shared trace sink is not domain-safe: force sequential. *)
-  let jobs = if trace = None then jobs else Some 1 in
-  Parallel.fold_stats ?jobs prog (run ?opts ?trace machine)

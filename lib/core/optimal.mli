@@ -59,16 +59,9 @@ val run_exact :
 
 (** Like {!run_exact}, but a budget trip degrades to {!Coloring.run} on
     the untouched function, emitting {!Trace.Downgrade} and bumping
-    [downgrades]. *)
-val run : ?opts:options -> ?trace:Trace.t -> Machine.t -> Func.t -> Stats.t
+    [downgrades].
 
-(** Allocate every function; [jobs] fans out across domains via
-    {!Parallel.fold_stats}. A [trace] sink forces sequential execution
-    regardless of [jobs]. *)
-val run_program :
-  ?opts:options ->
-  ?jobs:int ->
-  ?trace:Trace.t ->
-  Machine.t ->
-  Program.t ->
-  Stats.t
+    Neither function records its own cost: [alloc_time] and the GC
+    counters are set by {!Allocator.run}, whose one measurement covers
+    the rungs, the search and any fallback. *)
+val run : ?opts:options -> ?trace:Trace.t -> Machine.t -> Func.t -> Stats.t

@@ -101,16 +101,16 @@ let stats_pass = function
 let run_pass ?stats ?trace pass prog =
   Option.iter (fun t -> Trace.emit t (Trace.Pass_begin { pass = name pass }))
     trace;
+  let per_func run =
+    List.fold_left (fun acc (_, f) -> acc + run f) 0 (Program.funcs prog)
+  in
   let work () =
     match pass with
-    | Copyprop -> Lsra_analysis.Copyprop.run_program prog
-    | Dce ->
-      List.fold_left
-        (fun acc (_, f) -> acc + Lsra_analysis.Dce.run_to_fixpoint f)
-        0 (Program.funcs prog)
-    | Motion -> Motion.run_program prog
-    | Peephole -> Peephole.run_program prog
-    | Slots -> Slots.run_program ?trace prog
+    | Copyprop -> per_func Lsra_analysis.Copyprop.run
+    | Dce -> per_func Lsra_analysis.Dce.run_to_fixpoint
+    | Motion -> per_func Motion.run
+    | Peephole -> per_func Peephole.run
+    | Slots -> per_func (Slots.run ?trace)
   in
   let changed =
     match stats with

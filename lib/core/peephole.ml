@@ -23,6 +23,3 @@ let run func =
         Block.set_body b (Array.of_list kept))
     (Func.cfg func);
   !removed
-
-let run_program prog =
-  List.fold_left (fun acc (_, f) -> acc + run f) 0 (Program.funcs prog)

@@ -103,6 +103,3 @@ let run ?trace func =
     end;
     saved
   end
-
-let run_program ?trace prog =
-  List.fold_left (fun acc (_, f) -> acc + run ?trace f) 0 (Program.funcs prog)

@@ -7,4 +7,3 @@
 open Lsra_ir
 
 val run : ?trace:Trace.t -> Func.t -> int
-val run_program : ?trace:Trace.t -> Program.t -> int

@@ -118,16 +118,21 @@ let add_pass_time s pass dt =
   | Peephole -> s.time_peephole <- s.time_peephole +. dt
   | Slots -> s.time_slots <- s.time_slots +. dt
 
-(* Wall-clock, not [Sys.time]: process CPU time aggregates over every
+(* Elapsed time on the monotonic clock: a wall-clock step can neither
+   skew nor negate a duration. *)
+let seconds_since t0 =
+  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
+
+(* Elapsed, not [Sys.time]: process CPU time aggregates over every
    running domain, which would overstate each pass once allocation fans
    out across domains. [Gc.minor_words] is per-domain, so the delta is
    this pass's own allocation even when several domains run passes
    concurrently. *)
 let timed s pass f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let w0 = Gc.minor_words () in
   let account () =
-    add_pass_time s pass (Unix.gettimeofday () -. t0);
+    add_pass_time s pass (seconds_since t0);
     let i = pass_index pass in
     s.pass_minor_words.(i) <-
       s.pass_minor_words.(i) +. (Gc.minor_words () -. w0)

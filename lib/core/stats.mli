@@ -27,7 +27,8 @@ type t = {
   mutable opt_proven : int;
       (** functions whose exact search ran to completion: the result is a
           proven optimum of the whole-lifetime model *)
-  mutable alloc_time : float;  (** seconds spent inside the allocator *)
+  mutable alloc_time : float;
+      (** seconds spent inside the allocator, on the monotonic clock *)
   mutable time_liveness : float;  (** wall seconds, per pass, below *)
   mutable time_lifetime : float;
   mutable time_scan : float;
@@ -78,7 +79,12 @@ val pass_index : pass -> int
 (** Accumulated wall seconds recorded for a pass. *)
 val pass_time : t -> pass -> float
 
-(** [timed s pass f] runs [f ()] and adds its wall-clock duration and
+(** Seconds elapsed since [t0], a [Monotonic_clock.now ()] reading (in
+    nanoseconds). The clock never steps backwards, so neither does a
+    duration. *)
+val seconds_since : int64 -> float
+
+(** [timed s pass f] runs [f ()] and adds its elapsed time and
     minor-heap allocation to [pass]'s counters in [s] (also on
     exception). *)
 val timed : t -> pass -> (unit -> 'a) -> 'a

@@ -108,6 +108,11 @@ let emit t ev =
   t.rev <- ev :: t.rev;
   t.n <- t.n + 1
 
+let emit_fn trace func =
+  Option.iter
+    (fun t -> emit t (Fn { name = Func.name func; slots0 = Func.n_slots func }))
+    trace
+
 let events t = List.rev t.rev
 let count t = t.n
 

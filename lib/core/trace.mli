@@ -6,9 +6,9 @@
     eviction deliberation with the §2.3 distance heuristic's candidates,
     and the resolution pass's edge repairs in parallel-move order — can be
     recorded as a typed event stream by passing a {!t} sink to
-    {!Binpack.scan}, {!Resolution.run}, {!Second_chance.run},
-    {!Two_pass.run}, {!Poletto.run}, {!Coloring.run} or
-    {!Allocator.run}. With no sink the allocators emit nothing and pay
+    {!Allocator.run} (or {!Allocator.run_program}), or to one allocator
+    directly: {!Binpack.scan}, {!Resolution.run}, {!Two_pass.run},
+    {!Poletto.run}, {!Coloring.run} or {!Optimal.run}. With no sink the allocators emit nothing and pay
     only a pointer test per would-be event.
 
     The stream is renderable as indented text ({!to_text}) or as JSON
@@ -154,6 +154,10 @@ type t
 
 val create : unit -> t
 val emit : t -> event -> unit
+
+(** [emit_fn trace func] opens [func]'s section with its {!Fn} event when
+    [trace] is given. *)
+val emit_fn : t option -> Func.t -> unit
 
 (** Events in emission order. *)
 val events : t -> event list

@@ -375,20 +375,7 @@ let rewrite t =
   stats.Stats.slots <- Func.n_slots func
 
 let run ?trace machine func =
-  let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
-  (match trace with
-  | None -> ()
-  | Some sink ->
-    Trace.emit sink
-      (Trace.Fn { name = Func.name func; slots0 = Func.n_slots func }));
+  Trace.emit_fn trace func;
   let t = allocate ?trace machine func in
   rewrite t;
-  Stats.record_gc_since t.stats g0;
-  t.stats.Stats.alloc_time <- Unix.gettimeofday () -. t0;
   t.stats
-
-let run_program ?jobs ?trace machine prog =
-  (* A shared trace sink is not domain-safe: force sequential. *)
-  let jobs = if trace = None then jobs else Some 1 in
-  Parallel.fold_stats ?jobs prog (run ?trace machine)

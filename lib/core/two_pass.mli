@@ -14,9 +14,3 @@ exception Out_of_registers of string
 (** Allocate one function in place. [trace] records each decision (see
     {!Trace}); with it absent tracing costs one pointer test per site. *)
 val run : ?trace:Trace.t -> Machine.t -> Func.t -> Stats.t
-
-(** Allocate every function; [jobs] fans out across domains via
-    {!Parallel.fold_stats} (default sequential). A [trace] sink forces
-    sequential execution regardless of [jobs]. *)
-val run_program :
-  ?jobs:int -> ?trace:Trace.t -> Machine.t -> Program.t -> Stats.t

@@ -21,9 +21,7 @@ let algo_fingerprint (algo : Lsra.Allocator.algorithm) =
       (match opts.Lsra.Binpack.consistency with
       | Lsra.Binpack.Iterative -> "iterative"
       | Lsra.Binpack.Conservative -> "conservative")
-  | Two_pass -> "twopass"
-  | Poletto -> "poletto"
-  | Graph_coloring -> "gc"
+  | (Two_pass | Poletto | Graph_coloring) as a -> Lsra.Allocator.short_name a
   | Optimal opts ->
     (* The budget is part of the result's identity: a bigger budget can
        turn a degraded answer into a proven optimum. *)

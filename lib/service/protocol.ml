@@ -63,7 +63,7 @@ let parse_req words =
           | Some _ | None ->
             Error (Printf.sprintf "malformed len %S (expected bytes >= 0)" v))
       | Some ("algo", v) -> (
-        match Service.algo_of_name v with
+        match Lsra.Allocator.of_name v with
         | Some a -> algo := a
         | None -> fail (Printf.sprintf "unknown allocator %S" v))
       | Some ("passes", v) -> (

@@ -185,14 +185,6 @@ let counters t =
         warm_loaded = t.warm_loaded;
       })
 
-let algo_of_name = function
-  | "binpack" | "second-chance" -> Some Lsra.Allocator.default_second_chance
-  | "twopass" -> Some Lsra.Allocator.Two_pass
-  | "poletto" -> Some Lsra.Allocator.Poletto
-  | "gc" | "coloring" -> Some Lsra.Allocator.Graph_coloring
-  | "optimal" | "exact" -> Some Lsra.Allocator.default_optimal
-  | _ -> None
-
 (* Cheapest last; every rung after the first trades allocation quality
    (more spill code) for compile speed — the paper's §4 dial. *)
 let ladder (algo : Lsra.Allocator.algorithm) =
@@ -280,8 +272,7 @@ let degrade t ~req_id ~budget ~n_instrs requested =
 (* Request and compile walls come from the monotonic clock: a wall-clock
    step must neither skew a reported [wall-us] nor feed the cost model a
    negative sample. *)
-let seconds_since t0 =
-  Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) /. 1e9
+let seconds_since = Lsra.Stats.seconds_since
 
 let compile t ~req_id ~passes algo prog =
   let t0 = Monotonic_clock.now () in

@@ -154,8 +154,3 @@ val ladder : Lsra.Allocator.algorithm -> Lsra.Allocator.algorithm list
     seconds-per-instruction (EWMA over cold compiles), or the
     [default_rate] prior before any observation. *)
 val predict : t -> Lsra.Allocator.algorithm -> int -> float
-
-(** Parse an allocator short name (as {!Lsra.Allocator.short_name}:
-    binpack, twopass, poletto, gc; also accepts second-chance and
-    coloring). *)
-val algo_of_name : string -> Lsra.Allocator.algorithm option

@@ -63,8 +63,8 @@ let check_differential ?(input = "") ?(verify = true) ~name machine prog
   | Error e, _ -> Alcotest.failf "%s: reference run trapped: %s" name e
   | Ok _, Error e -> Alcotest.failf "%s: allocated run trapped: %s" name e
 
-let second_chance ?opts machine f =
-  ignore (Lsra.Second_chance.run ?opts machine f)
+let second_chance ?(opts = Lsra.Binpack.default_options) machine f =
+  ignore (Lsra.Allocator.run (Lsra.Allocator.Second_chance opts) machine f)
 
 (* A small diamond-with-loop function exercising spills: sums several
    linear combinations over a counted loop. [width] controls register

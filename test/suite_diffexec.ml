@@ -36,7 +36,7 @@ let test_oracle_accepts_all_allocators () =
    original instruction: flip the `* 31` of the observable-state hash
    fold into `* 29`. With the verifier off, only execution can notice. *)
 let corrupting_alloc machine func =
-  ignore (Lsra.Second_chance.run machine func);
+  Helpers.second_chance machine func;
   let corrupted = ref false in
   Cfg.iter_blocks
     (fun b ->
@@ -69,7 +69,7 @@ let test_verifier_reject_is_reported () =
      still surfaces as an execution divergence — but a corrupted
      register must surface as a Verifier_reject before execution. *)
   let reg_corrupting_alloc machine func =
-    ignore (Lsra.Second_chance.run machine func);
+    Helpers.second_chance machine func;
     let evil = Loc.Reg (Mreg.make ~cls:Rclass.Int 0) in
     let corrupted = ref false in
     Cfg.iter_blocks
@@ -118,8 +118,7 @@ let test_shrink_reduces_and_preserves_failure () =
 
 let test_shrink_keeps_passing_program () =
   let prog = gen_prog 17 in
-  let alloc machine f = ignore (Lsra.Second_chance.run machine f) in
-  let out = D.shrink tiny alloc prog in
+  let out = D.shrink tiny Helpers.second_chance prog in
   Alcotest.(check int) "untouched" (prog_size prog) (prog_size out)
 
 let test_corpus_spot_check () =

@@ -113,7 +113,7 @@ let test_slots_compaction_saves_words () =
   let reference = Lsra_sim.Interp.run machine prog ~input:"" in
   let copy = Program.copy prog in
   let f' = Program.find_exn copy "main" in
-  ignore (Lsra.Second_chance.run machine f');
+  second_chance machine f';
   let before = Func.n_slots f' in
   Alcotest.(check bool) "spilled into several slots" true (before >= 2);
   let saved = Lsra.Slots.run f' in
@@ -175,7 +175,7 @@ let test_slots_compaction_on_workloads () =
       ignore
         (Lsra.Allocator.pipeline Lsra.Allocator.default_second_chance machine
            copy);
-      ignore (Lsra.Slots.run_program copy);
+      ignore (Lsra.Passes.run_pass Lsra.Passes.Slots copy);
       match
         ( reference,
           Lsra_sim.Interp.run machine copy
@@ -266,7 +266,9 @@ let test_rpo_reduces_resolution_on_scrambled_layout () =
         | [] -> ());
         let resolution g =
           let g = Func.copy g in
-          let stats = Lsra.Second_chance.run machine g in
+          let stats =
+            Lsra.Allocator.run Lsra.Allocator.default_second_chance machine g
+          in
           stats.Lsra.Stats.resolve_loads + stats.Lsra.Stats.resolve_stores
           + stats.Lsra.Stats.resolve_moves
         in

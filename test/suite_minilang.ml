@@ -197,12 +197,7 @@ let test_differential_through_allocators () =
           ref_out o.Lsra_sim.Interp.output
       | Error e ->
         Alcotest.failf "%s trapped: %s" (Lsra.Allocator.short_name algo) e)
-    [
-      Lsra.Allocator.default_second_chance;
-      Lsra.Allocator.Graph_coloring;
-      Lsra.Allocator.Two_pass;
-      Lsra.Allocator.Poletto;
-    ]
+    Lsra.Allocator.heuristics
 
 let suite =
   [
@@ -263,12 +258,7 @@ let test_corpus () =
                 Alcotest.failf "%s/%s/%s trapped: %s" mname mach_name
                   (Lsra.Allocator.short_name algo)
                   e)
-            [
-              Lsra.Allocator.default_second_chance;
-              Lsra.Allocator.Graph_coloring;
-              Lsra.Allocator.Two_pass;
-              Lsra.Allocator.Poletto;
-            ])
+            Lsra.Allocator.heuristics)
         corpus_machines)
     Lsra_workloads.Mini_corpus.all
 

@@ -39,7 +39,7 @@ let test_figure2_pair_becomes_move () =
   let prog = prog_of_func f in
   let copy = Program.copy prog in
   let f' = Program.find_exn copy "fig2" in
-  ignore (Lsra.Second_chance.run machine f');
+  second_chance machine f';
   let b3_loads_before =
     Array.to_list (Block.body (Cfg.block (Func.cfg f') "B3"))
     |> List.filter (fun i ->

@@ -15,14 +15,6 @@ let machines =
     ("tiny-4", Machine.small ~int_regs:4 ~float_regs:4 ());
   ]
 
-let heuristics =
-  [
-    ("gc", Lsra.Allocator.Graph_coloring);
-    ("binpack", Lsra.Allocator.default_second_chance);
-    ("twopass", Lsra.Allocator.Two_pass);
-    ("poletto", Lsra.Allocator.Poletto);
-  ]
-
 (* Generous search budget: the generated programs are small, and a
    budget skip would silently weaken the property. *)
 let opts =
@@ -58,15 +50,16 @@ let run_one ~mname machine seed =
       | exact_stats ->
         let exact = Lsra.Stats.total_spill exact_stats in
         List.iter
-          (fun (hname, algo) ->
+          (fun algo ->
             let hs = Lsra.Allocator.run algo machine (Func.copy f) in
             if Lsra.Stats.total_spill hs < exact then
               QCheck.Test.fail_reportf
                 "[%s seed %d] %s beats the optimum on %s: %d < %d" mname seed
-                hname fname
+                (Lsra.Allocator.short_name algo)
+                fname
                 (Lsra.Stats.total_spill hs)
                 exact)
-          heuristics)
+          Lsra.Allocator.heuristics)
     (Program.funcs prog);
   match
     Lsra_sim.Diffexec.check ~input:"optimal" machine
@@ -183,29 +176,42 @@ let test_proven_counters () =
       Alcotest.(check int) "no downgrade" 0 stats.Lsra.Stats.downgrades)
     (Program.funcs prog)
 
-(* [Optimal.run] charges each call exactly once: the GC words it
-   reports equal a [Gc.quick_stat] delta taken around the call, whether
-   it adopts a heuristic rung, emits its own solution or falls back to
-   coloring on a blown budget. [Gc.quick_stat] counts minor words a
-   minor heap at a time, so an empty minor heap at the start keeps the
-   few words allocated before the call's own snapshot from crossing a
-   collection. *)
+(* [Allocator.run] measures each call exactly once, whichever allocator
+   it dispatches to: the GC words it reports equal a [Gc.quick_stat]
+   delta taken around the call — also when the exact allocator adopts a
+   heuristic rung, emits its own solution or falls back to coloring on a
+   blown budget — and the call's time is recorded. [Gc.quick_stat]
+   counts minor words a minor heap at a time, so an empty minor heap at
+   the start keeps the few words allocated before the call's own
+   snapshot from crossing a collection. *)
 let test_cost_counted_once () =
   let m = Machine.alpha_like in
+  let blown =
+    Lsra.Allocator.Optimal
+      { Lsra.Optimal.default_options with Lsra.Optimal.node_budget = 1 }
+  in
   List.iter
     (fun (case : Lsra_workloads.Specbench.case) ->
       List.iter
         (fun (fname, f) ->
-          let f = Func.copy f in
-          Gc.minor ();
-          let g0 = Gc.quick_stat () in
-          let stats = Lsra.Optimal.run m f in
-          let g1 = Gc.quick_stat () in
-          Alcotest.(check (float 0.))
-            (Printf.sprintf "%s/%s minor words"
-               case.Lsra_workloads.Specbench.name fname)
-            (g1.Gc.minor_words -. g0.Gc.minor_words)
-            stats.Lsra.Stats.minor_words)
+          List.iter
+            (fun algo ->
+              let f = Func.copy f in
+              Gc.minor ();
+              let g0 = Gc.quick_stat () in
+              let s = Lsra.Allocator.run algo m f in
+              let g1 = Gc.quick_stat () in
+              let what =
+                String.concat "/"
+                  [ case.name; fname; Lsra.Allocator.short_name algo ]
+              in
+              Alcotest.(check (float 0.)) (what ^ " minor words")
+                (g1.Gc.minor_words -. g0.Gc.minor_words)
+                s.Lsra.Stats.minor_words;
+              Alcotest.(check bool) (what ^ " timed") true (s.alloc_time > 0.);
+              if algo == blown then
+                Alcotest.(check int) (what ^ " budget blown") 1 s.downgrades)
+            (Lsra.Allocator.all @ [ blown ]))
         (Program.funcs case.Lsra_workloads.Specbench.program))
     (Lsra_workloads.Specbench.all m ~scale:1)
 

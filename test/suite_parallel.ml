@@ -68,7 +68,8 @@ let test_fold_stats_deterministic () =
       let machine, prog = gen_prog ~machine 7 in
       let totals jobs =
         let p = Program.copy prog in
-        Lsra.Second_chance.run_program ~jobs machine p
+        Lsra.Allocator.run_program ~jobs Lsra.Allocator.default_second_chance
+          machine p
       in
       let s1 = totals 1 and s4 = totals 4 in
       Alcotest.(check int)

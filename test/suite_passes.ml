@@ -78,12 +78,7 @@ let test_pipeline_verifies_all_algorithms () =
       let prog = prog_of_func (Func.copy f) in
       (* must not raise *)
       ignore (Lsra.Allocator.pipeline ~verify:true algo machine prog))
-    [
-      Lsra.Allocator.default_second_chance;
-      Lsra.Allocator.Graph_coloring;
-      Lsra.Allocator.Two_pass;
-      Lsra.Allocator.Poletto;
-    ]
+    Lsra.Allocator.heuristics
 
 let test_pipeline_cleanup_verifies () =
   (* verify + full cleanup must compose: every pass's output is
@@ -258,13 +253,7 @@ let test_allocator_names () =
   Alcotest.(check bool) "names are distinct" true
     (List.length
        (List.sort_uniq compare
-          (List.map Lsra.Allocator.short_name
-             [
-               Lsra.Allocator.default_second_chance;
-               Lsra.Allocator.Graph_coloring;
-               Lsra.Allocator.Two_pass;
-               Lsra.Allocator.Poletto;
-             ]))
+          (List.map Lsra.Allocator.short_name Lsra.Allocator.heuristics))
     = 4)
 
 let suite =

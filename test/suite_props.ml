@@ -16,18 +16,15 @@ let machines =
 
 let algorithms =
   [
-    ("second-chance", fun m f -> ignore (Lsra.Second_chance.run m f));
+    ("second-chance", fun m f -> Helpers.second_chance m f);
     ( "second-chance-conservative",
-      fun m f ->
-        ignore
-          (Lsra.Second_chance.run
-             ~opts:
-               {
-                 Lsra.Binpack.early_second_chance = true;
-                 move_opt = true;
-                 consistency = Lsra.Binpack.Conservative;
-               }
-             m f) );
+      Helpers.second_chance
+        ~opts:
+          {
+            Lsra.Binpack.early_second_chance = true;
+            move_opt = true;
+            consistency = Lsra.Binpack.Conservative;
+          } );
     ("coloring", fun m f -> ignore (Lsra.Coloring.run m f));
     ("two-pass", fun m f -> ignore (Lsra.Two_pass.run m f));
     ("poletto", fun m f -> ignore (Lsra.Poletto.run m f));

@@ -56,7 +56,9 @@ let test_figure2_resolution () =
   ignore outcome;
   (* verify the static shape on a fresh copy *)
   let f' = Program.find_exn (Program.copy prog) "fig2" in
-  let stats = Lsra.Second_chance.run machine f' in
+  let stats =
+    Lsra.Allocator.run Lsra.Allocator.default_second_chance machine f'
+  in
   Alcotest.(check int) "one eviction store (i5)" 1
     stats.Lsra.Stats.evict_stores;
   Alcotest.(check int) "one second-chance reload (i6)" 1
@@ -154,7 +156,7 @@ let test_critical_edge_split () =
   in
   ignore outcome;
   let f' = Program.find_exn (Program.copy prog) "crit" in
-  ignore (Lsra.Second_chance.run machine f');
+  second_chance machine f';
   Alcotest.(check bool) "no fewer blocks after resolution" true
     (Cfg.n_blocks (Func.cfg f') >= n_blocks_before)
 
@@ -200,7 +202,9 @@ let consistency_prog ~pressure =
 
 let allocate_consist prog =
   let f = Program.find_exn (Program.copy prog) "consist" in
-  (f, Lsra.Second_chance.run consistency_machine f)
+  ( f,
+    Lsra.Allocator.run Lsra.Allocator.default_second_chance
+      consistency_machine f )
 
 let test_consistency_paths () =
   let prog = consistency_prog ~pressure:true in
@@ -258,7 +262,9 @@ let test_early_second_chance_move () =
     let copy = Program.copy prog in
     let stats = ref (Lsra.Stats.create ()) in
     List.iter
-      (fun (_, fn) -> stats := Lsra.Second_chance.run ~opts machine fn)
+      (fun (_, fn) ->
+        stats :=
+          Lsra.Allocator.run (Lsra.Allocator.Second_chance opts) machine fn)
       (Program.funcs copy);
     (copy, !stats)
   in

@@ -5,14 +5,6 @@ open Lsra_target
    sizes, differentially and verified — rotation sizes are swept right
    down to machines where the permutation cannot fit in registers. *)
 
-let algorithms =
-  [
-    ("binpack", Lsra.Allocator.default_second_chance);
-    ("gc", Lsra.Allocator.Graph_coloring);
-    ("twopass", Lsra.Allocator.Two_pass);
-    ("poletto", Lsra.Allocator.Poletto);
-  ]
-
 let check name machine prog =
   let reference = Lsra_sim.Interp.run machine prog ~input:"zyxwvut" in
   let ref_out =
@@ -21,7 +13,8 @@ let check name machine prog =
     | Error e -> Alcotest.failf "%s: reference trapped: %s" name e
   in
   List.iter
-    (fun (aname, algo) ->
+    (fun algo ->
+      let aname = Lsra.Allocator.short_name algo in
       let copy = Program.copy prog in
       List.iter
         (fun (n, f) ->
@@ -39,7 +32,7 @@ let check name machine prog =
           (Printf.sprintf "%s under %s" name aname)
           ref_out o.Lsra_sim.Interp.output
       | Error e -> Alcotest.failf "%s/%s trapped: %s" name aname e)
-    algorithms
+    Lsra.Allocator.heuristics
 
 let machines =
   [

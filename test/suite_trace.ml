@@ -76,7 +76,9 @@ let has f events = List.exists f events
 let alloc_with_trace ~opts machine func =
   let trace = Trace.create () in
   let original = Func.copy func in
-  let stats = Lsra.Second_chance.run ~opts ~trace machine func in
+  let stats =
+    Lsra.Allocator.run ~trace (Lsra.Allocator.Second_chance opts) machine func
+  in
   (match Lsra.Verify.check machine ~original ~allocated:func with
   | Ok () -> ()
   | Error e ->

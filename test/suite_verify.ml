@@ -31,7 +31,7 @@ let make_func () =
 let allocated_pair () =
   let f = make_func () in
   let original = Func.copy f in
-  ignore (Lsra.Second_chance.run machine f);
+  Helpers.second_chance machine f;
   (original, f)
 
 let expect_reject name original allocated =
@@ -79,7 +79,7 @@ let test_rejects_dropped_spill_store () =
   let machine = Machine.small ~int_regs:3 ~float_regs:3 () in
   let f = Helpers.pressure_func ~width:6 ~iters:4 in
   let original = Func.copy f in
-  ignore (Lsra.Second_chance.run machine f);
+  Helpers.second_chance machine f;
   let deleted = ref false in
   Cfg.iter_blocks
     (fun b ->
@@ -107,7 +107,7 @@ let test_rejects_swapped_resolution_moves () =
   let machine = Machine.small ~int_regs:3 ~float_regs:3 () in
   let f = Helpers.pressure_func ~width:6 ~iters:4 in
   let original = Func.copy f in
-  ignore (Lsra.Second_chance.run machine f);
+  Helpers.second_chance machine f;
   let changed = ref false in
   Cfg.iter_blocks
     (fun b ->
@@ -370,12 +370,7 @@ let test_all_allocators_verify_on_workloads () =
                   (Lsra.Allocator.short_name algo)
                   n e.Lsra.Verify.what e.Lsra.Verify.where)
             (Program.funcs copy))
-        [
-          Lsra.Allocator.default_second_chance;
-          Lsra.Allocator.Graph_coloring;
-          Lsra.Allocator.Two_pass;
-          Lsra.Allocator.Poletto;
-        ])
+        Lsra.Allocator.heuristics)
     (Lsra_workloads.Specbench.all machine ~scale:1)
 
 let suite =

@@ -4,14 +4,6 @@ open Lsra_target
 (* Every synthetic benchmark, compiled by every allocator, must verify
    and behave exactly like the unallocated program. *)
 
-let algorithms =
-  [
-    ("binpack", Lsra.Allocator.default_second_chance);
-    ("gc", Lsra.Allocator.Graph_coloring);
-    ("twopass", Lsra.Allocator.Two_pass);
-    ("poletto", Lsra.Allocator.Poletto);
-  ]
-
 let check_case machine (case : Lsra_workloads.Specbench.case) =
   let reference =
     Lsra_sim.Interp.run machine case.Lsra_workloads.Specbench.program
@@ -29,7 +21,8 @@ let check_case machine (case : Lsra_workloads.Specbench.case) =
     true
     (String.length ref_out > 0);
   List.iter
-    (fun (aname, algo) ->
+    (fun algo ->
+      let aname = Lsra.Allocator.short_name algo in
       let copy = Program.copy case.Lsra_workloads.Specbench.program in
       List.iter
         (fun (fname, f) ->
@@ -42,7 +35,7 @@ let check_case machine (case : Lsra_workloads.Specbench.case) =
               case.Lsra_workloads.Specbench.name aname fname
               e.Lsra.Verify.where e.Lsra.Verify.what)
         (Program.funcs copy);
-      ignore (Lsra.Peephole.run_program copy);
+      ignore (Lsra.Passes.run_pass Lsra.Passes.Peephole copy);
       match
         Lsra_sim.Interp.run machine copy
           ~input:case.Lsra_workloads.Specbench.input
@@ -55,7 +48,7 @@ let check_case machine (case : Lsra_workloads.Specbench.case) =
       | Error e ->
         Alcotest.failf "%s/%s: allocated run trapped: %s"
           case.Lsra_workloads.Specbench.name aname e)
-    algorithms
+    Lsra.Allocator.heuristics
 
 let machine_tests machine mname =
   List.map
