@@ -95,17 +95,6 @@ let total_spill s =
   s.evict_loads + s.evict_stores + s.evict_moves + s.resolve_loads
   + s.resolve_stores + s.resolve_moves
 
-let pass_time s = function
-  | Liveness -> s.time_liveness
-  | Lifetime -> s.time_lifetime
-  | Scan -> s.time_scan
-  | Resolution -> s.time_resolution
-  | Copyprop -> s.time_copyprop
-  | Dce -> s.time_dce
-  | Motion -> s.time_motion
-  | Peephole -> s.time_peephole
-  | Slots -> s.time_slots
-
 let add_pass_time s pass dt =
   match pass with
   | Liveness -> s.time_liveness <- s.time_liveness +. dt

@@ -76,9 +76,6 @@ val n_passes : int
 (** Dense index of a pass, for [pass_minor_words]. *)
 val pass_index : pass -> int
 
-(** Accumulated wall seconds recorded for a pass. *)
-val pass_time : t -> pass -> float
-
 (** Seconds elapsed since [t0], a [Monotonic_clock.now ()] reading (in
     nanoseconds). The clock never steps backwards, so neither does a
     duration. *)
