@@ -1,5 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§3) on the synthetic workload suite.
+   evaluation (§3) on the synthetic workload suite, plus the oracle and
+   serving benchmarks.
 
      table1   — dynamic instruction counts and modelled run times
      table2   — % of dynamic instructions that are spill code
@@ -8,10 +9,19 @@
      twopass  — §3.1: two-pass binpacking vs. second chance on wc/eqntott
      ablation — §2.5/§2.6 options: early second chance, move opt,
                 consistency dataflow variants
-     bechamel — statistically robust allocation-time microbenchmarks
-                (one Bechamel test per Table-3 module and per allocator)
+     layout   — resolution traffic under three block layouts
+     frames   — spill slots before and after frame compaction
+     corpus   — the Minilang corpus under binpack and coloring
+     optgap   — each heuristic's distance from the exact optimum
+                (BENCH_optgap.json)
+     jit      — allocation, emission and native-run walls (BENCH_jit.json)
+     perfdump — allocation throughput at 1 and N jobs (BENCH_alloc.json)
+     service  — corpus replay from socket clients through a served,
+                journalled cache, then a restart (BENCH_service.json)
+     fuzz     — seeded differential-execution fuzzing
 
-   Run with no argument for everything except `bechamel`. *)
+   Run with no argument for table1 through corpus. Each BENCH_*.json
+   artifact is one line of JSON. *)
 
 open Lsra_ir
 open Lsra_target
@@ -65,6 +75,22 @@ let bench_out_path file =
     in
     mkdirs dir;
     Filename.concat dir file
+
+(* Writes [v] as one line of JSON to [file] under the artifact directory;
+   returns the path written. *)
+let write_json file (v : Lsra.Json.t) =
+  let path = bench_out_path file in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc (Lsra.Json.to_string v);
+      Out_channel.output_char oc '\n');
+  path
+
+(* [f ()] and its monotonic wall time in seconds. Wall, not [Sys.time]:
+   CPU time sums over domains and would hide any parallel speedup. *)
+let timed f =
+  let t0 = Monotonic_clock.now () in
+  let r = f () in
+  (r, Lsra.Stats.seconds_since t0)
 
 (* ------------------------------------------------------------------ *)
 (* Shared plumbing                                                     *)
@@ -191,17 +217,18 @@ let figure3 () =
 
 (* ------------------------------------------------------------------ *)
 
-(* Wall clock, not [Sys.time]: CPU time sums over domains and would hide
-   any parallel speedup. The copy the allocator mutates is made outside
-   the timed region, so only allocation is measured. Returns the best
-   time and the last run's stats. *)
+(* The copy the allocator mutates is made outside the timed region, so
+   only allocation is measured. Returns the best time and the last run's
+   stats. *)
 let best_of_5_alloc ?jobs algo prog =
   let best = ref infinity and stats = ref (Lsra.Stats.create ()) in
   for _ = 1 to 5 do
     let p = Program.copy prog in
-    let t0 = Unix.gettimeofday () in
-    stats := Lsra.Allocator.run_program ?jobs algo machine p;
-    best := min !best (Unix.gettimeofday () -. t0)
+    let s, t =
+      timed (fun () -> Lsra.Allocator.run_program ?jobs algo machine p)
+    in
+    stats := s;
+    best := min !best t
   done;
   (!best, !stats)
 
@@ -478,123 +505,129 @@ let optgap () =
   let heuristics =
     [ coloring; binpack; Lsra.Allocator.Two_pass; Lsra.Allocator.Poletto ]
   in
-  let buf = Buffer.create 4096 in
-  Printf.bprintf buf
-    "{\n  \"bench\": \"optgap\",\n  \"scale\": %d,\n  \"node_budget\": %d,\n\
-    \  \"machines\": [" scale node_budget;
   (* [beats] holds a Diverge per heuristic that beat the optimum (an
      optimality bug by construction), [oracle] the differential check of
      each exact allocation. *)
   let beats = Sweep.tally () and oracle = Sweep.tally () in
-  List.iteri
-    (fun mi (mname, m) ->
-      if mi > 0 then Buffer.add_string buf ",";
-      Printf.printf "optgap on %s (node budget %d):\n" mname node_budget;
-      let cases = Sweep.corpus ~pressure:false ~scale m in
-      (* gaps.(h) collects (heuristic spill - exact spill) per measured
-         function, one slot per heuristic, measurement order. *)
-      let gaps = Array.make (List.length heuristics) [] in
-      let measured = ref 0 and skipped = ref 0 in
-      Sweep.run oracle cases
-        [ Lsra.Allocator.Optimal opts ]
-        (fun { Sweep.name; program; input } algo ->
-          List.iter
-            (fun (fname, f) ->
-              match
-                Lsra.Optimal.run_exact ~opts m (Lsra_ir.Func.copy f)
-              with
-              | exception Lsra.Optimal.Budget_exceeded _ -> incr skipped
-              | exact_stats ->
-                let exact = Lsra.Stats.total_spill exact_stats in
-                incr measured;
-                List.iteri
-                  (fun hi h ->
-                    let st = Lsra.Allocator.run h m (Lsra_ir.Func.copy f) in
-                    let gap = Lsra.Stats.total_spill st - exact in
-                    if gap < 0 then begin
-                      let why =
-                        Printf.sprintf "%s beats optimal on %s/%s (%d < %d)"
-                          (Lsra.Allocator.short_name h)
-                          name fname
-                          (Lsra.Stats.total_spill st)
-                          exact
-                      in
-                      Printf.printf "  VIOLATION: %s\n" why;
-                      Sweep.record beats (Sweep.Diverge why)
-                    end;
-                    gaps.(hi) <- gap :: gaps.(hi))
-                  heuristics)
-            (Program.funcs program);
-          (* The exact allocator's output must survive the strongest
-             oracle we have: differential execution with the abstract
-             verifier and trace replay-check inside. *)
-          match Lsra_sim.Diffexec.check ~input m algo program with
-          | Ok () -> Sweep.Pass
-          | Error d ->
-            Printf.printf "  DIVERGENCE on %s: %s\n" name
-              (Lsra_sim.Diffexec.divergence_to_string d);
-            Sweep.of_divergence d);
-      Printf.printf
-        "  %d function(s) solved to optimality, %d skipped (over budget)\n"
-        !measured !skipped;
-      Printf.bprintf buf
-        "\n    { \"machine\": %S, \"functions\": %d, \"skipped_budget\": %d,\n\
-        \      \"allocators\": [" mname !measured !skipped;
-      Printf.printf "  %-10s %8s %8s %8s %8s %8s\n" "allocator" "mean"
-        "p95" "max" "ties" "beats";
-      List.iteri
-        (fun hi h ->
-          let hname = Lsra.Allocator.short_name h in
-          let g = Array.of_list (List.rev gaps.(hi)) in
-          Array.sort compare g;
-          let n = Array.length g in
-          let mean =
-            if n = 0 then 0.0
-            else
-              float_of_int (Array.fold_left ( + ) 0 g) /. float_of_int n
-          in
-          let p95 = if n = 0 then 0 else g.(min (n - 1) (n * 95 / 100)) in
-          let maxg = if n = 0 then 0 else g.(n - 1) in
-          let ties = Array.fold_left (fun a x -> if x = 0 then a + 1 else a) 0 g in
-          let beats =
-            Array.fold_left (fun a x -> if x < 0 then a + 1 else a) 0 g
-          in
-          Printf.printf "  %-10s %8.3f %8d %8d %8d %8d\n" hname mean p95 maxg
-            ties beats;
-          (* Histogram over distinct gap values, ascending. *)
-          let hist = Hashtbl.create 16 in
-          Array.iter
-            (fun x ->
-              Hashtbl.replace hist x
-                (1 + Option.value ~default:0 (Hashtbl.find_opt hist x)))
-            g;
-          let entries =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) hist []
-            |> List.sort compare
-          in
-          if hi > 0 then Buffer.add_string buf ",";
-          Printf.bprintf buf
-            "\n        { \"name\": %S, \"mean_gap\": %.4f, \"p95_gap\": %d, \
-             \"max_gap\": %d, \"optimal_ties\": %d, \"beats_optimal\": %d,\n\
-            \          \"histogram\": [" hname mean p95 maxg ties beats;
-          List.iteri
-            (fun k (gap, count) ->
-              if k > 0 then Buffer.add_string buf ", ";
-              Printf.bprintf buf "{ \"gap\": %d, \"count\": %d }" gap count)
-            entries;
-          Buffer.add_string buf "] }")
-        heuristics;
-      Buffer.add_string buf " ] }";
-      print_newline ())
-    Sweep.bench_machines;
+  let machines =
+    List.map
+      (fun (mname, m) ->
+        Printf.printf "optgap on %s (node budget %d):\n" mname node_budget;
+        let cases = Sweep.corpus ~pressure:false ~scale m in
+        (* gaps.(h) collects (heuristic spill - exact spill) per measured
+           function, one slot per heuristic, measurement order. *)
+        let gaps = Array.make (List.length heuristics) [] in
+        let measured = ref 0 and skipped = ref 0 in
+        Sweep.run oracle cases
+          [ Lsra.Allocator.Optimal opts ]
+          (fun { Sweep.name; program; input } algo ->
+            List.iter
+              (fun (fname, f) ->
+                match
+                  Lsra.Optimal.run_exact ~opts m (Lsra_ir.Func.copy f)
+                with
+                | exception Lsra.Optimal.Budget_exceeded _ -> incr skipped
+                | exact_stats ->
+                  let exact = Lsra.Stats.total_spill exact_stats in
+                  incr measured;
+                  List.iteri
+                    (fun hi h ->
+                      let st = Lsra.Allocator.run h m (Lsra_ir.Func.copy f) in
+                      let gap = Lsra.Stats.total_spill st - exact in
+                      if gap < 0 then begin
+                        let why =
+                          Printf.sprintf "%s beats optimal on %s/%s (%d < %d)"
+                            (Lsra.Allocator.short_name h)
+                            name fname
+                            (Lsra.Stats.total_spill st)
+                            exact
+                        in
+                        Printf.printf "  VIOLATION: %s\n" why;
+                        Sweep.record beats (Sweep.Diverge why)
+                      end;
+                      gaps.(hi) <- gap :: gaps.(hi))
+                    heuristics)
+              (Program.funcs program);
+            (* The exact allocator's output must survive the strongest
+               oracle we have: differential execution with the abstract
+               verifier and trace replay-check inside. *)
+            match Lsra_sim.Diffexec.check ~input m algo program with
+            | Ok () -> Sweep.Pass
+            | Error d ->
+              Printf.printf "  DIVERGENCE on %s: %s\n" name
+                (Lsra_sim.Diffexec.divergence_to_string d);
+              Sweep.of_divergence d);
+        Printf.printf
+          "  %d function(s) solved to optimality, %d skipped (over budget)\n"
+          !measured !skipped;
+        Printf.printf "  %-10s %8s %8s %8s %8s %8s\n" "allocator" "mean"
+          "p95" "max" "ties" "beats";
+        let allocators =
+          List.mapi
+            (fun hi h ->
+              let hname = Lsra.Allocator.short_name h in
+              let g = Array.of_list (List.rev gaps.(hi)) in
+              Array.sort compare g;
+              let n = Array.length g in
+              let mean =
+                if n = 0 then 0.0
+                else
+                  float_of_int (Array.fold_left ( + ) 0 g) /. float_of_int n
+              in
+              let p95 = if n = 0 then 0 else g.(min (n - 1) (n * 95 / 100)) in
+              let maxg = if n = 0 then 0 else g.(n - 1) in
+              let count p =
+                Array.fold_left (fun a x -> if p x then a + 1 else a) 0 g
+              in
+              let ties = count (fun x -> x = 0) in
+              let beats = count (fun x -> x < 0) in
+              Printf.printf "  %-10s %8.3f %8d %8d %8d %8d\n" hname mean p95
+                maxg ties beats;
+              (* Histogram over distinct gap values, ascending. *)
+              let hist = Hashtbl.create 16 in
+              Array.iter
+                (fun x ->
+                  Hashtbl.replace hist x
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt hist x)))
+                g;
+              let entries =
+                Hashtbl.fold (fun k v acc -> (k, v) :: acc) hist []
+                |> List.sort compare
+              in
+              `Assoc
+                [
+                  ("name", `String hname); ("mean_gap", `Float mean);
+                  ("p95_gap", `Int p95); ("max_gap", `Int maxg);
+                  ("optimal_ties", `Int ties); ("beats_optimal", `Int beats);
+                  ( "histogram",
+                    `List
+                      (List.map
+                         (fun (gap, count) ->
+                           `Assoc [ ("gap", `Int gap); ("count", `Int count) ])
+                         entries) );
+                ])
+            heuristics
+        in
+        print_newline ();
+        `Assoc
+          [
+            ("machine", `String mname); ("functions", `Int !measured);
+            ("skipped_budget", `Int !skipped); ("allocators", `List allocators);
+          ])
+      Sweep.bench_machines
+  in
   let violations = beats.Sweep.diverged
   and divergences = oracle.Sweep.diverged + oracle.Sweep.rejected in
-  Printf.bprintf buf
-    "\n  ],\n  \"violations\": %d,\n  \"diffexec_divergences\": %d\n}\n"
-    violations divergences;
-  let out = bench_out_path "BENCH_optgap.json" in
-  Out_channel.with_open_text out (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf));
+  let out =
+    write_json "BENCH_optgap.json"
+      (`Assoc
+        [
+          ("bench", `String "optgap"); ("scale", `Int scale);
+          ("node_budget", `Int node_budget); ("machines", `List machines);
+          ("violations", `Int violations);
+          ("diffexec_divergences", `Int divergences);
+        ])
+  in
   Printf.printf "wrote %s\n" out;
   if violations > 0 || divergences > 0 then
     Printf.eprintf
@@ -614,305 +647,262 @@ let optgap () =
    { "available": false } and exits 0 so CI can always archive the
    artifact. *)
 let jit () =
-  let buf = Buffer.create 4096 in
-  let out () =
-    let path = bench_out_path "BENCH_jit.json" in
-    Out_channel.with_open_text path (fun oc ->
-        Out_channel.output_string oc (Buffer.contents buf));
-    Printf.printf "wrote %s\n" path
+  let available = Lsra_native.Exec.available () in
+  let write fields =
+    Printf.printf "wrote %s\n"
+      (write_json "BENCH_jit.json"
+         (`Assoc
+           (("bench", `String "jit") :: ("available", `Bool available)
+           :: ("scale", `Int scale) :: fields)))
   in
-  if not (Lsra_native.Exec.available ()) then begin
+  if not available then begin
     print_endline
       "jit: native execution unavailable on this host (not x86-64); \
        skipping";
-    Printf.bprintf buf
-      "{\n  \"bench\": \"jit\",\n  \"available\": false,\n  \"scale\": %d\n}\n"
-      scale;
-    out ()
+    write []
   end
   else begin
     (* The four heuristics; the exact allocator's output is native-checked
        by lsra_tool jit. *)
     let allocators = Lsra.Allocator.heuristics in
-    Printf.bprintf buf
-      "{\n  \"bench\": \"jit\",\n  \"available\": true,\n  \"scale\": %d,\n\
-      \  \"fingerprint\": %S,\n  \"machines\": [" scale
-      Lsra_native.Lower.fingerprint;
     let tally = Sweep.tally () in
-    List.iteri
-      (fun mi (mname, m) ->
-        if mi > 0 then Buffer.add_string buf ",";
-        Printf.printf "jit on %s:\n" mname;
-        Printf.printf "  %-10s %10s %10s %12s %10s %10s %8s\n" "allocator"
-          "alloc-ms" "emit-ms" "emit-MB/s" "interp-ms" "native-ms"
-          "speedup";
-        Printf.bprintf buf "\n    { \"machine\": %S, \"allocators\": ["
-          mname;
-        let cases = Sweep.corpus ~pressure:false ~scale m in
-        List.iteri
-          (fun ai algo ->
-            let aname = Lsra.Allocator.short_name algo in
-            let programs = ref 0
-            and alloc_s = ref 0.0
-            and emit_s = ref 0.0
-            and bytes = ref 0
-            and interp_s = ref 0.0
-            and native_s = ref 0.0 in
-            Sweep.run tally cases [ algo ]
-              (fun { Sweep.name; program; input } algo ->
-                let diverge why =
-                  Printf.printf "  DIVERGENCE %s under %s: %s\n" name aname
-                    why;
-                  Sweep.Diverge why
-                in
-                let copy = Program.copy program in
-                let t0 = Unix.gettimeofday () in
-                ignore
-                  (Lsra.Allocator.pipeline ~precheck:false ~verify:false
-                     algo m copy);
-                let t1 = Unix.gettimeofday () in
-                match Lsra_native.Lower.compile m copy with
-                | Error e -> diverge ("emission failed: " ^ e)
-                | Ok compiled -> (
-                  let t2 = Unix.gettimeofday () in
-                  match Lsra_sim.Interp.run m copy ~input with
-                  | Error e ->
-                    (* A post-allocation interpreter trap is an allocator
-                       finding owned by diffcheck, not a native one;
-                       nothing to compare against. *)
-                    Sweep.Skip ("allocated program traps: " ^ e)
-                  | Ok expected -> (
-                    let t3 = Unix.gettimeofday () in
-                    let o =
-                      Lsra_native.Exec.run_compiled ~input compiled
-                        ~heap_words:(Program.heap_words program)
+    let machines =
+      List.map
+        (fun (mname, m) ->
+          Printf.printf "jit on %s:\n" mname;
+          Printf.printf "  %-10s %10s %10s %12s %10s %10s %8s\n" "allocator"
+            "alloc-ms" "emit-ms" "emit-MB/s" "interp-ms" "native-ms"
+            "speedup";
+          let cases = Sweep.corpus ~pressure:false ~scale m in
+          let rows =
+            List.map
+              (fun algo ->
+                let aname = Lsra.Allocator.short_name algo in
+                let programs = ref 0
+                and alloc_s = ref 0.0
+                and emit_s = ref 0.0
+                and bytes = ref 0
+                and interp_s = ref 0.0
+                and native_s = ref 0.0 in
+                Sweep.run tally cases [ algo ]
+                  (fun { Sweep.name; program; input } algo ->
+                    let diverge why =
+                      Printf.printf "  DIVERGENCE %s under %s: %s\n" name aname
+                        why;
+                      Sweep.Diverge why
                     in
-                    let t4 = Unix.gettimeofday () in
-                    match o.Lsra_native.Exec.trap with
-                    | Some t -> diverge ("native run trapped: " ^ t)
-                    | None
-                      when o.Lsra_native.Exec.output
-                           <> expected.Lsra_sim.Interp.output ->
-                      diverge "output mismatch"
-                    | None -> (
-                      incr programs;
-                      alloc_s := !alloc_s +. (t1 -. t0);
-                      emit_s := !emit_s +. (t2 -. t1);
-                      bytes := !bytes + o.Lsra_native.Exec.code_bytes;
-                      interp_s := !interp_s +. (t3 -. t2);
-                      native_s := !native_s +. (t4 -. t3);
-                      match expected.Lsra_sim.Interp.ret with
-                      | Lsra_sim.Value.Int k when k <> o.Lsra_native.Exec.ret
-                        ->
-                        diverge "return-value mismatch"
-                      | _ -> Sweep.Pass))));
-            let mb_s =
-              if !emit_s > 0.0 then
-                float_of_int !bytes /. !emit_s /. 1.0e6
-              else 0.0
-            in
-            let speedup =
-              if !native_s > 0.0 then !interp_s /. !native_s else 0.0
-            in
-            Printf.printf
-              "  %-10s %10.2f %10.2f %12.1f %10.2f %10.2f %7.1fx\n" aname
-              (!alloc_s *. 1e3) (!emit_s *. 1e3) mb_s (!interp_s *. 1e3)
-              (!native_s *. 1e3) speedup;
-            if ai > 0 then Buffer.add_string buf ",";
-            Printf.bprintf buf
-              "\n        { \"name\": %S, \"programs\": %d, \"alloc_ms\": \
-               %.3f, \"emit_ms\": %.3f,\n\
-              \          \"code_bytes\": %d, \"emit_mb_per_s\": %.1f, \
-               \"interp_ms\": %.3f, \"native_ms\": %.3f,\n\
-              \          \"native_speedup\": %.2f }" aname !programs
-              (!alloc_s *. 1e3) (!emit_s *. 1e3) !bytes mb_s
-              (!interp_s *. 1e3) (!native_s *. 1e3) speedup)
-          allocators;
-        Buffer.add_string buf " ] }";
-        print_newline ())
-      Sweep.bench_machines;
-    Printf.bprintf buf
-      "\n  ],\n  \"skipped\": %d,\n  \"divergences\": %d\n}\n"
-      tally.Sweep.skipped tally.Sweep.diverged;
-    out ();
+                    let copy = Program.copy program in
+                    let (), alloc =
+                      timed (fun () ->
+                          ignore
+                            (Lsra.Allocator.pipeline ~precheck:false
+                               ~verify:false algo m copy))
+                    in
+                    let lower () = Lsra_native.Lower.compile m copy in
+                    let interpret () = Lsra_sim.Interp.run m copy ~input in
+                    match timed lower with
+                    | Error e, _ -> diverge ("emission failed: " ^ e)
+                    | Ok compiled, emit -> (
+                      match timed interpret with
+                      | Error e, _ ->
+                        (* A post-allocation interpreter trap is an allocator
+                           finding owned by diffcheck, not a native one;
+                           nothing to compare against. *)
+                        Sweep.Skip ("allocated program traps: " ^ e)
+                      | Ok expected, interp -> (
+                        let o, native =
+                          timed (fun () ->
+                              Lsra_native.Exec.run_compiled ~input compiled
+                                ~heap_words:(Program.heap_words program))
+                        in
+                        match o.Lsra_native.Exec.trap with
+                        | Some t -> diverge ("native run trapped: " ^ t)
+                        | None
+                          when o.Lsra_native.Exec.output
+                               <> expected.Lsra_sim.Interp.output ->
+                          diverge "output mismatch"
+                        | None -> (
+                          incr programs;
+                          alloc_s := !alloc_s +. alloc;
+                          emit_s := !emit_s +. emit;
+                          bytes := !bytes + o.Lsra_native.Exec.code_bytes;
+                          interp_s := !interp_s +. interp;
+                          native_s := !native_s +. native;
+                          match expected.Lsra_sim.Interp.ret with
+                          | Lsra_sim.Value.Int k
+                            when k <> o.Lsra_native.Exec.ret ->
+                            diverge "return-value mismatch"
+                          | _ -> Sweep.Pass))));
+                let mb_s =
+                  if !emit_s > 0.0 then float_of_int !bytes /. !emit_s /. 1.0e6
+                  else 0.0
+                in
+                let speedup =
+                  if !native_s > 0.0 then !interp_s /. !native_s else 0.0
+                in
+                Printf.printf
+                  "  %-10s %10.2f %10.2f %12.1f %10.2f %10.2f %7.1fx\n" aname
+                  (!alloc_s *. 1e3) (!emit_s *. 1e3) mb_s (!interp_s *. 1e3)
+                  (!native_s *. 1e3) speedup;
+                `Assoc
+                  [
+                    ("name", `String aname); ("programs", `Int !programs);
+                    ("alloc_ms", `Float (!alloc_s *. 1e3));
+                    ("emit_ms", `Float (!emit_s *. 1e3));
+                    ("code_bytes", `Int !bytes); ("emit_mb_per_s", `Float mb_s);
+                    ("interp_ms", `Float (!interp_s *. 1e3));
+                    ("native_ms", `Float (!native_s *. 1e3));
+                    ("native_speedup", `Float speedup);
+                  ])
+              allocators
+          in
+          print_newline ();
+          `Assoc [ ("machine", `String mname); ("allocators", `List rows) ])
+        Sweep.bench_machines
+    in
+    write
+      [
+        ("fingerprint", `String Lsra_native.Lower.fingerprint);
+        ("machines", `List machines);
+        ("skipped", `Int tally.Sweep.skipped);
+        ("divergences", `Int tally.Sweep.diverged);
+      ];
     if tally.Sweep.diverged > 0 then
       Printf.eprintf "jit: FAIL — %d native divergence(s)\n%!"
         tally.Sweep.diverged;
     Sweep.exit_on [ tally ]
   end
 
-let bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  print_endline
-    "Bechamel: allocation-time microbenchmarks (ns per module allocation)";
-  let test_of_module name shape algo_name algo =
-    let prog = Lsra_workloads.Pressure.build machine shape in
-    Test.make
-      ~name:(Printf.sprintf "%s/%s" name algo_name)
-      (Staged.stage (fun () ->
-           let p = Program.copy prog in
-           ignore (Lsra.Allocator.run_program algo machine p)))
-  in
-  let tests =
-    List.concat_map
-      (fun (name, shape) ->
-        [
-          test_of_module name shape "binpack" binpack;
-          test_of_module name shape "coloring" coloring;
-          test_of_module name shape "twopass" Lsra.Allocator.Two_pass;
-          test_of_module name shape "poletto" Lsra.Allocator.Poletto;
-        ])
-      [
-        ("cvrin", Lsra_workloads.Pressure.cvrin);
-        ("twldrv", Lsra_workloads.Pressure.twldrv);
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 2.0) ~stabilize:false ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg instances elt in
-          let result = Analyze.one ols Instance.monotonic_clock raw in
-          let est =
-            match Analyze.OLS.estimates result with
-            | Some [ e ] -> Printf.sprintf "%.0f ns" e
-            | Some _ | None -> "n/a"
-          in
-          Printf.printf "%-24s %16s\n%!" (Test.Elt.name elt) est)
-        (Test.elements test))
-    tests;
-  print_newline ()
-
 (* ------------------------------------------------------------------ *)
 
 (* perfdump: machine-readable allocation-throughput profile. Each
-   workload is allocated at every job count in {1, jobs} (best of 5
-   wall-clock runs each); per-pass times, per-pass minor-heap words,
-   Gc.quick_stat deltas per job count, and the parallel speedup land in
-   BENCH_alloc.json. The parallel output is byte-compared against the
-   sequential one — any divergence is a determinism bug and exits 4. *)
+   corpus program ({!Sweep.corpus}) is allocated at every job count in
+   {1, jobs} (best of 5 wall-clock runs each); per-pass times, per-pass
+   minor-heap words, Gc.quick_stat deltas per job count, and the parallel
+   speedup land in BENCH_alloc.json. The parallel output is
+   byte-compared against the sequential one — any divergence is a
+   determinism bug and exits 4. *)
 let perfdump () =
-  let workloads =
-    List.map
-      (fun shape ->
-        ( "pressure:" ^ shape.Lsra_workloads.Pressure.sname,
-          Lsra_workloads.Pressure.build machine shape ))
-      [
-        Lsra_workloads.Pressure.cvrin;
-        Lsra_workloads.Pressure.twldrv;
-        Lsra_workloads.Pressure.fpppp;
-      ]
-    @ List.map
-        (fun (case : Lsra_workloads.Specbench.case) ->
-          ( "spec:" ^ case.Lsra_workloads.Specbench.name,
-            case.Lsra_workloads.Specbench.program ))
-        (cases ())
-  in
   let job_counts = if jobs > 1 then [ 1; jobs ] else [ 1 ] in
-  let buf = Buffer.create 4096 in
   let totals = Array.make (List.length job_counts) 0. in
   let divergent = ref 0 in
-  Printf.bprintf buf
-    "{\n\
-    \  \"machine\": %S,\n\
-    \  \"scale\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"workloads\": [\n"
-    (Machine.name machine) scale jobs;
-  List.iteri
-    (fun i (name, prog) ->
-      let funcs = Program.funcs prog in
-      let n_instrs =
-        List.fold_left (fun acc (_, f) -> acc + Func.n_instrs f) 0 funcs
-      in
-      let alloc ?jobs () =
-        let p = Program.copy prog in
-        let stats = Lsra.Allocator.run_program ?jobs binpack machine p in
-        (stats, Lsra_text.Ir_text.to_string p)
-      in
-      (* Reference run: sequential output text, stats and GC profile. *)
-      let seq_stats, seq_text = alloc () in
-      let per_jobs =
-        List.map
-          (fun j ->
-            let stats, text = alloc ~jobs:j () in
-            if not (String.equal text seq_text) then begin
-              incr divergent;
-              Printf.eprintf
-                "perfdump: %s: output at %d jobs diverges from sequential\n%!"
-                name j
-            end;
-            let wall, _ = best_of_5_alloc ~jobs:j binpack prog in
-            (j, wall, stats))
-          job_counts
-      in
-      let wall1 =
-        match per_jobs with (_, w, _) :: _ -> w | [] -> assert false
-      in
-      List.iteri
-        (fun k (_, w, _) -> totals.(k) <- totals.(k) +. w)
-        per_jobs;
-      let s = seq_stats in
-      let pw p = s.Lsra.Stats.pass_minor_words.(Lsra.Stats.pass_index p) in
-      if i > 0 then Buffer.add_string buf ",\n";
-      Printf.bprintf buf
-        "    { \"name\": %S, \"funcs\": %d, \"instrs\": %d,\n\
-        \      \"dataflow_rounds\": %d, \"spill_instrs\": %d,\n\
-        \      \"pass_times_s\": { \"liveness\": %.6f, \"lifetime\": %.6f, \
-         \"scan\": %.6f, \"resolution\": %.6f, \"peephole\": %.6f },\n\
-        \      \"pass_minor_words\": { \"liveness\": %.0f, \"lifetime\": \
-         %.0f, \"scan\": %.0f, \"resolution\": %.0f, \"peephole\": %.0f },\n\
-        \      \"minor_words_per_instr\": %.1f,\n\
-        \      \"by_jobs\": ["
-        name (List.length funcs) n_instrs s.Lsra.Stats.dataflow_rounds
-        (Lsra.Stats.total_spill s) s.Lsra.Stats.time_liveness
-        s.Lsra.Stats.time_lifetime s.Lsra.Stats.time_scan
-        s.Lsra.Stats.time_resolution s.Lsra.Stats.time_peephole
-        (pw Lsra.Stats.Liveness) (pw Lsra.Stats.Lifetime)
-        (pw Lsra.Stats.Scan) (pw Lsra.Stats.Resolution)
-        (pw Lsra.Stats.Peephole)
-        (s.Lsra.Stats.minor_words /. float_of_int (max 1 n_instrs));
-      List.iteri
-        (fun k (j, w, st) ->
-          if k > 0 then Buffer.add_string buf ",";
-          Printf.bprintf buf
-            "\n\
-            \        { \"jobs\": %d, \"wall_s\": %.6f, \"speedup\": %.3f,\n\
-            \          \"gc\": { \"minor_words\": %.0f, \"promoted_words\": \
-             %.0f, \"major_words\": %.0f, \"minor_collections\": %d, \
-             \"major_collections\": %d } }"
-            j w (wall1 /. w) st.Lsra.Stats.minor_words
-            st.Lsra.Stats.promoted_words st.Lsra.Stats.major_words
-            st.Lsra.Stats.minor_collections st.Lsra.Stats.major_collections)
-        per_jobs;
-      Buffer.add_string buf " ] }";
-      Printf.printf "%-20s" name;
-      List.iter
-        (fun (j, w, _) -> Printf.printf "  j%-2d %.4fs (x%.2f)" j w (wall1 /. w))
-        per_jobs;
-      Printf.printf "  %.0f mw/instr\n%!"
-        (s.Lsra.Stats.minor_words /. float_of_int (max 1 n_instrs)))
-    workloads;
-  Printf.bprintf buf "\n  ],\n  \"total\": { \"by_jobs\": [";
-  List.iteri
-    (fun k j ->
-      if k > 0 then Buffer.add_string buf ",";
-      Printf.bprintf buf
-        " { \"jobs\": %d, \"wall_s\": %.6f, \"speedup\": %.3f }" j totals.(k)
-        (totals.(0) /. totals.(k)))
-    job_counts;
-  Printf.bprintf buf " ] },\n  \"parallel_divergence\": %d\n}\n" !divergent;
-  let out = bench_out_path "BENCH_alloc.json" in
-  Out_channel.with_open_text out (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf));
+  let gc (st : Lsra.Stats.t) =
+    Lsra.Stats.(
+      `Assoc
+        [
+          ("minor_words", `Float st.minor_words);
+          ("promoted_words", `Float st.promoted_words);
+          ("major_words", `Float st.major_words);
+          ("minor_collections", `Int st.minor_collections);
+          ("major_collections", `Int st.major_collections);
+        ])
+  in
+  let workloads =
+    List.map
+      (fun { Sweep.name; program = prog; input = _ } ->
+        let funcs = Program.funcs prog in
+        let n_instrs =
+          List.fold_left (fun acc (_, f) -> acc + Func.n_instrs f) 0 funcs
+        in
+        let alloc ?jobs () =
+          let p = Program.copy prog in
+          let stats = Lsra.Allocator.run_program ?jobs binpack machine p in
+          (stats, Lsra_text.Ir_text.to_string p)
+        in
+        (* Reference run: sequential output text, stats and GC profile. *)
+        let seq_stats, seq_text = alloc () in
+        let per_jobs =
+          List.map
+            (fun j ->
+              let stats, text = alloc ~jobs:j () in
+              if not (String.equal text seq_text) then begin
+                incr divergent;
+                Printf.eprintf
+                  "perfdump: %s: output at %d jobs diverges from sequential\n%!"
+                  name j
+              end;
+              let wall, _ = best_of_5_alloc ~jobs:j binpack prog in
+              (j, wall, stats))
+            job_counts
+        in
+        let wall1 =
+          match per_jobs with (_, w, _) :: _ -> w | [] -> assert false
+        in
+        List.iteri
+          (fun k (_, w, _) -> totals.(k) <- totals.(k) +. w)
+          per_jobs;
+        let s = seq_stats in
+        let per_pass values =
+          `Assoc
+            (List.map2
+               (fun key v -> (key, `Float v))
+               [ "liveness"; "lifetime"; "scan"; "resolution"; "peephole" ]
+               values)
+        in
+        let mw_per_instr =
+          s.Lsra.Stats.minor_words /. float_of_int (max 1 n_instrs)
+        in
+        Printf.printf "%-20s" name;
+        List.iter
+          (fun (j, w, _) ->
+            Printf.printf "  j%-2d %.4fs (x%.2f)" j w (wall1 /. w))
+          per_jobs;
+        Printf.printf "  %.0f mw/instr\n%!" mw_per_instr;
+        `Assoc
+          [
+            ("name", `String name); ("funcs", `Int (List.length funcs));
+            ("instrs", `Int n_instrs);
+            ("dataflow_rounds", `Int s.Lsra.Stats.dataflow_rounds);
+            ("spill_instrs", `Int (Lsra.Stats.total_spill s));
+            ( "pass_times_s",
+              per_pass
+                Lsra.Stats.
+                  [
+                    s.time_liveness; s.time_lifetime; s.time_scan;
+                    s.time_resolution; s.time_peephole;
+                  ] );
+            ( "pass_minor_words",
+              per_pass
+                (List.map
+                   (fun p ->
+                     s.Lsra.Stats.pass_minor_words.(Lsra.Stats.pass_index p))
+                   Lsra.Stats.
+                     [ Liveness; Lifetime; Scan; Resolution; Peephole ])
+            );
+            ("minor_words_per_instr", `Float mw_per_instr);
+            ( "by_jobs",
+              `List
+                (List.map
+                   (fun (j, w, st) ->
+                     `Assoc
+                       [
+                         ("jobs", `Int j); ("wall_s", `Float w);
+                         ("speedup", `Float (wall1 /. w)); ("gc", gc st);
+                       ])
+                   per_jobs) );
+          ])
+      (Sweep.corpus ~scale machine)
+  in
+  let total =
+    List.mapi
+      (fun k j ->
+        `Assoc
+          [
+            ("jobs", `Int j); ("wall_s", `Float totals.(k));
+            ("speedup", `Float (totals.(0) /. totals.(k)));
+          ])
+      job_counts
+  in
+  let out =
+    write_json "BENCH_alloc.json"
+      (`Assoc
+        [
+          ("machine", `String (Machine.name machine)); ("scale", `Int scale);
+          ("jobs", `Int jobs); ("workloads", `List workloads);
+          ("total", `Assoc [ ("by_jobs", `List total) ]);
+          ("parallel_divergence", `Int !divergent);
+        ])
+  in
   Printf.printf "total:";
   List.iteri
     (fun k j ->
@@ -930,174 +920,9 @@ let perfdump () =
 
 (* ------------------------------------------------------------------ *)
 
-(* service: replay the whole workload corpus as a request stream through
-   the allocation service, twice — a cold pass that fills the
-   content-addressed cache and a warm pass that should be served almost
-   entirely from it — plus a deadline pass that exercises the
-   degradation ladder. Reports warm/cold hit rate, p50/p99 latency,
-   downgrade count and throughput into BENCH_service.json, and
-   spot-checks a sample of warm responses against a direct
-   [Allocator.pipeline] run (byte-identical or exit 4). *)
-let service_corpus () =
-  List.map
-    (fun (case : Lsra_workloads.Specbench.case) ->
-      ( "spec:" ^ case.Lsra_workloads.Specbench.name,
-        Lsra_text.Ir_text.to_string case.Lsra_workloads.Specbench.program ))
-    (cases ())
-  @ List.map
-      (fun shape ->
-        ( "pressure:" ^ shape.Lsra_workloads.Pressure.sname,
-          Lsra_text.Ir_text.to_string
-            (Lsra_workloads.Pressure.build machine shape) ))
-      [
-        Lsra_workloads.Pressure.cvrin;
-        Lsra_workloads.Pressure.twldrv;
-        Lsra_workloads.Pressure.fpppp;
-      ]
-  @ List.filter_map
-      (fun { Lsra_workloads.Mini_corpus.mname; source; minput = _ } ->
-        match Lsra_frontend.Minilang.compile machine source with
-        | prog -> Some ("mini:" ^ mname, Lsra_text.Ir_text.to_string prog)
-        | exception Lsra_frontend.Lower.Error _ -> None)
-      Lsra_workloads.Mini_corpus.all
-
 let pct a p =
   if Array.length a = 0 then 0.
   else a.(int_of_float (p *. float_of_int (Array.length a - 1)))
-
-let service_inproc () =
-  let passes = Lsra.Passes.default in
-  let corpus_sources = service_corpus () in
-  let n = List.length corpus_sources in
-  let cfg =
-    {
-      (Lsra_service.Service.default_config machine) with
-      Lsra_service.Service.spot_check = 4;
-    }
-  in
-  let svc = Lsra_service.Service.create cfg in
-  let sched = Lsra_service.Scheduler.create ~capacity:32 ~jobs svc in
-  let requests tag ?deadline algo =
-    List.map
-      (fun (name, source) ->
-        Lsra_service.Service.request ~algo ~passes ?deadline
-          ~id:(tag ^ ":" ^ name) source)
-      corpus_sources
-  in
-  let replay tag ?deadline algo =
-    let t0 = Unix.gettimeofday () in
-    let results =
-      Lsra_service.Scheduler.run_batch sched (requests tag ?deadline algo)
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let responses =
-      List.map
-        (fun ((req : Lsra_service.Service.request), result) ->
-          match result with
-          | Ok r -> r
-          | Error e ->
-            Printf.eprintf "bench service: %s request %s failed: %s\n%!" tag
-              req.Lsra_service.Service.req_id
-              (Lsra_service.Protocol.err_message_of_exn e);
-            exit (max 1 (Lsra_service.Protocol.err_code_of_exn e)))
-        results
-    in
-    (responses, wall)
-  in
-  let latencies rs =
-    let a =
-      Array.of_list (List.map (fun r -> r.Lsra_service.Service.elapsed) rs)
-    in
-    Array.sort compare a;
-    a
-  in
-  let binpack = Lsra.Allocator.default_second_chance in
-  let cold, cold_wall = replay "cold" binpack in
-  let after_cold = Lsra_service.Service.counters svc in
-  let warm, warm_wall = replay "warm" binpack in
-  let after_warm = Lsra_service.Service.counters svc in
-  let warm_hits =
-    after_warm.Lsra_service.Service.cache.Lsra_service.Cache.hits
-    - after_cold.Lsra_service.Service.cache.Lsra_service.Cache.hits
-  in
-  let warm_hit_rate = float_of_int warm_hits /. float_of_int (max 1 n) in
-  (* Deadline pass: graph coloring under a budget no corpus module can
-     meet forces the quality/speed dial all the way down the ladder. *)
-  let deadline, _ =
-    replay "deadline" ~deadline:1e-9 Lsra.Allocator.Graph_coloring
-  in
-  let downgrades =
-    List.length
-      (List.filter
-         (fun r -> r.Lsra_service.Service.downgraded_to <> None)
-         deadline)
-  in
-  (* Differential spot-check: every warm response must be byte-identical
-     to a direct pipeline run of the same source under the same config. *)
-  let spot_divergences = ref 0 in
-  List.iter2
-    (fun (name, source) (r : Lsra_service.Service.response) ->
-      let prog = Lsra_text.Ir_text.of_string source in
-      ignore (Lsra.Allocator.pipeline ~passes binpack machine prog);
-      let direct = Lsra_text.Ir_text.to_string prog in
-      if not (String.equal direct r.Lsra_service.Service.output) then begin
-        incr spot_divergences;
-        Printf.eprintf "bench service: DIVERGENCE on %s (served != direct)\n%!"
-          name
-      end)
-    corpus_sources warm;
-  let cold_lat = latencies cold and warm_lat = latencies warm in
-  let final = Lsra_service.Service.counters svc in
-  let c = final.Lsra_service.Service.cache in
-  let buf = Buffer.create 2048 in
-  Printf.bprintf buf
-    "{\n  \"machine\": %S,\n  \"scale\": %d,\n  \"jobs\": %d,\n\
-    \  \"requests\": %d,\n"
-    (Machine.name machine) scale jobs n;
-  Printf.bprintf buf
-    "  \"cold\": { \"wall_s\": %.6f, \"p50_s\": %.6f, \"p99_s\": %.6f, \
-     \"throughput_rps\": %.1f },\n"
-    cold_wall (pct cold_lat 0.50) (pct cold_lat 0.99)
-    (float_of_int n /. cold_wall);
-  Printf.bprintf buf
-    "  \"warm\": { \"wall_s\": %.6f, \"p50_s\": %.6f, \"p99_s\": %.6f, \
-     \"throughput_rps\": %.1f, \"hit_rate\": %.3f },\n"
-    warm_wall (pct warm_lat 0.50) (pct warm_lat 0.99)
-    (float_of_int n /. warm_wall)
-    warm_hit_rate;
-  Printf.bprintf buf
-    "  \"cache\": { \"hits\": %d, \"misses\": %d, \"evictions\": %d, \
-     \"entries\": %d, \"bytes\": %d },\n"
-    c.Lsra_service.Cache.hits c.Lsra_service.Cache.misses
-    c.Lsra_service.Cache.evictions c.Lsra_service.Cache.entries
-    c.Lsra_service.Cache.bytes;
-  Printf.bprintf buf
-    "  \"downgrades\": %d,\n  \"spot_checks\": %d,\n\
-    \  \"diffexec_spot\": { \"checked\": %d, \"divergences\": %d }\n}\n"
-    final.Lsra_service.Service.downgrades
-    final.Lsra_service.Service.spot_checks n !spot_divergences;
-  let out = bench_out_path "BENCH_service.json" in
-  Out_channel.with_open_text out (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf));
-  Printf.printf
-    "service: %d requests, cold p50 %.2fms p99 %.2fms, warm p50 %.2fms \
-     p99 %.2fms\n"
-    n
-    (1e3 *. pct cold_lat 0.50)
-    (1e3 *. pct cold_lat 0.99)
-    (1e3 *. pct warm_lat 0.50)
-    (1e3 *. pct warm_lat 0.99);
-  Printf.printf
-    "service: warm hit rate %.1f%% (%d/%d), %d downgrades in the deadline \
-     pass, %d spot checks, %d divergences — wrote %s\n"
-    (100. *. warm_hit_rate) warm_hits n downgrades
-    final.Lsra_service.Service.spot_checks !spot_divergences out;
-  if !spot_divergences > 0 then exit 4;
-  if warm_hit_rate < 0.9 then begin
-    Printf.eprintf "bench service: warm hit rate %.3f below the 0.9 bar\n%!"
-      warm_hit_rate;
-    exit 1
-  end
 
 let rec rm_rf path =
   match Unix.lstat path with
@@ -1119,23 +944,38 @@ let connect_retry fd path =
   in
   go 0
 
-(* [bench service --clients K]: replay the corpus from K concurrent
-   socket clients against a mux-served server backed by a persistent
-   sharded store — cold pass, warm pass — then shut the server down and
-   prove a {e fresh} one (same store directory, empty in-memory cache)
-   reaches the warm-hit bar purely from the journal. Every served
-   payload is byte-diffed against a direct [Allocator.pipeline] run
-   (zero-divergence gate). *)
-let service_clients k =
+(* [bench service [--clients K]]: replay the corpus ({!Sweep.corpus})
+   from K concurrent socket clients (default 8) against a mux-served
+   server backed by a persistent sharded store — cold pass, warm pass —
+   then shut the server down and prove a {e fresh} one (same store
+   directory, empty in-memory cache) reaches the warm-hit bar purely
+   from the journal. Every served payload is byte-diffed against a
+   direct [Allocator.pipeline] run (zero-divergence gate, exit 4); the
+   warm and restart passes must each hit at least 90% (exit 1). Latency
+   and throughput per pass land in BENCH_service.json. The temporary
+   store and socket directory is removed on every exit path. *)
+let service () =
+  let rec scan i =
+    if i + 1 >= Array.length Sys.argv then 8
+    else if Sys.argv.(i) = "--clients" then
+      match int_of_string_opt Sys.argv.(i + 1) with
+      | Some c when c >= 1 -> c
+      | Some _ | None ->
+        Printf.eprintf "bench service: malformed --clients %S (expected >= 1)\n"
+          Sys.argv.(i + 1);
+        exit 2
+    else scan (i + 1)
+  in
+  let k = scan 2 in
   let passes = Lsra.Passes.default in
-  let binpack = Lsra.Allocator.default_second_chance in
   let entries =
     List.map
-      (fun (name, source) ->
+      (fun { Sweep.name; program; input = _ } ->
+        let source = Lsra_text.Ir_text.to_string program in
         let prog = Lsra_text.Ir_text.of_string source in
         ignore (Lsra.Allocator.pipeline ~passes binpack machine prog);
         (name, source, Lsra_text.Ir_text.to_string prog))
-      (service_corpus ())
+      (Sweep.corpus ~scale machine)
   in
   let n = List.length entries in
   let tmp =
@@ -1159,7 +999,7 @@ let service_clients k =
     List.iter
       (fun (name, source, expected) ->
         let id = Printf.sprintf "%s:c%d:%s" tag i name in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Monotonic_clock.now () in
         output_string oc
           (Lsra_service.Protocol.render_frame ("REQ " ^ id) (Some source));
         flush oc;
@@ -1172,7 +1012,7 @@ let service_clients k =
             | Ok (Lsra_service.Protocol.R_ok { hit; body_len = Some len; _ })
               ->
               let body = really_input_string ic len in
-              lats := (Unix.gettimeofday () -. t0) :: !lats;
+              lats := Lsra.Stats.seconds_since t0 :: !lats;
               if hit then incr hits;
               if not (String.equal body expected) then begin
                 Mutex.lock tally;
@@ -1203,15 +1043,14 @@ let service_clients k =
   (* One pass: K client domains in lockstep request/response; requests
      that land in the same event-loop round share a scheduler batch. *)
   let replay tag =
-    let t0 = Unix.gettimeofday () in
-    let doms =
-      Array.to_list
-        (Array.mapi
-           (fun i part -> Domain.spawn (fun () -> client tag i part))
-           parts)
+    let results, wall =
+      timed (fun () ->
+          Array.to_list
+            (Array.mapi
+               (fun i part -> Domain.spawn (fun () -> client tag i part))
+               parts)
+          |> List.map Domain.join)
     in
-    let results = List.map Domain.join doms in
-    let wall = Unix.gettimeofday () -. t0 in
     let lats = Array.of_list (List.concat_map fst results) in
     Array.sort compare lats;
     let hits = List.fold_left (fun acc (_, h) -> acc + h) 0 results in
@@ -1255,40 +1094,45 @@ let service_clients k =
     let severity = Domain.join srv in
     (r, warm_loaded, severity)
   in
-  let (cold, warm), first_loaded, sev1 =
-    with_server (fun () ->
-        let cold = replay "cold" in
-        let warm = replay "warm" in
-        (cold, warm))
+  let ((cold, warm), first_loaded, sev1), (restart, restart_loaded, sev2) =
+    Fun.protect
+      ~finally:(fun () -> rm_rf tmp)
+      (fun () ->
+        let first =
+          with_server (fun () ->
+              let cold = replay "cold" in
+              let warm = replay "warm" in
+              (cold, warm))
+        in
+        (first, with_server (fun () -> replay "restart")))
   in
-  let restart, restart_loaded, sev2 = with_server (fun () -> replay "restart") in
-  let _, _, _ = cold in
   let _, warm_hits, _ = warm in
   let _, restart_hits, _ = restart in
   let rate h = float_of_int h /. float_of_int (max 1 n) in
-  let pass_json name (lat, hits, wall) =
-    Printf.sprintf
-      "  \"%s\": { \"wall_s\": %.6f, \"p50_s\": %.6f, \"p99_s\": %.6f, \
-       \"throughput_rps\": %.1f, \"hit_rate\": %.3f },\n"
-      name wall (pct lat 0.50) (pct lat 0.99)
-      (float_of_int n /. wall)
-      (rate hits)
+  let pass_json (lat, hits, wall) =
+    `Assoc
+      [
+        ("wall_s", `Float wall); ("p50_s", `Float (pct lat 0.50));
+        ("p99_s", `Float (pct lat 0.99));
+        ("throughput_rps", `Float (float_of_int n /. wall));
+        ("hit_rate", `Float (rate hits));
+      ]
   in
-  let buf = Buffer.create 2048 in
-  Printf.bprintf buf
-    "{\n  \"machine\": %S,\n  \"scale\": %d,\n  \"jobs\": %d,\n\
-    \  \"clients\": %d,\n  \"shards\": %d,\n  \"requests\": %d,\n"
-    (Machine.name machine) scale jobs k shards n;
-  Buffer.add_string buf (pass_json "cold" cold);
-  Buffer.add_string buf (pass_json "warm" warm);
-  Buffer.add_string buf (pass_json "restart" restart);
-  Printf.bprintf buf
-    "  \"warm_loaded_on_restart\": %d,\n\
-    \  \"diffexec_spot\": { \"checked\": %d, \"divergences\": %d }\n}\n"
-    restart_loaded (3 * n) !divergences;
-  let out = bench_out_path "BENCH_service.json" in
-  Out_channel.with_open_text out (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf));
+  let out =
+    write_json "BENCH_service.json"
+      (`Assoc
+        [
+          ("machine", `String (Machine.name machine)); ("scale", `Int scale);
+          ("jobs", `Int jobs); ("clients", `Int k); ("shards", `Int shards);
+          ("requests", `Int n); ("cold", pass_json cold);
+          ("warm", pass_json warm); ("restart", pass_json restart);
+          ("warm_loaded_on_restart", `Int restart_loaded);
+          ( "diffexec_spot",
+            `Assoc
+              [ ("checked", `Int (3 * n)); ("divergences", `Int !divergences) ]
+          );
+        ])
+  in
   Printf.printf
     "service: %d clients x %d requests/pass over %s\n" k n sock_path;
   List.iter
@@ -1306,7 +1150,6 @@ let service_clients k =
     "service: restart warm-loaded %d journal records (first boot %d) — \
      wrote %s\n"
     restart_loaded first_loaded out;
-  rm_rf tmp;
   if !divergences > 0 then exit 4;
   let sev = max sev1 sev2 in
   if sev > 0 then exit sev;
@@ -1323,20 +1166,6 @@ let service_clients k =
       (rate restart_hits) restart_loaded;
     exit 1
   end
-
-let service () =
-  let rec scan i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--clients" then
-      match int_of_string_opt Sys.argv.(i + 1) with
-      | Some c when c >= 1 -> Some c
-      | Some _ | None ->
-        Printf.eprintf "bench service: malformed --clients %S (expected >= 1)\n"
-          Sys.argv.(i + 1);
-        exit 2
-    else scan (i + 1)
-  in
-  match scan 2 with None -> service_inproc () | Some k -> service_clients k
 
 (* ------------------------------------------------------------------ *)
 
@@ -1364,13 +1193,12 @@ let fuzz () =
     (base + count - 1)
     (List.length Sweep.fuzz_machines)
     (List.length Lsra.Allocator.all);
-  let t0 = Unix.gettimeofday () in
-  let reports =
-    Lsra_sim.Diffexec.fuzz ~log:(Printf.printf "  %s\n%!")
-      ~machines:Sweep.fuzz_machines ~seeds ()
+  let reports, wall =
+    timed (fun () ->
+        Lsra_sim.Diffexec.fuzz ~log:(Printf.printf "  %s\n%!")
+          ~machines:Sweep.fuzz_machines ~seeds ())
   in
-  Printf.printf "fuzz: %d seeds in %.1fs, %d divergences\n%!" count
-    (Unix.gettimeofday () -. t0)
+  Printf.printf "fuzz: %d seeds in %.1fs, %d divergences\n%!" count wall
     (List.length reports);
   let tally = Sweep.tally () in
   List.iter
@@ -1419,7 +1247,6 @@ let () =
   | "corpus" -> corpus ()
   | "optgap" -> optgap ()
   | "jit" -> jit ()
-  | "bechamel" -> bechamel ()
   | "perfdump" -> perfdump ()
   | "service" -> service ()
   | "fuzz" -> fuzz ()
@@ -1436,6 +1263,6 @@ let () =
   | other ->
     Printf.eprintf
       "unknown benchmark %S (expected \
-       table1|table2|figure3|table3|twopass|ablation|layout|frames|corpus|optgap|jit|bechamel|perfdump|service|fuzz|all)\n"
+       table1|table2|figure3|table3|twopass|ablation|layout|frames|corpus|optgap|jit|perfdump|service|fuzz|all)\n"
       other;
     exit 2

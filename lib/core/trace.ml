@@ -200,169 +200,103 @@ let to_text evs =
 (* ------------------------------------------------------------------ *)
 (* JSONL rendering                                                     *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-type jfield = S of string | I of int | B of bool | F of float | Null | L of string list
-
-let json_obj fields =
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape k));
-      match v with
-      | S s -> Buffer.add_string buf (Printf.sprintf "\"%s\"" (json_escape s))
-      | I n -> Buffer.add_string buf (string_of_int n)
-      | B b -> Buffer.add_string buf (if b then "true" else "false")
-      | F f ->
-          Buffer.add_string buf
-            (if Float.is_nan f then "null" else Printf.sprintf "%.17g" f)
-      | Null -> Buffer.add_string buf "null"
-      | L objs ->
-          Buffer.add_char buf '[';
-          List.iteri
-            (fun j o ->
-              if j > 0 then Buffer.add_char buf ',';
-              Buffer.add_string buf o)
-            objs;
-          Buffer.add_char buf ']')
-    fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
 let json_of_event ev =
-  let reg r = S (Mreg.to_string r) in
-  let reg_opt = function None -> Null | Some r -> reg r in
-  let int_opt = function None -> Null | Some n -> I n in
+  let obj name fields = `Assoc (("ev", `String name) :: fields) in
+  let str s = `String s and int n = `Int n in
+  let reg r = str (Mreg.to_string r) in
+  let opt f = function None -> `Null | Some x -> f x in
+  let hole_end e = if e = max_int then `Null else int e in
   match ev with
-  | Fn { name; slots0 } -> json_obj [ ("ev", S "fn"); ("name", S name); ("slots0", I slots0) ]
-  | Block { label } -> json_obj [ ("ev", S "block"); ("label", S label) ]
+  | Fn { name; slots0 } -> obj "fn" [ ("name", str name); ("slots0", int slots0) ]
+  | Block { label } -> obj "block" [ ("label", str label) ]
   | Start { temp; id; pos } ->
-      json_obj [ ("ev", S "start"); ("temp", S temp); ("id", I id); ("pos", I pos) ]
-  | Assign { temp; id; pos; reg = r; reason; hole_end } ->
-      json_obj
+      obj "start" [ ("temp", str temp); ("id", int id); ("pos", int pos) ]
+  | Assign { temp; id; pos; reg = r; reason; hole_end = e } ->
+      obj "assign"
         [
-          ("ev", S "assign"); ("temp", S temp); ("id", I id); ("pos", I pos);
-          ("reg", reg r); ("reason", S (reason_to_string reason));
-          ("hole_end", if hole_end = max_int then Null else I hole_end);
+          ("temp", str temp); ("id", int id); ("pos", int pos); ("reg", reg r);
+          ("reason", str (reason_to_string reason)); ("hole_end", hole_end e);
         ]
   | Evict_choice { pos; incoming; incoming_benefit; candidates } ->
-      json_obj
+      obj "evict_choice"
         [
-          ("ev", S "evict_choice"); ("pos", I pos); ("incoming", S incoming);
-          ("incoming_benefit", F incoming_benefit);
+          ("pos", int pos); ("incoming", str incoming);
+          ("incoming_benefit", `Float incoming_benefit);
           ( "candidates",
-            L
+            `List
               (List.map
                  (fun c ->
-                   json_obj
+                   `Assoc
                      [
-                       ("reg", reg c.c_reg);
-                       ( "occupant",
-                         match c.c_occupant with None -> Null | Some t -> S t );
-                       ("benefit", F c.c_benefit);
-                       ( "hole_end",
-                         if c.c_hole_end = max_int then Null else I c.c_hole_end
-                       );
+                       ("reg", reg c.c_reg); ("occupant", opt str c.c_occupant);
+                       ("benefit", `Float c.c_benefit);
+                       ("hole_end", hole_end c.c_hole_end);
                      ])
                  candidates) );
         ]
   | Spill_split { temp; id; pos; reg = r; slot; next_ref } ->
-      json_obj
+      obj "spill_split"
         [
-          ("ev", S "spill_split"); ("temp", S temp); ("id", I id);
-          ("pos", I pos); ("reg", reg_opt r); ("slot", I slot);
-          ("next_ref", int_opt next_ref);
+          ("temp", str temp); ("id", int id); ("pos", int pos);
+          ("reg", opt reg r); ("slot", int slot); ("next_ref", opt int next_ref);
         ]
   | Store_elided { temp; id; pos; reg = r } ->
-      json_obj
-        [
-          ("ev", S "store_elided"); ("temp", S temp); ("id", I id);
-          ("pos", I pos); ("reg", reg r);
-        ]
+      obj "store_elided"
+        [ ("temp", str temp); ("id", int id); ("pos", int pos); ("reg", reg r) ]
   | Second_chance { temp; id; pos; reg = r; slot } ->
-      json_obj
+      obj "second_chance"
         [
-          ("ev", S "second_chance"); ("temp", S temp); ("id", I id);
-          ("pos", I pos); ("reg", reg_opt r); ("slot", I slot);
+          ("temp", str temp); ("id", int id); ("pos", int pos);
+          ("reg", opt reg r); ("slot", int slot);
         ]
   | Early_second_chance { temp; id; pos; src; dst } ->
-      json_obj
+      obj "early_second_chance"
         [
-          ("ev", S "early_second_chance"); ("temp", S temp); ("id", I id);
-          ("pos", I pos); ("src", reg src); ("dst", reg dst);
+          ("temp", str temp); ("id", int id); ("pos", int pos);
+          ("src", reg src); ("dst", reg dst);
         ]
   | Pref_miss { temp; id; pos; why } ->
-      json_obj
-        [
-          ("ev", S "pref_miss"); ("temp", S temp); ("id", I id); ("pos", I pos);
-          ("why", S why);
-        ]
+      obj "pref_miss"
+        [ ("temp", str temp); ("id", int id); ("pos", int pos); ("why", str why) ]
   | Expire { temp; id; pos; reg = r } ->
-      json_obj
-        [
-          ("ev", S "expire"); ("temp", S temp); ("id", I id); ("pos", I pos);
-          ("reg", reg r);
-        ]
+      obj "expire"
+        [ ("temp", str temp); ("id", int id); ("pos", int pos); ("reg", reg r) ]
   | Slot_alloc { temp; id; slot } ->
-      json_obj
-        [ ("ev", S "slot_alloc"); ("temp", S temp); ("id", I id); ("slot", I slot) ]
-  | Edge { src; dst } -> json_obj [ ("ev", S "edge"); ("src", S src); ("dst", S dst) ]
+      obj "slot_alloc" [ ("temp", str temp); ("id", int id); ("slot", int slot) ]
+  | Edge { src; dst } -> obj "edge" [ ("src", str src); ("dst", str dst) ]
   | Resolve_store { temp; id; reg = r; slot; cycle } ->
-      json_obj
+      obj "resolve_store"
         [
-          ("ev", S "resolve_store"); ("temp", S temp); ("id", I id);
-          ("reg", reg r); ("slot", I slot); ("cycle", B cycle);
+          ("temp", str temp); ("id", int id); ("reg", reg r); ("slot", int slot);
+          ("cycle", `Bool cycle);
         ]
   | Resolve_load { temp; id; reg = r; slot } ->
-      json_obj
-        [
-          ("ev", S "resolve_load"); ("temp", S temp); ("id", I id);
-          ("reg", reg r); ("slot", I slot);
-        ]
+      obj "resolve_load"
+        [ ("temp", str temp); ("id", int id); ("reg", reg r); ("slot", int slot) ]
   | Resolve_move { temp; id; dst; src; cycle } ->
-      json_obj
+      obj "resolve_move"
         [
-          ("ev", S "resolve_move"); ("temp", S temp); ("id", I id);
-          ("dst", reg dst); ("src", reg src); ("cycle", B cycle);
+          ("temp", str temp); ("id", int id); ("dst", reg dst); ("src", reg src);
+          ("cycle", `Bool cycle);
         ]
-  | Pass_begin { pass } -> json_obj [ ("ev", S "pass_begin"); ("pass", S pass) ]
+  | Pass_begin { pass } -> obj "pass_begin" [ ("pass", str pass) ]
   | Pass_end { pass; changed } ->
-      json_obj
-        [ ("ev", S "pass_end"); ("pass", S pass); ("changed", I changed) ]
+      obj "pass_end" [ ("pass", str pass); ("changed", int changed) ]
   | Slot_renumber { fn; from_slot; to_slot } ->
-      json_obj
-        [
-          ("ev", S "slot_renumber"); ("fn", S fn); ("from_slot", I from_slot);
-          ("to_slot", I to_slot);
-        ]
+      obj "slot_renumber"
+        [ ("fn", str fn); ("from_slot", int from_slot); ("to_slot", int to_slot) ]
   | Downgrade { req; from_algo; to_algo; budget; predicted } ->
-      json_obj
+      obj "downgrade"
         [
-          ("ev", S "downgrade"); ("req", S req); ("from", S from_algo);
-          ("to", S to_algo); ("budget_s", F budget);
-          ("predicted_s", F predicted);
+          ("req", str req); ("from", str from_algo); ("to", str to_algo);
+          ("budget_s", `Float budget); ("predicted_s", `Float predicted);
         ]
 
 let to_jsonl evs =
   let buf = Buffer.create 4096 in
   List.iter
     (fun ev ->
-      Buffer.add_string buf (json_of_event ev);
+      Buffer.add_string buf (Json.to_string (json_of_event ev));
       Buffer.add_char buf '\n')
     evs;
   Buffer.contents buf

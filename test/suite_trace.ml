@@ -266,6 +266,23 @@ let test_fixture_streams () =
         fst (move_opt_fixture (moveopt_machine ())) );
     ]
 
+(* What no trace exercises: every escape in strings and keys, NaN,
+   and lists nested in objects. *)
+let test_json_writer () =
+  let v =
+    `Assoc
+      [
+        ("q\"b\\n\nt\tc\001", `String "q\"b\\n\nt\tc\001");
+        ("nan", `Float Float.nan);
+        ("l", `List [ `List [ `Int 1; `Null ]; `Assoc [ ("x", `Bool false) ] ]);
+        ("e", `Assoc []);
+      ]
+  in
+  Alcotest.(check string)
+    "rendering"
+    {|{"q\"b\\n\nt\tc\u0001":"q\"b\\n\nt\tc\u0001","nan":null,"l":[[1,null],{"x":false}],"e":{}}|}
+    (Lsra.Json.to_string v)
+
 let suite =
   List.map (QCheck_alcotest.to_alcotest ~long:false) property_tests
   @ [
@@ -279,4 +296,5 @@ let suite =
         test_move_opt_off;
       Alcotest.test_case "fixture traces replay and are well-formed" `Quick
         test_fixture_streams;
+      Alcotest.test_case "json: escapes, NaN, nesting" `Quick test_json_writer;
     ]
