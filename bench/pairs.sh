@@ -15,7 +15,10 @@
 # Then, per end-to-end metric: before and after median [q1, q3], the
 # after/before ratio of the medians and how many pairs "after" won,
 # read against the metric's "better" direction in BENCHMARK.json.
-# Exits 4 if any run was not correct.
+# A metric whose after median moved the wrong way by more than its
+# "bound" (a fraction of the before median) is marked OVER BOUND.
+# Exits 4 if any run was not correct, else 5 if any metric is OVER
+# BOUND.
 set -eu
 [ $# -ge 3 ] || { sed -n '5p' "$0" >&2; exit 2; }
 rev=$1 workload=$2 n=$3 name=${4:-pairs} seconds=${5:-15} seed0=${6:-2}
@@ -53,6 +56,7 @@ def q(xs):
     return "%.6g [%.6g, %.6g]" % (med, q1, q3), med
 print("%d pairs, all correct: %s" % (len(runs) // 2, ok))
 print("metric | before median [q1, q3] | after median [q1, q3] | after/before | after wins")
+over = []
 for m in bench["end_to_end"]:
     k, hi = m["name"], m["better"] == "higher"
     xb = [r["result"]["metrics"][k]["value"] for r in b]
@@ -60,6 +64,9 @@ for m in bench["end_to_end"]:
     if not xb or len(xb) != len(xa): continue
     (sb, mb), (sa, ma) = q(xb), q(xa)
     wins = sum((y > x) if hi else (y < x) for x, y in zip(xb, xa))
-    print("%s | %s | %s | %.4f | %d/%d" % (k, sb, sa, ma / mb if mb else float("nan"), wins, len(xa)))
-sys.exit(0 if ok else 4)
+    worse = (mb - ma if hi else ma - mb) / abs(mb) if mb else 0.0
+    mark = " | OVER BOUND" if "bound" in m and worse > m["bound"] else ""
+    if mark: over.append(k)
+    print("%s | %s | %s | %.4f | %d/%d%s" % (k, sb, sa, ma / mb if mb else float("nan"), wins, len(xa), mark))
+sys.exit(4 if not ok else 5 if over else 0)
 EOF

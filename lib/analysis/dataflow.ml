@@ -5,34 +5,6 @@ type meet = Union | Inter
 
 type result = { in_of : Bitset.t array; out_of : Bitset.t array }
 
-(* Successor/predecessor tables as int arrays indexed by linear block
-   position. Built once per solve; the solver's inner loop then never
-   touches a Hashtbl or allocates a list. *)
-let edge_tables cfg =
-  let blocks = Cfg.blocks cfg in
-  let n = Array.length blocks in
-  let idx l = Cfg.block_index cfg l in
-  let succs =
-    Array.map
-      (fun b -> Array.of_list (List.map idx (Block.succ_labels b)))
-      blocks
-  in
-  let degree = Array.make n 0 in
-  Array.iter
-    (Array.iter (fun j -> degree.(j) <- degree.(j) + 1))
-    succs;
-  let preds = Array.init n (fun j -> Array.make degree.(j) 0) in
-  let fill = Array.make n 0 in
-  Array.iteri
-    (fun i s ->
-      Array.iter
-        (fun j ->
-          preds.(j).(fill.(j)) <- i;
-          fill.(j) <- fill.(j) + 1)
-        s)
-    succs;
-  (succs, preds)
-
 let seed_inter ~direction ~width in_of out_of =
   (* With Inter meet, a not-yet-computed input must act as "top" (all
      ones): seed the met-side vectors with the universe and descend to the
@@ -55,7 +27,9 @@ let seed_inter ~direction ~width in_of out_of =
 let solve cfg ~direction ~meet ~width ~gen ~kill ?(rounds = ref 0) () =
   let blocks = Cfg.blocks cfg in
   let n = Array.length blocks in
-  let succs, preds = edge_tables cfg in
+  (* Integer successor/predecessor tables, built once per solve: the
+     inner loop never touches a Hashtbl or allocates a list. *)
+  let { Cfg.succs; preds } = Cfg.edge_tables cfg in
   let in_of = Array.init n (fun _ -> Bitset.create width) in
   let out_of = Array.init n (fun _ -> Bitset.create width) in
   let gens = Array.map gen blocks in

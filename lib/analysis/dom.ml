@@ -1,37 +1,35 @@
 open Lsra_ir
 
 type t = {
-  cfg : Cfg.t;
+  entry : int;
   rpo : int array; (* rpo.(i) = position of block i in reverse postorder; -1 if unreachable *)
   idom : int array; (* idom.(i) = linear index of immediate dominator; -1 if unreachable *)
 }
 
-let reverse_postorder cfg =
-  let n = Cfg.n_blocks cfg in
-  let blocks = Cfg.blocks cfg in
+let reverse_postorder (edges : Cfg.edges) entry =
+  let n = Array.length edges.succs in
   let visited = Array.make n false in
   let order = ref [] in
   let rec dfs i =
     if not visited.(i) then begin
       visited.(i) <- true;
-      List.iter
-        (fun l -> dfs (Cfg.block_index cfg l))
-        (Block.succ_labels blocks.(i));
+      Array.iter dfs edges.succs.(i);
       order := i :: !order
     end
   in
-  dfs (Cfg.block_index cfg (Cfg.entry cfg));
+  dfs entry;
   let rpo_pos = Array.make n (-1) in
   List.iteri (fun pos i -> rpo_pos.(i) <- pos) !order;
   (Array.of_list !order, rpo_pos)
 
-let compute cfg =
+let compute ?edges cfg =
+  let edges =
+    match edges with Some e -> e | None -> Cfg.edge_tables cfg
+  in
   let n = Cfg.n_blocks cfg in
-  let blocks = Cfg.blocks cfg in
-  let order, rpo = reverse_postorder cfg in
-  let preds = Cfg.preds_table cfg in
-  let idom = Array.make n (-1) in
   let entry = Cfg.block_index cfg (Cfg.entry cfg) in
+  let order, rpo = reverse_postorder edges entry in
+  let idom = Array.make n (-1) in
   idom.(entry) <- entry;
   let intersect a b =
     let a = ref a and b = ref b in
@@ -51,23 +49,23 @@ let compute cfg =
     Array.iter
       (fun i ->
         if i <> entry then begin
-          let ps =
-            Hashtbl.find preds (Block.label blocks.(i))
-            |> List.map (Cfg.block_index cfg)
-            |> List.filter (fun p -> idom.(p) <> -1)
+          (* Meet over the predecessors processed so far. *)
+          let new_idom =
+            Array.fold_left
+              (fun acc p ->
+                if idom.(p) = -1 then acc
+                else if acc = -1 then p
+                else intersect acc p)
+              (-1) edges.preds.(i)
           in
-          match ps with
-          | [] -> ()
-          | first :: rest ->
-            let new_idom = List.fold_left intersect first rest in
-            if idom.(i) <> new_idom then begin
-              idom.(i) <- new_idom;
-              changed := true
-            end
+          if new_idom <> -1 && idom.(i) <> new_idom then begin
+            idom.(i) <- new_idom;
+            changed := true
+          end
         end)
       order
   done;
-  { cfg; rpo; idom }
+  { entry; rpo; idom }
 
 let idom t i = if t.idom.(i) = i then None else Some t.idom.(i)
 let reachable t i = t.idom.(i) <> -1
@@ -75,7 +73,6 @@ let reachable t i = t.idom.(i) <> -1
 let dominates t a b =
   if t.idom.(a) = -1 || t.idom.(b) = -1 then false
   else begin
-    let entry = Cfg.block_index t.cfg (Cfg.entry t.cfg) in
-    let rec walk x = x = a || (x <> entry && walk t.idom.(x)) in
+    let rec walk x = x = a || (x <> t.entry && walk t.idom.(x)) in
     walk b
   end

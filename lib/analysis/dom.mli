@@ -5,7 +5,9 @@ open Lsra_ir
 
 type t
 
-val compute : Cfg.t -> t
+(** [edges], when given, must be {!Cfg.edge_tables} of [cfg]; it is
+    built here otherwise. *)
+val compute : ?edges:Cfg.edges -> Cfg.t -> t
 
 (** Immediate dominator of a block (by linear index); [None] for the
     entry. Meaningless for unreachable blocks (see {!reachable}). *)

@@ -14,6 +14,15 @@ type t
     re-expanded afterwards, so callers never see the difference. *)
 val compute : ?compress:bool -> Func.t -> t
 
+(** [refresh t func rows] re-solves the rows of the temps in [rows] (a
+    temp-id bitset) from empty against [func]'s current bodies, as a least
+    fixed point, and writes them over [t]'s rows; every other row is kept.
+    [t] must have been computed for [func]'s CFG. The result equals a fresh
+    {!compute} when only those rows can differ from it, which is how
+    {!Dce} keeps one solution exact across its rounds. Returns [true] when
+    some row changed. *)
+val refresh : t -> Func.t -> Bitset.t -> bool
+
 (** Width of the bit vectors (the function's temp-id bound). *)
 val width : t -> int
 

@@ -2,48 +2,49 @@ open Lsra_ir
 
 type t = { depth : int array; headers : int list }
 
-let compute cfg =
+let compute ?edges cfg =
   let n = Cfg.n_blocks cfg in
-  let blocks = Cfg.blocks cfg in
-  let dom = Dom.compute cfg in
-  let preds = Cfg.preds_table cfg in
-  let idx l = Cfg.block_index cfg l in
+  let edges =
+    match edges with Some e -> e | None -> Cfg.edge_tables cfg
+  in
+  let dom = Dom.compute ~edges cfg in
   (* Back edges: n -> h with h dominating n. Collect the natural loop body
      of each header by walking predecessors backwards from each latch. *)
-  let loops : (int, Bitset.t) Hashtbl.t = Hashtbl.create 8 in
-  Array.iteri
-    (fun i b ->
-      if Dom.reachable dom i then
-        List.iter
-          (fun s ->
-            let h = idx s in
-            if Dom.dominates dom h i then begin
-              let body =
-                match Hashtbl.find_opt loops h with
-                | Some s -> s
-                | None ->
-                  let s = Bitset.create n in
-                  Bitset.add s h;
-                  Hashtbl.add loops h s;
-                  s
-              in
-              let rec back j =
-                if not (Bitset.mem body j) then begin
-                  Bitset.add body j;
-                  List.iter
-                    (fun p -> back (idx p))
-                    (Hashtbl.find preds (Block.label blocks.(j)))
-                end
-              in
-              back i
-            end)
-          (Block.succ_labels b))
-    blocks;
+  let loops = Array.make n None in
+  for i = 0 to n - 1 do
+    if Dom.reachable dom i then
+      Array.iter
+        (fun h ->
+          if Dom.dominates dom h i then begin
+            let body =
+              match loops.(h) with
+              | Some s -> s
+              | None ->
+                let s = Bitset.create n in
+                Bitset.add s h;
+                loops.(h) <- Some s;
+                s
+            in
+            let rec back j =
+              if not (Bitset.mem body j) then begin
+                Bitset.add body j;
+                Array.iter back edges.preds.(j)
+              end
+            in
+            back i
+          end)
+        edges.succs.(i)
+  done;
   let depth = Array.make n 0 in
-  Hashtbl.iter
-    (fun _ body -> Bitset.iter (fun j -> depth.(j) <- depth.(j) + 1) body)
-    loops;
-  { depth; headers = List.of_seq (Hashtbl.to_seq_keys loops) }
+  let headers = ref [] in
+  for h = n - 1 downto 0 do
+    match loops.(h) with
+    | None -> ()
+    | Some body ->
+      headers := h :: !headers;
+      Bitset.iter (fun j -> depth.(j) <- depth.(j) + 1) body
+  done;
+  { depth; headers = !headers }
 
 let depth t i = t.depth.(i)
 let depth_of_label t cfg l = t.depth.(Cfg.block_index cfg l)

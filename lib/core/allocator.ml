@@ -44,7 +44,7 @@ let of_name = function
    others (the exact allocator's rungs and its coloring fallback) are
    counted once. [Gc.quick_stat] reads the calling domain's counters,
    which keeps the attribution right under [Parallel.fold_stats]. *)
-let run ?trace algorithm machine func =
+let run ?trace ?liveness algorithm machine func =
   let t0 = Monotonic_clock.now () in
   let g0 = Gc.quick_stat () in
   let stats =
@@ -52,23 +52,34 @@ let run ?trace algorithm machine func =
     | Second_chance opts ->
       (* The paper's allocator: the allocate-and-rewrite scan, then
          CFG-edge resolution. *)
-      let scanned = Binpack.scan ~opts ?trace machine func in
+      let scanned = Binpack.scan ~opts ?trace ?liveness machine func in
       Stats.timed scanned.Binpack.stats Stats.Resolution (fun () ->
           Resolution.run scanned);
       scanned.Binpack.stats
-    | Two_pass -> Two_pass.run ?trace machine func
-    | Poletto -> Poletto.run ?trace machine func
-    | Graph_coloring -> Coloring.run ?trace machine func
-    | Optimal opts -> Optimal.run ~opts ?trace machine func
+    | Two_pass -> Two_pass.run ?trace ?liveness machine func
+    | Poletto -> Poletto.run ?trace ?liveness machine func
+    | Graph_coloring -> Coloring.run ?trace ?liveness machine func
+    | Optimal opts -> Optimal.run ~opts ?trace ?liveness machine func
   in
   Stats.record_gc_since stats g0;
   stats.Stats.alloc_time <- Stats.seconds_since t0;
   stats
 
-let run_program ?jobs ?trace algorithm machine prog =
+let run_program ?jobs ?trace ?liveness algorithm machine prog =
   (* A shared trace sink is not domain-safe: force sequential. *)
   let jobs = if trace = None then jobs else Some 1 in
-  Parallel.fold_stats ?jobs prog (run ?trace algorithm machine)
+  let take i =
+    match liveness with
+    | None -> None
+    | Some sols ->
+      (* Each slot is read by its own function's task only; emptying it
+         lets the solution die with that allocation. *)
+      let l = sols.(i) in
+      sols.(i) <- None;
+      l
+  in
+  Parallel.fold_stats ?jobs prog (fun i f ->
+      run ?trace ?liveness:(take i) algorithm machine f)
 
 (* The paper's full pipeline (§3): the pre-allocation passes of
    [passes], allocation, then its post-allocation cleanups — with the
@@ -86,11 +97,23 @@ let pipeline ?(precheck = false) ?(verify = false) ?(passes = Passes.default)
     match check_each with None -> () | Some f -> f pass prog
   in
   let pre_stats = Stats.create () in
-  List.iter
-    (fun pass ->
-      ignore (Passes.run_pass ~stats:pre_stats ?trace pass prog);
-      checked (Some pass))
-    pre;
+  (* DCE's liveness solutions, while DCE is the last pass to have touched
+     the program: they are exact for what the allocator sees. *)
+  let liveness =
+    List.fold_left
+      (fun _ pass ->
+        let handed =
+          match pass with
+          | Passes.Dce ->
+            Some (snd (Passes.run_dce ~stats:pre_stats ?trace prog))
+          | Passes.Copyprop | Passes.Motion | Passes.Peephole | Passes.Slots ->
+            ignore (Passes.run_pass ~stats:pre_stats ?trace pass prog);
+            None
+        in
+        checked (Some pass);
+        handed)
+      None pre
+  in
   (* Snapshot after the pre-allocation passes: the verifier matches
      instructions by uid, so the original must be the exact program the
      allocator saw. *)
@@ -99,7 +122,7 @@ let pipeline ?(precheck = false) ?(verify = false) ?(passes = Passes.default)
       List.map (fun (n, f) -> (n, Func.copy f)) (Program.funcs prog)
     else []
   in
-  let stats = run_program ?jobs ?trace algorithm machine prog in
+  let stats = run_program ?jobs ?trace ?liveness algorithm machine prog in
   Stats.add ~into:stats pre_stats;
   let verify_all () =
     if verify then

@@ -42,16 +42,39 @@ val of_name : string -> algorithm option
     This is the only code that measures an allocation: [alloc_time] (on
     the monotonic clock) and the GC counters of the returned stats cover
     the whole call, counted once even when the exact allocator runs other
-    allocators inside it. *)
-val run : ?trace:Trace.t -> algorithm -> Machine.t -> Func.t -> Stats.t
+    allocators inside it.
+
+    [liveness], when given, must be [func]'s exact liveness as it stands,
+    such as {!Lsra_analysis.Dce.run_to_fixpoint} returns; every allocator
+    then uses it in place of its own first {!Lsra_analysis.Liveness}
+    solve (see {!Binpack.scan}), with identical output. *)
+val run :
+  ?trace:Trace.t ->
+  ?liveness:Lsra_analysis.Liveness.t ->
+  algorithm ->
+  Machine.t ->
+  Func.t ->
+  Stats.t
 
 (** Allocate every function of the program and return the merged stats.
     [jobs] fans the per-function allocations across that many domains via
     {!Parallel.fold_stats}; the default ([jobs <= 1]) is sequential, and
     the allocated program is bit-identical either way. A [trace] sink
-    forces sequential execution (the sink is shared mutable state). *)
+    forces sequential execution (the sink is shared mutable state).
+
+    [liveness], when given, has one slot per function of
+    {!Program.funcs}, in that order; a [Some] slot is passed to {!run}
+    for its own function ([None]: the allocator solves as usual). A slot
+    is emptied when its function's allocation takes it, so no solution
+    outlives that allocation. *)
 val run_program :
-  ?jobs:int -> ?trace:Trace.t -> algorithm -> Machine.t -> Program.t -> Stats.t
+  ?jobs:int ->
+  ?trace:Trace.t ->
+  ?liveness:Lsra_analysis.Liveness.t option array ->
+  algorithm ->
+  Machine.t ->
+  Program.t ->
+  Stats.t
 
 (** [pipeline algorithm machine prog] mutates [prog] through the managed
     pass pipeline: the pre-allocation passes of [passes] (in
@@ -74,7 +97,15 @@ val run_program :
     sequential) plus {!Trace.Pass_begin}/{!Trace.Pass_end} brackets for
     every managed pass. Slots' frame-word savings are reported in the
     returned stats' [frame_saved], and every managed pass's wall time
-    under its own {!Stats.pass} counter. *)
+    under its own {!Stats.pass} counter.
+
+    When [Dce] runs (it is always the last pre-allocation pass), liveness
+    is solved once per function: DCE keeps its solution exact through its
+    rounds ({!Passes.run_dce}) and this call hands each one to the
+    allocator through {!run_program}, for the length of the call only.
+    The solve is therefore charged to [Dce] and [time_liveness] stays 0;
+    the allocated program and every counter are identical to a separate
+    DCE pass followed by {!run_program}. *)
 val pipeline :
   ?precheck:bool ->
   ?verify:bool ->

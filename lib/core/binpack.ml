@@ -652,17 +652,22 @@ let release_dead st ~pos =
     st.dead_at <- !m
   end
 
-let scan ?(opts = default_options) ?trace machine func =
+let scan ?(opts = default_options) ?trace ?liveness machine func =
   let regidx = Regidx.create machine in
   let stats = Stats.create () in
   Trace.emit_fn trace func;
-  let liveness = Stats.timed stats Stats.Liveness (fun () -> Liveness.compute func) in
+  let cfg = Func.cfg func in
+  let liveness =
+    match liveness with
+    | Some l -> l
+    | None -> Stats.timed stats Stats.Liveness (fun () -> Liveness.compute func)
+  in
+  let edges = Cfg.edge_tables cfg in
   let lifetimes =
     Stats.timed stats Stats.Lifetime (fun () ->
-        let loops = Loop.compute (Func.cfg func) in
+        let loops = Loop.compute ~edges cfg in
         Lifetime.compute regidx func liveness loops)
   in
-  let cfg = Func.cfg func in
   let blocks = Cfg.blocks cfg in
   let nb = Array.length blocks in
   let ntemps = Func.temp_bound func in
@@ -704,7 +709,6 @@ let scan ?(opts = default_options) ?trace machine func =
     }
   in
   let linear = Lifetime.linear lifetimes in
-  let preds = lazy (Cfg.preds_table cfg) in
   let visited = Array.make nb false in
   let scan_t0 = Monotonic_clock.now () in
   for bi = 0 to nb - 1 do
@@ -724,13 +728,11 @@ let scan ?(opts = default_options) ?trace machine func =
     | Conservative ->
       (* Strictly linear variant (paper §2.6): trust consistency at block
          entry only when every predecessor's saved vector grants it. *)
-      let ps = Hashtbl.find (Lazy.force preds) label in
+      let ps = edges.Cfg.preds.(bi) in
       let granted id =
-        ps <> []
-        && List.for_all
-             (fun p ->
-               let pi = Cfg.block_index cfg p in
-               visited.(pi) && Bitset.mem res.are_consistent.(pi) id)
+        Array.length ps > 0
+        && Array.for_all
+             (fun pi -> visited.(pi) && Bitset.mem res.are_consistent.(pi) id)
              ps
       in
       for id = 0 to ntemps - 1 do

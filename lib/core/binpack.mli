@@ -62,5 +62,16 @@ exception Out_of_registers of string
     recorded into it (see {!Trace}); with it absent the scan pays only a
     pointer test per decision. Raises {!Out_of_registers} only when a
     single instruction references more distinct locations than the machine
-    has registers. *)
-val scan : ?opts:options -> ?trace:Trace.t -> Machine.t -> Func.t -> t
+    has registers.
+
+    [liveness], when given, must be [func]'s exact liveness as it stands,
+    such as the solution {!Dce.run_to_fixpoint} returns; the scan then
+    skips its own solve and charges nothing to {!Stats.Liveness}
+    ([Allocator.pipeline] hands DCE's solution over this way). *)
+val scan :
+  ?opts:options ->
+  ?trace:Trace.t ->
+  ?liveness:Liveness.t ->
+  Machine.t ->
+  Func.t ->
+  t

@@ -569,7 +569,7 @@ let apply_colors ~trace ctx =
       Block.rewrite_term b ~use:map)
     (Func.cfg ctx.func)
 
-let allocate_class ?trace machine func cls stats no_spill_seed =
+let allocate_class ?trace ?liveness machine func cls stats no_spill_seed =
   let max_rounds = 48 in
   let rec round no_spill_ids iter =
     if iter > max_rounds then
@@ -628,7 +628,13 @@ let allocate_class ?trace machine func cls stats no_spill_seed =
         stats;
       }
     in
-    let liveness = Liveness.compute func in
+    (* A handed-over solution describes the function as it came in:
+       only the first round of the first class sees it unchanged. *)
+    let liveness =
+      match liveness with
+      | Some l when iter = 1 -> l
+      | Some _ | None -> Liveness.compute func
+    in
     let loops = Loop.compute (Func.cfg func) in
     build ctx liveness loops;
     make_worklist ctx;
@@ -650,10 +656,10 @@ let allocate_class ?trace machine func cls stats no_spill_seed =
   in
   round no_spill_seed 1
 
-let run ?trace machine func =
+let run ?trace ?liveness machine func =
   Trace.emit_fn trace func;
   let stats = Stats.create () in
-  allocate_class ?trace machine func Rclass.Int stats [];
+  allocate_class ?trace ?liveness machine func Rclass.Int stats [];
   allocate_class ?trace machine func Rclass.Float stats [];
   stats.Stats.slots <- Func.n_slots func;
   stats

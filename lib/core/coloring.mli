@@ -14,5 +14,12 @@ exception Coloring_failure of string
 (** Allocate one function in place. [trace] records spill-slot grants,
     spill/reload insertions and the final color of every temporary (see
     {!Trace}). [coloring_iterations] and [interference_edges] feed
-    Table 3. *)
-val run : ?trace:Trace.t -> Machine.t -> Func.t -> Stats.t
+    Table 3. [liveness], when given, must be [func]'s exact liveness as it
+    stands (see {!Binpack.scan}); it replaces the solve of the first
+    coloring round, the only one that sees the function unchanged. *)
+val run :
+  ?trace:Trace.t ->
+  ?liveness:Lsra_analysis.Liveness.t ->
+  Machine.t ->
+  Func.t ->
+  Stats.t

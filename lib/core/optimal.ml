@@ -464,7 +464,7 @@ let baselines machine : (?trace:Trace.t -> Func.t -> Stats.t) list =
     (fun ?trace f -> Poletto.run ?trace machine f);
   ]
 
-let run_exact ?(opts = default_options) ?trace machine func =
+let run_exact ?(opts = default_options) ?trace ?liveness machine func =
   if Func.n_instrs func > opts.max_instrs then
     raise
       (Budget_exceeded
@@ -483,7 +483,9 @@ let run_exact ?(opts = default_options) ?trace machine func =
       None (baselines machine)
   in
   let regidx = Regidx.create machine in
-  let liveness = Liveness.compute func in
+  let liveness =
+    match liveness with Some l -> l | None -> Liveness.compute func
+  in
   let loops = Loop.compute (Func.cfg func) in
   let lifetimes = Lifetime.compute regidx func liveness loops in
   let linear = Lifetime.linear lifetimes in
@@ -526,8 +528,8 @@ let run_exact ?(opts = default_options) ?trace machine func =
   stats.Stats.opt_proven <- 1;
   stats
 
-let run ?(opts = default_options) ?trace machine func =
-  match run_exact ~opts ?trace machine func with
+let run ?(opts = default_options) ?trace ?liveness machine func =
+  match run_exact ~opts ?trace ?liveness machine func with
   | stats -> stats
   | exception Budget_exceeded _ ->
     (* Degrade like the service's deadline ladder does, and account for
@@ -545,6 +547,6 @@ let run ?(opts = default_options) ?trace machine func =
              budget = float_of_int opts.node_budget;
              predicted = float_of_int opts.node_budget;
            }));
-    let stats = Coloring.run ?trace machine func in
+    let stats = Coloring.run ?trace ?liveness machine func in
     stats.Stats.downgrades <- stats.Stats.downgrades + 1;
     stats

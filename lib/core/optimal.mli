@@ -55,7 +55,12 @@ exception Budget_exceeded of string
     whole-lifetime model and a certified floor under every heuristic);
     [Stats.opt_nodes] counts nodes explored. *)
 val run_exact :
-  ?opts:options -> ?trace:Trace.t -> Machine.t -> Func.t -> Stats.t
+  ?opts:options ->
+  ?trace:Trace.t ->
+  ?liveness:Lsra_analysis.Liveness.t ->
+  Machine.t ->
+  Func.t ->
+  Stats.t
 
 (** Like {!run_exact}, but a budget trip degrades to {!Coloring.run} on
     the untouched function, emitting {!Trace.Downgrade} and bumping
@@ -63,5 +68,16 @@ val run_exact :
 
     Neither function records its own cost: [alloc_time] and the GC
     counters are set by {!Allocator.run}, whose one measurement covers
-    the rungs, the search and any fallback. *)
-val run : ?opts:options -> ?trace:Trace.t -> Machine.t -> Func.t -> Stats.t
+    the rungs, the search and any fallback.
+
+    [liveness], when given, must be [func]'s exact liveness as it stands
+    (see {!Binpack.scan}); it replaces the exact model's own solve and the
+    fallback's first one. The rungs, which allocate copies, solve their
+    own. *)
+val run :
+  ?opts:options ->
+  ?trace:Trace.t ->
+  ?liveness:Lsra_analysis.Liveness.t ->
+  Machine.t ->
+  Func.t ->
+  Stats.t

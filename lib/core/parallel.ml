@@ -217,12 +217,14 @@ let map_array ?(jobs = 1) ?weight items f =
   end
 
 let fold_stats ?(jobs = 1) prog pass =
-  let funcs = Array.of_list (Program.funcs prog) in
+  let funcs =
+    Array.of_list (List.mapi (fun i (_, f) -> (i, f)) (Program.funcs prog))
+  in
   let per_func =
     map_array ~jobs
       ~weight:(fun (_, f) -> Func.n_instrs f)
       funcs
-      (fun (_, f) -> pass f)
+      (fun (i, f) -> pass i f)
   in
   let total = Stats.create () in
   Array.iter (fun s -> Stats.add ~into:total s) per_func;

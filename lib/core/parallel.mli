@@ -69,9 +69,11 @@ val teardown : unit -> unit
 val map_array :
   ?jobs:int -> ?weight:('a -> int) -> 'a array -> ('a -> 'b) -> 'b array
 
-(** [fold_stats ?jobs prog pass] runs [pass] on every function of [prog]
-    via {!map_array} — weighted by [Func.n_instrs] so big functions are
-    dealt first — and returns the {!Stats.add}-merged totals, merged in
-    function order. Allocation results and merged counters are identical
+(** [fold_stats ?jobs prog pass] runs [pass i f] on every function [f]
+    of [prog], [i] being its position in {!Program.funcs}, via
+    {!map_array} — weighted by [Func.n_instrs] so big functions are dealt
+    first — and returns the {!Stats.add}-merged totals, merged in function
+    order. Allocation results and merged counters are identical
     to a sequential run. *)
-val fold_stats : ?jobs:int -> Program.t -> (Func.t -> Stats.t) -> Stats.t
+val fold_stats :
+  ?jobs:int -> Program.t -> (int -> Func.t -> Stats.t) -> Stats.t

@@ -92,26 +92,16 @@ let stats_pass = function
   | Peephole -> Stats.Peephole
   | Slots -> Stats.Slots
 
-(* Run one pass over the whole program. The return value is the pass's
-   own change count (instructions rewritten/removed; frame words saved
-   for Slots). Wall time lands in [stats] under the pass's own counter,
-   and Slots' savings additionally land in [stats.frame_saved]; a
-   [trace] sink brackets the work in [Pass_begin]/[Pass_end] events
-   (plus per-slot [Slot_renumber] events from Slots itself). *)
-let run_pass ?stats ?trace pass prog =
+(* Run one pass's [work] over the whole program. The return value is
+   the pass's own change count (instructions rewritten/removed; frame
+   words saved for Slots). Wall time lands in [stats] under the pass's
+   own counter, and Slots' savings additionally land in
+   [stats.frame_saved]; a [trace] sink brackets the work in
+   [Pass_begin]/[Pass_end] events (plus per-slot [Slot_renumber] events
+   from Slots itself). *)
+let bracket ?stats ?trace pass work =
   Option.iter (fun t -> Trace.emit t (Trace.Pass_begin { pass = name pass }))
     trace;
-  let per_func run =
-    List.fold_left (fun acc (_, f) -> acc + run f) 0 (Program.funcs prog)
-  in
-  let work () =
-    match pass with
-    | Copyprop -> per_func Lsra_analysis.Copyprop.run
-    | Dce -> per_func Lsra_analysis.Dce.run_to_fixpoint
-    | Motion -> per_func Motion.run
-    | Peephole -> per_func Peephole.run
-    | Slots -> per_func (Slots.run ?trace)
-  in
   let changed =
     match stats with
     | None -> work ()
@@ -124,6 +114,30 @@ let run_pass ?stats ?trace pass prog =
     (fun t -> Trace.emit t (Trace.Pass_end { pass = name pass; changed }))
     trace;
   changed
+
+let per_func prog run =
+  List.fold_left (fun acc (_, f) -> acc + run f) 0 (Program.funcs prog)
+
+let run_pass ?stats ?trace pass prog =
+  bracket ?stats ?trace pass (fun () ->
+      match pass with
+      | Copyprop -> per_func prog Lsra_analysis.Copyprop.run
+      | Dce ->
+        per_func prog (fun f -> fst (Lsra_analysis.Dce.run_to_fixpoint f))
+      | Motion -> per_func prog Motion.run
+      | Peephole -> per_func prog Peephole.run
+      | Slots -> per_func prog (Slots.run ?trace))
+
+let run_dce ?stats ?trace prog =
+  let solutions = ref [] in
+  let removed =
+    bracket ?stats ?trace Dce (fun () ->
+        per_func prog (fun f ->
+            let n, live = Lsra_analysis.Dce.run_to_fixpoint f in
+            solutions := Some live :: !solutions;
+            n))
+  in
+  (removed, Array.of_list (List.rev !solutions))
 
 type check = t -> Program.t -> unit
 

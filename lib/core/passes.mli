@@ -58,6 +58,15 @@ val to_spec : t list -> string
     {!Trace.Pass_end} events. *)
 val run_pass : ?stats:Stats.t -> ?trace:Trace.t -> t -> Program.t -> int
 
+(** {!run_pass} [Dce], also returning each function's liveness as DCE
+    leaves it, in {!Program.funcs} order (every slot is [Some]): the
+    solutions {!Allocator.pipeline} hands to the allocator. *)
+val run_dce :
+  ?stats:Stats.t ->
+  ?trace:Trace.t ->
+  Program.t ->
+  int * Lsra_analysis.Liveness.t option array
+
 (** Called after each pass with the pass just run and the program as the
     pass left it; raise to abort (this is where a semantic oracle
     hooks in). *)

@@ -27,9 +27,11 @@ type t = {
 
 let convex_span itv = (Interval.start itv, Interval.stop itv)
 
-let allocate ?trace machine func =
+let allocate ?trace ?liveness machine func =
   let regidx = Regidx.create machine in
-  let liveness = Liveness.compute func in
+  let liveness =
+    match liveness with Some l -> l | None -> Liveness.compute func
+  in
   let loops = Loop.compute (Func.cfg func) in
   let lifetimes = Lifetime.compute regidx func liveness loops in
   let ntemps = Func.temp_bound func in
@@ -255,8 +257,8 @@ let rewrite t =
     (Func.cfg func);
   stats.Stats.slots <- Func.n_slots func
 
-let run ?trace machine func =
+let run ?trace ?liveness machine func =
   Trace.emit_fn trace func;
-  let t = allocate ?trace machine func in
+  let t = allocate ?trace ?liveness machine func in
   rewrite t;
   t.stats

@@ -29,7 +29,10 @@ type t = {
           proven optimum of the whole-lifetime model *)
   mutable alloc_time : float;
       (** seconds spent inside the allocator, on the monotonic clock *)
-  mutable time_liveness : float;  (** wall seconds, per pass, below *)
+  mutable time_liveness : float;
+      (** wall seconds, per pass, below. In [Allocator.pipeline] with
+          [Dce] the function's one liveness solve is DCE's, so it is
+          charged to [time_dce] and [time_liveness] reads 0 *)
   mutable time_lifetime : float;
   mutable time_scan : float;
   mutable time_resolution : float;
@@ -52,10 +55,11 @@ type t = {
 }
 
 (** The passes the wall-time breakdown distinguishes: the two analyses
-    feeding the allocator, the allocate-and-rewrite scan, the CFG-edge
-    resolution, and the managed pipeline passes around allocation
-    (copy propagation, DCE, spill motion, the peephole and slot
-    compaction). *)
+    feeding the allocator (liveness only when the allocator solves it
+    itself: a solution handed over by DCE was paid for under [Dce]), the
+    allocate-and-rewrite scan, the CFG-edge resolution, and the managed
+    pipeline passes around allocation (copy propagation, DCE, spill
+    motion, the peephole and slot compaction). *)
 type pass =
   | Liveness
   | Lifetime

@@ -82,9 +82,11 @@ let priority itv =
   done;
   !w /. len
 
-let allocate ?trace machine func =
+let allocate ?trace ?liveness machine func =
   let regidx = Regidx.create machine in
-  let liveness = Liveness.compute func in
+  let liveness =
+    match liveness with Some l -> l | None -> Liveness.compute func
+  in
   let loops = Loop.compute (Func.cfg func) in
   let lifetimes = Lifetime.compute regidx func liveness loops in
   let ntemps = Func.temp_bound func in
@@ -374,8 +376,8 @@ let rewrite t =
     blocks;
   stats.Stats.slots <- Func.n_slots func
 
-let run ?trace machine func =
+let run ?trace ?liveness machine func =
   Trace.emit_fn trace func;
-  let t = allocate ?trace machine func in
+  let t = allocate ?trace ?liveness machine func in
   rewrite t;
   t.stats

@@ -12,5 +12,12 @@ open Lsra_target
 exception Out_of_registers of string
 
 (** Allocate one function in place. [trace] records each decision (see
-    {!Trace}); with it absent tracing costs one pointer test per site. *)
-val run : ?trace:Trace.t -> Machine.t -> Func.t -> Stats.t
+    {!Trace}); with it absent tracing costs one pointer test per site.
+    [liveness], when given, must be [func]'s exact liveness as it stands
+    (see {!Binpack.scan}); it replaces the allocator's own solve. *)
+val run :
+  ?trace:Trace.t ->
+  ?liveness:Lsra_analysis.Liveness.t ->
+  Machine.t ->
+  Func.t ->
+  Stats.t

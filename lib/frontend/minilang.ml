@@ -5,6 +5,7 @@ let compile ?heap_words machine src =
   List.iter
     (fun (_, f) ->
       ignore (Lsra_analysis.Copyprop.run f);
-      ignore (Lsra_analysis.Dce.run_to_fixpoint f))
+      (* The liveness DCE returns is stale once lowering is done. *)
+      ignore (fst (Lsra_analysis.Dce.run_to_fixpoint f)))
     (Lsra_ir.Program.funcs prog);
   prog

@@ -61,6 +61,29 @@ let preds_table t =
   Hashtbl.iter (fun k v -> Hashtbl.replace tbl k (List.rev v)) tbl;
   tbl
 
+type edges = { succs : int array array; preds : int array array }
+
+let edge_tables t =
+  let n = Array.length t.blocks in
+  let succs =
+    Array.map
+      (fun b -> Array.of_list (List.map (block_index t) (Block.succ_labels b)))
+      t.blocks
+  in
+  let degree = Array.make n 0 in
+  Array.iter (Array.iter (fun j -> degree.(j) <- degree.(j) + 1)) succs;
+  let preds = Array.init n (fun j -> Array.make degree.(j) 0) in
+  let fill = Array.make n 0 in
+  Array.iteri
+    (fun i s ->
+      Array.iter
+        (fun j ->
+          preds.(j).(fill.(j)) <- i;
+          fill.(j) <- fill.(j) + 1)
+        s)
+    succs;
+  { succs; preds }
+
 let edges t =
   Array.to_list t.blocks
   |> List.concat_map (fun b ->

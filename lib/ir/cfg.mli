@@ -30,6 +30,14 @@ val succs : t -> Block.t -> Block.t list
 (** Predecessor labels of every block, in first-encountered order. *)
 val preds_table : t -> (string, string list) Hashtbl.t
 
+(** The CFG's edges as integer tables over linear block indices:
+    [succs.(i)] lists block [i]'s successors in {!Block.succ_labels}
+    order, [preds.(j)] block [j]'s predecessors in {!preds_table} order.
+    A snapshot: blocks appended later are not in it. *)
+type edges = { succs : int array array; preds : int array array }
+
+val edge_tables : t -> edges
+
 (** All CFG edges as [(src_label, dst_label)] pairs. *)
 val edges : t -> (string * string) list
 

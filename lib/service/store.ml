@@ -149,7 +149,8 @@ let write_file path contents =
 
 (* Rewrite the shard's journal from its in-memory state: one record per
    live key, oldest-touched first, dropping the oldest keys while the
-   rewritten file would still exceed the budget. Returns the dropped
+   rewritten file would still exceed [max_bytes] (the newest key is
+   always kept). Returns the dropped
    keys (already evicted from [table]). *)
 let compact_shard max_bytes sh =
   let seen = Hashtbl.create 64 in
@@ -306,7 +307,10 @@ let append t ~key ~algo ~output =
       sh.bytes <- sh.bytes + record_size key algo output;
       locked t.lock (fun () -> t.appended <- t.appended + 1);
       if sh.bytes > t.max_bytes then begin
-        ignore (compact_shard t.max_bytes sh);
+        (* Compact down to a low-water mark of half the budget: keeping
+           up to the full budget would let the very next append cross it
+           again, compacting on every append. *)
+        ignore (compact_shard (t.max_bytes / 2) sh);
         locked t.lock (fun () -> t.compactions <- t.compactions + 1)
       end)
 

@@ -20,7 +20,10 @@
     the longest valid record prefix, drops the torn tail (counted in
     {!counters}), and heals the file. When a shard's journal outgrows
     its byte budget it is compacted: one record per live key, oldest
-    keys dropped until the rewrite fits. *)
+    keys dropped until the rewrite fits in half the budget. That
+    low-water mark leaves half a budget of appends before the next
+    compaction, so [n] appends of [size] bytes into one shard compact at
+    most [ceil (n * size / (max_bytes / 2))] times. *)
 
 type counters = {
   entries : int;  (** live keys across all shards *)

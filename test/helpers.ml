@@ -92,3 +92,167 @@ let pressure_func ~width ~iters =
   B.finish b
 
 let prog_of_func f = Program.create ~main:(Func.name f) [ (Func.name f, f) ]
+
+(* ---------------- reference analyses ---------------- *)
+
+(* The DCE every round of which solves liveness afresh: the reference
+   [Dce.run_to_fixpoint] must match instruction for instruction and in
+   its count. *)
+let dce_round_by_round func =
+  let module L = Lsra_analysis.Liveness in
+  let module S = Lsra_analysis.Bitset in
+  let temp_ids f locs =
+    List.iter
+      (fun l -> match Loc.as_temp l with Some t -> f (Temp.id t) | None -> ())
+      locs
+  in
+  let side_effect i =
+    match Instr.desc i with
+    | Instr.Store _ | Instr.Spill_store _ | Instr.Call _ -> true
+    | _ -> false
+  in
+  let round () =
+    let liveness = L.compute func in
+    let removed = ref 0 in
+    Cfg.iter_blocks
+      (fun b ->
+        let live = S.copy (L.live_out liveness (Block.label b)) in
+        temp_ids (S.add live) (Block.term_uses b);
+        let keep = ref [] in
+        let body = Block.body b in
+        for k = Array.length body - 1 downto 0 do
+          let i = body.(k) in
+          let defs = Instr.defs i in
+          let keeps_live =
+            List.exists
+              (fun l ->
+                match Loc.as_temp l with
+                | Some t -> S.mem live (Temp.id t)
+                | None -> true)
+              defs
+          in
+          if (not (side_effect i)) && defs <> [] && not keeps_live then
+            incr removed
+          else begin
+            keep := i :: !keep;
+            temp_ids (S.remove live) defs;
+            temp_ids (S.add live) (Instr.uses i)
+          end
+        done;
+        Block.set_body b (Array.of_list !keep))
+      (Func.cfg func);
+    !removed
+  in
+  let rec go total =
+    let r = round () in
+    if r > 0 then go (total + r) else total
+  in
+  go 0
+
+(* Immediate dominators over the label-keyed predecessor table, the
+   reference for [Dom]: [idom.(i)] is -1 for an unreachable block and [i]
+   for the entry. *)
+let idoms_by_labels cfg =
+  let n = Cfg.n_blocks cfg in
+  let blocks = Cfg.blocks cfg in
+  let visited = Array.make n false in
+  let order = ref [] in
+  let rec dfs i =
+    if not visited.(i) then begin
+      visited.(i) <- true;
+      List.iter
+        (fun l -> dfs (Cfg.block_index cfg l))
+        (Block.succ_labels blocks.(i));
+      order := i :: !order
+    end
+  in
+  let entry = Cfg.block_index cfg (Cfg.entry cfg) in
+  dfs entry;
+  let rpo = Array.make n (-1) in
+  List.iteri (fun pos i -> rpo.(i) <- pos) !order;
+  let preds = Cfg.preds_table cfg in
+  let idom = Array.make n (-1) in
+  idom.(entry) <- entry;
+  let intersect a b =
+    let a = ref a and b = ref b in
+    while !a <> !b do
+      while rpo.(!a) > rpo.(!b) do
+        a := idom.(!a)
+      done;
+      while rpo.(!b) > rpo.(!a) do
+        b := idom.(!b)
+      done
+    done;
+    !a
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun i ->
+        if i <> entry then
+          match
+            Hashtbl.find preds (Block.label blocks.(i))
+            |> List.map (Cfg.block_index cfg)
+            |> List.filter (fun p -> idom.(p) <> -1)
+          with
+          | [] -> ()
+          | first :: rest ->
+            let d = List.fold_left intersect first rest in
+            if idom.(i) <> d then begin
+              idom.(i) <- d;
+              changed := true
+            end)
+      !order
+  done;
+  idom
+
+(* Natural-loop depths and the sorted header list over the label-keyed
+   predecessor table, the reference for [Loop]. *)
+let loops_by_labels cfg =
+  let n = Cfg.n_blocks cfg in
+  let blocks = Cfg.blocks cfg in
+  let idom = idoms_by_labels cfg in
+  let entry = Cfg.block_index cfg (Cfg.entry cfg) in
+  let dominates a b =
+    idom.(a) <> -1 && idom.(b) <> -1
+    &&
+    let rec walk x = x = a || (x <> entry && walk idom.(x)) in
+    walk b
+  in
+  let preds = Cfg.preds_table cfg in
+  let loops = Hashtbl.create 8 in
+  Array.iteri
+    (fun i b ->
+      if idom.(i) <> -1 then
+        List.iter
+          (fun s ->
+            let h = Cfg.block_index cfg s in
+            if dominates h i then begin
+              let body =
+                match Hashtbl.find_opt loops h with
+                | Some s -> s
+                | None ->
+                  let s = Array.make n false in
+                  s.(h) <- true;
+                  Hashtbl.add loops h s;
+                  s
+              in
+              let rec back j =
+                if not body.(j) then begin
+                  body.(j) <- true;
+                  List.iter
+                    (fun p -> back (Cfg.block_index cfg p))
+                    (Hashtbl.find preds (Block.label blocks.(j)))
+                end
+              in
+              back i
+            end)
+          (Block.succ_labels b))
+    blocks;
+  let depth = Array.make n 0 in
+  Hashtbl.iter
+    (fun _ body ->
+      Array.iteri (fun j m -> if m then depth.(j) <- depth.(j) + 1) body)
+    loops;
+  (depth, List.sort compare (List.of_seq (Hashtbl.to_seq_keys loops)))

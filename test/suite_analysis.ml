@@ -376,7 +376,7 @@ let solver_equivalence_prop =
 let test_dce () =
   let f, _, _, dead = loop_func () in
   let n_before = Func.n_instrs f in
-  let removed = Dce.run_to_fixpoint f in
+  let removed, _ = Dce.run_to_fixpoint f in
   Alcotest.(check bool) "removed the dead init" true (removed >= 1);
   Alcotest.(check int) "instruction count dropped" (n_before - removed)
     (Func.n_instrs f);
@@ -394,7 +394,7 @@ let test_dce_keeps_side_effects () =
   B.li b u 9 (* dead *);
   B.ret b;
   let f = B.finish b in
-  let removed = Dce.run_to_fixpoint f in
+  let removed, _ = Dce.run_to_fixpoint f in
   Alcotest.(check int) "only the dead li removed" 1 removed
 
 let test_dce_preserves_behaviour () =
@@ -417,6 +417,132 @@ let test_dce_preserves_behaviour () =
     | Error e, _ | _, Error e -> Alcotest.failf "seed %d trapped: %s" seed e
   done
 
+(* ---------------- one liveness solve through DCE ---------------- *)
+
+let same_liveness a b cfg =
+  Array.for_all
+    (fun blk ->
+      let l = Block.label blk in
+      Bitset.equal (Liveness.live_in a l) (Liveness.live_in b l)
+      && Bitset.equal (Liveness.live_out a l) (Liveness.live_out b l))
+    (Cfg.blocks cfg)
+
+(* DCE against the round-by-round reference: the same count, the same
+   instructions left, and a returned solution equal to a fresh solve of
+   what is left, in every block's live_in and live_out. *)
+let dce_matches_reference f =
+  let expected = Func.copy f and got = Func.copy f in
+  let n_ref = Helpers.dce_round_by_round expected in
+  let n, live = Dce.run_to_fixpoint got in
+  let text f = Format.asprintf "%a" Func.pp f in
+  n = n_ref
+  && text expected = text got
+  && same_liveness live (Liveness.compute got) (Func.cfg got)
+
+(* Dominators and loops over the integer edge table against the
+   label-table reference. *)
+let dom_loop_match_reference f =
+  let cfg = Func.cfg f in
+  let dom = Dom.compute cfg and loops = Loop.compute cfg in
+  let idom = Helpers.idoms_by_labels cfg in
+  let depth, headers = Helpers.loops_by_labels cfg in
+  List.for_all
+    (fun i ->
+      Dom.reachable dom i = (idom.(i) <> -1)
+      && (idom.(i) = -1
+         || Dom.idom dom i = if idom.(i) = i then None else Some idom.(i))
+      && Loop.depth loops i = depth.(i))
+    (List.init (Cfg.n_blocks cfg) Fun.id)
+  && Loop.headers loops = headers
+
+let funcs_of prog = List.map snd (Program.funcs prog)
+
+(* Specbench, the Minilang corpus as lowered (before the frontend's own
+   cleanup, so DCE has work to do) and every fixture that parses. *)
+let fixed_corpus () =
+  let m = Machine.alpha_like in
+  let spec =
+    List.map
+      (fun (c : Lsra_workloads.Specbench.case) ->
+        (c.Lsra_workloads.Specbench.name, c.Lsra_workloads.Specbench.program))
+      (Lsra_workloads.Specbench.all m ~scale:1)
+  in
+  let mini =
+    List.filter_map
+      (fun (e : Lsra_workloads.Mini_corpus.entry) ->
+        match
+          Lsra_frontend.Lower.lower m
+            (Lsra_frontend.Parser.parse e.Lsra_workloads.Mini_corpus.source)
+        with
+        | p -> Some ("mini:" ^ e.Lsra_workloads.Mini_corpus.mname, p)
+        | exception _ -> None)
+      Lsra_workloads.Mini_corpus.all
+  in
+  let dir = Filename.concat (Filename.dirname Sys.executable_name) "fixtures" in
+  let fixtures =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun n -> Filename.check_suffix n ".lsra")
+    |> List.filter_map (fun n ->
+           let src =
+             In_channel.with_open_bin (Filename.concat dir n)
+               In_channel.input_all
+           in
+           match Lsra_text.Ir_text.of_string src with
+           | p -> Some ("fixture:" ^ n, p)
+           | exception _ -> None)
+  in
+  Alcotest.(check bool) "corpus has minilang and fixtures" true
+    (mini <> [] && fixtures <> []);
+  spec @ mini @ fixtures
+
+let test_fixed_corpus_references () =
+  let removed = ref 0 in
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun f ->
+          removed := !removed + Helpers.dce_round_by_round (Func.copy f);
+          if not (dce_matches_reference f) then
+            Alcotest.failf "%s/%s: DCE differs from round-by-round" name
+              (Func.name f);
+          if not (dom_loop_match_reference f) then
+            Alcotest.failf "%s/%s: Dom/Loop differ from the label tables" name
+              (Func.name f))
+        (funcs_of prog))
+    (fixed_corpus ());
+  Alcotest.(check bool) "DCE removed something" true (!removed > 0)
+
+let gen_program_arb =
+  QCheck.make
+    ~print:(fun (seed, n_temps, n_stmts, max_depth) ->
+      Printf.sprintf "seed=%d n_temps=%d n_stmts=%d max_depth=%d" seed n_temps
+        n_stmts max_depth)
+    QCheck.Gen.(
+      quad (int_bound 1_000_000) (int_range 2 14) (int_range 2 30)
+        (int_range 1 3))
+
+let gen_program (seed, n_temps, n_stmts, max_depth) =
+  Lsra_workloads.Gen.program
+    ~params:
+      {
+        Lsra_workloads.Gen.default_params with
+        Lsra_workloads.Gen.seed;
+        n_temps;
+        n_stmts;
+        max_depth;
+      }
+    Machine.alpha_like
+
+let dce_reference_prop =
+  QCheck.Test.make ~count:150 ~name:"dce: one solve = round-by-round"
+    gen_program_arb (fun p ->
+      List.for_all dce_matches_reference (funcs_of (gen_program p)))
+
+let dom_loop_reference_prop =
+  QCheck.Test.make ~count:150 ~name:"dom/loop: edge table = label tables"
+    gen_program_arb (fun p ->
+      List.for_all dom_loop_match_reference (funcs_of (gen_program p)))
+
 let suite =
   [
     Alcotest.test_case "bitset basics" `Quick test_bitset_basics;
@@ -437,6 +563,11 @@ let suite =
       test_dce_keeps_side_effects;
     Alcotest.test_case "dce preserves behaviour" `Quick
       test_dce_preserves_behaviour;
+    Alcotest.test_case "dce, dom, loop match references on the corpus" `Quick
+      test_fixed_corpus_references;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-      (bitset_props @ [ solver_equivalence_prop ])
+      (bitset_props
+      @ [
+          solver_equivalence_prop; dce_reference_prop; dom_loop_reference_prop;
+        ])

@@ -247,6 +247,70 @@ let test_parallel_allocation_deterministic () =
         s_seq.Lsra.Stats.dataflow_rounds s_par.Lsra.Stats.dataflow_rounds)
     (Lsra_workloads.Specbench.all machine ~scale:1)
 
+(* Every counter of a Stats record except times and GC readings. *)
+let counters (s : Lsra.Stats.t) =
+  Lsra.Stats.
+    [
+      s.evict_loads; s.evict_stores; s.evict_moves; s.resolve_loads;
+      s.resolve_stores; s.resolve_moves; s.slots; s.frame_saved;
+      s.dataflow_rounds; s.coloring_iterations; s.interference_edges;
+      s.coalesced_moves; s.downgrades; s.opt_nodes; s.opt_proven;
+    ]
+
+let test_pipeline_liveness_handover () =
+  (* The pipeline hands DCE's liveness to the allocator; the result must
+     be byte for byte that of a separate DCE pass and run_program, which
+     solves liveness again, for every allocator and with domains. *)
+  let programs m =
+    List.map
+      (fun (c : Lsra_workloads.Specbench.case) ->
+        (c.Lsra_workloads.Specbench.name, c.Lsra_workloads.Specbench.program))
+      (Lsra_workloads.Specbench.all m ~scale:1)
+    @ List.init 4 (fun seed ->
+          ( Printf.sprintf "gen:%d" seed,
+            Lsra_workloads.Gen.program
+              ~params:{ Lsra_workloads.Gen.default_params with seed }
+              m ))
+  in
+  List.iter
+    (fun (mname, m) ->
+      List.iter
+        (fun (pname, prog) ->
+          List.iter
+            (fun algo ->
+              List.iter
+                (fun jobs ->
+                  let name =
+                    Printf.sprintf "%s/%s/%s/-j%d" mname pname
+                      (Lsra.Allocator.short_name algo) jobs
+                  in
+                  let handed = Program.copy prog in
+                  let s_handed =
+                    Lsra.Allocator.pipeline ~passes:[ Lsra.Passes.Dce ] ~jobs
+                      algo m handed
+                  in
+                  let separate = Program.copy prog in
+                  let s_separate = Lsra.Stats.create () in
+                  ignore
+                    (Lsra.Passes.run_pass ~stats:s_separate Lsra.Passes.Dce
+                       separate);
+                  Lsra.Stats.add ~into:s_separate
+                    (Lsra.Allocator.run_program ~jobs algo m separate);
+                  Alcotest.(check string)
+                    (name ^ ": allocated program")
+                    (Lsra_text.Ir_text.to_string separate)
+                    (Lsra_text.Ir_text.to_string handed);
+                  Alcotest.(check (list int))
+                    (name ^ ": counters") (counters s_separate)
+                    (counters s_handed);
+                  Alcotest.(check (float 0.))
+                    (name ^ ": no liveness solve after DCE") 0.
+                    s_handed.Lsra.Stats.time_liveness)
+                [ 1; 4 ])
+            Lsra_sim.Sweep.oracle_algorithms)
+        (programs m))
+    [ ("alpha", Machine.alpha_like); ("small-8", Lsra_sim.Sweep.small_8) ]
+
 let test_allocator_names () =
   Alcotest.(check string) "binpack short name" "binpack"
     (Lsra.Allocator.short_name Lsra.Allocator.default_second_chance);
@@ -279,5 +343,7 @@ let suite =
       test_pipeline_records_pass_times;
     Alcotest.test_case "parallel allocation is deterministic" `Quick
       test_parallel_allocation_deterministic;
+    Alcotest.test_case "pipeline liveness handover is exact" `Quick
+      test_pipeline_liveness_handover;
     Alcotest.test_case "allocator names" `Quick test_allocator_names;
   ]

@@ -388,6 +388,35 @@ let test_store_compaction () =
   Alcotest.(check (list string)) "compacted journal reloads" keys keys2;
   Store.close st2
 
+let test_store_compaction_low_water () =
+  let dir = temp_dir "lsra-store" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let budget = 4096 in
+  let st = Store.open_ ~dir ~max_bytes:budget () in
+  let key i = Printf.sprintf "k%03d" i in
+  let payload = String.make 400 'x' in
+  Store.append st ~key:(key 0) ~algo:"binpack" ~output:payload;
+  let size = (Store.counters st).Store.bytes in
+  let n = 100 in
+  for i = 1 to n - 1 do
+    Store.append st ~key:(key i) ~algo:"binpack" ~output:payload
+  done;
+  let c = Store.counters st in
+  let bound = ((n * size) + (budget / 2) - 1) / (budget / 2) in
+  if c.Store.compactions < 1 || c.Store.compactions > bound then
+    Alcotest.failf "%d appends of %d bytes: %d compactions, expected 1..%d" n
+      size c.Store.compactions bound;
+  Store.close st;
+  (* The reopened journal holds the newest keys, oldest first. *)
+  let st2 = Store.open_ ~dir ~max_bytes:budget () in
+  let keys = List.map (fun (k, _, _) -> k) (Store.load st2) in
+  let m = List.length keys in
+  Alcotest.(check bool) "some keys survive" true (m >= 1);
+  Alcotest.(check (list string)) "newest keys survive"
+    (List.init m (fun j -> key (n - m + j)))
+    keys;
+  Store.close st2
+
 let test_store_sync_modes () =
   let dir = temp_dir "lsra-store" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -596,6 +625,8 @@ let suite =
       test_store_torn_tail;
     Alcotest.test_case "store: compaction under byte budget" `Quick
       test_store_compaction;
+    Alcotest.test_case "store: compaction down to half the budget" `Quick
+      test_store_compaction_low_water;
     Alcotest.test_case "store: sync modes (batch fsync, never no-op)" `Quick
       test_store_sync_modes;
     Alcotest.test_case "service: restart warm-loads from journal" `Quick
