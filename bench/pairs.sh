@@ -15,8 +15,17 @@
 # Then, per end-to-end metric: before and after median [q1, q3], the
 # after/before ratio of the medians and how many pairs "after" won,
 # read against the metric's "better" direction in BENCHMARK.json.
-# A metric whose after median moved the wrong way by more than its
-# "bound" (a fraction of the before median) is marked OVER BOUND.
+# Each metric ends with its verdict under the benchmark's rules, the
+# first that applies:
+#   GAIN        after won at least 9 in 10 pairs and its median is
+#               better than before's by more than before's quartile
+#               spread (q3 - q1);
+#   OVER BOUND  after's median moved the wrong way by more than the
+#               metric's "bound" (a fraction of before's median);
+#   UNRESOLVED  before's quartile spread is wider than the bound and not
+#               every after run beats every before run, so the runs
+#               cannot tell a change within the bound from noise;
+#   ok          otherwise.
 # Exits 4 if any run was not correct, else 5 if any metric is OVER
 # BOUND.
 set -eu
@@ -53,20 +62,30 @@ side = lambda c: sorted((r for r in runs if r["commit"] == c and r["result"]), k
 b, a = side("before"), side("after")
 def q(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
-    return "%.6g [%.6g, %.6g]" % (med, q1, q3), med
+    return "%.6g [%.6g, %.6g]" % (med, q1, q3), med, q3 - q1
 print("%d pairs, all correct: %s" % (len(runs) // 2, ok))
-print("metric | before median [q1, q3] | after median [q1, q3] | after/before | after wins")
+print("metric | before median [q1, q3] | after median [q1, q3] | after/before | after wins | verdict")
 over = []
 for m in bench["end_to_end"]:
     k, hi = m["name"], m["better"] == "higher"
     xb = [r["result"]["metrics"][k]["value"] for r in b]
     xa = [r["result"]["metrics"][k]["value"] for r in a]
     if not xb or len(xb) != len(xa): continue
-    (sb, mb), (sa, ma) = q(xb), q(xa)
-    wins = sum((y > x) if hi else (y < x) for x, y in zip(xb, xa))
-    worse = (mb - ma if hi else ma - mb) / abs(mb) if mb else 0.0
-    mark = " | OVER BOUND" if "bound" in m and worse > m["bound"] else ""
-    if mark: over.append(k)
-    print("%s | %s | %s | %.4f | %d/%d%s" % (k, sb, sa, ma / mb if mb else float("nan"), wins, len(xa), mark))
+    (sb, mb, iqr), (sa, ma, _) = q(xb), q(xa)
+    beats = lambda y, x: y > x if hi else y < x
+    wins = sum(beats(y, x) for x, y in zip(xb, xa))
+    gain = ma - mb if hi else mb - ma
+    worse = -gain / abs(mb) if mb else 0.0
+    bound = m.get("bound")
+    if 10 * wins >= 9 * len(xa) and gain > iqr:
+        verdict = "GAIN"
+    elif bound is not None and worse > bound:
+        verdict = "OVER BOUND"
+        over.append(k)
+    elif bound is not None and mb and iqr / abs(mb) > bound and not all(beats(y, x) for x in xb for y in xa):
+        verdict = "UNRESOLVED"
+    else:
+        verdict = "ok"
+    print("%s | %s | %s | %.4f | %d/%d | %s" % (k, sb, sa, ma / mb if mb else float("nan"), wins, len(xa), verdict))
 sys.exit(4 if not ok else 5 if over else 0)
 EOF

@@ -25,15 +25,14 @@ let seed_inter ~direction ~width in_of out_of =
    the round-robin iteration count the paper reports for its "two or three
    iterations" observation. *)
 let solve cfg ~direction ~meet ~width ~gen ~kill ?(rounds = ref 0) () =
-  let blocks = Cfg.blocks cfg in
-  let n = Array.length blocks in
-  (* Integer successor/predecessor tables, built once per solve: the
-     inner loop never touches a Hashtbl or allocates a list. *)
+  let n = Cfg.n_blocks cfg in
+  (* The CFG's integer successor/predecessor tables: the inner loop never
+     touches a Hashtbl or allocates a list. *)
   let { Cfg.succs; preds } = Cfg.edge_tables cfg in
   let in_of = Array.init n (fun _ -> Bitset.create width) in
   let out_of = Array.init n (fun _ -> Bitset.create width) in
-  let gens = Array.map gen blocks in
-  let kills = Array.map kill blocks in
+  let gens = Array.init n gen in
+  let kills = Array.init n kill in
   let feed = match direction with Forward -> preds | Backward -> succs in
   let dependents =
     match direction with Forward -> succs | Backward -> preds
@@ -44,7 +43,7 @@ let solve cfg ~direction ~meet ~width ~gen ~kill ?(rounds = ref 0) () =
   let transfer_dst =
     match direction with Forward -> out_of | Backward -> in_of
   in
-  let entry_i = Cfg.block_index cfg (Cfg.entry cfg) in
+  let entry_i = Cfg.entry_index cfg in
   (match meet with
   | Union -> ()
   | Inter -> seed_inter ~direction ~width in_of out_of);
@@ -118,8 +117,8 @@ let solve_reference cfg ~direction ~meet ~width ~gen ~kill
   let idx l = Cfg.block_index cfg l in
   let in_of = Array.init n (fun _ -> Bitset.create width) in
   let out_of = Array.init n (fun _ -> Bitset.create width) in
-  let gens = Array.map gen blocks in
-  let kills = Array.map kill blocks in
+  let gens = Array.init n gen in
+  let kills = Array.init n kill in
   let feed i =
     match direction with
     | Forward -> List.map idx (Hashtbl.find preds (Block.label blocks.(i)))

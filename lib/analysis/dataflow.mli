@@ -17,8 +17,10 @@ type result = {
 
 (** [solve cfg ~direction ~meet ~width ~gen ~kill ()] runs a worklist
     solver to the fixed point: blocks are visited in (reverse) linear
-    order and revisited only when an input changed, over precomputed
-    integer successor/predecessor tables and a reusable scratch vector.
+    order and revisited only when an input changed, over the CFG's
+    integer successor/predecessor tables ({!Cfg.edge_tables})
+    and a reusable scratch vector. [gen i] and [kill i] are the transfer
+    sets of the block at linear index [i].
     [rounds], when supplied, receives the number of sweeps that processed
     at least one pending block (the paper's "two or three iterations at
     most" observation is testable through it). *)
@@ -27,8 +29,8 @@ val solve :
   direction:direction ->
   meet:meet ->
   width:int ->
-  gen:(Block.t -> Bitset.t) ->
-  kill:(Block.t -> Bitset.t) ->
+  gen:(int -> Bitset.t) ->
+  kill:(int -> Bitset.t) ->
   ?rounds:int ref ->
   unit ->
   result
@@ -42,8 +44,8 @@ val solve_reference :
   direction:direction ->
   meet:meet ->
   width:int ->
-  gen:(Block.t -> Bitset.t) ->
-  kill:(Block.t -> Bitset.t) ->
+  gen:(int -> Bitset.t) ->
+  kill:(int -> Bitset.t) ->
   ?rounds:int ref ->
   unit ->
   result

@@ -11,51 +11,56 @@ let has_side_effect i =
    observable behaviour only for faulting programs, which we treat as
    undefined, so Div/Rem are removable when dead. *)
 
-let iter_temp_ids f locs =
-  List.iter
-    (fun l -> match Loc.as_temp l with Some t -> f (Temp.id t) | None -> ())
-    locs
-
-(* A def keeps its instruction when it writes a machine register or a
-   live temp. *)
-let dead_def live l =
-  match Loc.as_temp l with
-  | Some t -> not (Bitset.mem live (Temp.id t))
-  | None -> false
+let no_reg (_ : Mreg.t) = ()
 
 (* One backward walk per block against [liveness]: removes every
    side-effect-free instruction whose defs are all dead temps, and adds
    the temps the removed instructions use to [touched]. [live] and
    [dead] (one mark per body position) are scratch shared by every
-   block. Every block still gets a fresh body, a copy when it lost
-   nothing: keeping the parser's body arrays alive until the scan
-   replaces them raised table3-large's peak RSS by 6% (EXPERIMENTS.md,
-   "One liveness solve per function"), for 0.7% of DCE's allocation. *)
+   block, and the operand callbacks are built once per sweep. Every
+   block still gets a fresh body, a copy when it lost nothing: keeping
+   the parser's body arrays alive until the scan replaces them raised
+   table3-large's peak RSS by 6% (EXPERIMENTS.md, "One liveness solve
+   per function"), for 0.7% of DCE's allocation. *)
 let sweep liveness func ~live ~dead ~touched =
   let removed = ref 0 in
-  Cfg.iter_blocks
-    (fun b ->
-      Bitset.assign ~dst:live ~src:(Liveness.live_out liveness (Block.label b));
-      iter_temp_ids (Bitset.add live) (Block.term_uses b);
+  (* A def keeps its instruction when it writes a machine register or a
+     live temp. *)
+  let n_defs = ref 0 and n_kept = ref 0 in
+  let count_temp t =
+    incr n_defs;
+    if Bitset.mem live (Temp.id t) then incr n_kept
+  in
+  let count_reg (_ : Mreg.t) =
+    incr n_defs;
+    incr n_kept
+  in
+  let gen t = Bitset.add live (Temp.id t) in
+  let kill t = Bitset.remove live (Temp.id t) in
+  let touch t = Bitset.add touched (Temp.id t) in
+  Array.iteri
+    (fun bi b ->
+      Bitset.assign ~dst:live ~src:(Liveness.live_out liveness bi);
+      Block.iter_term_uses ~temp:gen ~reg:no_reg b;
       let body = Block.body b in
       let n = Array.length body in
       if Bytes.length !dead < n then dead := Bytes.create (2 * n);
       let lost = ref 0 in
       for k = n - 1 downto 0 do
         let i = body.(k) in
-        let defs = Instr.defs i in
-        if
-          (not (has_side_effect i))
-          && defs <> [] && List.for_all (dead_def live) defs
-        then begin
+        n_defs := 0;
+        n_kept := 0;
+        if not (has_side_effect i) then
+          Instr.iter_defs ~temp:count_temp ~reg:count_reg i;
+        if !n_defs > 0 && !n_kept = 0 then begin
           Bytes.unsafe_set !dead k '\001';
           incr lost;
-          iter_temp_ids (Bitset.add touched) (Instr.uses i)
+          Instr.iter_uses ~temp:touch ~reg:no_reg i
         end
         else begin
           Bytes.unsafe_set !dead k '\000';
-          iter_temp_ids (Bitset.remove live) defs;
-          iter_temp_ids (Bitset.add live) (Instr.uses i)
+          Instr.iter_defs ~temp:kill ~reg:no_reg i;
+          Instr.iter_uses ~temp:gen ~reg:no_reg i
         end
       done;
       if !lost > 0 then begin
@@ -71,7 +76,7 @@ let sweep liveness func ~live ~dead ~touched =
         removed := !removed + !lost
       end
       else Block.set_body b (Array.copy body))
-    (Func.cfg func);
+    (Cfg.blocks (Func.cfg func));
   !removed
 
 (* Removing an instruction whose defs are all dead only shrinks liveness,

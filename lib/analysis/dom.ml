@@ -22,12 +22,10 @@ let reverse_postorder (edges : Cfg.edges) entry =
   List.iteri (fun pos i -> rpo_pos.(i) <- pos) !order;
   (Array.of_list !order, rpo_pos)
 
-let compute ?edges cfg =
-  let edges =
-    match edges with Some e -> e | None -> Cfg.edge_tables cfg
-  in
+let compute cfg =
+  let edges = Cfg.edge_tables cfg in
   let n = Cfg.n_blocks cfg in
-  let entry = Cfg.block_index cfg (Cfg.entry cfg) in
+  let entry = Cfg.entry_index cfg in
   let order, rpo = reverse_postorder edges entry in
   let idom = Array.make n (-1) in
   idom.(entry) <- entry;

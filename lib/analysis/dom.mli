@@ -1,13 +1,12 @@
 (** Immediate dominators via the Cooper–Harvey–Kennedy iterative
-    algorithm, over linear block indices. *)
+    algorithm, over linear block indices and the CFG's integer edge
+    tables ({!Cfg.edge_tables}). *)
 
 open Lsra_ir
 
 type t
 
-(** [edges], when given, must be {!Cfg.edge_tables} of [cfg]; it is
-    built here otherwise. *)
-val compute : ?edges:Cfg.edges -> Cfg.t -> t
+val compute : Cfg.t -> t
 
 (** Immediate dominator of a block (by linear index); [None] for the
     entry. Meaningless for unreachable blocks (see {!reachable}). *)

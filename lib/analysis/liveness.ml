@@ -4,45 +4,46 @@ type t = {
   width : int;
   live_in : Bitset.t array;
   live_out : Bitset.t array;
-  cfg : Cfg.t;
 }
 
-(* Iterate the temp ids among [locs] without materialising an
-   intermediate list: this runs once per instruction operand list, which
-   makes it the allocation hot spot of the whole analysis. *)
-let iter_temp_ids f locs =
-  List.iter
-    (fun l -> match Loc.as_temp l with Some t -> f (Temp.id t) | None -> ())
-    locs
+let no_reg (_ : Mreg.t) = ()
 
-(* Upward-exposed uses and defs of one block over the rows [fwd] maps to
-   ([fwd.(id)] is temp [id]'s row, -1 when the temp is not solved for). *)
-let block_use_def ~width ~fwd b =
-  let use = Bitset.create width in
-  let def = Bitset.create width in
-  let see_use id =
-    let i = fwd.(id) in
-    if i >= 0 && not (Bitset.mem def i) then Bitset.add use i
+(* Upward-exposed uses and defs of every block over the rows [fwd] maps
+   to ([fwd.(id)] is temp [id]'s row, -1 when the temp is not solved
+   for), by linear block index. The operand callbacks are built once and
+   write into the current block's pair. *)
+let use_def cfg ~width ~fwd =
+  let blocks = Cfg.blocks cfg in
+  let nb = Array.length blocks in
+  let uses = Array.init nb (fun _ -> Bitset.create width) in
+  let defs = Array.init nb (fun _ -> Bitset.create width) in
+  let use = ref uses.(0) and def = ref defs.(0) in
+  let see_use t =
+    let i = fwd.(Temp.id t) in
+    if i >= 0 && not (Bitset.mem !def i) then Bitset.add !use i
   in
-  let see_def id =
-    let i = fwd.(id) in
-    if i >= 0 then Bitset.add def i
+  let see_def t =
+    let i = fwd.(Temp.id t) in
+    if i >= 0 then Bitset.add !def i
   in
-  Array.iter
-    (fun i ->
-      iter_temp_ids see_use (Instr.uses i);
-      iter_temp_ids see_def (Instr.defs i))
-    (Block.body b);
-  iter_temp_ids see_use (Block.term_uses b);
-  (use, def)
+  for bi = 0 to nb - 1 do
+    let b = blocks.(bi) in
+    use := uses.(bi);
+    def := defs.(bi);
+    Array.iter
+      (fun i ->
+        Instr.iter_uses ~temp:see_use ~reg:no_reg i;
+        Instr.iter_defs ~temp:see_def ~reg:no_reg i)
+      (Block.body b);
+    Block.iter_term_uses ~temp:see_use ~reg:no_reg b
+  done;
+  (uses, defs)
 
 (* The least fixed point of backward union liveness over [width] rows. *)
 let solve_rows cfg ~fwd ~width =
-  let use_def = Array.map (block_use_def ~width ~fwd) (Cfg.blocks cfg) in
-  let gen b = fst use_def.(Cfg.block_index cfg (Block.label b)) in
-  let kill b = snd use_def.(Cfg.block_index cfg (Block.label b)) in
+  let uses, defs = use_def cfg ~width ~fwd in
   Dataflow.solve cfg ~direction:Dataflow.Backward ~meet:Dataflow.Union ~width
-    ~gen ~kill ()
+    ~gen:(Array.get uses) ~kill:(Array.get defs) ()
 
 (* Temps referenced in more than one block. As the paper notes (§3), temps
    live only within a single block cannot affect block-boundary liveness,
@@ -53,18 +54,21 @@ let global_temps func =
   let first_block = Array.make ntemps (-1) in
   let global = Array.make ntemps false in
   let blocks = Cfg.blocks (Func.cfg func) in
+  let bi = ref 0 in
+  let see t =
+    let id = Temp.id t in
+    if first_block.(id) = -1 then first_block.(id) <- !bi
+    else if first_block.(id) <> !bi then global.(id) <- true
+  in
   Array.iteri
-    (fun bi b ->
-      let see id =
-        if first_block.(id) = -1 then first_block.(id) <- bi
-        else if first_block.(id) <> bi then global.(id) <- true
-      in
+    (fun k b ->
+      bi := k;
       Array.iter
         (fun i ->
-          iter_temp_ids see (Instr.uses i);
-          iter_temp_ids see (Instr.defs i))
+          Instr.iter_uses ~temp:see ~reg:no_reg i;
+          Instr.iter_defs ~temp:see ~reg:no_reg i)
         (Block.body b);
-      iter_temp_ids see (Block.term_uses b))
+      Block.iter_term_uses ~temp:see ~reg:no_reg b)
     blocks;
   global
 
@@ -77,7 +81,6 @@ let compute ?(compress = true) func =
       width = ntemps;
       live_in = r.Dataflow.in_of;
       live_out = r.Dataflow.out_of;
-      cfg;
     }
   end
   else begin
@@ -105,7 +108,6 @@ let compute ?(compress = true) func =
       width = ntemps;
       live_in = Array.map expand r.Dataflow.in_of;
       live_out = Array.map expand r.Dataflow.out_of;
-      cfg;
     }
   end
 
@@ -141,12 +143,10 @@ let refresh t func rows =
   !changed
 
 let width t = t.width
-let live_in t label = t.live_in.(Cfg.block_index t.cfg label)
-let live_out t label = t.live_out.(Cfg.block_index t.cfg label)
+let live_in t bi = t.live_in.(bi)
+let live_out t bi = t.live_out.(bi)
 
 let live_across_blocks t =
   let s = Bitset.create t.width in
   Array.iter (fun v -> ignore (Bitset.union_into ~dst:s ~src:v)) t.live_in;
   s
-
-let fold_live_temps f t label acc = Bitset.fold f (live_in t label) acc

@@ -26,14 +26,13 @@ val refresh : t -> Func.t -> Bitset.t -> bool
 (** Width of the bit vectors (the function's temp-id bound). *)
 val width : t -> int
 
-(** Temps live at the top of the labelled block, as temp-id bitset. *)
-val live_in : t -> string -> Bitset.t
+(** Temps live at the top of the block at a linear index, as a temp-id
+    bitset: the solution's own row, which {!refresh} changes in place. *)
+val live_in : t -> int -> Bitset.t
 
-(** Temps live at the bottom of the labelled block. *)
-val live_out : t -> string -> Bitset.t
+(** Temps live at the bottom of the block at a linear index. *)
+val live_out : t -> int -> Bitset.t
 
 (** Temps live on entry to at least one block, i.e. live across some block
     boundary — the temps that participate in resolution bit vectors. *)
 val live_across_blocks : t -> Bitset.t
-
-val fold_live_temps : (int -> 'a -> 'a) -> t -> string -> 'a -> 'a

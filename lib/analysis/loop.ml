@@ -2,12 +2,10 @@ open Lsra_ir
 
 type t = { depth : int array; headers : int list }
 
-let compute ?edges cfg =
+let compute cfg =
   let n = Cfg.n_blocks cfg in
-  let edges =
-    match edges with Some e -> e | None -> Cfg.edge_tables cfg
-  in
-  let dom = Dom.compute ~edges cfg in
+  let edges = Cfg.edge_tables cfg in
+  let dom = Dom.compute cfg in
   (* Back edges: n -> h with h dominating n. Collect the natural loop body
      of each header by walking predecessors backwards from each latch. *)
   let loops = Array.make n None in
@@ -47,6 +45,5 @@ let compute ?edges cfg =
   { depth; headers = !headers }
 
 let depth t i = t.depth.(i)
-let depth_of_label t cfg l = t.depth.(Cfg.block_index cfg l)
 let headers t = t.headers
 let max_depth t = Array.fold_left max 0 t.depth

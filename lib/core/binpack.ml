@@ -92,6 +92,13 @@ type state = {
   mutable cur_u : Bitset.t; (* USED_CONSISTENCY of the current block *)
   tr : Trace.t option; (* decision-trace sink, [None] in production *)
   started : bool array; (* per temp id: Start event already emitted *)
+  mutable bound : int list;
+  (* flat registers the current instruction reads or writes so far *)
+  mutable src_reg : int;
+  (* flat register of the current instruction's last use, -1 if none *)
+  use_reg : int array;
+  (* per temp id: flat register its use at the current instruction was
+     resolved to *)
 }
 
 let emit st i = st.emit_rev <- i :: st.emit_rev
@@ -123,12 +130,11 @@ let mark_start st id ~pos =
       Trace.emit t (Start { temp = tname st id; id; pos })
     end
 
-(* Next reference of temp [id] at or after [pos]; advances the cursor. *)
-let next_ref st id ~pos =
-  let itv = interval st id in
-  let c = Interval.next_ref_at itv ~cursor:st.cursor.(id) ~pos in
-  st.cursor.(id) <- c;
-  if c < Interval.n_refs itv then Some (Interval.ref_at itv c) else None
+(* Move temp [id]'s reference cursor to its first reference at or after
+   [pos]. *)
+let advance_cursor st id ~pos =
+  st.cursor.(id) <-
+    Interval.next_ref_at (interval st id) ~cursor:st.cursor.(id) ~pos
 
 (* Eviction-priority benefit of keeping temp [id] in its register: next
    reference's loop-depth weight over its distance (paper §2.3). Lower is
@@ -137,7 +143,7 @@ let pow10 = Array.init 32 (fun d -> 10.0 ** float_of_int d)
 
 let benefit st id ~pos =
   (* Index-based: runs inside the eviction scans, so it must not build
-     the [ref_point] record [next_ref] materialises. *)
+     a [ref_point] record. *)
   let itv = interval st id in
   let c = Interval.next_ref_at itv ~cursor:st.cursor.(id) ~pos in
   st.cursor.(id) <- c;
@@ -252,34 +258,29 @@ let hole_end st ri pos =
   next_start_after (Lifetime.reg_busy st.res.lifetimes ri) pos - 1
 
 (* A register that may hold a fresh value at [pos] for a temp of class
-   [cls]: not blocked by a convention at [pos] and not in [forbidden]. *)
-let eligible st ~forbidden ~cls ~pos ri =
-  (not (List.mem ri forbidden))
-  && Rclass.equal (Mreg.cls (reg_of_flat st ri)) cls
+   [cls]: not blocked by a convention at [pos]. *)
+let eligible st ~cls ~pos ri =
+  Rclass.equal (Mreg.cls (reg_of_flat st ri)) cls
   && not (reg_busy_now st ri pos)
 
-(* Find a free register whose availability hole fits [stop]; smallest
-   sufficient hole first, otherwise the largest insufficient one
-   (paper §2.2, §2.5). [candidates] are flat indices assumed eligible. *)
-let pick_by_hole st ~pos ~stop candidates =
-  let scored = List.map (fun ri -> (ri, hole_end st ri pos)) candidates in
-  let sufficient = List.filter (fun (_, e) -> e >= stop) scored in
-  match sufficient with
-  | _ :: _ ->
-    Some
-      (fst
-         (List.fold_left
-            (fun (bri, be) (ri, e) -> if e < be then (ri, e) else (bri, be))
-            (List.hd sufficient) (List.tl sufficient)))
-  | [] -> (
-    match scored with
-    | [] -> None
-    | hd :: tl ->
-      Some
-        (fst
-           (List.fold_left
-              (fun (bri, be) (ri, e) -> if e > be then (ri, e) else (bri, be))
-              hd tl)))
+(* The free register, other than [ri], that may take a value of class
+   [cls] at [pos] and whose availability hole covers [stop]: the
+   smallest such hole, first in register order on ties (paper §2.2,
+   §2.5); -1 when there is none. *)
+let free_hole_for st ~cls ~pos ~stop ~ri =
+  let lo, hi = Regidx.cls_range st.res.regidx cls in
+  let best = ref (-1) and best_e = ref max_int in
+  for rj = lo to hi - 1 do
+    if rj <> ri && st.occ_temp.(rj) < 0 && not (reg_busy_now st rj pos)
+    then begin
+      let e = hole_end st rj pos in
+      if e >= stop && (!best < 0 || e < !best_e) then begin
+        best := rj;
+        best_e := e
+      end
+    end
+  done;
+  !best
 
 (* Allocate a register for temp [id] at [pos]. May evict.
 
@@ -473,19 +474,10 @@ let convention_sweep st ~k =
         st.res.opts.early_second_chance
         && eviction_needs_store st id ~pos
         &&
-        let itv = interval st id in
-        let stop = Interval.stop itv in
+        let stop = Interval.stop (interval st id) in
         let cls = Temp.cls (temp_of st id) in
-        let frees =
-          List.filter
-            (fun rj ->
-              st.occ_temp.(rj) < 0
-              && eligible st ~forbidden:[ ri ] ~cls ~pos rj
-              && hole_end st rj pos >= stop)
-            (Regidx.of_cls st.res.regidx cls)
-        in
-        match pick_by_hole st ~pos ~stop frees with
-        | Some rj ->
+        match free_hole_for st ~cls ~pos ~stop ~ri with
+        | rj when rj >= 0 ->
           emit st
             (Instr.make
                ~tag:
@@ -512,7 +504,7 @@ let convention_sweep st ~k =
           st.occ_temp.(ri) <- -1;
           set_occupant st rj id ~pos;
           true
-        | None -> false
+        | _ -> false
       in
       if not moved then evict st ri ~pos
       end
@@ -586,9 +578,7 @@ let def_temp st id ~k ~forbidden ~move_src =
         | Some rs
           when st.res.opts.move_opt
                && st.occ_temp.(rs) < 0
-               && eligible st ~forbidden:[]
-                    ~cls:(Temp.cls (temp_of st id))
-                    ~pos rs ->
+               && eligible st ~cls:(Temp.cls (temp_of st id)) ~pos rs ->
           let itv = interval st id in
           let stop = if Interval.is_empty itv then pos else Interval.stop itv in
           if hole_end st rs pos >= stop then Some rs
@@ -662,11 +652,9 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
     | Some l -> l
     | None -> Stats.timed stats Stats.Liveness (fun () -> Liveness.compute func)
   in
-  let edges = Cfg.edge_tables cfg in
   let lifetimes =
     Stats.timed stats Stats.Lifetime (fun () ->
-        let loops = Loop.compute ~edges cfg in
-        Lifetime.compute regidx func liveness loops)
+        Lifetime.compute regidx func liveness (Loop.compute cfg))
   in
   let blocks = Cfg.blocks cfg in
   let nb = Array.length blocks in
@@ -706,29 +694,118 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
       cur_u = Bitset.create ntemps;
       tr = trace;
       started = Array.make ntemps false;
+      bound = [];
+      src_reg = -1;
+      use_reg = Array.make ntemps (-1);
     }
   in
   let linear = Lifetime.linear lifetimes in
   let visited = Array.make nb false in
-  let scan_t0 = Monotonic_clock.now () in
+  let preds = (Cfg.edge_tables cfg).Cfg.preds in
+  (* The operand callbacks of the use walks, built once. Pre-binding
+     puts every register-resident use in [st.bound], so that allocating a
+     reload for one source never evicts another source of the same
+     instruction. *)
+  let bind ri = st.bound <- ri :: st.bound in
+  let prebind_temp t =
+    match st.loc.(Temp.id t) with
+    | Some (In_reg r) -> bind (flat_of_reg st r)
+    | Some In_mem | None -> ()
+  in
+  let bind_reg r = bind (flat_of_reg st r) in
+  (* Resolving a use: a register source binds itself; a temp gets its
+     register, reloading it first when it is in memory (the reload is
+     emitted before the instruction). *)
+  let at_k = ref 0 in
+  let resolve_temp t =
+    let id = Temp.id t in
+    let ri = use_temp st id ~k:!at_k ~forbidden:st.bound in
+    bind ri;
+    st.src_reg <- ri;
+    st.use_reg.(id) <- ri
+  in
+  let resolve_reg r =
+    let ri = flat_of_reg st r in
+    bind ri;
+    st.src_reg <- ri
+  in
+  let next_pos = ref 0 in
+  let advance t = advance_cursor st (Temp.id t) ~pos:!next_pos in
+  let no_reg (_ : Mreg.t) = () in
+  (* One rewrite: uses substitute from the resolved registers (pure, so
+     operand evaluation order is irrelevant); defs allocate. *)
+  let use (l : Loc.t) : Loc.t =
+    match l with
+    | Loc.Reg _ -> l
+    | Loc.Temp t -> Loc.Reg (reg_of_flat st st.use_reg.(Temp.id t))
+  in
+  let move_src = ref None in
+  let def (l : Loc.t) : Loc.t =
+    match l with
+    | Loc.Reg r ->
+      bind_reg r;
+      l
+    | Loc.Temp t ->
+      (* sources that died at this instruction release their registers
+         to the destination: reads happen before the write *)
+      let forbidden = List.filter (fun ri -> st.occ_temp.(ri) >= 0) st.bound in
+      let ri =
+        def_temp st (Temp.id t) ~k:!at_k ~forbidden ~move_src:!move_src
+      in
+      bind ri;
+      Loc.Reg (reg_of_flat st ri)
+  in
+  let process_instr k (i : Instr.t) =
+    convention_sweep st ~k;
+    at_k := k;
+    st.bound <- [];
+    st.src_reg <- -1;
+    Instr.iter_uses ~temp:prebind_temp ~reg:bind_reg i;
+    (* Resolve every use to its register up front and remember it: after
+       [release_dead] a dead source's register is no longer recoverable
+       from the linear state, and having the mapping lets the rewrite
+       below happen in a single pass. *)
+    Instr.iter_uses ~temp:resolve_temp ~reg:resolve_reg i;
+    next_pos := Linear.use_pos k + 1;
+    Instr.iter_uses ~temp:advance ~reg:no_reg i;
+    release_dead st ~pos:(Linear.use_pos k);
+    move_src :=
+      (match Instr.desc i with
+      | Instr.Move { src = Operand.Loc _; _ } -> Some st.src_reg
+      | Instr.Move _ | Instr.Bin _ | Instr.Un _ | Instr.Cmp _ | Instr.Load _
+      | Instr.Store _ | Instr.Spill_load _ | Instr.Spill_store _
+      | Instr.Call _ | Instr.Nop ->
+        None);
+    emit st (Instr.rewrite ~use ~def i)
+  in
+  let term_use (l : Loc.t) : Loc.t =
+    match l with
+    | Loc.Reg r ->
+      bind_reg r;
+      l
+    | Loc.Temp t ->
+      let ri = use_temp st (Temp.id t) ~k:!at_k ~forbidden:st.bound in
+      bind ri;
+      Loc.Reg (reg_of_flat st ri)
+  in
+  Stats.timed stats Stats.Scan (fun () ->
   for bi = 0 to nb - 1 do
     let b = blocks.(bi) in
-    let label = Block.label b in
     (match st.tr with
     | None -> ()
-    | Some t -> Trace.emit t (Block { label }));
+    | Some t -> Trace.emit t (Block { label = Block.label b }));
     st.emit_rev <- [];
     st.cur_w <- res.wrote_tr.(bi);
     st.cur_u <- res.used_consistency.(bi);
     (* Record the allocation assumptions at the top of the block: the
        linear state, with never-seen temporaries placed in memory. *)
-    res.top_loc.(bi) <- boundary_locs st (Liveness.live_in liveness label);
+    res.top_loc.(bi) <- boundary_locs st (Liveness.live_in liveness bi);
     (match opts.consistency with
     | Iterative -> ()
     | Conservative ->
       (* Strictly linear variant (paper §2.6): trust consistency at block
          entry only when every predecessor's saved vector grants it. *)
-      let ps = edges.Cfg.preds.(bi) in
+      let ps = preds.(bi) in
       let granted id =
         Array.length ps > 0
         && Array.for_all
@@ -739,119 +816,25 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
         if st.consistent.(id) && not (granted id) then
           st.consistent.(id) <- false
       done);
-    let process_instr k (i : Instr.t) =
-      convention_sweep st ~k;
-      let us = Instr.uses i in
-      let bound = ref [] in
-      (* Pre-bind register-resident uses so that allocating a reload for
-         one source never evicts another source of the same instruction. *)
-      List.iter
-        (fun l ->
-          match l with
-          | Loc.Reg r -> bound := flat_of_reg st r :: !bound
-          | Loc.Temp t -> (
-            match st.loc.(Temp.id t) with
-            | Some (In_reg r) -> bound := flat_of_reg st r :: !bound
-            | Some In_mem | None -> ()))
-        us;
-      (* Resolve every use to its register up front (reloads are emitted
-         here, before the instruction) and remember the mapping: after
-         [release_dead] a dead source's register is no longer recoverable
-         from the linear state, and having the mapping lets the rewrite
-         below happen in a single pass. *)
-      let rewritten_src = ref None in
-      let umap = ref [] in
-      List.iter
-        (fun l ->
-          match l with
-          | Loc.Reg r ->
-            bound := flat_of_reg st r :: !bound;
-            rewritten_src := Some (flat_of_reg st r)
-          | Loc.Temp t ->
-            let ri = use_temp st (Temp.id t) ~k ~forbidden:!bound in
-            bound := ri :: !bound;
-            rewritten_src := Some ri;
-            umap := (Temp.id t, reg_of_flat st ri) :: !umap)
-        us;
-      List.iter
-        (fun l ->
-          match Loc.as_temp l with
-          | Some t -> ignore (next_ref st (Temp.id t) ~pos:(Linear.use_pos k + 1))
-          | None -> ())
-        us;
-      release_dead st ~pos:(Linear.use_pos k);
-      let move_src =
-        match Instr.desc i with
-        | Instr.Move { src = Operand.Loc _; _ } -> !rewritten_src
-        | Instr.Move _ | Instr.Bin _ | Instr.Un _ | Instr.Cmp _
-        | Instr.Load _ | Instr.Store _ | Instr.Spill_load _
-        | Instr.Spill_store _ | Instr.Call _ | Instr.Nop ->
-          None
-      in
-      (* One rewrite: uses substitute from the precomputed mapping (pure,
-         so operand evaluation order is irrelevant); defs allocate. *)
-      let use (l : Loc.t) : Loc.t =
-        match l with
-        | Loc.Reg _ -> l
-        | Loc.Temp t -> Loc.Reg (List.assoc (Temp.id t) !umap)
-      in
-      let def (l : Loc.t) : Loc.t =
-        match l with
-        | Loc.Reg r ->
-          bound := flat_of_reg st r :: !bound;
-          l
-        | Loc.Temp t ->
-          (* sources that died at this instruction release their registers
-             to the destination: reads happen before the write *)
-          let forbidden =
-            List.filter (fun ri -> st.occ_temp.(ri) >= 0) !bound
-          in
-          let ri = def_temp st (Temp.id t) ~k ~forbidden ~move_src in
-          bound := ri :: !bound;
-          Loc.Reg (reg_of_flat st ri)
-      in
-      emit st (Instr.rewrite ~use ~def i)
-    in
     Array.iteri
       (fun j i -> process_instr (Linear.first_instr linear bi + j) i)
       (Block.body b);
     (* Terminator: sweep, then rewrite its uses (reloads precede it). *)
     let tk = Linear.last_instr linear bi in
     convention_sweep st ~k:tk;
-    let bound = ref [] in
-    List.iter
-      (fun l ->
-        match l with
-        | Loc.Reg r -> bound := flat_of_reg st r :: !bound
-        | Loc.Temp t -> (
-          match st.loc.(Temp.id t) with
-          | Some (In_reg r) -> bound := flat_of_reg st r :: !bound
-          | Some In_mem | None -> ()))
-      (Block.term_uses b);
-    Block.rewrite_term b ~use:(fun l ->
-        match l with
-        | Loc.Reg r ->
-          bound := flat_of_reg st r :: !bound;
-          l
-        | Loc.Temp t ->
-          let ri = use_temp st (Temp.id t) ~k:tk ~forbidden:!bound in
-          bound := ri :: !bound;
-          Loc.Reg (reg_of_flat st ri));
-    List.iter
-      (fun l ->
-        match Loc.as_temp l with
-        | Some t ->
-          ignore (next_ref st (Temp.id t) ~pos:(Linear.use_pos tk + 1))
-        | None -> ())
-      (Block.term_uses b);
+    at_k := tk;
+    st.bound <- [];
+    Block.iter_term_uses ~temp:prebind_temp ~reg:bind_reg b;
+    Block.rewrite_term b ~use:term_use;
+    next_pos := Linear.use_pos tk + 1;
+    Block.iter_term_uses ~temp:advance ~reg:no_reg b;
     release_dead st ~pos:(Linear.use_pos tk);
     (* Record bottom-of-block state and the consistency snapshot. *)
-    res.bottom_loc.(bi) <- boundary_locs st (Liveness.live_out liveness label);
+    res.bottom_loc.(bi) <- boundary_locs st (Liveness.live_out liveness bi);
     for id = 0 to ntemps - 1 do
       if st.consistent.(id) then Bitset.add res.are_consistent.(bi) id
     done;
     Block.set_body b (Array.of_list (List.rev st.emit_rev));
     visited.(bi) <- true
-  done;
-  stats.Stats.time_scan <- stats.Stats.time_scan +. Stats.seconds_since scan_t0;
+  done);
   res

@@ -62,7 +62,8 @@ exception Out_of_registers of string
     recorded into it (see {!Trace}); with it absent the scan pays only a
     pointer test per decision. Raises {!Out_of_registers} only when a
     single instruction references more distinct locations than the machine
-    has registers.
+    has registers. The block loop is timed, with its minor words, under
+    {!Stats.Scan}.
 
     [liveness], when given, must be [func]'s exact liveness as it stands,
     such as the solution {!Dce.run_to_fixpoint} returns; the scan then

@@ -343,7 +343,7 @@ let build ctx liveness loops =
           match ctx.class_temps.(id) with
           | Some _ -> Hashtbl.replace live (ctx.temp_base + id) ()
           | None -> ())
-        (Liveness.live_out liveness (Block.label b));
+        (Liveness.live_out liveness bi);
       let account n = ctx.spill_cost.(n) <- ctx.spill_cost.(n) +. weight in
       let step_instr uses defs move =
         List.iter account uses;

@@ -8,15 +8,7 @@ type t = {
   block_depth : int array;
 }
 
-(* Operand lists are walked once per instruction in the sweeps below;
-   iterate them directly rather than building throwaway filtered lists. *)
-let iter_temps f locs =
-  List.iter
-    (fun l -> match Loc.as_temp l with Some t -> f t | None -> ())
-    locs
-
-let iter_regs f locs =
-  List.iter (fun l -> match Loc.as_reg l with Some r -> f r | None -> ()) locs
+let no_reg (_ : Mreg.t) = ()
 
 (* One reverse pass over the linear order computes, per temporary, the live
    segments (whose gaps are the lifetime holes) and, per machine register,
@@ -57,6 +49,41 @@ let compute regidx func liveness loops =
     end
   in
 
+  (* The operand callbacks of the sweep, built once: [dp]/[up] are the
+     def/use positions of the instruction being walked. *)
+  let dp = ref 0 and up = ref 0 in
+  let known tp =
+    let id = Temp.id tp in
+    Bytes.set ws.Workspace.known id '\001';
+    ws.Workspace.temp_of.(id) <- tp;
+    id
+  in
+  let def_temp tp =
+    let id = known tp in
+    if open_end.(id) >= 0 then close id !dp
+    else push_seg id !dp !dp (* dead def: a point segment *)
+  in
+  let def_reg r =
+    let id = ntemps + Regidx.of_reg regidx r in
+    if open_end.(id) >= 0 then close id !dp else push_seg id !dp !dp
+  in
+  let use_temp tp =
+    let id = known tp in
+    if open_end.(id) < 0 then begin
+      open_end.(id) <- !up;
+      Workspace.buf_push ws.Workspace.opened id
+    end
+  in
+  let use_reg r =
+    let id = ntemps + Regidx.of_reg regidx r in
+    if open_end.(id) < 0 then open_end.(id) <- !up
+  in
+  (* Position the callbacks at instruction slot [k] (linear index). *)
+  let at k =
+    dp := Linear.def_pos k;
+    up := Linear.use_pos k
+  in
+
   for bi = nb - 1 downto 0 do
     let b = blocks.(bi) in
     let bottom = Linear.block_bottom linear bi in
@@ -67,46 +94,15 @@ let compute regidx func liveness loops =
       (fun id ->
         open_end.(id) <- bottom;
         Workspace.buf_push ws.Workspace.opened id)
-      (Liveness.live_out liveness (Block.label b));
+      (Liveness.live_out liveness bi);
     let body = Block.body b in
-    let nbody = Array.length body in
-    let last = Linear.last_instr linear bi in
-    (* Process instruction slot [k] (linear index) given its defs/uses. *)
-    let step k (defs : Loc.t list) (uses : Loc.t list) =
-      let dp = Linear.def_pos k and up = Linear.use_pos k in
-      iter_temps
-        (fun tp ->
-          let id = Temp.id tp in
-          Bytes.set ws.Workspace.known id '\001';
-          ws.Workspace.temp_of.(id) <- tp;
-          if open_end.(id) >= 0 then close id dp
-          else push_seg id dp dp (* dead def: a point segment *))
-        defs;
-      iter_regs
-        (fun r ->
-          let id = ntemps + Regidx.of_reg regidx r in
-          if open_end.(id) >= 0 then close id dp else push_seg id dp dp)
-        defs;
-      iter_temps
-        (fun tp ->
-          let id = Temp.id tp in
-          Bytes.set ws.Workspace.known id '\001';
-          ws.Workspace.temp_of.(id) <- tp;
-          if open_end.(id) < 0 then begin
-            open_end.(id) <- up;
-            Workspace.buf_push ws.Workspace.opened id
-          end)
-        uses;
-      iter_regs
-        (fun r ->
-          let id = ntemps + Regidx.of_reg regidx r in
-          if open_end.(id) < 0 then open_end.(id) <- up)
-        uses
-    in
-    step last [] (Block.term_uses b);
-    for j = nbody - 1 downto 0 do
-      let k = Linear.first_instr linear bi + j in
-      step k (Instr.defs body.(j)) (Instr.uses body.(j))
+    at (Linear.last_instr linear bi);
+    Block.iter_term_uses ~temp:use_temp ~reg:use_reg b;
+    let first = Linear.first_instr linear bi in
+    for j = Array.length body - 1 downto 0 do
+      at (first + j);
+      Instr.iter_defs ~temp:def_temp ~reg:def_reg body.(j);
+      Instr.iter_uses ~temp:use_temp ~reg:use_reg body.(j)
     done;
     let top = Linear.block_top linear bi in
     let opened = ws.Workspace.opened in
@@ -182,34 +178,31 @@ let compute regidx func liveness loops =
   (* Reference points, gathered in one forward walk into the reference
      arena, then bucketed the same way (forward fill: the walk emits each
      temp's references in increasing position order). *)
-  let each_ref () =
-    Array.iteri
-      (fun bi b ->
-        let depth = block_depth.(bi) in
-        let note k kind locs =
-          let rpos =
-            match kind with
-            | Interval.Read -> Linear.use_pos k
-            | Interval.Write -> Linear.def_pos k
-          in
-          let meta = Interval.meta_of_ref ~kind ~depth in
-          iter_temps
-            (fun tp ->
-              Workspace.buf_push ws.Workspace.rf_id (Temp.id tp);
-              Workspace.buf_push ws.Workspace.rf_pos rpos;
-              Workspace.buf_push ws.Workspace.rf_meta meta)
-            locs
-        in
-        Array.iteri
-          (fun j i ->
-            let k = Linear.first_instr linear bi + j in
-            note k Interval.Read (Instr.uses i);
-            note k Interval.Write (Instr.defs i))
-          (Block.body b);
-        note (Linear.last_instr linear bi) Interval.Read (Block.term_uses b))
-      blocks
+  let rpos = ref 0 and meta = ref 0 in
+  let note tp =
+    Workspace.buf_push ws.Workspace.rf_id (Temp.id tp);
+    Workspace.buf_push ws.Workspace.rf_pos !rpos;
+    Workspace.buf_push ws.Workspace.rf_meta !meta
   in
-  each_ref ();
+  Array.iteri
+    (fun bi b ->
+      let depth = block_depth.(bi) in
+      let read = Interval.meta_of_ref ~kind:Interval.Read ~depth in
+      let write = Interval.meta_of_ref ~kind:Interval.Write ~depth in
+      let first = Linear.first_instr linear bi in
+      Array.iteri
+        (fun j i ->
+          rpos := Linear.use_pos (first + j);
+          meta := read;
+          Instr.iter_uses ~temp:note ~reg:no_reg i;
+          rpos := Linear.def_pos (first + j);
+          meta := write;
+          Instr.iter_defs ~temp:note ~reg:no_reg i)
+        (Block.body b);
+      rpos := Linear.use_pos (Linear.last_instr linear bi);
+      meta := read;
+      Block.iter_term_uses ~temp:note ~reg:no_reg b)
+    blocks;
   let nrf = ws.Workspace.rf_id.Workspace.n in
   let rf_id = ws.Workspace.rf_id.Workspace.a in
   let rf_pos = ws.Workspace.rf_pos.Workspace.a in
@@ -260,6 +253,12 @@ let compute regidx func liveness loops =
    programs). Do not optimise this: its value is being the
    obviously-correct original. *)
 let compute_boxed regidx func liveness loops =
+  let iter_temps f locs =
+    List.iter (function Loc.Temp t -> f t | Loc.Reg _ -> ()) locs
+  in
+  let iter_regs f locs =
+    List.iter (function Loc.Reg r -> f r | Loc.Temp _ -> ()) locs
+  in
   let linear = Linear.number func in
   let cfg = Func.cfg func in
   let blocks = Cfg.blocks cfg in
@@ -297,7 +296,7 @@ let compute_boxed regidx func liveness loops =
       (fun id ->
         open_end.(id) <- bottom;
         opened := id :: !opened)
-      (Liveness.live_out liveness (Block.label b));
+      (Liveness.live_out liveness bi);
     let body = Block.body b in
     let nbody = Array.length body in
     let last = Linear.last_instr linear bi in

@@ -8,6 +8,8 @@ exception Rejected of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Rejected s)) fmt
 
+let no_temp (_ : Temp.t) = ()
+
 let run ?(allow_undefined = false) machine func =
   Func.validate func;
   let cfg = Func.cfg func in
@@ -34,55 +36,47 @@ let run ?(allow_undefined = false) machine func =
       let written : (int, unit) Hashtbl.t = Hashtbl.create 8 in
       (* [where] renders the reading instruction or terminator; it is
          called only to report a violation. *)
-      let check_use where (l : Loc.t) =
-        match l with
-        | Loc.Temp _ -> ()
-        | Loc.Reg r ->
-          if not (Hashtbl.mem written (Mreg.hash r)) then
-            if
-              Block.label b = entry
-              && List.exists (Mreg.equal r) arg_regs
-            then () (* a parameter arriving at function entry *)
-            else
-              fail
-                "%s: block %s reads %s before writing it (register live \
-                 ranges must be block-local): %s"
-                (Func.name func) (Block.label b) (Mreg.to_string r) (where ())
+      let check_use where (r : Mreg.t) =
+        if not (Hashtbl.mem written (Mreg.hash r)) then
+          if Block.label b = entry && List.exists (Mreg.equal r) arg_regs
+          then () (* a parameter arriving at function entry *)
+          else
+            fail
+              "%s: block %s reads %s before writing it (register live \
+               ranges must be block-local): %s"
+              (Func.name func) (Block.label b) (Mreg.to_string r) (where ())
       in
+      let write r = Hashtbl.replace written (Mreg.hash r) () in
       Array.iter
         (fun i ->
-          List.iter (check_use (fun () -> Instr.to_string i)) (Instr.uses i);
-          List.iter
-            (fun (l : Loc.t) ->
-              match l with
-              | Loc.Reg r -> Hashtbl.replace written (Mreg.hash r) ()
-              | Loc.Temp _ -> ())
-            (Instr.defs i))
+          Instr.iter_uses ~temp:no_temp
+            ~reg:(check_use (fun () -> Instr.to_string i))
+            i;
+          Instr.iter_defs ~temp:no_temp ~reg:write i)
         (Block.body b);
       let term = Block.term b in
-      List.iter
-        (check_use (fun () -> Block.term_to_string term))
-        (Block.term_uses b))
+      Block.iter_term_uses ~temp:no_temp
+        ~reg:(check_use (fun () -> Block.term_to_string term))
+        b)
     cfg;
   (* 3. Registers named by instructions must exist on the machine. *)
-  let check_reg (l : Loc.t) =
-    match l with
-    | Loc.Reg r ->
-      if Mreg.idx r >= Machine.n_regs machine (Mreg.cls r) then
-        fail "%s: register %s does not exist on %s" (Func.name func)
-          (Mreg.to_string r) (Machine.name machine)
-    | Loc.Temp _ -> ()
+  let check_reg r =
+    if Mreg.idx r >= Machine.n_regs machine (Mreg.cls r) then
+      fail "%s: register %s does not exist on %s" (Func.name func)
+        (Mreg.to_string r) (Machine.name machine)
   in
   Func.iter_instrs func (fun i ->
-      List.iter check_reg (Instr.uses i);
-      List.iter check_reg (Instr.defs i));
+      Instr.iter_uses ~temp:no_temp ~reg:check_reg i;
+      Instr.iter_defs ~temp:no_temp ~reg:check_reg i);
   (* 4. No temporary may be live into the entry block (used before any
      definition on some path). The compressed liveness excludes
      single-block temps, which can still be used-before-def inside the
      entry block, so this check needs the full vectors. *)
   if not allow_undefined then begin
     let liveness = Lsra_analysis.Liveness.compute ~compress:false func in
-    let live_entry = Lsra_analysis.Liveness.live_in liveness entry in
+    let live_entry =
+      Lsra_analysis.Liveness.live_in liveness (Cfg.entry_index cfg)
+    in
     if not (Lsra_analysis.Bitset.is_empty live_entry) then
       fail "%s: temporaries possibly used before definition: %s"
         (Func.name func)

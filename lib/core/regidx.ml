@@ -7,6 +7,7 @@ type t = {
   total : int;
   int_idxs : int list; (* cached: [of_cls] is called on every assignment *)
   float_idxs : int list;
+  regs : Mreg.t array; (* by flat index, shared by every [to_reg] *)
 }
 
 let create machine =
@@ -18,6 +19,10 @@ let create machine =
     total;
     int_idxs = List.init n_int (fun i -> i);
     float_idxs = List.init (total - n_int) (fun i -> n_int + i);
+    regs =
+      Array.init total (fun i ->
+          if i < n_int then Mreg.make ~cls:Rclass.Int i
+          else Mreg.make ~cls:Rclass.Float (i - n_int));
   }
 
 let machine t = t.machine
@@ -30,8 +35,7 @@ let of_reg t r =
 
 let to_reg t i =
   if i < 0 || i >= t.total then invalid_arg "Regidx.to_reg";
-  if i < t.n_int then Mreg.make ~cls:Rclass.Int i
-  else Mreg.make ~cls:Rclass.Float (i - t.n_int)
+  Array.unsafe_get t.regs i
 
 let of_cls t cls =
   match cls with Rclass.Int -> t.int_idxs | Rclass.Float -> t.float_idxs

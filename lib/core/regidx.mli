@@ -14,6 +14,9 @@ val machine : t -> Machine.t
 val total : t -> int
 
 val of_reg : t -> Mreg.t -> int
+
+(** The register at a flat index. Every call returns the same value,
+    built once by {!create}, so it allocates nothing. *)
 val to_reg : t -> int -> Mreg.t
 
 (** Flat indices of all registers of a class, in register order. The list

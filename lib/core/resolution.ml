@@ -18,24 +18,18 @@ let run ?trace (res : Binpack.t) =
   let ridx = res.Binpack.regidx in
   let liveness = res.Binpack.liveness in
   let ntemps = Liveness.width liveness in
-  (* Everything about the CFG as ints, taken before edge splitting appends
-     blocks: liveness per block index, predecessor counts, and the edges
-     as index pairs in [Cfg.edges] order. *)
+  (* The CFG's edges as index pairs in [Cfg.edges] order, read off its
+     integer tables before edge splitting appends blocks. *)
   let blocks = Cfg.blocks cfg in
   let nb = Array.length blocks in
   let label i = Block.label blocks.(i) in
-  let live_in = Array.init nb (fun i -> Liveness.live_in liveness (label i)) in
-  let live_out = Array.init nb (fun i -> Liveness.live_out liveness (label i)) in
-  let n_preds = Array.make nb 0 in
+  let live_in = Liveness.live_in liveness in
+  let live_out = Liveness.live_out liveness in
+  let { Cfg.succs; preds } = Cfg.edge_tables cfg in
   let edges =
     List.concat
       (List.init nb (fun p ->
-           List.map
-             (fun l ->
-               let s = Cfg.block_index cfg l in
-               n_preds.(s) <- n_preds.(s) + 1;
-               (p, s))
-             (Block.succ_labels blocks.(p))))
+           Array.fold_right (fun s acc -> (p, s) :: acc) succs.(p) []))
   in
   let tname id =
     Temp.to_string
@@ -127,13 +121,13 @@ let run ?trace (res : Binpack.t) =
       (fun id ->
         bot.(id) <- res.Binpack.bottom_loc.(p).(!k);
         incr k)
-      live_out.(p);
+      (live_out p);
     k := 0;
     Bitset.iter
       (fun id ->
         top.(id) <- res.Binpack.top_loc.(s).(!k);
         incr k)
-      live_in.(s)
+      (live_in s)
   in
   let reg = Regidx.to_reg ridx in
   let a_bit p id = Bitset.mem res.Binpack.are_consistent.(p) id in
@@ -164,7 +158,7 @@ let run ?trace (res : Binpack.t) =
             else if lp <> ls then
               writes :=
                 { dst = reg ls; src = `Reg (reg lp); temp_id = id } :: !writes)
-          live_in.(s);
+          (live_in s);
         (!stores, !writes))
       edges
   in
@@ -180,13 +174,10 @@ let run ?trace (res : Binpack.t) =
     | Binpack.Iterative when Array.for_all Bitset.is_empty used_c -> None
     | Binpack.Iterative ->
       let rounds = ref 0 in
-      let bi b = Cfg.block_index cfg (Block.label b) in
       let r =
         Dataflow.solve cfg ~direction:Dataflow.Backward ~meet:Dataflow.Union
-          ~width:ntemps
-          ~gen:(fun b -> used_c.(bi b))
-          ~kill:(fun b -> res.Binpack.wrote_tr.(bi b))
-          ~rounds ()
+          ~width:ntemps ~gen:(Array.get used_c)
+          ~kill:(Array.get res.Binpack.wrote_tr) ~rounds ()
       in
       stats.Stats.dataflow_rounds <- !rounds;
       Some r.Dataflow.in_of
@@ -208,7 +199,7 @@ let run ?trace (res : Binpack.t) =
           Bitset.iter
             (fun id ->
               if
-                Bitset.mem live_in.(s) id
+                Bitset.mem (live_in s) id
                 && (not (a_bit p id))
                 && bot.(id) >= 0 && top.(id) >= 0
               then stores := (reg bot.(id), id) :: !stores)
@@ -241,7 +232,7 @@ let run ?trace (res : Binpack.t) =
            successor, else bottom of a single-successor predecessor ending
            in an unconditional jump, else split the edge. *)
         let s_block = blocks.(s) and p_block = blocks.(p) in
-        if n_preds.(s) = 1 then
+        if Array.length preds.(s) = 1 then
           Block.set_body s_block
             (Array.append (Array.of_list instrs) (Block.body s_block))
         else begin

@@ -37,8 +37,12 @@ let run ?trace func =
       def
     in
     let r =
+      let blocks = Cfg.blocks cfg in
       Dataflow.solve cfg ~direction:Dataflow.Backward ~meet:Dataflow.Union
-        ~width:nslots ~gen ~kill ()
+        ~width:nslots
+        ~gen:(fun i -> gen blocks.(i))
+        ~kill:(fun i -> kill blocks.(i))
+        ()
     in
     (* Interference: at each store, the stored slot conflicts with every
        other slot live just after it (backward scan per block). *)

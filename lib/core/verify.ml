@@ -128,21 +128,20 @@ let run machine ~original ~allocated =
   Cfg.iter_blocks
     (fun b ->
       within_block (Block.label b) @@ fun () ->
-      let check_loc site (l : Loc.t) =
-        match l with
-        | Loc.Temp t ->
-          fail site "temporary %s survives allocation" (Temp.to_string t)
-        | Loc.Reg _ -> ()
+      let check_temp site t =
+        fail site "temporary %s survives allocation" (Temp.to_string t)
       in
+      let no_reg (_ : Mreg.t) = () in
       Array.iter
         (fun i ->
           if Instr.tag i = Instr.Original then
             Hashtbl.replace present (Instr.uid i) ();
           let site = At_instr i in
-          List.iter (check_loc site) (Instr.uses i);
-          List.iter (check_loc site) (Instr.defs i))
+          Instr.iter_uses ~temp:(check_temp site) ~reg:no_reg i;
+          Instr.iter_defs ~temp:(check_temp site) ~reg:no_reg i)
         (Block.body b);
-      List.iter (check_loc (At_term (Block.term b))) (Block.term_uses b))
+      Block.iter_term_uses ~temp:(check_temp (At_term (Block.term b)))
+        ~reg:no_reg b)
     cfg;
 
   let kill_temp st id =

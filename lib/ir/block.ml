@@ -32,16 +32,14 @@ let succ_labels b =
   | Branch { ifso; ifnot; _ } -> if ifso = ifnot then [ ifso ] else [ ifso; ifnot ]
   | Ret -> []
 
-let term_uses b : Loc.t list =
+let iter_term_uses ~temp ~reg b =
   match b.term with
-  | Jump _ | Ret -> []
-  | Branch { a; b = b'; _ } ->
-    let locs o =
-      match o with
-      | Operand.Loc l -> [ l ]
-      | Operand.Int _ | Operand.Float _ -> []
-    in
-    locs a @ locs b'
+  | Jump _ | Ret -> ()
+  | Branch { a; b = rhs; _ } ->
+    Operand.iter ~temp ~reg a;
+    Operand.iter ~temp ~reg rhs
+
+let term_uses b = Loc.collect iter_term_uses b
 
 let rewrite_term ~use b =
   match b.term with

@@ -32,7 +32,11 @@ val set_term : t -> terminator -> unit
 (** Successor labels, deduplicated when both branch arms agree. *)
 val succ_labels : t -> string list
 
-(** Locations read by the terminator. *)
+(** [iter_term_uses ~temp ~reg b] visits the locations the terminator
+    reads, in operand order, like {!Instr.iter_uses}. Allocates nothing. *)
+val iter_term_uses : temp:(Temp.t -> unit) -> reg:(Mreg.t -> unit) -> t -> unit
+
+(** Locations read by the terminator: {!iter_term_uses} as a fresh list. *)
 val term_uses : t -> Loc.t list
 
 (** Substitute the terminator's used locations in place. *)

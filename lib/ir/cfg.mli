@@ -15,6 +15,9 @@ exception Malformed of string
 val create : entry:string -> Block.t list -> t
 
 val entry : t -> string
+
+(** Linear index of the entry block. *)
+val entry_index : t -> int
 val entry_block : t -> Block.t
 val blocks : t -> Block.t array
 val n_blocks : t -> int
@@ -33,7 +36,12 @@ val preds_table : t -> (string, string list) Hashtbl.t
 (** The CFG's edges as integer tables over linear block indices:
     [succs.(i)] lists block [i]'s successors in {!Block.succ_labels}
     order, [preds.(j)] block [j]'s predecessors in {!preds_table} order.
-    A snapshot: blocks appended later are not in it. *)
+    The tables are kept once per CFG and always match it: every read
+    checks, by physical equality, that the blocks and their terminators
+    are the ones they were built from, and rebuilds them otherwise (after
+    {!append_block}, {!reorder}, {!Block.retarget_term} or a
+    {!Block.set_term} to other targets). A terminator rewritten with the
+    same targets keeps them. Callers must not mutate the arrays. *)
 type edges = { succs : int array array; preds : int array array }
 
 val edge_tables : t -> edges

@@ -35,27 +35,29 @@ let fresh_label ?(hint = "L") f =
 let iter_instrs f k =
   Cfg.iter_blocks (fun b -> Array.iter k (Block.body b)) f.cfg
 
-let temps f =
-  let seen = Hashtbl.create 64 in
-  let acc = ref [] in
-  let add (l : Loc.t) =
-    match l with
-    | Loc.Temp t ->
-      if not (Hashtbl.mem seen (Temp.id t)) then begin
-        Hashtbl.add seen (Temp.id t) ();
-        acc := t :: !acc
-      end
-    | Loc.Reg _ -> ()
-  in
+let no_reg (_ : Mreg.t) = ()
+
+(* Every temp operand of the function: defs before uses per
+   instruction, then the terminator's uses, block by block. *)
+let iter_temp_operands f see =
   Cfg.iter_blocks
     (fun b ->
       Array.iter
         (fun i ->
-          List.iter add (Instr.defs i);
-          List.iter add (Instr.uses i))
+          Instr.iter_defs ~temp:see ~reg:no_reg i;
+          Instr.iter_uses ~temp:see ~reg:no_reg i)
         (Block.body b);
-      List.iter add (Block.term_uses b))
-    f.cfg;
+      Block.iter_term_uses ~temp:see ~reg:no_reg b)
+    f.cfg
+
+let temps f =
+  let seen = Hashtbl.create 64 in
+  let acc = ref [] in
+  iter_temp_operands f (fun t ->
+      if not (Hashtbl.mem seen (Temp.id t)) then begin
+        Hashtbl.add seen (Temp.id t) ();
+        acc := t :: !acc
+      end);
   List.rev !acc
 
 let n_instrs f =
@@ -117,25 +119,12 @@ let validate f =
       ()
   in
   iter_instrs f check_cls_instr;
-  let check_temp_id (l : Loc.t) =
-    match l with
-    | Loc.Temp t ->
+  iter_temp_operands f (fun t ->
       if Temp.id t >= f.next_temp then
         raise
           (Cfg.Malformed
              (Printf.sprintf "%s: temp %s out of range" f.name
-                (Temp.to_string t)))
-    | Loc.Reg _ -> ()
-  in
-  Cfg.iter_blocks
-    (fun b ->
-      Array.iter
-        (fun i ->
-          List.iter check_temp_id (Instr.defs i);
-          List.iter check_temp_id (Instr.uses i))
-        (Block.body b);
-      List.iter check_temp_id (Block.term_uses b))
-    f.cfg
+                (Temp.to_string t))))
 
 let pp fmt f =
   Format.fprintf fmt "@[<v>func %s {@,%a@,}@]" f.name Cfg.pp f.cfg

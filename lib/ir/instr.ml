@@ -68,34 +68,37 @@ let cmp_operand_cls = function
   | Eq | Ne | Lt | Le | Gt | Ge -> Rclass.Int
   | Feq | Fne | Flt | Fle -> Rclass.Float
 
-let operand_locs (o : Operand.t) : Loc.t list =
-  match o with
-  | Operand.Loc l -> [ l ]
-  | Operand.Int _ | Operand.Float _ -> []
-
-let uses t : Loc.t list =
+(* The one definition of operand order: [uses], [defs] and every
+   analysis that walks operands go through these. *)
+let iter_uses ~temp ~reg t =
   match t.desc with
-  | Move { src; _ } -> operand_locs src
-  | Bin { a; b; _ } | Cmp { a; b; _ } -> operand_locs a @ operand_locs b
-  | Un { src; _ } -> operand_locs src
-  | Load { base; _ } -> operand_locs base
-  | Store { src; base; _ } -> operand_locs src @ operand_locs base
-  | Spill_load _ -> []
-  | Spill_store { src; _ } -> [ src ]
-  | Call { args; _ } -> List.map Loc.reg args
-  | Nop -> []
+  | Move { src; _ } | Un { src; _ } -> Operand.iter ~temp ~reg src
+  | Bin { a; b; _ } | Cmp { a; b; _ } ->
+    Operand.iter ~temp ~reg a;
+    Operand.iter ~temp ~reg b
+  | Load { base; _ } -> Operand.iter ~temp ~reg base
+  | Store { src; base; _ } ->
+    Operand.iter ~temp ~reg src;
+    Operand.iter ~temp ~reg base
+  | Spill_store { src = Loc.Temp x; _ } -> temp x
+  | Spill_store { src = Loc.Reg r; _ } -> reg r
+  | Call { args; _ } -> List.iter reg args
+  | Spill_load _ | Nop -> ()
 
-let defs t : Loc.t list =
+let iter_defs ~temp ~reg t =
   match t.desc with
   | Move { dst; _ }
   | Bin { dst; _ }
   | Un { dst; _ }
   | Cmp { dst; _ }
   | Load { dst; _ }
-  | Spill_load { dst; _ } ->
-    [ dst ]
-  | Store _ | Spill_store _ | Nop -> []
-  | Call { clobbers; _ } -> List.map Loc.reg clobbers
+  | Spill_load { dst; _ } -> (
+    match dst with Loc.Temp x -> temp x | Loc.Reg r -> reg r)
+  | Call { clobbers; _ } -> List.iter reg clobbers
+  | Store _ | Spill_store _ | Nop -> ()
+
+let uses t = Loc.collect iter_uses t
+let defs t = Loc.collect iter_defs t
 
 let map_operand f (o : Operand.t) : Operand.t =
   match o with

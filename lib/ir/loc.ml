@@ -34,3 +34,11 @@ let to_string l =
   Buffer.contents buf
 
 let pp fmt l = Format.pp_print_string fmt (to_string l)
+
+let collect walk x =
+  let acc = ref [] in
+  walk
+    ~temp:(fun t -> acc := Temp t :: !acc)
+    ~reg:(fun r -> acc := Reg r :: !acc)
+    x;
+  match !acc with ([] | [ _ ]) as l -> l | l -> List.rev l

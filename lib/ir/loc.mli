@@ -16,3 +16,9 @@ val as_reg : t -> Mreg.t option
 val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
+
+(** [collect walk x] runs an operand walk over [x] (such as
+    {!Instr.iter_uses}) and returns the locations it visits, in visiting
+    order, as a fresh list. *)
+val collect :
+  (temp:(Temp.t -> unit) -> reg:(Mreg.t -> unit) -> 'a -> unit) -> 'a -> t list

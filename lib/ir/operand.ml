@@ -13,6 +13,11 @@ let cls = function
 
 let as_loc = function Loc l -> Some l | Int _ | Float _ -> None
 
+let iter ~temp ~reg = function
+  | Loc (Loc.Temp t) -> temp t
+  | Loc (Loc.Reg r) -> reg r
+  | Int _ | Float _ -> ()
+
 let equal a b =
   match a, b with
   | Loc x, Loc y -> Loc.equal x y

@@ -9,6 +9,10 @@ val int : int -> t
 val float : float -> t
 val cls : t -> Rclass.t
 val as_loc : t -> Loc.t option
+
+(** [iter ~temp ~reg o] calls [temp] or [reg] on the location [o] reads,
+    if any; immediates call neither. Allocates nothing. *)
+val iter : temp:(Temp.t -> unit) -> reg:(Mreg.t -> unit) -> t -> unit
 val equal : t -> t -> bool
 
 (** Floats print in OCaml's exact hexadecimal notation ([%h]), so the

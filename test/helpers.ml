@@ -95,6 +95,49 @@ let prog_of_func f = Program.create ~main:(Func.name f) [ (Func.name f, f) ]
 
 (* ---------------- reference analyses ---------------- *)
 
+(* The operand lists as spelled out per constructor, the reference the
+   allocation-free walks ([Instr.iter_uses], [Instr.iter_defs],
+   [Block.iter_term_uses]) must visit in order. *)
+let operand_locs (o : Operand.t) =
+  match o with Operand.Loc l -> [ l ] | Operand.Int _ | Operand.Float _ -> []
+
+let ref_uses i : Loc.t list =
+  match Instr.desc i with
+  | Instr.Move { src; _ } | Instr.Un { src; _ } -> operand_locs src
+  | Instr.Bin { a; b; _ } | Instr.Cmp { a; b; _ } ->
+    operand_locs a @ operand_locs b
+  | Instr.Load { base; _ } -> operand_locs base
+  | Instr.Store { src; base; _ } -> operand_locs src @ operand_locs base
+  | Instr.Spill_load _ | Instr.Nop -> []
+  | Instr.Spill_store { src; _ } -> [ src ]
+  | Instr.Call { args; _ } -> List.map Loc.reg args
+
+let ref_defs i : Loc.t list =
+  match Instr.desc i with
+  | Instr.Move { dst; _ }
+  | Instr.Bin { dst; _ }
+  | Instr.Un { dst; _ }
+  | Instr.Cmp { dst; _ }
+  | Instr.Load { dst; _ }
+  | Instr.Spill_load { dst; _ } ->
+    [ dst ]
+  | Instr.Store _ | Instr.Spill_store _ | Instr.Nop -> []
+  | Instr.Call { clobbers; _ } -> List.map Loc.reg clobbers
+
+let ref_term_uses b : Loc.t list =
+  match Block.term b with
+  | Block.Jump _ | Block.Ret -> []
+  | Block.Branch { a; b; _ } -> operand_locs a @ operand_locs b
+
+(* What a walk visits, as a list in visiting order. *)
+let walked iter x : Loc.t list =
+  let acc = ref [] in
+  iter
+    ~temp:(fun t -> acc := Loc.Temp t :: !acc)
+    ~reg:(fun r -> acc := Loc.Reg r :: !acc)
+    x;
+  List.rev !acc
+
 (* The DCE every round of which solves liveness afresh: the reference
    [Dce.run_to_fixpoint] must match instruction for instruction and in
    its count. *)
@@ -114,9 +157,9 @@ let dce_round_by_round func =
   let round () =
     let liveness = L.compute func in
     let removed = ref 0 in
-    Cfg.iter_blocks
-      (fun b ->
-        let live = S.copy (L.live_out liveness (Block.label b)) in
+    Array.iteri
+      (fun bi b ->
+        let live = S.copy (L.live_out liveness bi) in
         temp_ids (S.add live) (Block.term_uses b);
         let keep = ref [] in
         let body = Block.body b in
@@ -140,7 +183,7 @@ let dce_round_by_round func =
           end
         done;
         Block.set_body b (Array.of_list !keep))
-      (Func.cfg func);
+      (Cfg.blocks (Func.cfg func));
     !removed
   in
   let rec go total =
@@ -148,6 +191,18 @@ let dce_round_by_round func =
     if r > 0 then go (total + r) else total
   in
   go 0
+
+(* The CFG's edges as integer tables built afresh from the labels, the
+   reference for [Cfg.edge_tables]: successors in [Block.succ_labels]
+   order, predecessors in [Cfg.preds_table] order. *)
+let edges_by_labels cfg =
+  let idx = Cfg.block_index cfg in
+  let preds = Cfg.preds_table cfg in
+  Array.map
+    (fun b ->
+      ( Array.of_list (List.map idx (Block.succ_labels b)),
+        Array.of_list (List.map idx (Hashtbl.find preds (Block.label b))) ))
+    (Cfg.blocks cfg)
 
 (* Immediate dominators over the label-keyed predecessor table, the
    reference for [Dom]: [idom.(i)] is -1 for an unreachable block and [i]

@@ -117,7 +117,8 @@ let loop_func () =
 let test_liveness_loop () =
   let f, x, i, dead = loop_func () in
   let lv = Liveness.compute f in
-  let live_in_head = Liveness.live_in lv "head" in
+  let idx = Cfg.block_index (Func.cfg f) in
+  let live_in_head = Liveness.live_in lv (idx "head") in
   Alcotest.(check bool) "x live into head" true
     (Bitset.mem live_in_head (Temp.id x));
   Alcotest.(check bool) "i live into head" true
@@ -125,9 +126,9 @@ let test_liveness_loop () =
   Alcotest.(check bool) "dead def not live" false
     (Bitset.mem live_in_head (Temp.id dead));
   Alcotest.(check bool) "x live out of body" true
-    (Bitset.mem (Liveness.live_out lv "body") (Temp.id x));
+    (Bitset.mem (Liveness.live_out lv (idx "body")) (Temp.id x));
   Alcotest.(check bool) "nothing live out of exit" true
-    (Bitset.is_empty (Liveness.live_out lv "exit"));
+    (Bitset.is_empty (Liveness.live_out lv (idx "exit")));
   Alcotest.(check bool) "live across blocks includes x" true
     (Bitset.mem (Liveness.live_across_blocks lv) (Temp.id x))
 
@@ -154,10 +155,11 @@ let test_liveness_diamond_partial () =
   B.ret b;
   let f = B.finish b in
   let lv = Liveness.compute f in
+  let idx = Cfg.block_index (Func.cfg f) in
   Alcotest.(check bool) "y live through bb" true
-    (Bitset.mem (Liveness.live_in lv "bb") (Temp.id y));
+    (Bitset.mem (Liveness.live_in lv (idx "bb")) (Temp.id y));
   Alcotest.(check bool) "y not live into a (redefined)" false
-    (Bitset.mem (Liveness.live_in lv "a") (Temp.id y))
+    (Bitset.mem (Liveness.live_in lv (idx "a")) (Temp.id y))
 
 let test_compressed_liveness_equivalent () =
   (* the paper's bit-vector compression must be invisible: identical
@@ -172,18 +174,17 @@ let test_compressed_liveness_equivalent () =
       (fun (_, f) ->
         let a = Liveness.compute ~compress:true f in
         let b = Liveness.compute ~compress:false f in
-        Cfg.iter_blocks
-          (fun blk ->
-            let l = Block.label blk in
+        Array.iteri
+          (fun i blk ->
             if
-              (not (Bitset.equal (Liveness.live_in a l) (Liveness.live_in b l)))
+              (not (Bitset.equal (Liveness.live_in a i) (Liveness.live_in b i)))
               || not
-                   (Bitset.equal (Liveness.live_out a l)
-                      (Liveness.live_out b l))
+                   (Bitset.equal (Liveness.live_out a i)
+                      (Liveness.live_out b i))
             then
               Alcotest.failf "seed %d, block %s: compressed liveness differs"
-                seed l)
-          (Func.cfg f))
+                seed (Block.label blk))
+          (Cfg.blocks (Func.cfg f)))
       (Program.funcs prog)
   done
 
@@ -263,9 +264,9 @@ let test_dataflow_rounds () =
       [ mk "a" (Block.Jump "b"); mk "b" (Block.Jump "c"); mk "c" Block.Ret ]
   in
   let rounds = ref 0 in
-  let gen b =
+  let gen i =
     let s = Bitset.create 4 in
-    if Block.label b = "c" then Bitset.add s 1;
+    if Block.label (Cfg.blocks cfg).(i) = "c" then Bitset.add s 1;
     s
   in
   let kill _ = Bitset.create 4 in
@@ -291,10 +292,11 @@ let test_dataflow_forward_inter () =
         mk "j" Block.Ret;
       ]
   in
-  let gen b =
+  let gen i =
     let s = Bitset.create 2 in
-    if Block.label b = "l" then Bitset.add s 0;
-    if Block.label b = "e" then Bitset.add s 1;
+    let l = Block.label (Cfg.blocks cfg).(i) in
+    if l = "l" then Bitset.add s 0;
+    if l = "e" then Bitset.add s 1;
     s
   in
   let kill _ = Bitset.create 2 in
@@ -350,8 +352,9 @@ let solver_equivalence_prop =
         (fun b ->
           Hashtbl.replace gk (Block.label b) (random_set (), random_set ()))
         blocks;
-      let gen b = fst (Hashtbl.find gk (Block.label b)) in
-      let kill b = snd (Hashtbl.find gk (Block.label b)) in
+      let sets i = Hashtbl.find gk (Block.label (Cfg.blocks cfg).(i)) in
+      let gen i = fst (sets i) in
+      let kill i = snd (sets i) in
       let same a b =
         Array.length a = Array.length b
         && Array.for_all2 Bitset.equal a b
@@ -419,17 +422,19 @@ let test_dce_preserves_behaviour () =
 
 (* ---------------- one liveness solve through DCE ---------------- *)
 
+(* Equal at every linear block index, and over the boundary set. *)
 let same_liveness a b cfg =
-  Array.for_all
-    (fun blk ->
-      let l = Block.label blk in
-      Bitset.equal (Liveness.live_in a l) (Liveness.live_in b l)
-      && Bitset.equal (Liveness.live_out a l) (Liveness.live_out b l))
-    (Cfg.blocks cfg)
+  List.for_all
+    (fun i ->
+      Bitset.equal (Liveness.live_in a i) (Liveness.live_in b i)
+      && Bitset.equal (Liveness.live_out a i) (Liveness.live_out b i))
+    (List.init (Cfg.n_blocks cfg) Fun.id)
+  && Bitset.equal (Liveness.live_across_blocks a) (Liveness.live_across_blocks b)
 
 (* DCE against the round-by-round reference: the same count, the same
-   instructions left, and a returned solution equal to a fresh solve of
-   what is left, in every block's live_in and live_out. *)
+   instructions left, a returned solution equal to a fresh solve of what
+   is left, read by block index in every block's live_in and live_out,
+   and the CFG's cached edge tables equal to a fresh label build. *)
 let dce_matches_reference f =
   let expected = Func.copy f and got = Func.copy f in
   let n_ref = Helpers.dce_round_by_round expected in
@@ -438,6 +443,9 @@ let dce_matches_reference f =
   n = n_ref
   && text expected = text got
   && same_liveness live (Liveness.compute got) (Func.cfg got)
+  && Cfg.edge_tables (Func.cfg got)
+     = (let t = Helpers.edges_by_labels (Func.cfg got) in
+        { Cfg.succs = Array.map fst t; preds = Array.map snd t })
 
 (* Dominators and loops over the integer edge table against the
    label-table reference. *)

@@ -172,6 +172,25 @@ let test_option_combinations () =
            (second_chance ~opts machine)))
     (all_option_combos ())
 
+(* The scan's block loop runs under [Stats.timed], so its time and minor
+   words are recorded like every other pass's, by [Binpack.scan] and
+   through [Allocator.pipeline]. *)
+let test_scan_allocation_recorded () =
+  let m = Machine.small () in
+  let scan_words s =
+    s.Lsra.Stats.pass_minor_words.(Lsra.Stats.pass_index Lsra.Stats.Scan)
+  in
+  let scanned = Lsra.Binpack.scan m (pressure_func ~width:6 ~iters:3) in
+  Alcotest.(check bool) "scan minor words" true
+    (scan_words scanned.Lsra.Binpack.stats > 0.);
+  Alcotest.(check bool) "scan time" true
+    (scanned.Lsra.Binpack.stats.Lsra.Stats.time_scan > 0.);
+  let stats =
+    Lsra.Allocator.pipeline Lsra.Allocator.default_second_chance m
+      (prog_of_func (pressure_func ~width:6 ~iters:3))
+  in
+  Alcotest.(check bool) "pipeline scan minor words" true (scan_words stats > 0.)
+
 let suite =
   [
     Alcotest.test_case "straight-line, no spills" `Quick
@@ -186,4 +205,6 @@ let suite =
       test_loop_with_call;
     Alcotest.test_case "all option combinations" `Quick
       test_option_combinations;
+    Alcotest.test_case "scan allocation is recorded" `Quick
+      test_scan_allocation_recorded;
   ]

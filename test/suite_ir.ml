@@ -256,6 +256,191 @@ let test_regidx_bijection () =
       (Lsra.Regidx.of_reg idx (Lsra.Regidx.to_reg idx i))
   done
 
+let test_regidx_shared () =
+  let idx = Lsra.Regidx.create Machine.alpha_like in
+  for i = 0 to Lsra.Regidx.total idx - 1 do
+    Alcotest.(check bool) "same value every call" true
+      (Lsra.Regidx.to_reg idx i == Lsra.Regidx.to_reg idx i)
+  done
+
+(* ---------------- operand walks ---------------- *)
+
+let same_locs = List.equal Loc.equal
+
+(* Every walk visits exactly its reference list, in order, and the list
+   functions agree with both. *)
+let walks_match_reference f =
+  Array.for_all
+    (fun b ->
+      Array.for_all
+        (fun i ->
+          same_locs (Helpers.walked Instr.iter_uses i) (Helpers.ref_uses i)
+          && same_locs (Helpers.walked Instr.iter_defs i) (Helpers.ref_defs i)
+          && same_locs (Instr.uses i) (Helpers.ref_uses i)
+          && same_locs (Instr.defs i) (Helpers.ref_defs i))
+        (Block.body b)
+      && same_locs
+           (Helpers.walked Block.iter_term_uses b)
+           (Helpers.ref_term_uses b)
+      && same_locs (Block.term_uses b) (Helpers.ref_term_uses b))
+    (Cfg.blocks (Func.cfg f))
+
+let walk_machines =
+  [ ("alpha", Machine.alpha_like); ("small-8", Lsra_sim.Sweep.small_8) ]
+
+let walks_prop =
+  QCheck.Test.make ~count:60
+    ~name:"operand walks = uses/defs/term_uses, before and after allocation"
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, hostile) ->
+      List.for_all
+        (fun (_, m) ->
+          let params =
+            if hostile then Lsra_workloads.Gen.hostile_params ~seed
+            else
+              { Lsra_workloads.Gen.default_params with Lsra_workloads.Gen.seed }
+          in
+          let prog = Lsra_workloads.Gen.program ~params m in
+          List.for_all
+            (fun (_, f) ->
+              walks_match_reference f
+              &&
+              (ignore
+                 (Lsra.Allocator.run Lsra.Allocator.default_second_chance m f);
+               walks_match_reference f))
+            (Program.funcs prog))
+        walk_machines)
+
+(* The walks allocate nothing, even over a call carrying the whole
+   caller-saved clobber set, so the analyses can run them on every
+   instruction. *)
+let test_walks_allocate_nothing () =
+  let m = Machine.alpha_like in
+  let clobbers = Machine.all_caller_saved m in
+  Alcotest.(check int) "alpha's clobber set" 29 (List.length clobbers);
+  let call =
+    Instr.make
+      (Instr.Call
+         {
+           func = "f";
+           args =
+             [ Machine.arg_reg m Rclass.Int 0; Machine.arg_reg m Rclass.Int 1 ];
+           rets = [ Machine.int_ret m ];
+           clobbers;
+         })
+  in
+  let bin =
+    Instr.make
+      (Instr.Bin
+         { op = Instr.Add; dst = Loc.temp (t_int 3); a = Operand.temp (t_int 1);
+           b = Operand.reg (Machine.int_ret m) })
+  in
+  let blk =
+    Block.make ~label:"b" ~body:[| call; bin |]
+      ~term:
+        (Block.Branch
+           { op = Instr.Lt; a = Operand.temp (t_int 3); b = Operand.int 0;
+             ifso = "b"; ifnot = "b" })
+  in
+  let n = ref 0 in
+  let temp (_ : Temp.t) = incr n and reg (_ : Mreg.t) = incr n in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Instr.iter_uses ~temp ~reg call;
+    Instr.iter_defs ~temp ~reg call;
+    Instr.iter_uses ~temp ~reg bin;
+    Instr.iter_defs ~temp ~reg bin;
+    Block.iter_term_uses ~temp ~reg blk
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words" 0. words;
+  Alcotest.(check int) "operands visited" (1000 * (2 + 29 + 2 + 1 + 1)) !n
+
+(* ---------------- integer edge tables ---------------- *)
+
+let tables_match cfg =
+  let { Cfg.succs; preds } = Cfg.edge_tables cfg in
+  let expected = Helpers.edges_by_labels cfg in
+  Array.length succs = Array.length expected
+  && Array.length preds = Array.length expected
+  && Array.for_all2 (fun s (s', _) -> s = s') succs expected
+  && Array.for_all2 (fun p (_, p') -> p = p') preds expected
+
+(* The cached tables follow every mutation that can change an edge:
+   appended blocks, reordering, retargeting, a new terminator (to the
+   same targets or others) and copying, whether or not they were read in
+   between. *)
+let edge_tables_prop =
+  QCheck.Test.make ~count:300 ~name:"cfg: cached edge tables = label build"
+    QCheck.(pair (int_range 1 8) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed; n |] in
+      let labels = ref (List.init n (fun i -> "b" ^ string_of_int i)) in
+      let pick () =
+        List.nth !labels (Random.State.int rng (List.length !labels))
+      in
+      let operand () =
+        if Random.State.bool rng then Operand.int (Random.State.int rng 9)
+        else Operand.temp (t_int (Random.State.int rng 9))
+      in
+      let term () =
+        match Random.State.int rng 4 with
+        | 0 -> Block.Ret
+        | 1 -> Block.Jump (pick ())
+        | _ ->
+          Block.Branch
+            { op = Instr.Eq; a = operand (); b = operand (); ifso = pick ();
+              ifnot = pick () }
+      in
+      let cfg =
+        ref
+          (Cfg.create ~entry:"b0"
+             (List.map (fun l -> Block.make ~label:l ~body:[||] ~term:(term ())) !labels))
+      in
+      let block () =
+        (Cfg.blocks !cfg).(Random.State.int rng (Cfg.n_blocks !cfg))
+      in
+      let ok = ref (tables_match !cfg) in
+      for step = 1 to 12 do
+        (match Random.State.int rng 6 with
+        | 0 ->
+          let l = "n" ^ string_of_int step in
+          labels := !labels @ [ l ];
+          Cfg.append_block !cfg (Block.make ~label:l ~body:[||] ~term:(term ()))
+        | 1 ->
+          let rest = List.filter (fun l -> l <> "b0") !labels in
+          let a = Array.of_list rest in
+          for i = Array.length a - 1 downto 1 do
+            let j = Random.State.int rng (i + 1) in
+            let x = a.(i) in
+            a.(i) <- a.(j);
+            a.(j) <- x
+          done;
+          Cfg.reorder !cfg ("b0" :: Array.to_list a)
+        | 2 -> (
+          let b = block () in
+          match Block.succ_labels b with
+          | [] -> ()
+          | ls ->
+            let from = List.nth ls (Random.State.int rng (List.length ls)) in
+            Block.retarget_term b ~from ~to_:(pick ()))
+        | 3 -> Block.set_term (block ()) (term ())
+        | 4 -> (
+          (* Same targets, new operands: the scan's terminator rewrite. *)
+          let b = block () in
+          match Block.term b with
+          | Block.Branch br ->
+            Block.set_term b
+              (Block.Branch { br with a = operand (); b = operand () })
+          | Block.Jump l ->
+            (* A fresh string with the same contents. *)
+            Block.set_term b (Block.Jump (String.sub l 0 (String.length l)))
+          | Block.Ret -> Block.set_term b Block.Ret)
+        | _ -> cfg := Cfg.copy !cfg);
+        if Random.State.bool rng then ok := !ok && tables_match !cfg
+      done;
+      !ok && tables_match !cfg)
+
 let suite =
   [
     Alcotest.test_case "temp identity" `Quick test_temp_identity;
@@ -277,4 +462,10 @@ let suite =
     Alcotest.test_case "program lookup and errors" `Quick test_program_lookup;
     Alcotest.test_case "machine conventions" `Quick test_machine_conventions;
     Alcotest.test_case "register index bijection" `Quick test_regidx_bijection;
+    Alcotest.test_case "register index shares registers" `Quick
+      test_regidx_shared;
+    Alcotest.test_case "operand walks allocate nothing" `Quick
+      test_walks_allocate_nothing;
   ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false)
+      [ walks_prop; edge_tables_prop ]
