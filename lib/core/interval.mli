@@ -85,9 +85,6 @@ val ref_pos_at : t -> int -> int
 val ref_kind_at : t -> int -> ref_kind
 val ref_depth_at : t -> int -> int
 
-(** Materialises a record; prefer the [_at] accessors on hot paths. *)
-val ref_at : t -> int -> ref_point
-
 val n_refs : t -> int
 val holes : t -> seg list
 val pp : Format.formatter -> t -> unit
