@@ -1,5 +1,4 @@
 open Lsra_ir
-open Lsra_analysis
 
 (* Exact spill-cost minimisation by branch and bound (ROADMAP item 3).
 
@@ -32,9 +31,7 @@ let d_undecided = -2
 let d_spill = -1
 
 type ctx = {
-  func : Func.t;
-  regidx : Regidx.t;
-  lifetimes : Lifetime.t;
+  se : Spill_everywhere.t;
   npos : int;
   occ : Bytes.t array; (* per flat register: one byte per position *)
   decision : int array; (* per temp id: flat reg, d_spill or d_undecided *)
@@ -45,23 +42,20 @@ type ctx = {
 
 (* Textual occurrence counts per temporary: exactly the loads and stores
    the rewrite will emit if the temp lives in memory. Counted off the
-   instructions themselves (identity rewrite callbacks), not off the
-   interval's reference list, so the cost model can never drift from the
-   rewriter's accounting. *)
+   instructions' operands (the ones [Spill_everywhere.rewrite] visits), not
+   off the interval's reference list, so the cost model can never drift
+   from the rewriter's accounting. *)
 let count_occurrences func ntemps =
   let cost = Array.make ntemps 0 in
-  let touch (l : Loc.t) =
-    (match l with
-    | Loc.Temp tp -> cost.(Temp.id tp) <- cost.(Temp.id tp) + 1
-    | Loc.Reg _ -> ());
-    l
-  in
+  let temp tp = cost.(Temp.id tp) <- cost.(Temp.id tp) + 1 and reg _ = () in
   Array.iter
     (fun b ->
       Array.iter
-        (fun i -> ignore (Instr.rewrite ~use:touch ~def:touch i))
+        (fun i ->
+          Instr.iter_uses ~temp ~reg i;
+          Instr.iter_defs ~temp ~reg i)
         (Block.body b);
-      Block.rewrite_term b ~use:touch)
+      Block.iter_term_uses ~temp ~reg b)
     (Cfg.blocks (Func.cfg func));
   cost
 
@@ -81,13 +75,22 @@ let seg_set ctx ri v s e =
     Bytes.set occ p v
   done
 
+(* Occupancy from the register conventions alone. *)
+let reset_occupancy ctx =
+  Array.iter (fun occ -> Bytes.fill occ 0 ctx.npos '\000') ctx.occ;
+  for ri = 0 to Regidx.total ctx.se.regidx - 1 do
+    Array.iter
+      (fun { Interval.s; e } -> seg_set ctx ri '\001' s e)
+      (Lifetime.reg_busy ctx.se.lifetimes ri)
+  done
+
 (* One register class's search. [claims]/[acover] are per-position counts
    of scratch claims and of whole-lifetime assignments; [avail] is the
    static count of class registers not convention-busy at each
    position. *)
 let solve_class ctx cls =
-  let lifetimes = ctx.lifetimes in
-  let cand = Array.of_list (Regidx.of_cls ctx.regidx cls) in
+  let lifetimes = ctx.se.lifetimes and func = ctx.se.func in
+  let cand = Array.of_list (Regidx.of_cls ctx.se.regidx cls) in
   let k = Array.length cand in
   let ntemps = Array.length ctx.decision in
   let items =
@@ -237,7 +240,7 @@ let solve_class ctx cls =
         raise
           (Budget_exceeded
              (Printf.sprintf "node budget %d exhausted in %s" ctx.budget
-                (Func.name ctx.func)));
+                (Func.name func)));
       if cost + suffix_lb.(i) >= !best_cost then ()
       else if i = n then begin
         best_cost := cost;
@@ -270,7 +273,7 @@ let solve_class ctx cls =
       raise
         (Budget_exceeded
            (Printf.sprintf "no feasible whole-lifetime plan for %s"
-              (Func.name ctx.func)))
+              (Func.name func)))
     else begin
       for i = 0 to n - 1 do
         ctx.decision.(items.(i)) <- best_dec.(i)
@@ -279,63 +282,43 @@ let solve_class ctx cls =
     end
   end
 
-(* Rewrite the function according to [ctx.decision], two-pass style:
-   assigned temps become their register everywhere; spilled temps load
-   into a per-position scratch before reads and store after writes.
-   Scratch registers are chosen greedily against the final occupancy —
-   the search's counting argument guarantees one is free. *)
-let emit_solution ctx trace stats =
-  let func = ctx.func in
-  let lifetimes = ctx.lifetimes in
-  let linear = Lifetime.linear lifetimes in
-  let tr ev = match trace with None -> () | Some sink -> Trace.emit sink ev in
-  let tname id =
-    Temp.to_string (Interval.temp (Lifetime.interval_of_id lifetimes id))
-  in
-  Trace.emit_fn trace func;
+(* Rewrite the function according to [ctx.decision]: assigned temps
+   become their register everywhere; each reference of a spilled temp
+   takes a scratch register, chosen greedily against the final occupancy
+   and shared by the temp's references at one position. The search's
+   counting argument guarantees one is free. *)
+let emit_solution ctx =
+  let se = ctx.se in
+  let func = se.func and lifetimes = se.lifetimes in
+  Trace.emit_fn se.trace func;
   (* Rebuild occupancy from conventions plus the winning assignments. *)
-  Array.iter (fun occ -> Bytes.fill occ 0 ctx.npos '\000') ctx.occ;
-  for ri = 0 to Regidx.total ctx.regidx - 1 do
-    Array.iter
-      (fun { Interval.s; e } -> seg_set ctx ri '\001' s e)
-      (Lifetime.reg_busy lifetimes ri)
-  done;
-  let ntemps = Array.length ctx.decision in
-  for id = 0 to ntemps - 1 do
+  reset_occupancy ctx;
+  for id = 0 to Array.length ctx.decision - 1 do
     let ri = ctx.decision.(id) in
     if ri >= 0 then begin
       let itv = Lifetime.interval_of_id lifetimes id in
       for s = 0 to Interval.n_segs itv - 1 do
         seg_set ctx ri '\001' (Interval.seg_start itv s) (Interval.seg_end itv s)
       done;
-      tr
+      se.assignment.(id) <- Some (Regidx.to_reg se.regidx ri);
+      Spill_everywhere.emit se
         (Trace.Assign
            {
-             temp = tname id;
+             temp = Spill_everywhere.tname se id;
              id;
              pos = Interval.start itv;
-             reg = Regidx.to_reg ctx.regidx ri;
+             reg = Regidx.to_reg se.regidx ri;
              reason = Trace.Exact;
              hole_end = max_int;
            })
     end
   done;
-  let slot_of = Array.make ntemps None in
-  let slot id =
-    match slot_of.(id) with
-    | Some s -> s
-    | None ->
-      let s = Func.fresh_slot func in
-      slot_of.(id) <- Some s;
-      tr (Trace.Slot_alloc { temp = tname id; id; slot = s });
-      s
-  in
   let point_reg : (int * int, Mreg.t) Hashtbl.t = Hashtbl.create 16 in
-  let scratch id pos =
-    match Hashtbl.find_opt point_reg (id, pos) with
+  let scratch tp pos _ =
+    let key = (Temp.id tp, pos) in
+    match Hashtbl.find_opt point_reg key with
     | Some r -> r
     | None ->
-      let cls = Temp.cls (Interval.temp (Lifetime.interval_of_id lifetimes id)) in
       let rec find = function
         | [] ->
           (* The search's per-position counting argument guarantees a free
@@ -346,105 +329,16 @@ let emit_solution ctx trace stats =
         | ri :: rest ->
           if Bytes.get ctx.occ.(ri) pos = '\000' then begin
             Bytes.set ctx.occ.(ri) pos '\001';
-            Regidx.to_reg ctx.regidx ri
+            Regidx.to_reg se.regidx ri
           end
           else find rest
       in
-      let r = find (Regidx.of_cls ctx.regidx cls) in
-      Hashtbl.replace point_reg (id, pos) r;
+      let r = find (Regidx.of_cls se.regidx (Temp.cls tp)) in
+      Hashtbl.replace point_reg key r;
       r
   in
-  let spill_tag kind = Instr.Spill { phase = Instr.Evict; kind } in
-  let cfg = Func.cfg func in
-  Array.iteri
-    (fun bi b ->
-      let out = ref [] in
-      let emit i = out := i :: !out in
-      let rewrite_instr k i =
-        let loads = ref [] and stores = ref [] in
-        let use (l : Loc.t) =
-          match l with
-          | Loc.Reg _ -> l
-          | Loc.Temp tp ->
-            let id = Temp.id tp in
-            let ri = ctx.decision.(id) in
-            if ri >= 0 then Loc.Reg (Regidx.to_reg ctx.regidx ri)
-            else begin
-              let pos = Linear.use_pos k in
-              let r = scratch id pos in
-              let sl = slot id in
-              loads :=
-                Instr.make ~tag:(spill_tag Instr.Spill_ld)
-                  (Instr.Spill_load { dst = Loc.Reg r; slot = sl })
-                :: !loads;
-              stats.Stats.evict_loads <- stats.Stats.evict_loads + 1;
-              tr
-                (Trace.Second_chance
-                   { temp = tname id; id; pos; reg = Some r; slot = sl });
-              Loc.Reg r
-            end
-        in
-        let def (l : Loc.t) =
-          match l with
-          | Loc.Reg _ -> l
-          | Loc.Temp tp ->
-            let id = Temp.id tp in
-            let ri = ctx.decision.(id) in
-            if ri >= 0 then Loc.Reg (Regidx.to_reg ctx.regidx ri)
-            else begin
-              let pos = Linear.def_pos k in
-              let r = scratch id pos in
-              let sl = slot id in
-              stores :=
-                Instr.make ~tag:(spill_tag Instr.Spill_st)
-                  (Instr.Spill_store { src = Loc.Reg r; slot = sl })
-                :: !stores;
-              stats.Stats.evict_stores <- stats.Stats.evict_stores + 1;
-              tr
-                (Trace.Spill_split
-                   {
-                     temp = tname id;
-                     id;
-                     pos;
-                     reg = Some r;
-                     slot = sl;
-                     next_ref = None;
-                   });
-              Loc.Reg r
-            end
-        in
-        let i' = Instr.rewrite ~use ~def i in
-        List.iter emit (List.rev !loads);
-        emit i';
-        List.iter emit (List.rev !stores)
-      in
-      Array.iteri
-        (fun j i -> rewrite_instr (Linear.first_instr linear bi + j) i)
-        (Block.body b);
-      let tk = Linear.last_instr linear bi in
-      Block.rewrite_term b ~use:(fun l ->
-          match l with
-          | Loc.Reg _ -> l
-          | Loc.Temp tp ->
-            let id = Temp.id tp in
-            let ri = ctx.decision.(id) in
-            if ri >= 0 then Loc.Reg (Regidx.to_reg ctx.regidx ri)
-            else begin
-              let pos = Linear.use_pos tk in
-              let r = scratch id pos in
-              let sl = slot id in
-              emit
-                (Instr.make ~tag:(spill_tag Instr.Spill_ld)
-                   (Instr.Spill_load { dst = Loc.Reg r; slot = sl }));
-              stats.Stats.evict_loads <- stats.Stats.evict_loads + 1;
-              tr
-                (Trace.Second_chance
-                   { temp = tname id; id; pos; reg = Some r; slot = sl });
-              Loc.Reg r
-            end);
-      Block.set_body b (Array.of_list (List.rev !out)))
-    (Cfg.blocks cfg);
-  stats.Stats.slots <- Func.n_slots func
+  Spill_everywhere.rewrite se ~scratch;
+  se.stats
 
 (* The heuristic rungs the incumbent is warm-started from, best-first on
    ties. Each is run on a scratch copy to measure its true spill cost
@@ -482,33 +376,22 @@ let run_exact ?(opts = default_options) ?trace ?liveness machine func =
         | exception _ -> best)
       None (baselines machine)
   in
-  let regidx = Regidx.create machine in
-  let liveness =
-    match liveness with Some l -> l | None -> Liveness.compute func
-  in
-  let loops = Loop.compute (Func.cfg func) in
-  let lifetimes = Lifetime.compute regidx func liveness loops in
-  let linear = Lifetime.linear lifetimes in
-  let npos = Linear.n_positions linear in
+  let se = Spill_everywhere.create ?trace ?liveness machine func in
+  let npos = Linear.n_positions (Lifetime.linear se.lifetimes) in
   let ntemps = Func.temp_bound func in
   let ctx =
     {
-      func;
-      regidx;
-      lifetimes;
+      se;
       npos;
-      occ = Array.init (Regidx.total regidx) (fun _ -> Bytes.make npos '\000');
+      occ =
+        Array.init (Regidx.total se.regidx) (fun _ -> Bytes.make npos '\000');
       decision = Array.make ntemps d_undecided;
       spill_cost = count_occurrences func ntemps;
       nodes = 0;
       budget = opts.node_budget;
     }
   in
-  for ri = 0 to Regidx.total regidx - 1 do
-    Array.iter
-      (fun { Interval.s; e } -> seg_set ctx ri '\001' s e)
-      (Lifetime.reg_busy lifetimes ri)
-  done;
+  reset_occupancy ctx;
   let exact_cost =
     List.fold_left (fun acc cls -> acc + solve_class ctx cls) 0 Rclass.all
   in
@@ -519,10 +402,7 @@ let run_exact ?(opts = default_options) ?trace ?liveness machine func =
          its output verbatim (its own trace section stands in for
          ours). *)
       go ?trace func
-    | _ ->
-      let stats = Stats.create () in
-      emit_solution ctx trace stats;
-      stats
+    | _ -> emit_solution ctx
   in
   stats.Stats.opt_nodes <- ctx.nodes;
   stats.Stats.opt_proven <- 1;

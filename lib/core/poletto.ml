@@ -1,5 +1,4 @@
 open Lsra_ir
-open Lsra_analysis
 open Lsra_target
 
 (* The linear scan of Poletto, Engler and Kaashoek's `C/tcc system, as
@@ -15,41 +14,12 @@ exception Out_of_registers of string
 
 let n_reserved = 2
 
-type t = {
-  func : Func.t;
-  regidx : Regidx.t;
-  lifetimes : Lifetime.t;
-  assignment : Mreg.t option array;
-  slot_of : int option array;
-  stats : Stats.t;
-  trace : Trace.t option;
-}
-
 let convex_span itv = (Interval.start itv, Interval.stop itv)
 
-let allocate ?trace ?liveness machine func =
-  let regidx = Regidx.create machine in
-  let liveness =
-    match liveness with Some l -> l | None -> Liveness.compute func
-  in
-  let loops = Loop.compute (Func.cfg func) in
-  let lifetimes = Lifetime.compute regidx func liveness loops in
-  let ntemps = Func.temp_bound func in
-  let t =
-    {
-      func;
-      regidx;
-      lifetimes;
-      assignment = Array.make ntemps None;
-      slot_of = Array.make ntemps None;
-      stats = Stats.create ();
-      trace;
-    }
-  in
-  let tname id =
-    Temp.to_string (Interval.temp (Lifetime.interval_of_id lifetimes id))
-  in
-  let tr ev = match trace with None -> () | Some sink -> Trace.emit sink ev in
+let allocate (t : Spill_everywhere.t) =
+  let regidx = t.regidx and lifetimes = t.lifetimes in
+  let ntemps = Func.temp_bound t.func in
+  let tname = Spill_everywhere.tname t and tr = Spill_everywhere.emit t in
   List.iter
     (fun cls ->
       let all = Regidx.of_cls regidx cls in
@@ -82,9 +52,25 @@ let allocate ?trace ?liveness machine func =
       in
       let spill id =
         t.assignment.(id) <- None;
-        let s = Func.fresh_slot func in
-        t.slot_of.(id) <- Some s;
-        tr (Trace.Slot_alloc { temp = tname id; id; slot = s })
+        ignore (Spill_everywhere.slot t id)
+      in
+      let assign id ri s e =
+        t.assignment.(id) <- Some (Regidx.to_reg regidx ri);
+        tr
+          (Trace.Assign
+             {
+               temp = tname id;
+               id;
+               pos = s;
+               reg = Regidx.to_reg regidx ri;
+               reason = Trace.Whole;
+               hole_end = max_int;
+             });
+        active :=
+          List.merge
+            (fun (a, _, _) (b, _, _) -> Int.compare a b)
+            !active
+            [ (e, id, ri) ]
       in
       List.iter
         (fun id ->
@@ -100,23 +86,7 @@ let allocate ?trace ?liveness machine func =
               allocatable
           in
           match free with
-          | ri :: _ ->
-            t.assignment.(id) <- Some (Regidx.to_reg regidx ri);
-            tr
-              (Trace.Assign
-                 {
-                   temp = tname id;
-                   id;
-                   pos = s;
-                   reg = Regidx.to_reg regidx ri;
-                   reason = Trace.Whole;
-                   hole_end = max_int;
-                 });
-            active :=
-              List.merge
-                (fun (a, _, _) (b, _, _) -> Int.compare a b)
-                !active
-                [ (e, id, ri) ]
+          | ri :: _ -> assign id ri s e
           | [] -> (
             (* spill the furthest endpoint among active ∪ {current} *)
             match List.rev !active with
@@ -125,140 +95,20 @@ let allocate ?trace ?liveness machine func =
               spill id';
               active :=
                 List.filter (fun (_, i, _) -> i <> id') !active;
-              t.assignment.(id) <- Some (Regidx.to_reg regidx ri');
-              tr
-                (Trace.Assign
-                   {
-                     temp = tname id;
-                     id;
-                     pos = s;
-                     reg = Regidx.to_reg regidx ri';
-                     reason = Trace.Whole;
-                     hole_end = max_int;
-                   });
-              active :=
-                List.merge
-                  (fun (a, _, _) (b, _, _) -> Int.compare a b)
-                  !active
-                  [ (e, id, ri') ]
+              assign id ri' s e
             | _ -> spill id))
         items)
-    Rclass.all;
-  t
-
-let rewrite t =
-  let func = t.func in
-  let regidx = t.regidx in
-  let machine = Regidx.machine regidx in
-  let stats = t.stats in
-  let lifetimes = t.lifetimes in
-  let tname id =
-    Temp.to_string (Interval.temp (Lifetime.interval_of_id lifetimes id))
-  in
-  let tr ev = match t.trace with None -> () | Some sink -> Trace.emit sink ev in
-  let spill_tag kind = Instr.Spill { phase = Instr.Evict; kind } in
-  let reserved cls n =
-    let all = Machine.regs machine cls in
-    let total = List.length all in
-    List.nth all (total - 1 - (n mod n_reserved))
-  in
-  let slot id =
-    match t.slot_of.(id) with
-    | Some s -> s
-    | None ->
-      let s = Func.fresh_slot func in
-      t.slot_of.(id) <- Some s;
-      tr (Trace.Slot_alloc { temp = tname id; id; slot = s });
-      s
-  in
-  Cfg.iter_blocks
-    (fun b ->
-      let out = ref [] in
-      let emit i = out := i :: !out in
-      let rewrite_instr i =
-        let loads = ref [] and stores = ref [] in
-        let counter = ref 0 in
-        let use (l : Loc.t) =
-          match l with
-          | Loc.Reg _ -> l
-          | Loc.Temp tp -> (
-            let id = Temp.id tp in
-            match t.assignment.(id) with
-            | Some r -> Loc.Reg r
-            | None ->
-              let r = reserved (Temp.cls tp) !counter in
-              incr counter;
-              let sl = slot id in
-              loads :=
-                Instr.make ~tag:(spill_tag Instr.Spill_ld)
-                  (Instr.Spill_load { dst = Loc.Reg r; slot = sl })
-                :: !loads;
-              stats.Stats.evict_loads <- stats.Stats.evict_loads + 1;
-              tr
-                (Trace.Second_chance
-                   { temp = tname id; id; pos = -1; reg = Some r; slot = sl });
-              Loc.Reg r)
-        in
-        let def (l : Loc.t) =
-          match l with
-          | Loc.Reg _ -> l
-          | Loc.Temp tp -> (
-            let id = Temp.id tp in
-            match t.assignment.(id) with
-            | Some r -> Loc.Reg r
-            | None ->
-              let r = reserved (Temp.cls tp) !counter in
-              incr counter;
-              let sl = slot id in
-              stores :=
-                Instr.make ~tag:(spill_tag Instr.Spill_st)
-                  (Instr.Spill_store { src = Loc.Reg r; slot = sl })
-                :: !stores;
-              stats.Stats.evict_stores <- stats.Stats.evict_stores + 1;
-              tr
-                (Trace.Spill_split
-                   {
-                     temp = tname id;
-                     id;
-                     pos = -1;
-                     reg = Some r;
-                     slot = sl;
-                     next_ref = None;
-                   });
-              Loc.Reg r)
-        in
-        let i' = Instr.rewrite ~use ~def i in
-        List.iter emit (List.rev !loads);
-        emit i';
-        List.iter emit (List.rev !stores)
-      in
-      Array.iter rewrite_instr (Block.body b);
-      let counter = ref 0 in
-      Block.rewrite_term b ~use:(fun l ->
-          match l with
-          | Loc.Reg _ -> l
-          | Loc.Temp tp -> (
-            let id = Temp.id tp in
-            match t.assignment.(id) with
-            | Some r -> Loc.Reg r
-            | None ->
-              let r = reserved (Temp.cls tp) !counter in
-              incr counter;
-              let sl = slot id in
-              emit
-                (Instr.make ~tag:(spill_tag Instr.Spill_ld)
-                   (Instr.Spill_load { dst = Loc.Reg r; slot = sl }));
-              stats.Stats.evict_loads <- stats.Stats.evict_loads + 1;
-              tr
-                (Trace.Second_chance
-                   { temp = tname id; id; pos = -1; reg = Some r; slot = sl });
-              Loc.Reg r));
-      Block.set_body b (Array.of_list (List.rev !out)))
-    (Func.cfg func);
-  stats.Stats.slots <- Func.n_slots func
+    Rclass.all
 
 let run ?trace ?liveness machine func =
   Trace.emit_fn trace func;
-  let t = allocate ?trace ?liveness machine func in
-  rewrite t;
+  let t = Spill_everywhere.create ?trace ?liveness machine func in
+  allocate t;
+  (* The [nth] spilled operand of an instruction uses reserved register
+     [nth mod n_reserved], counted from the top of its class. *)
+  let reserved tp _pos nth =
+    let all = Machine.regs machine (Temp.cls tp) in
+    List.nth all (List.length all - 1 - (nth mod n_reserved))
+  in
+  Spill_everywhere.rewrite t ~scratch:reserved;
   t.stats

@@ -1,5 +1,4 @@
 open Lsra_ir
-open Lsra_analysis
 
 (* Traditional two-pass binpacking (paper §3.1's comparison baseline, after
    DEC GEM): the first pass walks lifetimes in start order and commits each
@@ -13,13 +12,13 @@ exception Out_of_registers of string
 
 type item =
   | Whole of int (* temp id *)
-  | Point of int * int * Interval.ref_kind (* temp id, position, kind *)
+  | Point of int * int (* temp id, position *)
 
 let item_start lifetimes = function
   | Whole id ->
     let itv = Lifetime.interval_of_id lifetimes id in
     Interval.start itv
-  | Point (_, pos, _) -> pos
+  | Point (_, pos) -> pos
 
 (* Occupancy of one register: disjoint segments already committed (busy
    conventions plus assigned lifetimes), with their owners. *)
@@ -30,18 +29,40 @@ type regstate = { mutable occ : occ_seg list (* sorted by os *) }
 
 let overlaps a_s a_e b_s b_e = a_s <= b_e && b_s <= a_e
 
+(* Sorted, disjoint segments read by index: a lifetime's, a register's
+   busy segments, or the single position of a point lifetime. *)
+type segs = { n : int; s : int -> int; e : int -> int }
+
+let of_interval itv =
+  {
+    n = Interval.n_segs itv;
+    s = Interval.seg_start itv;
+    e = Interval.seg_end itv;
+  }
+
+let of_busy busy =
+  {
+    n = Array.length busy;
+    s = (fun i -> busy.(i).Interval.s);
+    e = (fun i -> busy.(i).e);
+  }
+
+let point pos = { n = 1; s = (fun _ -> pos); e = (fun _ -> pos) }
+
 let conflicts rs segs =
-  List.filter
-    (fun o ->
-      List.exists (fun { Interval.s; e } -> overlaps o.os o.oe s e) segs)
-    rs.occ
+  let hits o =
+    let rec from i =
+      i < segs.n && (overlaps o.os o.oe (segs.s i) (segs.e i) || from (i + 1))
+    in
+    from 0
+  in
+  List.filter hits rs.occ
 
 let insert_segs rs segs ~owner =
   let extra =
-    List.map (fun { Interval.s; e } -> { os = s; oe = e; owner }) segs
+    List.init segs.n (fun i -> { os = segs.s i; oe = segs.e i; owner })
   in
-  rs.occ <- List.merge (fun a b -> Int.compare a.os b.os) rs.occ
-      (List.sort (fun a b -> Int.compare a.os b.os) extra)
+  rs.occ <- List.merge (fun a b -> Int.compare a.os b.os) rs.occ extra
 
 let remove_owner rs id =
   rs.occ <-
@@ -61,17 +82,6 @@ let gap_around rs pos =
   in
   go min_int rs.occ
 
-type t = {
-  func : Func.t;
-  regidx : Regidx.t;
-  lifetimes : Lifetime.t;
-  assignment : Mreg.t option array; (* per temp id; None = memory *)
-  point_reg : (int * int, Mreg.t) Hashtbl.t; (* (temp, pos) -> register *)
-  slot_of : int option array;
-  stats : Stats.t;
-  trace : Trace.t option;
-}
-
 let priority itv =
   let len =
     float_of_int (max 1 (Interval.stop itv - Interval.start itv + 1))
@@ -82,37 +92,20 @@ let priority itv =
   done;
   !w /. len
 
-let allocate ?trace ?liveness machine func =
-  let regidx = Regidx.create machine in
-  let liveness =
-    match liveness with Some l -> l | None -> Liveness.compute func
-  in
-  let loops = Loop.compute (Func.cfg func) in
-  let lifetimes = Lifetime.compute regidx func liveness loops in
-  let ntemps = Func.temp_bound func in
+let allocate (t : Spill_everywhere.t) =
+  let regidx = t.regidx and lifetimes = t.lifetimes in
+  let ntemps = Func.temp_bound t.func in
   let nregs = Regidx.total regidx in
   let regs = Array.init nregs (fun _ -> { occ = [] }) in
   for ri = 0 to nregs - 1 do
     insert_segs regs.(ri)
-      (Array.to_list (Lifetime.reg_busy lifetimes ri))
+      (of_busy (Lifetime.reg_busy lifetimes ri))
       ~owner:Convention
   done;
-  let t =
-    {
-      func;
-      regidx;
-      lifetimes;
-      assignment = Array.make ntemps None;
-      point_reg = Hashtbl.create 16;
-      slot_of = Array.make ntemps None;
-      stats = Stats.create ();
-      trace;
-    }
-  in
-  let tname id =
-    Temp.to_string (Interval.temp (Lifetime.interval_of_id lifetimes id))
-  in
-  let tr ev = match trace with None -> () | Some t -> Trace.emit t ev in
+  (* (temp, pos) -> register, for references of memory-resident temps *)
+  let point_reg = Hashtbl.create 16 in
+  let tname = Spill_everywhere.tname t in
+  let tr = Spill_everywhere.emit t in
   (* Worklist ordered by start position; spilling inserts point items. *)
   let module Q = Set.Make (struct
     type nonrec t = int * int * item (* start, tiebreak, item *)
@@ -132,47 +125,36 @@ let allocate ?trace ?liveness machine func =
   done;
   let cls_of id = Temp.cls (Interval.temp (Lifetime.interval_of_id lifetimes id)) in
   let spill_to_memory id =
-    t.assignment.(Temp.id (Interval.temp (Lifetime.interval_of_id lifetimes id))) <- None;
-    (match t.slot_of.(id) with
-    | Some _ -> ()
-    | None ->
-      let s = Func.fresh_slot func in
-      t.slot_of.(id) <- Some s;
-      tr (Trace.Slot_alloc { temp = tname id; id; slot = s }));
+    t.assignment.(id) <- None;
+    ignore (Spill_everywhere.slot t id);
     let itv = Lifetime.interval_of_id lifetimes id in
     for i = 0 to Interval.n_refs itv - 1 do
-      push
-        (Point (id, Interval.ref_pos_at itv i, Interval.ref_kind_at itv i))
+      push (Point (id, Interval.ref_pos_at itv i))
     done
   in
   let try_fit segs cand_regs =
-    let fitting =
-      List.filter (fun ri -> conflicts regs.(ri) segs = []) cand_regs
-    in
-    match fitting, segs with
-    | [], _ -> None
-    | _, [] -> None
-    | _, { Interval.s; _ } :: _ ->
+    match List.filter (fun ri -> conflicts regs.(ri) segs = []) cand_regs with
+    | [] -> None
+    | hd :: tl ->
       (* smallest containing gap *)
-      let scored =
-        List.map
-          (fun ri ->
-            let lo, hi = gap_around regs.(ri) s in
-            (ri, hi - lo))
-          fitting
+      let gap ri =
+        let lo, hi = gap_around regs.(ri) (segs.s 0) in
+        hi - lo
       in
-      let best =
+      let best, _ =
         List.fold_left
-          (fun (bri, bg) (ri, g) -> if g < bg then (ri, g) else (bri, bg))
-          (List.hd scored) (List.tl scored)
+          (fun (bri, bg) ri ->
+            let g = gap ri in
+            if g < bg then (ri, g) else (bri, bg))
+          (hd, gap hd) tl
       in
-      Some (fst best)
+      Some best
   in
   let rec place item =
     match item with
     | Whole id -> (
       let itv = Lifetime.interval_of_id lifetimes id in
-      let segs = Interval.segs itv in
+      let segs = of_interval itv in
       let cand = Regidx.of_cls regidx (cls_of id) in
       match try_fit segs cand with
       | Some ri ->
@@ -194,15 +176,14 @@ let allocate ?trace ?liveness machine func =
            earlier-starting lifetimes keep their registers. This is what
            makes cold early lifetimes crowd hot counters out of the
            callee-saved file in the paper's wc experiment. *)
-        ignore (priority itv);
         spill_to_memory id)
-    | Point (id, pos, _) -> (
-      let segs = [ { Interval.s = pos; e = pos } ] in
+    | Point (id, pos) -> (
+      let segs = point pos in
       let cand = Regidx.of_cls regidx (cls_of id) in
       match try_fit segs cand with
       | Some ri ->
         insert_segs regs.(ri) segs ~owner:Pointed;
-        Hashtbl.replace t.point_reg (id, pos) (Regidx.to_reg regidx ri);
+        Hashtbl.replace point_reg (id, pos) (Regidx.to_reg regidx ri);
         tr
           (Trace.Assign
              {
@@ -251,133 +232,16 @@ let allocate ?trace ?liveness machine func =
       drain ()
   in
   drain ();
-  t
-
-(* Second pass: rewrite every reference according to the whole-lifetime
-   assignment, inserting a load before each read and a store after each
-   write of a memory-resident temporary. *)
-let rewrite t =
-  let func = t.func in
-  let lifetimes = t.lifetimes in
-  let linear = Lifetime.linear lifetimes in
-  let stats = t.stats in
-  let tname id =
-    Temp.to_string (Interval.temp (Lifetime.interval_of_id lifetimes id))
-  in
-  let tr ev = match t.trace with None -> () | Some sink -> Trace.emit sink ev in
-  let slot id =
-    match t.slot_of.(id) with
-    | Some s -> s
-    | None ->
-      let s = Func.fresh_slot func in
-      t.slot_of.(id) <- Some s;
-      tr (Trace.Slot_alloc { temp = tname id; id; slot = s });
-      s
-  in
-  let spill_tag kind = Instr.Spill { phase = Instr.Evict; kind } in
-  let cfg = Func.cfg func in
-  let blocks = Cfg.blocks cfg in
-  Array.iteri
-    (fun bi b ->
-      let out = ref [] in
-      let emit i = out := i :: !out in
-      let rewrite_instr k i =
-        let loads = ref [] and stores = ref [] in
-        let use (l : Loc.t) =
-          match l with
-          | Loc.Reg _ -> l
-          | Loc.Temp tp -> (
-            let id = Temp.id tp in
-            match t.assignment.(id) with
-            | Some r -> Loc.Reg r
-            | None ->
-              let pos = Linear.use_pos k in
-              let r =
-                match Hashtbl.find_opt t.point_reg (id, pos) with
-                | Some r -> r
-                | None -> raise (Out_of_registers "missing point register")
-              in
-              let sl = slot id in
-              loads :=
-                Instr.make ~tag:(spill_tag Instr.Spill_ld)
-                  (Instr.Spill_load { dst = Loc.Reg r; slot = sl })
-                :: !loads;
-              stats.Stats.evict_loads <- stats.Stats.evict_loads + 1;
-              tr
-                (Trace.Second_chance
-                   { temp = tname id; id; pos; reg = Some r; slot = sl });
-              Loc.Reg r)
-        in
-        let def (l : Loc.t) =
-          match l with
-          | Loc.Reg _ -> l
-          | Loc.Temp tp -> (
-            let id = Temp.id tp in
-            match t.assignment.(id) with
-            | Some r -> Loc.Reg r
-            | None ->
-              let pos = Linear.def_pos k in
-              let r =
-                match Hashtbl.find_opt t.point_reg (id, pos) with
-                | Some r -> r
-                | None -> raise (Out_of_registers "missing point register")
-              in
-              let sl = slot id in
-              stores :=
-                Instr.make ~tag:(spill_tag Instr.Spill_st)
-                  (Instr.Spill_store { src = Loc.Reg r; slot = sl })
-                :: !stores;
-              stats.Stats.evict_stores <- stats.Stats.evict_stores + 1;
-              tr
-                (Trace.Spill_split
-                   {
-                     temp = tname id;
-                     id;
-                     pos;
-                     reg = Some r;
-                     slot = sl;
-                     next_ref = None;
-                   });
-              Loc.Reg r)
-        in
-        let i' = Instr.rewrite ~use ~def i in
-        List.iter emit (List.rev !loads);
-        emit i';
-        List.iter emit (List.rev !stores)
-      in
-      Array.iteri
-        (fun j i -> rewrite_instr (Linear.first_instr linear bi + j) i)
-        (Block.body b);
-      let tk = Linear.last_instr linear bi in
-      Block.rewrite_term b ~use:(fun l ->
-          match l with
-          | Loc.Reg _ -> l
-          | Loc.Temp tp -> (
-            let id = Temp.id tp in
-            match t.assignment.(id) with
-            | Some r -> Loc.Reg r
-            | None ->
-              let pos = Linear.use_pos tk in
-              let r =
-                match Hashtbl.find_opt t.point_reg (id, pos) with
-                | Some r -> r
-                | None -> raise (Out_of_registers "missing point register")
-              in
-              let sl = slot id in
-              emit
-                (Instr.make ~tag:(spill_tag Instr.Spill_ld)
-                   (Instr.Spill_load { dst = Loc.Reg r; slot = sl }));
-              stats.Stats.evict_loads <- stats.Stats.evict_loads + 1;
-              tr
-                (Trace.Second_chance
-                   { temp = tname id; id; pos; reg = Some r; slot = sl });
-              Loc.Reg r));
-      Block.set_body b (Array.of_list (List.rev !out)))
-    blocks;
-  stats.Stats.slots <- Func.n_slots func
+  point_reg
 
 let run ?trace ?liveness machine func =
   Trace.emit_fn trace func;
-  let t = allocate ?trace ?liveness machine func in
-  rewrite t;
+  let t = Spill_everywhere.create ?trace ?liveness machine func in
+  let point_reg = allocate t in
+  (* Second pass: each reference of a memory-resident temporary uses the
+     register its point lifetime received in the first. *)
+  Spill_everywhere.rewrite t ~scratch:(fun tp pos _ ->
+      match Hashtbl.find_opt point_reg (Temp.id tp, pos) with
+      | Some r -> r
+      | None -> raise (Out_of_registers "missing point register"));
   t.stats

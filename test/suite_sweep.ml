@@ -99,6 +99,78 @@ let test_artifact_writer () =
   Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
   Sys.rmdir dir
 
+(* Spill instructions left in [f]: evict then resolve, each as loads,
+   stores, moves. *)
+let spill_counts f =
+  let n = Array.make 6 0 in
+  Lsra_ir.Cfg.iter_blocks
+    (fun b ->
+      Array.iter
+        (fun i ->
+          match Lsra_ir.Instr.tag i with
+          | Lsra_ir.Instr.Original -> ()
+          | Lsra_ir.Instr.Spill { phase; kind } ->
+            let k =
+              (match phase with Evict -> 0 | Resolve -> 3)
+              + match kind with Spill_ld -> 0 | Spill_st -> 1 | Spill_mv -> 2
+            in
+            n.(k) <- n.(k) + 1)
+        (Lsra_ir.Block.body b))
+    (Lsra_ir.Func.cfg f);
+  Array.to_list n
+
+(* The static counters every allocator reports must count exactly the
+   spill instructions it left in the function, and [slots] the frame it
+   used. *)
+let test_counters_match_code () =
+  let machines =
+    [
+      ("tiny-4", Machine.small ~int_regs:4 ~float_regs:4 ());
+      ("small-8", S.small_8);
+      ( "min-3",
+        Machine.small ~int_regs:3 ~float_regs:3 ~int_caller_saved:1
+          ~float_caller_saved:1 () );
+    ]
+  and programs =
+    List.concat_map
+      (fun seed ->
+        [
+          ("default", { Lsra_workloads.Gen.default_params with seed });
+          ("hostile", Lsra_workloads.Gen.hostile_params ~seed);
+        ])
+      [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun (mname, m) ->
+      List.iter
+        (fun (pname, params) ->
+          let prog = Lsra_workloads.Gen.program ~params m in
+          List.iter
+            (fun algo ->
+              List.iter
+                (fun (fname, f) ->
+                  let f = Lsra_ir.Func.copy f in
+                  let s = Lsra.Allocator.run algo m f in
+                  let what =
+                    Printf.sprintf "%s seed %d on %s, %s, %s" pname
+                      params.Lsra_workloads.Gen.seed mname
+                      (Lsra.Allocator.short_name algo)
+                      fname
+                  in
+                  Alcotest.(check (list int))
+                    (what ^ ": evict/resolve loads, stores, moves")
+                    [
+                      s.evict_loads; s.evict_stores; s.evict_moves;
+                      s.resolve_loads; s.resolve_stores; s.resolve_moves;
+                    ]
+                    (spill_counts f);
+                  Alcotest.(check int)
+                    (what ^ ": slots") (Lsra_ir.Func.n_slots f) s.slots)
+                (Lsra_ir.Program.funcs prog))
+            S.oracle_algorithms)
+        programs)
+    machines
+
 let suite =
   [
     Alcotest.test_case "exit code rule" `Quick test_exit_code;
@@ -106,4 +178,6 @@ let suite =
     Alcotest.test_case "corpus names and order" `Quick test_corpus_order;
     Alcotest.test_case "oracle budget 2000" `Quick test_oracle_budget;
     Alcotest.test_case "artifact writer" `Quick test_artifact_writer;
+    Alcotest.test_case "static counters match the spill code" `Quick
+      test_counters_match_code;
   ]
