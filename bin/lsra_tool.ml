@@ -611,7 +611,13 @@ let trace_cmd =
         | Some _ | None -> ());
         (* No DCE: the trace describes the program exactly as written. *)
         let t = Lsra.Trace.create () in
-        let stats = Lsra.Allocator.run_program ~trace:t algo machine prog in
+        (* A traced allocation checks itself; a mismatching stream is
+           still printed, up to the section that failed. *)
+        let mismatch =
+          match Lsra.Allocator.run_program ~trace:t algo machine prog with
+          | _ -> None
+          | exception Lsra.Allocator.Trace_mismatch e -> Some e
+        in
         let evs = Lsra.Trace.events t in
         let shown =
           match fn with None -> evs | Some n -> Lsra.Trace.filter_fn n evs
@@ -620,12 +626,11 @@ let trace_cmd =
           (match format with
           | `Text -> Lsra.Trace.to_text shown
           | `Jsonl -> Lsra.Trace.to_jsonl shown);
-        (* Self-check: the full stream must replay to the reported stats. *)
-        match Lsra.Trace.replay_check evs stats with
-        | Ok () -> ()
-        | Error e ->
-          Printf.eprintf "trace replay mismatch: %s\n" e;
-          exit 1)
+        Option.iter
+          (fun e ->
+            Printf.eprintf "trace replay mismatch: %s\n" e;
+            exit 1)
+          mismatch)
   in
   Cmd.v
     (Cmd.info "trace"

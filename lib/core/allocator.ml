@@ -39,12 +39,32 @@ let of_name = function
   | "optimal" | "exact" -> Some default_optimal
   | _ -> None
 
+exception Trace_mismatch of string
+
+let check_trace algorithm fname evs stats =
+  let fail what e =
+    raise
+      (Trace_mismatch
+         (Printf.sprintf "%s under %s in '%s': %s" what (short_name algorithm)
+            fname e))
+  in
+  let strict =
+    match algorithm with
+    | Second_chance _ -> true
+    | Two_pass | Poletto | Graph_coloring | Optimal _ -> false
+  in
+  Result.iter_error (fail "replay") (Trace.replay_check evs stats);
+  Result.iter_error (fail "event stream") (Trace.well_formed ~strict evs)
+
 (* The one place an allocation is measured: the clock and the GC
    counters are read once around the dispatch, so the allocators that run
    others (the exact allocator's rungs and its coloring fallback) are
    counted once. [Gc.quick_stat] reads the calling domain's counters,
-   which keeps the attribution right under [Parallel.fold_stats]. *)
+   which keeps the attribution right under [Parallel.fold_stats]. A
+   traced run then checks its own section of the sink, outside the
+   measured window. *)
 let run ?trace ?liveness algorithm machine func =
+  let mark = Option.fold ~none:0 ~some:Trace.count trace in
   let t0 = Monotonic_clock.now () in
   let g0 = Gc.quick_stat () in
   let stats =
@@ -63,6 +83,9 @@ let run ?trace ?liveness algorithm machine func =
   in
   Stats.record_gc_since stats g0;
   stats.Stats.alloc_time <- Stats.seconds_since t0;
+  Option.iter
+    (fun t -> check_trace algorithm (Func.name func) (Trace.since t mark) stats)
+    trace;
   stats
 
 let run_program ?jobs ?trace ?liveness algorithm machine prog =

@@ -33,11 +33,21 @@ val short_name : algorithm -> string
     second-chance, coloring and exact. *)
 val of_name : string -> algorithm option
 
+(** Raised by {!check_trace}, hence by a traced {!run}; the message names
+    the check, the allocator and the function. *)
+exception Trace_mismatch of string
+
+(** [check_trace algorithm fname section stats]: the check a traced {!run}
+    makes of its own section of the sink, {!Trace.replay_check} against
+    [stats] and {!Trace.well_formed} ([~strict] for [Second_chance]). *)
+val check_trace : algorithm -> string -> Trace.event list -> Stats.t -> unit
+
 (** Allocate one function. [trace] records every allocation decision into
-    the given sink (see {!Trace}); replaying the stream with
-    {!Trace.replay_check} against the returned stats turns any traced run
-    into a self-checking test. [Second_chance] runs {!Binpack.scan} and
-    then {!Resolution.run}.
+    the given sink (see {!Trace}). A traced run checks itself: the
+    section it added to the sink must pass {!check_trace} against the
+    returned stats, or {!Trace_mismatch} is raised after the section is
+    in the sink. Events already in the sink are not checked.
+    [Second_chance] runs {!Binpack.scan} and then {!Resolution.run}.
 
     This is the only code that measures an allocation: [alloc_time] (on
     the monotonic clock) and the GC counters of the returned stats cover

@@ -138,13 +138,3 @@ let run_dce ?stats ?trace prog =
             n))
   in
   (removed, Array.of_list (List.rev !solutions))
-
-type check = t -> Program.t -> unit
-
-let run ?stats ?trace ?check passes prog =
-  List.fold_left
-    (fun acc pass ->
-      let changed = run_pass ?stats ?trace pass prog in
-      (match check with None -> () | Some f -> f pass prog);
-      acc + changed)
-    0 (normalize passes)

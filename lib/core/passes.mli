@@ -66,14 +66,3 @@ val run_dce :
   ?trace:Trace.t ->
   Program.t ->
   int * Lsra_analysis.Liveness.t option array
-
-(** Called after each pass with the pass just run and the program as the
-    pass left it; raise to abort (this is where a semantic oracle
-    hooks in). *)
-type check = t -> Program.t -> unit
-
-(** Run a set of passes in canonical order, invoking [check] after each;
-    returns the summed change count. *)
-val run :
-  ?stats:Stats.t -> ?trace:Trace.t -> ?check:check -> t list -> Program.t ->
-  int

@@ -116,6 +116,13 @@ let emit_fn trace func =
 let events t = List.rev t.rev
 let count t = t.n
 
+let since t n =
+  let rec take k acc = function
+    | ev :: rest when k > 0 -> take (k - 1) (ev :: acc) rest
+    | _ -> acc
+  in
+  take (t.n - n) [] t.rev
+
 let filter_fn name evs =
   let keep = ref false in
   List.filter

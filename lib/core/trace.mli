@@ -164,6 +164,10 @@ val events : t -> event list
 
 val count : t -> int
 
+(** [since t n]: the events emitted after the sink held [n] (a {!count}
+    read earlier), in emission order. *)
+val since : t -> int -> event list
+
 (** Keep only the sections (an {!Fn} event and everything up to the next
     one) of the named function. *)
 val filter_fn : string -> event list -> event list

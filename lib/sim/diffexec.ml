@@ -53,80 +53,112 @@ let rec is_verifier_reject = function
 
 type alloc_fn = Machine.t -> Func.t -> unit
 
-let alloc_of algo machine func = ignore (Lsra.Allocator.run algo machine func)
-
 exception Stop of divergence
 
-(* Allocate under a decision trace and replay-check the stream against
-   the reported stats, so every differential check is also a trace
-   consistency check. Raises [Stop (Trace_mismatch _)]. *)
-let traced_alloc_of algo machine func =
-  let t = Lsra.Trace.create () in
-  let stats = Lsra.Allocator.run ~trace:t algo machine func in
-  let evs = Lsra.Trace.events t in
-  let ctx what e =
-    Printf.sprintf "%s under %s in '%s': %s" what
-      (Lsra.Allocator.short_name algo) (Func.name func) e
-  in
-  (match Lsra.Trace.replay_check evs stats with
-  | Ok () -> ()
-  | Error e -> raise (Stop (Trace_mismatch (ctx "replay" e))));
-  let strict =
-    match algo with
-    | Lsra.Allocator.Second_chance _ -> true
-    | Lsra.Allocator.Two_pass | Lsra.Allocator.Poletto
-    | Lsra.Allocator.Graph_coloring | Lsra.Allocator.Optimal _ ->
-      false
-  in
-  match Lsra.Trace.well_formed ~strict evs with
-  | Ok () -> ()
-  | Error e -> raise (Stop (Trace_mismatch (ctx "event stream" e)))
-
-let check_with ?(fuel = 200_000_000) ?(verify = true) ?(input = "") machine
-    (alloc : alloc_fn) prog =
+(* The one oracle core: interpret [prog] for reference, then hand a copy
+   to [stages] with [compare wrap], which re-interprets the copy, stops on
+   any difference from the reference, as [wrap] attributes it, and
+   otherwise returns the run. *)
+let differential ~fuel ~input machine prog stages =
   match Interp.run ~fuel machine prog ~input with
   | Error e -> Error (Reference_trap e)
   | Ok reference -> (
     let copy = Program.copy prog in
-    try
+    let compare wrap =
+      let diverge d = raise (Stop (wrap d)) in
+      match Interp.run ~fuel machine copy ~input with
+      | Error e -> diverge (Allocated_trap e)
+      | Ok actual when reference.Interp.output <> actual.Interp.output ->
+        let expected = reference.Interp.output in
+        diverge (Output_mismatch { expected; actual = actual.Interp.output })
+      | Ok actual
+        when reference.Interp.ret <> Value.Undef
+             && not (Value.equal reference.Interp.ret actual.Interp.ret) ->
+        (* an undefined reference return refines to anything: the program
+           never promised a value there *)
+        diverge
+          (Ret_mismatch
+             { expected = reference.Interp.ret; actual = actual.Interp.ret })
+      | Ok actual -> actual
+    in
+    match stages copy compare with
+    | result -> Ok result
+    | exception Stop d -> Error d)
+
+(* A divergence found after managed pass [pass], or after the allocation
+   itself ([None]). *)
+let after pass d =
+  match pass with
+  | None -> d
+  | Some p -> Pass_divergence { pass = Lsra.Passes.name p; underlying = d }
+
+(* What an exception from the allocation step, its verification included,
+   says about the allocator. Running out of memory says nothing about it:
+   that propagates. *)
+let of_alloc_exn = function
+  | Out_of_memory -> raise Out_of_memory
+  | Lsra.Verify.Mismatch e -> Verifier_reject e
+  | Lsra.Allocator.Trace_mismatch e -> Trace_mismatch e
+  | e -> Allocator_raise (Printexc.to_string e)
+
+let check_with ?(fuel = 200_000_000) ?(verify = true) ?(input = "") machine
+    (alloc : alloc_fn) prog =
+  differential ~fuel ~input machine prog (fun copy compare ->
       List.iter
         (fun (_, f) ->
           let original = if verify then Some (Func.copy f) else None in
-          (try alloc machine f with
-          | Stop _ as stop -> raise stop
-          | e -> raise (Stop (Allocator_raise (Printexc.to_string e))));
-          match original with
-          | None -> ()
-          | Some original -> (
-            match Lsra.Verify.check machine ~original ~allocated:f with
-            | Ok () -> ()
-            | Error e -> raise (Stop (Verifier_reject e))))
+          try
+            alloc machine f;
+            Option.iter
+              (fun original -> Lsra.Verify.run machine ~original ~allocated:f)
+              original
+          with e -> raise (Stop (of_alloc_exn e)))
         (Program.funcs copy);
-      match Interp.run ~fuel machine copy ~input with
-      | Error e -> Error (Allocated_trap e)
-      | Ok actual ->
-        if reference.Interp.output <> actual.Interp.output then
-          Error
-            (Output_mismatch
-               {
-                 expected = reference.Interp.output;
-                 actual = actual.Interp.output;
-               })
-        else if
-          reference.Interp.ret <> Value.Undef
-          && not (Value.equal reference.Interp.ret actual.Interp.ret)
-          (* an undefined reference return refines to anything: the
-             program never promised a value there *)
-        then
-          Error
-            (Ret_mismatch
-               { expected = reference.Interp.ret; actual = actual.Interp.ret })
-        else Ok ()
-    with Stop d -> Error d)
+      ignore (compare Fun.id))
 
-let check ?fuel ?verify ?input ?(trace_check = true) machine algo prog =
-  let alloc = if trace_check then traced_alloc_of algo else alloc_of algo in
-  check_with ?fuel ?verify ?input machine alloc prog
+(* The oracle sandwich over the real pipeline: [Allocator.pipeline], with
+   DCE's liveness hand-over, verifies after allocation and after every
+   cleanup pass, checks every traced allocation against its stats, and
+   calls back after every stage, where the program is re-interpreted. A
+   divergence introduced by a managed pass is pinned to that pass by name,
+   so "Motion broke this program" and "the allocator broke this program"
+   are distinct findings. *)
+let check_pipeline ?(fuel = 200_000_000) ?(verify = true) ?(input = "")
+    ?(passes = Lsra.Passes.all) machine algo prog =
+  differential ~fuel ~input machine prog (fun copy compare ->
+      let seen = ref [] in
+      let check_each stage _ =
+        seen := stage :: !seen;
+        ignore (compare (after stage))
+      in
+      (* An exception escapes from the first stage not reported yet: a
+         pass before allocation, the allocation ([None]), or a pass
+         after it. *)
+      let running () =
+        match
+          List.find_opt
+            (fun p -> not (List.mem (Some p) !seen))
+            (Lsra.Passes.normalize passes)
+        with
+        | Some p when Lsra.Passes.is_pre p || List.mem None !seen -> Some p
+        | Some _ | None -> None
+      in
+      match
+        Lsra.Allocator.pipeline ~verify ~passes ~check_each
+          ~trace:(Lsra.Trace.create ()) algo machine copy
+      with
+      | stats -> stats
+      | exception (Stop _ as stop) -> raise stop
+      | exception e -> (
+        match running (), e with
+        | None, e -> raise (Stop (of_alloc_exn e))
+        | stage, Lsra.Verify.Mismatch v ->
+          raise (Stop (after stage (Verifier_reject v)))
+        | Some _, e -> raise e))
+
+let check ?fuel ?verify ?input machine algo prog =
+  Result.map ignore
+    (check_pipeline ?fuel ?verify ?input ~passes:[] machine algo prog)
 
 let check_all ?fuel ?verify ?input ?(algorithms = Lsra.Allocator.all) machine
     prog =
@@ -136,98 +168,6 @@ let check_all ?fuel ?verify ?input ?(algorithms = Lsra.Allocator.all) machine
       | Ok () -> None
       | Error d -> Some (Lsra.Allocator.short_name algo, d))
     algorithms
-
-(* ------------------------------------------------------------------ *)
-(* Full-pipeline oracle                                                *)
-
-(* The oracle sandwich over the whole managed pipeline: interpret the
-   program once for reference, then re-interpret (and re-verify) after
-   every pass — the pre-allocation passes, the allocation itself, and
-   each post-allocation cleanup. A divergence introduced by a cleanup
-   pass is pinned to that pass by name, so "Motion broke this program"
-   and "the allocator broke this program" are distinct findings. *)
-let check_pipeline ?(fuel = 200_000_000) ?(verify = true) ?(input = "")
-    ?(passes = Lsra.Passes.all) ?(trace_check = true) machine algo prog =
-  match Interp.run ~fuel machine prog ~input with
-  | Error e -> Error (Reference_trap e)
-  | Ok reference -> (
-    let copy = Program.copy prog in
-    let stats = Lsra.Stats.create () in
-    let pre, post =
-      List.partition Lsra.Passes.is_pre (Lsra.Passes.normalize passes)
-    in
-    let wrap pass d =
-      match pass with
-      | None -> d
-      | Some p ->
-        Pass_divergence { pass = Lsra.Passes.name p; underlying = d }
-    in
-    let compare_run pass =
-      match Interp.run ~fuel machine copy ~input with
-      | Error e -> raise (Stop (wrap pass (Allocated_trap e)))
-      | Ok actual ->
-        if reference.Interp.output <> actual.Interp.output then
-          raise
-            (Stop
-               (wrap pass
-                  (Output_mismatch
-                     {
-                       expected = reference.Interp.output;
-                       actual = actual.Interp.output;
-                     })))
-        else if
-          reference.Interp.ret <> Value.Undef
-          && not (Value.equal reference.Interp.ret actual.Interp.ret)
-          (* undefined reference return: any refinement is acceptable *)
-        then
-          raise
-            (Stop
-               (wrap pass
-                  (Ret_mismatch
-                     {
-                       expected = reference.Interp.ret;
-                       actual = actual.Interp.ret;
-                     })))
-    in
-    let originals = ref [] in
-    let verify_all pass =
-      if verify then
-        List.iter
-          (fun (n, allocated) ->
-            match
-              Lsra.Verify.check machine ~original:(List.assoc n !originals)
-                ~allocated
-            with
-            | Ok () -> ()
-            | Error e -> raise (Stop (wrap pass (Verifier_reject e))))
-          (Program.funcs copy)
-    in
-    try
-      List.iter
-        (fun p ->
-          ignore (Lsra.Passes.run_pass ~stats p copy);
-          compare_run (Some p))
-        pre;
-      if verify then
-        originals :=
-          List.map (fun (n, f) -> (n, Func.copy f)) (Program.funcs copy);
-      let alloc = if trace_check then traced_alloc_of algo else alloc_of algo in
-      List.iter
-        (fun (_, f) ->
-          try alloc machine f with
-          | Stop _ as stop -> raise stop
-          | e -> raise (Stop (Allocator_raise (Printexc.to_string e))))
-        (Program.funcs copy);
-      verify_all None;
-      compare_run None;
-      List.iter
-        (fun p ->
-          ignore (Lsra.Passes.run_pass ~stats p copy);
-          verify_all (Some p);
-          compare_run (Some p))
-        post;
-      Ok stats
-    with Stop d -> Error d)
 
 (* ------------------------------------------------------------------ *)
 (* Native cross-check                                                  *)
@@ -256,65 +196,46 @@ let truncated s =
    the encoder's. *)
 let check_native ?(fuel = 200_000_000) ?(input = "")
     ?(passes = Lsra.Passes.all) machine algo prog =
-  if not (native_available ()) then
-    Native_skipped "host is not x86-64"
+  if not (native_available ()) then Native_skipped "host is not x86-64"
   else
-    match Interp.run ~fuel machine prog ~input with
-    | Error e -> Native_skipped ("reference run traps: " ^ e)
-    | Ok reference -> (
-      let copy = Program.copy prog in
-      match
-        Lsra.Allocator.pipeline ~precheck:false ~verify:false ~passes algo
-          machine copy
-      with
-      | exception e ->
-        Native_skipped ("allocator raised: " ^ Printexc.to_string e)
-      | _stats -> (
-        match Interp.run ~fuel machine copy ~input with
-        | Error e -> Native_skipped ("allocated run traps: " ^ e)
-        | Ok expected ->
-          if reference.Interp.output <> expected.Interp.output then
-            Native_skipped "interpreter runs diverge (allocator bug)"
-          else (
-            match Lsra_native.Lower.compile machine copy with
-            | Error e -> Native_diverged ("emission failed: " ^ e)
-            | Ok compiled -> (
-              match
-                Lsra_native.Exec.run_compiled ~fuel ~input compiled
-                  ~heap_words:(Program.heap_words prog)
-              with
-              | exception Failure e ->
-                Native_diverged ("native execution failed: " ^ e)
-              | native -> (
-                match native.Lsra_native.Exec.trap with
-                | Some t ->
-                  Native_diverged
-                    ("native run trapped on an interpreter-clean program: "
-                   ^ t)
-                | None ->
-                  if
-                    native.Lsra_native.Exec.output
-                    <> expected.Interp.output
-                  then
-                    Native_diverged
-                      (Printf.sprintf
-                         "output mismatch: interpreter %S, native %S"
-                         (truncated expected.Interp.output)
-                         (truncated native.Lsra_native.Exec.output))
-                  else (
-                    match expected.Interp.ret with
-                    | Value.Int want
-                      when want <> native.Lsra_native.Exec.ret ->
-                      Native_diverged
-                        (Printf.sprintf
-                           "return-value mismatch: interpreter %d, native \
-                            %d" want native.Lsra_native.Exec.ret)
-                    | Value.Int _ | Value.Flt _ | Value.Undef ->
-                      Native_ok
-                        {
-                          code_bytes =
-                            native.Lsra_native.Exec.code_bytes;
-                        }))))))
+    match
+      differential ~fuel ~input machine prog (fun copy compare ->
+          (try ignore (Lsra.Allocator.pipeline ~passes algo machine copy)
+           with e -> raise (Stop (Allocator_raise (Printexc.to_string e))));
+          (copy, compare Fun.id))
+    with
+    | Error (Reference_trap e) -> Native_skipped ("reference run traps: " ^ e)
+    | Error (Allocator_raise e) -> Native_skipped ("allocator raised: " ^ e)
+    | Error (Allocated_trap e) -> Native_skipped ("allocated run traps: " ^ e)
+    | Error _ -> Native_skipped "interpreter runs diverge (allocator bug)"
+    | Ok (copy, expected) -> (
+      match Lsra_native.Lower.compile machine copy with
+      | Error e -> Native_diverged ("emission failed: " ^ e)
+      | Ok compiled -> (
+        match
+          Lsra_native.Exec.run_compiled ~fuel ~input compiled
+            ~heap_words:(Program.heap_words prog)
+        with
+        | exception Failure e ->
+          Native_diverged ("native execution failed: " ^ e)
+        | { Lsra_native.Exec.trap = Some t; _ } ->
+          Native_diverged
+            ("native run trapped on an interpreter-clean program: " ^ t)
+        | native when native.Lsra_native.Exec.output <> expected.Interp.output
+          ->
+          Native_diverged
+            (Printf.sprintf "output mismatch: interpreter %S, native %S"
+               (truncated expected.Interp.output)
+               (truncated native.Lsra_native.Exec.output))
+        | native -> (
+          match expected.Interp.ret with
+          | Value.Int want when want <> native.Lsra_native.Exec.ret ->
+            Native_diverged
+              (Printf.sprintf
+                 "return-value mismatch: interpreter %d, native %d" want
+                 native.Lsra_native.Exec.ret)
+          | Value.Int _ | Value.Flt _ | Value.Undef ->
+            Native_ok { code_bytes = native.Lsra_native.Exec.code_bytes })))
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)
@@ -493,11 +414,9 @@ let fuzz ?fuel ?(verify = true) ~machines ?(algorithms = Lsra.Allocator.all)
           List.iter
             (fun algo ->
               match
-                Result.map ignore
-                  (check_pipeline ?fuel ~verify ~input ~passes machine algo
-                     prog)
+                check_pipeline ?fuel ~verify ~input ~passes machine algo prog
               with
-              | Ok () -> ()
+              | Ok _ -> ()
               | Error d ->
                 log
                   (Printf.sprintf "seed %d on %s under %s: %s — shrinking"

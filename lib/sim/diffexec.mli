@@ -45,19 +45,13 @@ val is_verifier_reject : divergence -> bool
 (** An in-place per-function allocator, as the test suites use. *)
 type alloc_fn = Machine.t -> Func.t -> unit
 
-val alloc_of : Lsra.Allocator.algorithm -> alloc_fn
-
-(** Like {!alloc_of}, but allocates under a decision trace and checks
-    the stream with {!Lsra.Trace.replay_check} and
-    {!Lsra.Trace.well_formed} ([~strict] for second-chance binpacking);
-    a disagreement surfaces as a [Trace_mismatch] divergence. *)
-val traced_alloc_of : Lsra.Allocator.algorithm -> alloc_fn
-
 (** [check_with machine alloc prog] interprets [prog] (untouched — a copy
     is allocated), allocates every function of the copy with [alloc],
     optionally verifies each against its pre-allocation form
     ([verify] defaults to [true]), re-interprets, and compares.
-    [input] feeds [ext_getc] on both runs. *)
+    [input] feeds [ext_getc] on both runs. It exists so that the oracle's
+    own tests can substitute corrupting allocators; the allocators
+    themselves are checked by {!check} and {!check_pipeline}. *)
 val check_with :
   ?fuel:int ->
   ?verify:bool ->
@@ -67,15 +61,12 @@ val check_with :
   Program.t ->
   (unit, divergence) result
 
-(** {!check_with} over one of the four named allocators. With
-    [trace_check] (the default) the allocation runs under a decision
-    trace whose replay must agree with the reported stats, so every
-    differential check is also a trace consistency check. *)
+(** {!check_pipeline} with no managed pass: the allocation alone, traced,
+    so every differential check is also a trace consistency check. *)
 val check :
   ?fuel:int ->
   ?verify:bool ->
   ?input:string ->
-  ?trace_check:bool ->
   Machine.t ->
   Lsra.Allocator.algorithm ->
   Program.t ->
@@ -93,21 +84,23 @@ val check_all :
   (string * divergence) list
 
 (** The oracle sandwich over the whole managed pipeline: interpret the
-    program once for reference, then run the pre-allocation passes of
-    [passes] (default {!Lsra.Passes.all}), the allocation (traced, as in
-    {!check}, unless [trace_check] is [false]) and the post-allocation
-    cleanups — re-interpreting after {e every} pass and re-running the
-    abstract verifier after every post-allocation stage ([verify]
-    defaults to [true]). A divergence introduced by a cleanup pass is
-    reported as {!Pass_divergence}, pinned to that pass by name. On
-    success, returns the pipeline's pass statistics (per-pass wall times
-    and [frame_saved], the frame words reclaimed by Slots). *)
+    program once for reference, then run a copy through
+    {!Lsra.Allocator.pipeline} with [passes] (default
+    {!Lsra.Passes.all}) — DCE's liveness hand-over included — under a
+    decision trace, so every allocation checks its section against its
+    stats ({!Lsra.Allocator.check_trace}), and with the abstract verifier
+    after allocation and after every cleanup pass ([verify] defaults to
+    [true]). The program is re-interpreted after {e every} stage. A
+    divergence introduced by a managed pass is reported as
+    {!Pass_divergence}, pinned to that pass by name; an exception from
+    the allocation step is {!Allocator_raise}, and one from a managed
+    pass propagates. On success, returns the pipeline's stats, as
+    {!Lsra.Allocator.pipeline} reports them. *)
 val check_pipeline :
   ?fuel:int ->
   ?verify:bool ->
   ?input:string ->
   ?passes:Lsra.Passes.t list ->
-  ?trace_check:bool ->
   Machine.t ->
   Lsra.Allocator.algorithm ->
   Program.t ->

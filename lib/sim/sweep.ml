@@ -115,13 +115,14 @@ let write_artifact ~dir ~name machine algo reproducer =
         Out_channel.output_string oc text)
   in
   write ".lsra" reproducer;
+  let trace = Lsra.Trace.create () in
   (match
-     let prog = Lsra_text.Ir_text.of_string reproducer in
-     let trace = Lsra.Trace.create () in
-     ignore (Lsra.Allocator.run_program ~trace algo machine prog);
-     Lsra.Trace.events trace
+     Lsra.Allocator.run_program ~trace algo machine
+       (Lsra_text.Ir_text.of_string reproducer)
    with
-  | events ->
+  | _ | (exception Lsra.Allocator.Trace_mismatch _) ->
+    (* a mismatching stream is the finding: write it *)
+    let events = Lsra.Trace.events trace in
     write ".trace.txt" (Lsra.Trace.to_text events);
     write ".trace.jsonl" (Lsra.Trace.to_jsonl events)
   | exception e ->

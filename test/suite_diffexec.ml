@@ -153,27 +153,49 @@ let test_fuzz_smoke () =
   | r :: _ -> Alcotest.failf "fuzz found: %s" (D.pp_fuzz_report r)
 
 (* The full managed pipeline (every cleanup pass, per-pass oracle
-   checks) must agree with the plain allocation oracle on random
-   programs, and its stats must carry the Slots accounting. *)
+   checks) must pass every allocator, and it is the real pipeline: its
+   stats are [Allocator.pipeline]'s on a copy, allocation counters and
+   the Slots accounting included, and DCE hands its liveness to the
+   allocator, so no allocator solves it ([time_liveness] stays 0). *)
 let test_pipeline_oracle_accepts_all_passes () =
+  let counters (s : Lsra.Stats.t) =
+    [
+      s.evict_loads; s.evict_stores; s.evict_moves; s.resolve_loads;
+      s.resolve_stores; s.resolve_moves; s.slots; s.frame_saved;
+    ]
+  in
+  let small_8 = Lsra_sim.Sweep.small_8 in
+  let wc =
+    match Lsra_workloads.Specbench.find small_8 ~scale:1 "wc" with
+    | Some c -> ("wc on small-8", small_8, c.program, c.input)
+    | None -> Alcotest.fail "wc benchmark missing"
+  in
   List.iter
-    (fun seed ->
-      let prog = gen_prog seed in
+    (fun (what, machine, prog, input) ->
       List.iter
         (fun algo ->
-          match
-            D.check_pipeline ~input:"abc" ~passes:Lsra.Passes.all tiny algo
-              prog
-          with
+          let what = what ^ " under " ^ Lsra.Allocator.short_name algo in
+          let passes = Lsra.Passes.all in
+          match D.check_pipeline ~input ~passes machine algo prog with
           | Ok stats ->
             if stats.Lsra.Stats.frame_saved < 0 then
-              Alcotest.fail "negative frame_saved"
+              Alcotest.fail "negative frame_saved";
+            let copy = Program.copy prog in
+            Alcotest.(check (list int))
+              (what ^ ": spill counters, slots, frame_saved")
+              (counters (Lsra.Allocator.pipeline ~passes algo machine copy))
+              (counters stats);
+            Alcotest.(check (float 0.))
+              (what ^ ": time_liveness") 0. stats.time_liveness
           | Error d ->
-            Alcotest.failf "pipeline oracle failed seed %d under %s: %s" seed
-              (Lsra.Allocator.name algo)
+            Alcotest.failf "pipeline oracle failed %s: %s" what
               (D.divergence_to_string d))
-        Lsra.Allocator.all)
-    [ 11; 12; 13 ]
+        Lsra_sim.Sweep.oracle_algorithms)
+    (wc
+    :: List.map
+         (fun seed ->
+           (Printf.sprintf "seed %d" seed, tiny, gen_prog seed, "abc"))
+         [ 11; 12; 13 ])
 
 (* Exit-code classification: a verifier reject stays a "reject" even
    when a cleanup pass introduced it, everything else is behavioral. *)

@@ -266,6 +266,38 @@ let test_fixture_streams () =
         fst (move_opt_fixture (moveopt_machine ())) );
     ]
 
+(* A traced allocation checks its own section of the sink: a section
+   whose counted events disagree with the stats is rejected with the
+   function named, and a stray counted event in an earlier section does
+   not fail the next run. *)
+let test_section_check () =
+  let m = Machine.small ~int_regs:4 ~float_regs:4 () in
+  let params = { Lsra_workloads.Gen.default_params with n_funcs = 2 } in
+  let funcs = Program.funcs (Lsra_workloads.Gen.program ~params m) in
+  let (n1, f1), (_, f2) = (List.nth funcs 0, List.nth funcs 1) in
+  let algo = Lsra.Allocator.default_second_chance in
+  let r0 = Mreg.make ~cls:Rclass.Int 0 in
+  let stray =
+    Trace.Resolve_move
+      { temp = "stray"; id = 0; dst = r0; src = r0; cycle = false }
+  in
+  let t = Trace.create () in
+  let s1 = Lsra.Allocator.run ~trace:t algo m f1 in
+  (match Lsra.Allocator.check_trace algo n1 (Trace.events t @ [ stray ]) s1 with
+  | () -> Alcotest.fail "a stray resolve move passed the section check"
+  | exception Lsra.Allocator.Trace_mismatch e ->
+    Alcotest.(check string) "rejection"
+      (Printf.sprintf
+         "replay under binpack in '%s': resolve_moves: trace replays %d, \
+          Stats reports %d"
+         n1 (s1.resolve_moves + 1) s1.resolve_moves)
+      e);
+  Trace.emit t stray;
+  let s2 = Lsra.Allocator.run ~trace:t algo m f2 in
+  Alcotest.(check int) "the stray still counts in the whole stream"
+    (s1.resolve_moves + s2.resolve_moves + 1)
+    (Trace.replay (Trace.events t)).r_resolve_moves
+
 (* What no trace exercises: every escape in strings and keys, NaN,
    and lists nested in objects. *)
 let test_json_writer () =
@@ -297,4 +329,6 @@ let suite =
       Alcotest.test_case "fixture traces replay and are well-formed" `Quick
         test_fixture_streams;
       Alcotest.test_case "json: escapes, NaN, nesting" `Quick test_json_writer;
+      Alcotest.test_case "a traced run checks its own section" `Quick
+        test_section_check;
     ]
