@@ -255,8 +255,13 @@ let test_ladder () =
   Alcotest.(check (list string)) "coloring ladder"
     [ "gc"; "binpack"; "twopass"; "poletto" ]
     (shorts Lsra.Allocator.Graph_coloring);
+  Alcotest.(check (list string)) "two-pass ladder" [ "twopass"; "poletto" ]
+    (shorts Lsra.Allocator.Two_pass);
   Alcotest.(check (list string)) "poletto has no fallback" [ "poletto" ]
-    (shorts Lsra.Allocator.Poletto)
+    (shorts Lsra.Allocator.Poletto);
+  Alcotest.(check (list string)) "exact ladder"
+    [ "optimal"; "gc"; "binpack"; "twopass"; "poletto" ]
+    (shorts Lsra.Allocator.default_optimal)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler: a parallel batch is bit-identical to sequential, in
