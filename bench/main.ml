@@ -502,9 +502,8 @@ let optgap () =
         exit 2
   in
   let opts = { Lsra.Optimal.default_options with Lsra.Optimal.node_budget } in
-  let heuristics =
-    [ coloring; binpack; Lsra.Allocator.Two_pass; Lsra.Allocator.Poletto ]
-  in
+  let optimal = Lsra.Allocator.Optimal opts in
+  let heuristics = Lsra.Allocator.below optimal in
   (* [beats] holds a Diverge per heuristic that beat the optimum (an
      optimality bug by construction), [oracle] the differential check of
      each exact allocation. *)
@@ -518,16 +517,15 @@ let optgap () =
            function, one slot per heuristic, measurement order. *)
         let gaps = Array.make (List.length heuristics) [] in
         let measured = ref 0 and skipped = ref 0 in
-        Sweep.run oracle cases
-          [ Lsra.Allocator.Optimal opts ]
+        Sweep.run oracle cases [ optimal ]
           (fun { Sweep.name; program; input } algo ->
             List.iter
               (fun (fname, f) ->
-                match
-                  Lsra.Optimal.run_exact ~opts m (Lsra_ir.Func.copy f)
-                with
-                | exception Lsra.Optimal.Budget_exceeded _ -> incr skipped
-                | exact_stats ->
+                let exact_stats =
+                  Lsra.Allocator.run algo m (Lsra_ir.Func.copy f)
+                in
+                if exact_stats.Lsra.Stats.downgrades > 0 then incr skipped
+                else begin
                   let exact = Lsra.Stats.total_spill exact_stats in
                   incr measured;
                   List.iteri
@@ -546,7 +544,8 @@ let optgap () =
                         Sweep.record beats (Sweep.Diverge why)
                       end;
                       gaps.(hi) <- gap :: gaps.(hi))
-                    heuristics)
+                    heuristics
+                end)
               (Program.funcs program);
             (* The exact allocator's output must survive the strongest
                oracle we have: differential execution with the abstract

@@ -39,6 +39,70 @@ let of_name = function
   | "optimal" | "exact" -> Some default_optimal
   | _ -> None
 
+(* The quality ladder, best first: the paper's §4 dial, written once. *)
+let ladder =
+  [ default_optimal; Graph_coloring; default_second_chance; Two_pass; Poletto ]
+
+let below algorithm =
+  let rec after = function
+    | [] -> []
+    | a :: rest ->
+      if short_name a = short_name algorithm then rest else after rest
+  in
+  after ladder
+
+(* The heuristics' own failures, which the exact allocator's warm start
+   skips; any other exception propagates. *)
+let failed = function
+  | Binpack.Out_of_registers _ | Two_pass.Out_of_registers _
+  | Poletto.Out_of_registers _ | Coloring.Coloring_failure _ ->
+    true
+  | _ -> false
+
+(* The dispatch [run] measures. The exact allocator's rungs and its
+   budget-trip fallback are this same dispatch, one rung down, so they
+   take the handed-over liveness too. *)
+let rec dispatch ?trace ?liveness algorithm machine func =
+  match algorithm with
+  | Second_chance opts ->
+    (* The paper's allocator: the allocate-and-rewrite scan, then
+       CFG-edge resolution. *)
+    let scanned = Binpack.scan ~opts ?trace ?liveness machine func in
+    Stats.timed scanned.Binpack.stats Stats.Resolution (fun () ->
+        Resolution.run scanned);
+    scanned.Binpack.stats
+  | Two_pass -> Two_pass.run ?trace ?liveness machine func
+  | Poletto -> Poletto.run ?trace ?liveness machine func
+  | Graph_coloring -> Coloring.run ?trace ?liveness machine func
+  | Optimal opts -> (
+    let rungs = below algorithm in
+    let rung a trace f = dispatch ?trace ?liveness a machine f in
+    match
+      Optimal.run_exact opts trace liveness ~rungs:(List.map rung rungs)
+        ~failed machine func
+    with
+    | stats -> stats
+    | exception Optimal.Budget_exceeded _ ->
+      (* Degrade like the service's deadline ladder does, and account for
+         it the same way: a Downgrade event plus a [downgrades] bump, so a
+         fallen-back function can never pose as an exact result. *)
+      let next = List.hd rungs in
+      Option.iter
+        (fun sink ->
+          Trace.emit sink
+            (Trace.Downgrade
+               {
+                 req = Func.name func;
+                 from_algo = short_name algorithm;
+                 to_algo = short_name next;
+                 budget = float_of_int opts.Optimal.node_budget;
+                 predicted = float_of_int opts.Optimal.node_budget;
+               }))
+        trace;
+      let stats = dispatch ?trace ?liveness next machine func in
+      stats.Stats.downgrades <- stats.Stats.downgrades + 1;
+      stats)
+
 exception Trace_mismatch of string
 
 let check_trace algorithm fname evs stats =
@@ -58,8 +122,8 @@ let check_trace algorithm fname evs stats =
 
 (* The one place an allocation is measured: the clock and the GC
    counters are read once around the dispatch, so the allocators that run
-   others (the exact allocator's rungs and its coloring fallback) are
-   counted once. [Gc.quick_stat] reads the calling domain's counters,
+   others (the exact allocator's rungs and its fallback) are counted
+   once. [Gc.quick_stat] reads the calling domain's counters,
    which keeps the attribution right under [Parallel.fold_stats]. A
    traced run then checks its own section of the sink, outside the
    measured window. *)
@@ -67,20 +131,7 @@ let run ?trace ?liveness algorithm machine func =
   let mark = Option.fold ~none:0 ~some:Trace.count trace in
   let t0 = Monotonic_clock.now () in
   let g0 = Gc.quick_stat () in
-  let stats =
-    match algorithm with
-    | Second_chance opts ->
-      (* The paper's allocator: the allocate-and-rewrite scan, then
-         CFG-edge resolution. *)
-      let scanned = Binpack.scan ~opts ?trace ?liveness machine func in
-      Stats.timed scanned.Binpack.stats Stats.Resolution (fun () ->
-          Resolution.run scanned);
-      scanned.Binpack.stats
-    | Two_pass -> Two_pass.run ?trace ?liveness machine func
-    | Poletto -> Poletto.run ?trace ?liveness machine func
-    | Graph_coloring -> Coloring.run ?trace ?liveness machine func
-    | Optimal opts -> Optimal.run ~opts ?trace ?liveness machine func
-  in
+  let stats = dispatch ?trace ?liveness algorithm machine func in
   Stats.record_gc_since stats g0;
   stats.Stats.alloc_time <- Stats.seconds_since t0;
   Option.iter

@@ -10,8 +10,9 @@ type algorithm =
   | Poletto
   | Graph_coloring
   | Optimal of Optimal.options
-      (** exact branch-and-bound spill minimisation; degrades to
-          {!Graph_coloring} when its node budget trips (see {!Optimal}) *)
+      (** exact branch-and-bound spill minimisation, warm-started from
+          the rungs {!below} it; degrades to the next one down,
+          {!Graph_coloring}, when its budget trips (see {!Optimal}) *)
 
 val default_second_chance : algorithm
 val default_optimal : algorithm
@@ -33,6 +34,12 @@ val short_name : algorithm -> string
     second-chance, coloring and exact. *)
 val of_name : string -> algorithm option
 
+(** The rungs below an algorithm (placed by {!short_name}) on the one
+    quality ladder of the paper's §4, best first: optimal, gc, binpack,
+    twopass, poletto, with default options. The exact allocator's warm
+    start and fallback, the service's degradation and optgap read it. *)
+val below : algorithm -> algorithm list
+
 (** Raised by {!check_trace}, hence by a traced {!run}; the message names
     the check, the allocator and the function. *)
 exception Trace_mismatch of string
@@ -47,7 +54,7 @@ val check_trace : algorithm -> string -> Trace.event list -> Stats.t -> unit
     section it added to the sink must pass {!check_trace} against the
     returned stats, or {!Trace_mismatch} is raised after the section is
     in the sink. Events already in the sink are not checked.
-    [Second_chance] runs {!Binpack.scan} and then {!Resolution.run}.
+    [Second_chance] runs the scan of {!Binpack} and then {!Resolution}.
 
     This is the only code that measures an allocation: [alloc_time] (on
     the monotonic clock) and the GC counters of the returned stats cover
@@ -57,7 +64,7 @@ val check_trace : algorithm -> string -> Trace.event list -> Stats.t -> unit
     [liveness], when given, must be [func]'s exact liveness as it stands,
     such as {!Lsra_analysis.Dce.run_to_fixpoint} returns; every allocator
     then uses it in place of its own first {!Lsra_analysis.Liveness}
-    solve (see {!Binpack.scan}), with identical output. *)
+    solve (see {!Binpack.analyse}), with identical output. *)
 val run :
   ?trace:Trace.t ->
   ?liveness:Lsra_analysis.Liveness.t ->

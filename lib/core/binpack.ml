@@ -25,7 +25,7 @@ type t = {
   are_consistent : Bitset.t array;
   used_consistency : Bitset.t array;
   wrote_tr : Bitset.t array;
-  slot_of : int option array;
+  slot_of : int array;
   stats : Stats.t;
   opts : options;
   trace : Trace.t option;
@@ -107,18 +107,21 @@ let interval st id = Lifetime.interval_of_id st.res.lifetimes id
 
 let temp_of st id = Interval.temp (interval st id)
 
-let tname st id = Temp.to_string (temp_of st id)
+let tname st id = Lifetime.temp_name st.res.lifetimes id
 
-let get_slot st id =
-  match st.res.slot_of.(id) with
-  | Some s -> s
-  | None ->
-    let s = Func.fresh_slot st.res.func in
-    st.res.slot_of.(id) <- Some s;
-    (match st.tr with
+let slot trace func lifetimes slot_of id =
+  if slot_of.(id) < 0 then begin
+    let s = Func.fresh_slot func in
+    slot_of.(id) <- s;
+    match trace with
     | None -> ()
-    | Some t -> Trace.emit t (Slot_alloc { temp = tname st id; id; slot = s }));
-    s
+    | Some t ->
+      Trace.emit t
+        (Slot_alloc { temp = Lifetime.temp_name lifetimes id; id; slot = s })
+  end;
+  slot_of.(id)
+
+let get_slot st id = slot st.tr st.res.func st.res.lifetimes st.res.slot_of id
 
 (* First allocation decision for [id] in this scan. *)
 let mark_start st id ~pos =
@@ -448,8 +451,7 @@ let assign_reg st id ~pos ~forbidden =
     raise
       (Out_of_registers
          (Printf.sprintf "no %s register available at position %d for %s"
-            (Rclass.to_string cls) pos
-            (Temp.to_string (temp_of st id))))
+            (Rclass.to_string cls) pos (tname st id)))
 
 (* Convention sweep: before executing instruction [k], evict any temporary
    occupying a register whose next busy segment has arrived. Early second
@@ -642,11 +644,8 @@ let release_dead st ~pos =
     st.dead_at <- !m
   end
 
-let scan ?(opts = default_options) ?trace ?liveness machine func =
+let analyse stats liveness machine func =
   let regidx = Regidx.create machine in
-  let stats = Stats.create () in
-  Trace.emit_fn trace func;
-  let cfg = Func.cfg func in
   let liveness =
     match liveness with
     | Some l -> l
@@ -654,8 +653,15 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
   in
   let lifetimes =
     Stats.timed stats Stats.Lifetime (fun () ->
-        Lifetime.compute regidx func liveness (Loop.compute cfg))
+        Lifetime.compute regidx func liveness (Loop.compute (Func.cfg func)))
   in
+  (regidx, liveness, lifetimes)
+
+let scan ?(opts = default_options) ?trace ?liveness machine func =
+  let stats = Stats.create () in
+  Trace.emit_fn trace func;
+  let cfg = Func.cfg func in
+  let regidx, liveness, lifetimes = analyse stats liveness machine func in
   let blocks = Cfg.blocks cfg in
   let nb = Array.length blocks in
   let ntemps = Func.temp_bound func in
@@ -670,7 +676,7 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
       are_consistent = Array.init nb (fun _ -> Bitset.create ntemps);
       used_consistency = Array.init nb (fun _ -> Bitset.create ntemps);
       wrote_tr = Array.init nb (fun _ -> Bitset.create ntemps);
-      slot_of = Array.make ntemps None;
+      slot_of = Array.make ntemps (-1);
       stats;
       opts;
       trace;

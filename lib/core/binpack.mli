@@ -3,7 +3,7 @@
     instruction stream simultaneously, splitting lifetimes at spills and
     giving spilled temporaries new register homes at later references.
 
-    The scan alone assumes linear control flow; {!Resolution.run} must
+    The scan alone assumes linear control flow; {!Resolution} must
     follow to repair the allocation assumptions across real CFG edges. *)
 
 open Lsra_ir
@@ -44,18 +44,36 @@ type t = {
       (** the same for the block's [live_out], at its bottom *)
   are_consistent : Bitset.t array;
   used_consistency : Bitset.t array;
-      (** the paper's USED_CONSISTENCY per block; {!Resolution.run} adds
+      (** the paper's USED_CONSISTENCY per block; {!Resolution} adds
           the stores it suppresses on the block's out-edges *)
   wrote_tr : Bitset.t array;
-  slot_of : int option array;
+  slot_of : int array;  (** per temp id, for {!slot}: [-1] before the first *)
   stats : Stats.t;
   opts : options;
   trace : Trace.t option;
-      (** the sink the scan recorded into, for {!Resolution.run} to
+      (** the sink the scan recorded into, for {!Resolution} to
           continue the same function's section *)
 }
 
 exception Out_of_registers of string
+
+(** [analyse stats liveness machine func]: the register index, liveness
+    and lifetimes that the scan and {!Spill_everywhere} start from. A
+    given [liveness] (see {!scan}) is used as is, otherwise it is solved
+    under {!Stats.Liveness}; loops and lifetimes are timed under
+    {!Stats.Lifetime}. *)
+val analyse :
+  Stats.t ->
+  Liveness.t option ->
+  Machine.t ->
+  Func.t ->
+  Regidx.t * Liveness.t * Lifetime.t
+
+(** [slot trace func lifetimes slot_of id]: the stack slot of temporary
+    [id], memoised in [slot_of] ([-1]: none yet); the first call takes a
+    fresh slot from [func] and records a {!Trace.Slot_alloc}. The one slot
+    memo of the scan, {!Resolution} and {!Spill_everywhere}. *)
+val slot : Trace.t option -> Func.t -> Lifetime.t -> int array -> int -> int
 
 (** Run the allocate-and-rewrite scan, mutating [func]'s block bodies and
     terminators. When [trace] is given, every allocation decision is

@@ -173,12 +173,6 @@ let briggs ctx u v =
   !count < ctx.k
 
 let combine ctx u v =
-  (match ctx.stage.(v) with
-  | S_freeze -> ()
-  | S_spill -> ()
-  | S_initial | S_simplify | S_precolored | S_spilled | S_coalesced
-  | S_colored | S_stack ->
-    ());
   ctx.stage.(v) <- S_coalesced;
   ctx.coalesced_nodes <- v :: ctx.coalesced_nodes;
   ctx.alias.(v) <- u;

@@ -15,7 +15,7 @@ exception Coloring_failure of string
     spill/reload insertions and the final color of every temporary (see
     {!Trace}). [coloring_iterations] and [interference_edges] feed
     Table 3. [liveness], when given, must be [func]'s exact liveness as it
-    stands (see {!Binpack.scan}); it replaces the solve of the first
+    stands (see {!Binpack.analyse}); it replaces the solve of the first
     coloring round, the only one that sees the function unchanged. *)
 val run :
   ?trace:Trace.t ->

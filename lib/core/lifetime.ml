@@ -407,6 +407,7 @@ let compute_boxed regidx func liveness loops =
 let linear t = t.linear
 let interval t temp = t.intervals.(Temp.id temp)
 let interval_of_id t id = t.intervals.(id)
+let temp_name t id = Temp.to_string (Interval.temp t.intervals.(id))
 let reg_busy t ri = t.reg_busy.(ri)
 let block_depth t bi = t.block_depth.(bi)
 let n_temps t = Array.length t.intervals

@@ -25,6 +25,9 @@ val linear : t -> Linear.t
 val interval : t -> Temp.t -> Interval.t
 val interval_of_id : t -> int -> Interval.t
 
+(** The temporary's name in trace events, by id. *)
+val temp_name : t -> int -> string
+
 (** Busy segments of a register, by flat index, sorted and disjoint. *)
 val reg_busy : t -> int -> Interval.seg array
 

@@ -304,7 +304,7 @@ let emit_solution ctx =
       Spill_everywhere.emit se
         (Trace.Assign
            {
-             temp = Spill_everywhere.tname se id;
+             temp = Lifetime.temp_name lifetimes id;
              id;
              pos = Interval.start itv;
              reg = Regidx.to_reg se.regidx ri;
@@ -340,43 +340,30 @@ let emit_solution ctx =
   Spill_everywhere.rewrite se ~scratch;
   se.stats
 
-(* The heuristic rungs the incumbent is warm-started from, best-first on
-   ties. Each is run on a scratch copy to measure its true spill cost
-   (resolution moves included); the winner is re-run on the real function
-   when the search cannot strictly beat it, so [Optimal]'s output is
-   never worse than any rung — even where intra-lifetime splitting beats
-   the whole-lifetime model. *)
-let baselines machine : (?trace:Trace.t -> Func.t -> Stats.t) list =
-  [
-    (fun ?trace f -> Coloring.run ?trace machine f);
-    (fun ?trace f ->
-      let scanned = Binpack.scan ?trace machine f in
-      Stats.timed scanned.Binpack.stats Stats.Resolution (fun () ->
-          Resolution.run scanned);
-      scanned.Binpack.stats);
-    (fun ?trace f -> Two_pass.run ?trace machine f);
-    (fun ?trace f -> Poletto.run ?trace machine f);
-  ]
-
-let run_exact ?(opts = default_options) ?trace ?liveness machine func =
+let run_exact opts trace liveness ~rungs ~failed machine func =
   if Func.n_instrs func > opts.max_instrs then
     raise
       (Budget_exceeded
          (Printf.sprintf "%s: %d instrs exceeds the size gate (%d)"
             (Func.name func) (Func.n_instrs func) opts.max_instrs));
+  (* Each rung runs on a scratch copy to measure its true spill cost
+     (resolution moves included), best-first on ties; the winner is
+     re-run on the real function when the search cannot strictly beat
+     it, so [Optimal]'s output is never worse than any rung — even where
+     intra-lifetime splitting beats the whole-lifetime model. *)
   let incumbent =
     List.fold_left
-      (fun best (go : ?trace:Trace.t -> Func.t -> Stats.t) ->
-        match go (Func.copy func) with
+      (fun best go ->
+        match go None (Func.copy func) with
         | s -> (
           let c = Stats.total_spill s in
           match best with
           | Some (bc, _) when bc <= c -> best
           | _ -> Some (c, go))
-        | exception _ -> best)
-      None (baselines machine)
+        | exception e when failed e -> best)
+      None rungs
   in
-  let se = Spill_everywhere.create ?trace ?liveness machine func in
+  let se = Spill_everywhere.create trace liveness machine func in
   let npos = Linear.n_positions (Lifetime.linear se.lifetimes) in
   let ntemps = Func.temp_bound func in
   let ctx =
@@ -401,32 +388,9 @@ let run_exact ?(opts = default_options) ?trace ?liveness machine func =
       (* The best rung is at least as good as the model optimum: adopt
          its output verbatim (its own trace section stands in for
          ours). *)
-      go ?trace func
+      go trace func
     | _ -> emit_solution ctx
   in
   stats.Stats.opt_nodes <- ctx.nodes;
   stats.Stats.opt_proven <- 1;
   stats
-
-let run ?(opts = default_options) ?trace ?liveness machine func =
-  match run_exact ~opts ?trace ?liveness machine func with
-  | stats -> stats
-  | exception Budget_exceeded _ ->
-    (* Degrade like the service's deadline ladder does, and account for
-       it the same way: a Downgrade event plus a [downgrades] bump, so a
-       fallen-back function can never pose as an exact result. *)
-    (match trace with
-    | None -> ()
-    | Some sink ->
-      Trace.emit sink
-        (Trace.Downgrade
-           {
-             req = Func.name func;
-             from_algo = "optimal";
-             to_algo = "gc";
-             budget = float_of_int opts.node_budget;
-             predicted = float_of_int opts.node_budget;
-           }));
-    let stats = Coloring.run ?trace ?liveness machine func in
-    stats.Stats.downgrades <- stats.Stats.downgrades + 1;
-    stats

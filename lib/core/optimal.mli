@@ -19,19 +19,19 @@
     Two honesty mechanisms make the result an {e oracle} rather than a
     fifth heuristic:
 
-    - the incumbent is warm-started from the best heuristic rung
-      (coloring, binpack, two-pass, poletto run on scratch copies), so
-      the reported optimum is never worse than any heuristic even where
-      the paper's intra-lifetime splitting falls outside the
-      whole-lifetime model — if the search cannot strictly beat the best
-      rung, that rung's own output is adopted verbatim;
+    - the incumbent is warm-started from the best heuristic rung below
+      it on [Allocator]'s ladder, so the reported optimum is never worse
+      than any heuristic even where the paper's intra-lifetime splitting
+      falls outside the whole-lifetime model — if the search cannot
+      strictly beat the best rung, that rung's own output is adopted
+      verbatim;
     - the search is budgeted ({!options.node_budget} nodes, plus a
       {!options.max_instrs} size gate) and raises {!Budget_exceeded}
-      rather than hanging on oversized functions; {!run} degrades such
-      functions to graph coloring, recording a {!Trace.Downgrade} and a
-      {!Stats.t.downgrades} bump exactly like the service's deadline
-      degradation, so downgraded results can never silently pose as
-      exact. *)
+      rather than hanging on oversized functions; [Allocator.run]
+      degrades such functions to the next rung down, graph coloring,
+      recording a {!Trace.Downgrade} and a {!Stats.t.downgrades} bump
+      exactly like the service's deadline degradation, so downgraded
+      results can never silently pose as exact. *)
 
 open Lsra_ir
 open Lsra_target
@@ -50,34 +50,24 @@ val default_options : options
     the payload says which and at what count. *)
 exception Budget_exceeded of string
 
-(** Exact allocation, or {!Budget_exceeded}. [Stats.opt_proven] is 1 when
-    the search ran to completion (the result is a proven optimum of the
-    whole-lifetime model and a certified floor under every heuristic);
-    [Stats.opt_nodes] counts nodes explored. *)
+(** [run_exact opts trace liveness ~rungs ~failed machine func]: exact
+    allocation, or {!Budget_exceeded}. [Stats.opt_proven] is 1 when the
+    search ran to completion (a proven optimum of the whole-lifetime
+    model and a certified floor under every heuristic); [Stats.opt_nodes]
+    counts nodes explored.
+
+    [rungs] are the heuristics below it on [Allocator]'s ladder, in
+    order; [go trace f] allocates [f]. Each runs untraced on a copy of
+    [func], and is skipped if it raises an exception [failed] accepts;
+    any other exception propagates. If the search cannot strictly beat
+    the best rung (the earliest on ties), that rung's run on [func] is
+    adopted. [liveness] is as in {!Binpack.analyse}. *)
 val run_exact :
-  ?opts:options ->
-  ?trace:Trace.t ->
-  ?liveness:Lsra_analysis.Liveness.t ->
-  Machine.t ->
-  Func.t ->
-  Stats.t
-
-(** Like {!run_exact}, but a budget trip degrades to {!Coloring.run} on
-    the untouched function, emitting {!Trace.Downgrade} and bumping
-    [downgrades].
-
-    Neither function records its own cost: [alloc_time] and the GC
-    counters are set by {!Allocator.run}, whose one measurement covers
-    the rungs, the search and any fallback.
-
-    [liveness], when given, must be [func]'s exact liveness as it stands
-    (see {!Binpack.scan}); it replaces the exact model's own solve and the
-    fallback's first one. The rungs, which allocate copies, solve their
-    own. *)
-val run :
-  ?opts:options ->
-  ?trace:Trace.t ->
-  ?liveness:Lsra_analysis.Liveness.t ->
+  options ->
+  Trace.t option ->
+  Lsra_analysis.Liveness.t option ->
+  rungs:(Trace.t option -> Func.t -> Stats.t) list ->
+  failed:(exn -> bool) ->
   Machine.t ->
   Func.t ->
   Stats.t

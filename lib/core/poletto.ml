@@ -19,7 +19,7 @@ let convex_span itv = (Interval.start itv, Interval.stop itv)
 let allocate (t : Spill_everywhere.t) =
   let regidx = t.regidx and lifetimes = t.lifetimes in
   let ntemps = Func.temp_bound t.func in
-  let tname = Spill_everywhere.tname t and tr = Spill_everywhere.emit t in
+  let tname = Lifetime.temp_name lifetimes and tr = Spill_everywhere.emit t in
   List.iter
     (fun cls ->
       let all = Regidx.of_cls regidx cls in
@@ -102,7 +102,7 @@ let allocate (t : Spill_everywhere.t) =
 
 let run ?trace ?liveness machine func =
   Trace.emit_fn trace func;
-  let t = Spill_everywhere.create ?trace ?liveness machine func in
+  let t = Spill_everywhere.create trace liveness machine func in
   allocate t;
   (* The [nth] spilled operand of an instruction uses reserved register
      [nth mod n_reserved], counted from the top of its class. *)

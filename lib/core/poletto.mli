@@ -12,7 +12,7 @@ exception Out_of_registers of string
 (** Allocate one function in place. [trace] records each decision (see
     {!Trace}); with it absent tracing costs one pointer test per site.
     [liveness], when given, must be [func]'s exact liveness as it stands
-    (see {!Binpack.scan}); it replaces the allocator's own solve. *)
+    (see {!Binpack.analyse}); it replaces the allocator's own solve. *)
 val run :
   ?trace:Trace.t ->
   ?liveness:Lsra_analysis.Liveness.t ->

@@ -9,8 +9,8 @@ type wop = { dst : Mreg.t; src : [ `Reg of Mreg.t | `Slot of int ]; temp_id : in
 let resolve_instr kind desc =
   Instr.make ~tag:(Instr.Spill { phase = Instr.Resolve; kind }) desc
 
-let run ?trace (res : Binpack.t) =
-  let trace = match trace with Some _ as t -> t | None -> res.Binpack.trace in
+let run (res : Binpack.t) =
+  let trace = res.Binpack.trace in
   let tr ev = match trace with None -> () | Some t -> Trace.emit t ev in
   let func = res.Binpack.func in
   let cfg = Func.cfg func in
@@ -31,19 +31,9 @@ let run ?trace (res : Binpack.t) =
       (List.init nb (fun p ->
            Array.fold_right (fun s acc -> (p, s) :: acc) succs.(p) []))
   in
-  let tname id =
-    Temp.to_string
-      (Interval.temp (Lifetime.interval_of_id res.Binpack.lifetimes id))
-  in
-  let get_slot id =
-    match res.Binpack.slot_of.(id) with
-    | Some s -> s
-    | None ->
-      let s = Func.fresh_slot func in
-      res.Binpack.slot_of.(id) <- Some s;
-      tr (Trace.Slot_alloc { temp = tname id; id; slot = s });
-      s
-  in
+  let lifetimes = res.Binpack.lifetimes in
+  let tname id = Lifetime.temp_name lifetimes id in
+  let get_slot id = Binpack.slot trace func lifetimes res.Binpack.slot_of id in
   (* Repair instructions, counted and traced as they are made. *)
   let move ~cycle id dst src =
     stats.Stats.resolve_moves <- stats.Stats.resolve_moves + 1;

@@ -9,8 +9,8 @@
     The consistency dataflow's sweep count goes to [dataflow_rounds]; it
     stays 0 in [Conservative] mode and when no store was suppressed, as
     the solve is then skipped.
-    Edge repairs are recorded into [trace] (default: the sink the scan
-    used, so a traced scan's section continues seamlessly) in emission
-    order — an {!Trace.Edge} event followed by its repair code in
-    parallel-move order. *)
-val run : ?trace:Trace.t -> Binpack.t -> unit
+    Edge repairs are recorded into the sink the scan used, so a traced
+    scan's section continues seamlessly, in emission order — an
+    {!Trace.Edge} event followed by its repair code in parallel-move
+    order. *)
+val run : Binpack.t -> unit

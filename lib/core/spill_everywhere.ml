@@ -1,5 +1,4 @@
 open Lsra_ir
-open Lsra_analysis
 
 (* The "spill everywhere" model the three whole-lifetime allocators share
    (two-pass binpacking, Poletto's linear scan and the exact allocator):
@@ -18,13 +17,9 @@ type t = {
   trace : Trace.t option;
 }
 
-let create ?trace ?liveness machine func =
-  let regidx = Regidx.create machine in
-  let liveness =
-    match liveness with Some l -> l | None -> Liveness.compute func
-  in
-  let loops = Loop.compute (Func.cfg func) in
-  let lifetimes = Lifetime.compute regidx func liveness loops in
+let create trace liveness machine func =
+  let stats = Stats.create () in
+  let regidx, _, lifetimes = Binpack.analyse stats liveness machine func in
   let ntemps = Func.temp_bound func in
   {
     func;
@@ -32,26 +27,17 @@ let create ?trace ?liveness machine func =
     lifetimes;
     assignment = Array.make ntemps None;
     slot_of = Array.make ntemps (-1);
-    stats = Stats.create ();
+    stats;
     trace;
   }
 
-let tname t id =
-  Temp.to_string (Interval.temp (Lifetime.interval_of_id t.lifetimes id))
-
 let emit t ev = match t.trace with None -> () | Some sink -> Trace.emit sink ev
-
-let slot t id =
-  if t.slot_of.(id) < 0 then begin
-    let s = Func.fresh_slot t.func in
-    t.slot_of.(id) <- s;
-    emit t (Trace.Slot_alloc { temp = tname t id; id; slot = s })
-  end;
-  t.slot_of.(id)
+let slot t id = Binpack.slot t.trace t.func t.lifetimes t.slot_of id
 
 let rewrite t ~scratch =
   let linear = Lifetime.linear t.lifetimes in
   let stats = t.stats in
+  let tname = Lifetime.temp_name t.lifetimes in
   let spill_tag kind = Instr.Spill { phase = Instr.Evict; kind } in
   Array.iteri
     (fun bi b ->
@@ -81,7 +67,7 @@ let rewrite t ~scratch =
             stats.Stats.evict_loads <- stats.Stats.evict_loads + 1;
             emit t
               (Trace.Second_chance
-                 { temp = tname t id; id; pos; reg = Some r; slot = sl });
+                 { temp = tname id; id; pos; reg = Some r; slot = sl });
             Loc.Reg r)
       in
       let def k (l : Loc.t) =
@@ -101,7 +87,7 @@ let rewrite t ~scratch =
             emit t
               (Trace.Spill_split
                  {
-                   temp = tname t id;
+                   temp = tname id;
                    id;
                    pos;
                    reg = Some r;

@@ -2,10 +2,11 @@
     {!Two_pass} (paper §3.1), {!Poletto} (§4) and the exact {!Optimal}.
     Each commits every lifetime whole, to one register or to a stack slot;
     this module owns what they then have in common: the analyses they
-    start from, one slot per memory-resident temporary, and the rewrite
-    that sends each reference of such a temporary through a scratch
-    register. The allocators keep only their placement policy and their
-    choice of scratch register. *)
+    start from and one slot per memory-resident temporary, both as
+    second-chance binpacking has them, and the rewrite that sends each
+    reference of such a temporary through a scratch register. The
+    allocators keep only their placement policy and their choice of
+    scratch register. *)
 
 open Lsra_ir
 open Lsra_target
@@ -22,25 +23,20 @@ type t = private {
   trace : Trace.t option;
 }
 
-(** [create ?trace ?liveness machine func] builds the register index, the
-    loops and the lifetimes of [func], with nothing assigned. [liveness],
-    when given, must be [func]'s exact liveness as it stands (see
-    {!Binpack.scan}); otherwise it is solved here. *)
+(** [create trace liveness machine func] builds the analyses of [func]
+    with {!Binpack.analyse}, timed into the new [stats], with nothing
+    assigned; [trace] is the sink the allocator records into. *)
 val create :
-  ?trace:Trace.t ->
-  ?liveness:Lsra_analysis.Liveness.t ->
+  Trace.t option ->
+  Lsra_analysis.Liveness.t option ->
   Machine.t ->
   Func.t ->
   t
 
-(** The temporary's name in trace events, by id. *)
-val tname : t -> int -> string
-
 (** Record an event in the trace, if there is one. *)
 val emit : t -> Trace.event -> unit
 
-(** The stack slot of a temporary, by id: taken from the function the
-    first time, with a {!Trace.Slot_alloc} event, then the same slot. *)
+(** The stack slot of a temporary, by id: {!Binpack.slot} over [slot_of]. *)
 val slot : t -> int -> int
 
 (** Rewrite every instruction and terminator of the function: a temporary

@@ -6,10 +6,10 @@
     eviction deliberation with the §2.3 distance heuristic's candidates,
     and the resolution pass's edge repairs in parallel-move order — can be
     recorded as a typed event stream by passing a {!t} sink to
-    {!Allocator.run} (or {!Allocator.run_program}), or to one allocator
-    directly: {!Binpack.scan}, {!Resolution.run}, {!Two_pass.run},
-    {!Poletto.run}, {!Coloring.run} or {!Optimal.run}. With no sink the allocators emit nothing and pay
-    only a pointer test per would-be event.
+    {!Allocator.run} (or {!Allocator.run_program}), or to one heuristic
+    directly: the scan of {!Binpack} and then {!Resolution}, {!Two_pass},
+    {!Poletto} or {!Coloring}. With no sink the allocators emit nothing
+    and pay only a pointer test per would-be event.
 
     The stream is renderable as indented text ({!to_text}) or as JSON
     lines ({!to_jsonl}), and is {e replayable}: {!replay_check} recomputes

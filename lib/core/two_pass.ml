@@ -104,7 +104,7 @@ let allocate (t : Spill_everywhere.t) =
   done;
   (* (temp, pos) -> register, for references of memory-resident temps *)
   let point_reg = Hashtbl.create 16 in
-  let tname = Spill_everywhere.tname t in
+  let tname = Lifetime.temp_name lifetimes in
   let tr = Spill_everywhere.emit t in
   (* Worklist ordered by start position; spilling inserts point items. *)
   let module Q = Set.Make (struct
@@ -236,7 +236,7 @@ let allocate (t : Spill_everywhere.t) =
 
 let run ?trace ?liveness machine func =
   Trace.emit_fn trace func;
-  let t = Spill_everywhere.create ?trace ?liveness machine func in
+  let t = Spill_everywhere.create trace liveness machine func in
   let point_reg = allocate t in
   (* Second pass: each reference of a memory-resident temporary uses the
      register its point lifetime received in the first. *)

@@ -185,33 +185,6 @@ let counters t =
         warm_loaded = t.warm_loaded;
       })
 
-(* Cheapest last; every rung after the first trades allocation quality
-   (more spill code) for compile speed — the paper's §4 dial. *)
-let ladder (algo : Lsra.Allocator.algorithm) =
-  match algo with
-  | Second_chance _ ->
-    [ algo; Lsra.Allocator.Two_pass; Lsra.Allocator.Poletto ]
-  | Graph_coloring ->
-    [
-      algo;
-      Lsra.Allocator.default_second_chance;
-      Lsra.Allocator.Two_pass;
-      Lsra.Allocator.Poletto;
-    ]
-  | Two_pass -> [ algo; Lsra.Allocator.Poletto ]
-  | Poletto -> [ algo ]
-  | Optimal _ ->
-    (* Deadline degradation steps off the exact rung first: it is by far
-       the most expensive, and every heuristic below it is an anytime
-       answer to the same request. *)
-    [
-      algo;
-      Lsra.Allocator.Graph_coloring;
-      Lsra.Allocator.default_second_chance;
-      Lsra.Allocator.Two_pass;
-      Lsra.Allocator.Poletto;
-    ]
-
 let rate t algo =
   match Hashtbl.find_opt t.rates (Lsra.Allocator.short_name algo) with
   | Some r -> r
@@ -236,17 +209,17 @@ let n_instrs_of prog =
   List.fold_left (fun acc (_, f) -> acc + Func.n_instrs f) 0
     (Program.funcs prog)
 
-(* Walk the ladder until the cost model says the budget holds; the
-   cheapest rung is taken unconditionally (blowing the budget slightly
-   with Poletto beats not compiling at all). *)
+(* Walk down the quality ladder from the requested algorithm until the
+   cost model says the budget holds; the cheapest rung is taken
+   unconditionally (blowing the budget slightly with Poletto beats not
+   compiling at all). *)
 let degrade t ~req_id ~budget ~n_instrs requested =
-  let rec walk = function
-    | [] -> requested
-    | [ last ] -> last
-    | algo :: rest ->
-      if predict t algo n_instrs <= budget then algo else walk rest
+  let rec walk algo = function
+    | [] -> algo
+    | next :: rest ->
+      if predict t algo n_instrs <= budget then algo else walk next rest
   in
-  let effective = walk (ladder requested) in
+  let effective = walk requested (Lsra.Allocator.below requested) in
   if
     Lsra.Allocator.short_name effective
     <> Lsra.Allocator.short_name requested

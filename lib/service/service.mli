@@ -145,10 +145,6 @@ type service_counters = {
 
 val counters : t -> service_counters
 
-(** The degradation ladder: the requested algorithm, then every cheaper
-    fallback the deadline may force, cheapest last. *)
-val ladder : Lsra.Allocator.algorithm -> Lsra.Allocator.algorithm list
-
 (** [predict t algo n_instrs] is the cost model's current estimate (in
     seconds) for allocating [n_instrs] instructions with [algo]: observed
     seconds-per-instruction (EWMA over cold compiles), or the

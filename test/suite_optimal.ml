@@ -20,6 +20,8 @@ let machines =
 let opts =
   { Lsra.Optimal.default_options with Lsra.Optimal.node_budget = 500_000 }
 
+let exact = Lsra.Allocator.Optimal opts
+
 let gen_prog machine seed =
   let params =
     {
@@ -39,15 +41,12 @@ let run_one ~mname machine seed =
   let prog = gen_prog machine seed in
   List.iter
     (fun (fname, f) ->
-      match Lsra.Optimal.run_exact ~opts machine (Func.copy f) with
-      | exception Lsra.Optimal.Budget_exceeded _ ->
-        (* Branch and bound is exponential in the worst case; a blown
-           budget on a generated function is a skip, not a failure (the
-           frozen fixture below pins that the search does win). The
-           whole-program oracle check still runs: Allocator.Optimal
-           degrades internally. *)
-        ()
-      | exact_stats ->
+      let exact_stats = Lsra.Allocator.run exact machine (Func.copy f) in
+      (* Branch and bound is exponential in the worst case; a blown
+         budget (a downgrade) on a generated function is a skip, not a
+         failure (the frozen fixture below pins that the search does win).
+         The whole-program oracle check still runs. *)
+      if exact_stats.Lsra.Stats.downgrades = 0 then begin
         let exact = Lsra.Stats.total_spill exact_stats in
         List.iter
           (fun algo ->
@@ -59,13 +58,10 @@ let run_one ~mname machine seed =
                 fname
                 (Lsra.Stats.total_spill hs)
                 exact)
-          Lsra.Allocator.heuristics)
+          Lsra.Allocator.heuristics
+      end)
     (Program.funcs prog);
-  match
-    Lsra_sim.Diffexec.check ~input:"optimal" machine
-      (Lsra.Allocator.Optimal opts)
-      prog
-  with
+  match Lsra_sim.Diffexec.check ~input:"optimal" machine exact prog with
   | Ok () -> true
   | Error d ->
     QCheck.Test.fail_reportf "[%s seed %d] %s" mname seed
@@ -103,7 +99,7 @@ let test_exact_beats_heuristics () =
     | [ (_, f) ] -> f
     | fs -> Alcotest.failf "expected one function, got %d" (List.length fs)
   in
-  let exact_stats = Lsra.Optimal.run_exact ~opts machine (Func.copy f) in
+  let exact_stats = Lsra.Allocator.run exact machine (Func.copy f) in
   let exact = Lsra.Stats.total_spill exact_stats in
   Alcotest.(check int) "pinned optimal spill count" 31 exact;
   Alcotest.(check int) "proven optimal" 1 exact_stats.Lsra.Stats.opt_proven;
@@ -169,7 +165,7 @@ let test_proven_counters () =
   let prog = gen_prog machine 0 in
   List.iter
     (fun (_, f) ->
-      let stats = Lsra.Optimal.run_exact ~opts machine f in
+      let stats = Lsra.Allocator.run exact machine f in
       Alcotest.(check int) "proven" 1 stats.Lsra.Stats.opt_proven;
       Alcotest.(check bool) "nodes counted" true
         (stats.Lsra.Stats.opt_nodes > 0);
@@ -215,6 +211,25 @@ let test_cost_counted_once () =
         (Program.funcs case.Lsra_workloads.Specbench.program))
     (Lsra_workloads.Specbench.all m ~scale:1)
 
+(* The warm start skips a rung that raises its own failure exception,
+   leaving the incumbent to the others, but lets Out_of_memory through
+   rather than pass it off as a failed rung. *)
+let test_failing_rungs () =
+  let machine = Machine.small ~int_regs:4 ~float_regs:4 () in
+  let f = snd (List.hd (Program.funcs (gen_prog machine 0))) in
+  let failed = function Lsra.Poletto.Out_of_registers _ -> true | _ -> false in
+  let gc trace f = Lsra.Allocator.(run ?trace Graph_coloring) machine f in
+  let run_exact rungs =
+    Lsra.Optimal.run_exact opts None None ~rungs ~failed machine (Func.copy f)
+  in
+  let fails _ _ = raise (Lsra.Poletto.Out_of_registers "injected") in
+  let s = run_exact [ fails; gc ] in
+  Alcotest.(check int) "proven past a failed rung" 1 s.Lsra.Stats.opt_proven;
+  Alcotest.(check bool) "no worse than the rung left" true
+    Lsra.Stats.(total_spill s <= total_spill (gc None (Func.copy f)));
+  Alcotest.check_raises "Out_of_memory propagates" Out_of_memory (fun () ->
+      ignore (run_exact [ gc; (fun _ _ -> raise Out_of_memory) ]))
+
 let suite =
   List.map (QCheck_alcotest.to_alcotest ~long:false) optimality_tests
   @ [
@@ -226,4 +241,6 @@ let suite =
         test_proven_counters;
       Alcotest.test_case "cost is counted once on every path" `Quick
         test_cost_counted_once;
+      Alcotest.test_case "a failed rung is skipped, an OOM propagates"
+        `Quick test_failing_rungs;
     ]

@@ -248,7 +248,7 @@ let test_generous_deadline_no_downgrade () =
 
 let test_ladder () =
   let shorts algo =
-    List.map Lsra.Allocator.short_name (Service.ladder algo)
+    List.map Lsra.Allocator.short_name (algo :: Lsra.Allocator.below algo)
   in
   Alcotest.(check (list string)) "second-chance ladder"
     [ "binpack"; "twopass"; "poletto" ] (shorts bp);
