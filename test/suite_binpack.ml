@@ -191,6 +191,128 @@ let test_scan_allocation_recorded () =
   in
   Alcotest.(check bool) "pipeline scan minor words" true (scan_words stats > 0.)
 
+(* Large-function pin: the goldens cover the corpus and small generated
+   programs only, so the scan's output on Table-3-sized functions is
+   pinned here by digest. Each row runs [Allocator.pipeline] with the
+   default passes and with none (DCE deletes the Pressure cliques, which
+   are what spills on alpha-like), under one consistency mode, and pins
+   the MD5 of the allocated IR text, the evict and resolve
+   load/store/move counts and the dataflow rounds; cvrin also pins the
+   MD5 of its JSONL decision trace. The Pressure procedures are straight
+   line, so a large branchy, call-dense generated program on small-8
+   covers resolution, early second chance and the two consistency
+   modes. *)
+let large_cases =
+  let m = Machine.alpha_like in
+  [
+    ("cvrin", m, fun () -> Lsra_workloads.Pressure.(build m cvrin));
+    ("twldrv", m, fun () -> Lsra_workloads.Pressure.(build m twldrv));
+    ("fpppp", m, fun () -> Lsra_workloads.Pressure.(build m fpppp));
+    ( "scaled 1000/5",
+      m,
+      fun () -> Lsra_workloads.Pressure.scaled ~candidates:1000 ~window:5 m );
+    ( "scaled 8000/16",
+      m,
+      fun () -> Lsra_workloads.Pressure.scaled ~candidates:8000 ~window:16 m
+    );
+    ( "gen 300 on small-8",
+      Lsra_sim.Sweep.small_8,
+      fun () ->
+        Lsra_workloads.Gen.program
+          ~params:
+            {
+              (Lsra_workloads.Gen.hostile_params ~seed:7) with
+              n_funcs = 1;
+              n_stmts = 300;
+              n_temps = 24;
+              max_depth = 3;
+            }
+          Lsra_sim.Sweep.small_8 );
+  ]
+
+let large_pin (name, machine, build) ~passes consistency =
+  let prog = build () in
+  let trace = if name = "cvrin" then Some (Lsra.Trace.create ()) else None in
+  let s =
+    Lsra.Allocator.pipeline ~passes ?trace
+      (Lsra.Allocator.Second_chance
+         { Lsra.Binpack.default_options with Lsra.Binpack.consistency })
+      machine prog
+  in
+  Printf.sprintf "%s evict %d/%d/%d resolve %d/%d/%d rounds %d%s"
+    (Digest.to_hex (Digest.string (Lsra_text.Ir_text.to_string prog)))
+    s.evict_loads s.evict_stores s.evict_moves s.resolve_loads
+    s.resolve_stores s.resolve_moves s.dataflow_rounds
+    (match trace with
+    | None -> ""
+    | Some t ->
+      " trace "
+      ^ Digest.to_hex
+          (Digest.string (Lsra.Trace.to_jsonl (Lsra.Trace.events t))))
+
+(* Per case, in [large_cases] order: default passes then none, each
+   under [Iterative] then [Conservative]. *)
+let large_pins =
+  [
+    [
+      "a02216ed56f060ac70f48c6bf5a2a3e8 evict 0/0/0 resolve 0/0/0 rounds 0 trace 7adef06f001823dede814a295bcd2f7e";
+      "a02216ed56f060ac70f48c6bf5a2a3e8 evict 0/0/0 resolve 0/0/0 rounds 0 trace 7adef06f001823dede814a295bcd2f7e";
+      "a02216ed56f060ac70f48c6bf5a2a3e8 evict 0/0/0 resolve 0/0/0 rounds 0 trace e5e0bdab2b9b2edd4d23dc3d7d1c223d";
+      "a02216ed56f060ac70f48c6bf5a2a3e8 evict 0/0/0 resolve 0/0/0 rounds 0 trace e5e0bdab2b9b2edd4d23dc3d7d1c223d";
+    ];
+    [
+      "73c9fd916a60fb6332bec91e3d72b8c7 evict 0/0/0 resolve 0/0/0 rounds 0";
+      "73c9fd916a60fb6332bec91e3d72b8c7 evict 0/0/0 resolve 0/0/0 rounds 0";
+      "b8c231c260f47c4ce99a17890e2a8516 evict 312/312/0 resolve 0/0/0 rounds 0";
+      "b8c231c260f47c4ce99a17890e2a8516 evict 312/312/0 resolve 0/0/0 rounds 0";
+    ];
+    [
+      "b6c7a9651fafa2a45cb73086a33525ea evict 0/0/0 resolve 0/0/0 rounds 0";
+      "b6c7a9651fafa2a45cb73086a33525ea evict 0/0/0 resolve 0/0/0 rounds 0";
+      "1b426a3d1973d38fde31b2066eb2350c evict 546/546/0 resolve 0/0/0 rounds 0";
+      "1b426a3d1973d38fde31b2066eb2350c evict 546/546/0 resolve 0/0/0 rounds 0";
+    ];
+    [
+      "2917bc7bdc3fdc8914f8e6ee59b789ce evict 0/0/0 resolve 0/0/0 rounds 0";
+      "2917bc7bdc3fdc8914f8e6ee59b789ce evict 0/0/0 resolve 0/0/0 rounds 0";
+      "2917bc7bdc3fdc8914f8e6ee59b789ce evict 0/0/0 resolve 0/0/0 rounds 0";
+      "2917bc7bdc3fdc8914f8e6ee59b789ce evict 0/0/0 resolve 0/0/0 rounds 0";
+    ];
+    [
+      "2c8335e6659f8a4bde101ebaf1a1413c evict 0/0/0 resolve 0/0/0 rounds 0";
+      "2c8335e6659f8a4bde101ebaf1a1413c evict 0/0/0 resolve 0/0/0 rounds 0";
+      "2c8335e6659f8a4bde101ebaf1a1413c evict 0/0/0 resolve 0/0/0 rounds 0";
+      "2c8335e6659f8a4bde101ebaf1a1413c evict 0/0/0 resolve 0/0/0 rounds 0";
+    ];
+    [
+      "99c91fe730ed960643a033200abfcd3c evict 1628/841/0 resolve 2222/5500/244 rounds 4";
+      "c2f6ab643a03ccb823c644b37df7f347 evict 1628/1325/0 resolve 2222/1572/244 rounds 0";
+      "d841666c2bfa3ffbef348b1bb577d690 evict 1629/841/0 resolve 2222/5500/244 rounds 4";
+      "9dffb5c3ca0e481410dbc961a57693a2 evict 1629/1325/0 resolve 2222/1572/244 rounds 0";
+    ];
+  ]
+
+let test_large_pins () =
+  List.iter2
+    (fun ((name, _, _) as case) expected ->
+      let rows =
+        List.concat_map
+          (fun (pname, passes) ->
+            List.map
+              (fun (mode, c) ->
+                ( Printf.sprintf "%s, %s, %s" name pname mode,
+                  large_pin case ~passes c ))
+              [
+                ("iterative", Lsra.Binpack.Iterative);
+                ("conservative", Lsra.Binpack.Conservative);
+              ])
+          [ ("default passes", Lsra.Passes.default); ("no passes", []) ]
+      in
+      List.iter2
+        (fun e (label, got) -> Alcotest.(check string) label e got)
+        expected rows)
+    large_cases large_pins
+
 let suite =
   [
     Alcotest.test_case "straight-line, no spills" `Quick
@@ -207,4 +329,5 @@ let suite =
       test_option_combinations;
     Alcotest.test_case "scan allocation is recorded" `Quick
       test_scan_allocation_recorded;
+    Alcotest.test_case "large functions are pinned" `Slow test_large_pins;
   ]
