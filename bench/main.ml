@@ -367,6 +367,48 @@ let ablation () =
         (t Lsra.Allocator.Poletto))
     (cases ());
   hrule 96;
+  (* The time side of the conservative variant, whose quality side is the
+     column above: scan plus resolution under the default pipeline, best
+     of 5 interleaved runs per mode. *)
+  print_endline
+    "Consistency modes: scan + resolution ms (best of 5, default passes)";
+  hrule 50;
+  Printf.printf "%-10s %12s %12s %8s\n" "module" "iterative" "conservative"
+    "c/i";
+  hrule 50;
+  let scan_res_time cons progs =
+    List.fold_left
+      (fun acc prog ->
+        let s =
+          Lsra.Allocator.pipeline (mk ~esc:true ~mo:true ~cons) machine
+            (Program.copy prog)
+        in
+        acc +. s.Lsra.Stats.time_scan +. s.Lsra.Stats.time_resolution)
+      0. progs
+  in
+  let jit_small =
+    Array.to_list
+      (Array.map
+         (fun (u : Perfbench.Inputs.unit_) ->
+           Lsra_text.Ir_text.of_string u.Perfbench.Inputs.source)
+         (Perfbench.Inputs.jit_small ~count:1200))
+  in
+  List.iter
+    (fun (name, progs) ->
+      let it = ref infinity and co = ref infinity in
+      for _ = 1 to 5 do
+        it := min !it (scan_res_time Lsra.Binpack.Iterative progs);
+        co := min !co (scan_res_time Lsra.Binpack.Conservative progs)
+      done;
+      Printf.printf "%-10s %12.2f %12.2f %8.2f\n" name (1e3 *. !it)
+        (1e3 *. !co) (!co /. !it))
+    (List.map
+       (fun sh ->
+         ( sh.Lsra_workloads.Pressure.sname,
+           [ Lsra_workloads.Pressure.build machine sh ] ))
+       Lsra_workloads.Pressure.[ cvrin; twldrv; fpppp ]
+    @ [ ("jit-small", jit_small) ]);
+  hrule 50;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)

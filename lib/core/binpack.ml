@@ -1,8 +1,5 @@
 open Lsra_ir
 open Lsra_analysis
-open Lsra_target
-
-type rloc = In_reg of Mreg.t | In_mem
 
 type consistency_mode = Iterative | Conservative
 
@@ -20,8 +17,10 @@ type t = {
   regidx : Regidx.t;
   liveness : Liveness.t;
   lifetimes : Lifetime.t;
-  top_loc : int array array;
-  bottom_loc : int array array;
+  top_loc : int array;
+  top_off : int array;
+  bottom_loc : int array;
+  bottom_off : int array;
   are_consistent : Bitset.t array;
   used_consistency : Bitset.t array;
   wrote_tr : Bitset.t array;
@@ -33,44 +32,38 @@ type t = {
 
 exception Out_of_registers of string
 
-(* Segment-array queries for register busy intervals. *)
-let seg_covering (segs : Interval.seg array) pos =
-  let lo = ref 0 and hi = ref (Array.length segs) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if segs.(mid).Interval.e < pos then lo := mid + 1 else hi := mid
-  done;
-  !lo < Array.length segs && segs.(!lo).Interval.s <= pos
+module Busy_cursor = struct
+  type t = { segs : Interval.seg array; mutable i : int; mutable at : int }
 
-let next_start_after (segs : Interval.seg array) pos =
-  let lo = ref 0 and hi = ref (Array.length segs) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if segs.(mid).Interval.s <= pos then lo := mid + 1 else hi := mid
-  done;
-  if !lo < Array.length segs then segs.(!lo).Interval.s else max_int
+  let create segs = { segs; i = 0; at = min_int }
 
-(* Both queries in one binary search: [min_int] when [pos] is inside a
-   busy segment, otherwise the end of the availability hole at [pos]
-   ([max_int - 1] when no busy segment follows, matching
-   [next_start_after pos - 1]). *)
-let hole_end_if_free (segs : Interval.seg array) pos =
-  let len = Array.length segs in
-  let lo = ref 0 and hi = ref len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if segs.(mid).Interval.e < pos then lo := mid + 1 else hi := mid
-  done;
-  if !lo < len then
-    if segs.(!lo).Interval.s <= pos then min_int
-    else segs.(!lo).Interval.s - 1
-  else max_int - 1
+  (* Move to the first segment ending at or after [pos]. *)
+  let seek c pos =
+    if pos < c.at then invalid_arg "Binpack.Busy_cursor: position moved back";
+    c.at <- pos;
+    while c.i < Array.length c.segs && c.segs.(c.i).Interval.e < pos do
+      c.i <- c.i + 1
+    done
+
+  (* Segments are disjoint, so when the current one covers [pos] the next
+     one starts after it. *)
+  let next_start_after c pos =
+    seek c pos;
+    let n = Array.length c.segs in
+    let j = if c.i < n && c.segs.(c.i).Interval.s <= pos then c.i + 1 else c.i in
+    if j < n then c.segs.(j).Interval.s else max_int
+
+  let hole_end_if_free c pos =
+    seek c pos;
+    if c.i >= Array.length c.segs then max_int - 1
+    else if c.segs.(c.i).Interval.s <= pos then min_int
+    else c.segs.(c.i).Interval.s - 1
+end
 
 type state = {
   res : t;
-  machine : Machine.t;
-  loc : rloc option array; (* per temp id *)
-  consistent : bool array; (* per temp id: the working ARE_CONSISTENT bit *)
+  loc : int array; (* per temp id: flat register, or -1 when in memory *)
+  consistent : Bitset.t; (* per temp id: the working ARE_CONSISTENT bit *)
   cursor : int array; (* per temp id: next-reference cursor *)
   occ_temp : int array; (* per flat reg: occupant temp id, or -1 *)
   occ_next_busy : int array; (* per flat reg: next convention event *)
@@ -78,6 +71,7 @@ type state = {
   (* per flat reg: occupant's lifetime stop (max_int when the occupant's
      interval is empty), so the per-instruction death sweeps compare ints
      instead of chasing the interval *)
+  busy : Busy_cursor.t array; (* per flat reg *)
   mutable sweep_at : int;
   (* lower bound on the earliest occupied register's next convention
      event: [convention_sweep] is a no-op strictly before it *)
@@ -87,13 +81,16 @@ type state = {
   he_scratch : int array;
   (* per flat reg, valid only within one [assign_reg] call: hole end at
      the current position, [min_int] for ineligible registers *)
-  mutable emit_rev : Instr.t list; (* current block, reversed *)
+  mutable body : Instr.t array; (* the current block's output, growable *)
+  mutable body_len : int;
   mutable cur_w : Bitset.t; (* WROTE_TR of the current block *)
   mutable cur_u : Bitset.t; (* USED_CONSISTENCY of the current block *)
   tr : Trace.t option; (* decision-trace sink, [None] in production *)
   started : bool array; (* per temp id: Start event already emitted *)
-  mutable bound : int list;
-  (* flat registers the current instruction reads or writes so far *)
+  bound : int array;
+  (* per flat reg: equal to [stamp] when the current instruction reads or
+     writes the register *)
+  mutable stamp : int; (* bumped once per instruction *)
   mutable src_reg : int;
   (* flat register of the current instruction's last use, -1 if none *)
   use_reg : int array;
@@ -101,7 +98,11 @@ type state = {
      resolved to *)
 }
 
-let emit st i = st.emit_rev <- i :: st.emit_rev
+let emit st i =
+  if st.body_len = Array.length st.body then
+    st.body <- Array.append st.body (Array.make (max 16 st.body_len) i);
+  st.body.(st.body_len) <- i;
+  st.body_len <- st.body_len + 1
 
 let interval st id = Lifetime.interval_of_id st.res.lifetimes id
 
@@ -158,28 +159,17 @@ let benefit st id ~pos =
     w /. dist
 
 let reg_of_flat st ri = Regidx.to_reg st.res.regidx ri
-let flat_of_reg st r = Regidx.of_reg st.res.regidx r
+let loc_of_flat st ri = Regidx.to_loc st.res.regidx ri
 
-(* The scan's location of every temp of [live], in [Bitset.iter] order:
-   the flat register index, or -1 for memory. Never-seen temps are placed
-   in memory. *)
-let boundary_locs st live =
-  let a = Array.make (Bitset.cardinal live) (-1) in
-  let k = ref 0 in
-  Bitset.iter
-    (fun id ->
-      (match st.loc.(id) with
-      | Some (In_reg r) -> a.(!k) <- flat_of_reg st r
-      | Some In_mem -> ()
-      | None -> st.loc.(id) <- Some In_mem);
-      incr k)
-    live;
-  a
+(* Write the scan's location of every temp of [live], in [Bitset.iter]
+   order, into [dst] from [off] on. *)
+let boundary_locs st live dst off =
+  let k = ref off in
+  Bitset.iter (fun id -> dst.(!k) <- st.loc.(id); incr k) live
 
 let set_occupant st ri id ~pos =
   st.occ_temp.(ri) <- id;
-  st.occ_next_busy.(ri) <-
-    next_start_after (Lifetime.reg_busy st.res.lifetimes ri) pos;
+  st.occ_next_busy.(ri) <- Busy_cursor.next_start_after st.busy.(ri) pos;
   (let itv = interval st id in
    st.occ_stop.(ri) <-
      (if Interval.is_empty itv then max_int else Interval.stop itv));
@@ -187,14 +177,7 @@ let set_occupant st ri id ~pos =
      sweep runs once for nothing and tightens them. *)
   if st.occ_next_busy.(ri) < st.sweep_at then st.sweep_at <- st.occ_next_busy.(ri);
   if st.occ_stop.(ri) < st.dead_at then st.dead_at <- st.occ_stop.(ri);
-  st.loc.(id) <- Some (In_reg (reg_of_flat st ri))
-
-let clear_occupant st ri =
-  let id = st.occ_temp.(ri) in
-  if id >= 0 then begin
-    st.occ_temp.(ri) <- -1;
-    st.loc.(id) <- Some In_mem
-  end
+  st.loc.(id) <- ri
 
 (* Next reference of [id] at or after [pos] without moving the cursor;
    only evaluated on the traced path. *)
@@ -210,7 +193,7 @@ let evict st ri ~pos =
   assert (id >= 0);
   let itv = interval st id in
   if Interval.covers itv pos then begin
-    if st.consistent.(id) then begin
+    if Bitset.mem st.consistent id then begin
       (* Second-chance consistency: skip the store, record the reliance if
          it is not locally established (paper §2.4). *)
       if not (Bitset.mem st.cur_w id) then Bitset.add st.cur_u id;
@@ -226,10 +209,10 @@ let evict st ri ~pos =
       emit st
         (Instr.make
            ~tag:(Instr.Spill { phase = Instr.Evict; kind = Instr.Spill_st })
-           (Instr.Spill_store { src = Loc.Reg (reg_of_flat st ri); slot }));
+           (Instr.Spill_store { src = loc_of_flat st ri; slot }));
       st.res.stats.Stats.evict_stores <-
         st.res.stats.Stats.evict_stores + 1;
-      st.consistent.(id) <- true;
+      Bitset.add st.consistent id;
       match st.tr with
       | None -> ()
       | Some t ->
@@ -248,23 +231,9 @@ let evict st ri ~pos =
   else
     (* In a lifetime hole (or past the end): the next reference, if any,
        overwrites, so no store is needed. *)
-    st.consistent.(id) <- false;
-  clear_occupant st ri
-
-(* Would evicting [id] right now emit a store? *)
-let eviction_needs_store st id ~pos =
-  Interval.covers (interval st id) pos && not st.consistent.(id)
-
-let reg_busy_now st ri pos = seg_covering (Lifetime.reg_busy st.res.lifetimes ri) pos
-
-let hole_end st ri pos =
-  next_start_after (Lifetime.reg_busy st.res.lifetimes ri) pos - 1
-
-(* A register that may hold a fresh value at [pos] for a temp of class
-   [cls]: not blocked by a convention at [pos]. *)
-let eligible st ~cls ~pos ri =
-  Rclass.equal (Mreg.cls (reg_of_flat st ri)) cls
-  && not (reg_busy_now st ri pos)
+    Bitset.remove st.consistent id;
+  st.occ_temp.(ri) <- -1;
+  st.loc.(id) <- -1
 
 (* The free register, other than [ri], that may take a value of class
    [cls] at [pos] and whose availability hole covers [stop]: the
@@ -274,9 +243,9 @@ let free_hole_for st ~cls ~pos ~stop ~ri =
   let lo, hi = Regidx.cls_range st.res.regidx cls in
   let best = ref (-1) and best_e = ref max_int in
   for rj = lo to hi - 1 do
-    if rj <> ri && st.occ_temp.(rj) < 0 && not (reg_busy_now st rj pos)
-    then begin
-      let e = hole_end st rj pos in
+    if rj <> ri && st.occ_temp.(rj) < 0 then begin
+      (* [min_int] when convention-blocked, so never [>= stop] *)
+      let e = Busy_cursor.hole_end_if_free st.busy.(rj) pos in
       if e >= stop && (!best < 0 || e < !best_e) then begin
         best := rj;
         best_e := e
@@ -291,8 +260,12 @@ let free_hole_for st ~cls ~pos ~stop ~ri =
    inline), expressed as plain loops over the class's contiguous flat
    range with hole ends cached in [st.he_scratch] — this runs on every
    def and reload, so it must not allocate. Tie-breaking everywhere is
-   first-in-register-order, matching the list-based original. *)
-let assign_reg st id ~pos ~forbidden =
+   first-in-register-order, matching the list-based original.
+
+   The registers the current instruction binds are forbidden; for a def
+   ([~def:true]) only those still occupied, since sources that died at
+   the instruction release theirs to the destination. *)
+let assign_reg st id ~pos ~def =
   let itv = interval st id in
   let cls = Temp.cls (temp_of st id) in
   let stop = if Interval.is_empty itv then pos else Interval.stop itv in
@@ -300,8 +273,9 @@ let assign_reg st id ~pos ~forbidden =
   let he = st.he_scratch in
   for ri = lo to hi - 1 do
     he.(ri) <-
-      (if List.mem ri forbidden then min_int
-       else hole_end_if_free (Lifetime.reg_busy st.res.lifetimes ri) pos)
+      (if st.bound.(ri) = st.stamp && ((not def) || st.occ_temp.(ri) >= 0)
+       then min_int
+       else Busy_cursor.hole_end_if_free st.busy.(ri) pos)
   done;
   (* 1. Free register whose hole covers the remaining lifetime: smallest
      sufficient hole (§2.2). *)
@@ -474,7 +448,9 @@ let convention_sweep st ~k =
       if not dies_here then begin
       let moved =
         st.res.opts.early_second_chance
-        && eviction_needs_store st id ~pos
+        (* only when the eviction would store *)
+        && Interval.covers (interval st id) pos
+        && not (Bitset.mem st.consistent id)
         &&
         let stop = Interval.stop (interval st id) in
         let cls = Temp.cls (temp_of st id) in
@@ -486,8 +462,8 @@ let convention_sweep st ~k =
                  (Instr.Spill { phase = Instr.Evict; kind = Instr.Spill_mv })
                (Instr.Move
                   {
-                    dst = Loc.Reg (reg_of_flat st rj);
-                    src = Operand.Loc (Loc.Reg (reg_of_flat st ri));
+                    dst = loc_of_flat st rj;
+                    src = Operand.Loc (loc_of_flat st ri);
                   }));
           st.res.stats.Stats.evict_moves <-
             st.res.stats.Stats.evict_moves + 1;
@@ -524,18 +500,17 @@ let convention_sweep st ~k =
 (* Rewrite one use of temp [id] at instruction [k]; returns its register,
    reloading a spilled value first when needed (the second chance,
    paper §2.3). *)
-let use_temp st id ~k ~forbidden =
+let use_temp st id ~k =
   let pos = Linear.use_pos k in
-  match st.loc.(id) with
-  | Some (In_reg r) -> flat_of_reg st r
-  | Some In_mem | None ->
+  if st.loc.(id) >= 0 then st.loc.(id)
+  else begin
     mark_start st id ~pos;
-    let ri = assign_reg st id ~pos ~forbidden in
+    let ri = assign_reg st id ~pos ~def:false in
     let slot = get_slot st id in
     emit st
       (Instr.make
          ~tag:(Instr.Spill { phase = Instr.Evict; kind = Instr.Spill_ld })
-         (Instr.Spill_load { dst = Loc.Reg (reg_of_flat st ri); slot }));
+         (Instr.Spill_load { dst = loc_of_flat st ri; slot }));
     st.res.stats.Stats.evict_loads <- st.res.stats.Stats.evict_loads + 1;
     (match st.tr with
     | None -> ()
@@ -549,55 +524,58 @@ let use_temp st id ~k ~forbidden =
              reg = Some (reg_of_flat st ri);
              slot;
            }));
-    st.consistent.(id) <- true;
+    Bitset.add st.consistent id;
     (* the reload writes t's register, so consistency is now established
        locally: later uses of A_t in this block do not depend on block
        entry (WROTE_TR is the paper's "register written in b" bit) *)
     Bitset.add st.cur_w id;
     ri
+  end
+
+let pref_miss st id ~pos why =
+  match st.tr with
+  | None -> ()
+  | Some t -> Trace.emit t (Pref_miss { temp = tname st id; id; pos; why })
+
+(* The move optimisation of paper §2.5: the hole end of the move's source
+   register [rs] when [id] may take it, else -1 ([rs] is -1 when the
+   instruction is not an eligible move). The source register is bound by
+   the instruction; it is precisely the register we want to reuse, so it
+   is checked against conventions only. *)
+let move_pref st id ~pos ~rs =
+  if rs < 0 then -1
+  else
+    let itv = interval st id in
+    let e =
+      if
+        st.res.opts.move_opt
+        && st.occ_temp.(rs) < 0
+        && Rclass.equal (Mreg.cls (reg_of_flat st rs)) (Temp.cls (temp_of st id))
+      then Busy_cursor.hole_end_if_free st.busy.(rs) pos
+      else min_int (* never [>= stop] *)
+    in
+    if e >= (if Interval.is_empty itv then pos else Interval.stop itv) then e
+    else begin
+      pref_miss st id ~pos
+        (if not st.res.opts.move_opt then "move optimisation disabled"
+         else if e = min_int then "source register occupied or convention-blocked"
+         else "source register's availability hole too small");
+      -1
+    end
 
 (* Rewrite one def of temp [id] at instruction [k]. [move_src] is the
    flat register of the source when the instruction is a move eligible for
-   the move optimisation of paper §2.5. *)
-let def_temp st id ~k ~forbidden ~move_src =
+   the move optimisation, -1 otherwise. *)
+let def_temp st id ~k ~move_src =
   let pos = Linear.def_pos k in
   let ri =
-    match st.loc.(id) with
-    | Some (In_reg r) -> flat_of_reg st r
-    | Some In_mem | None -> (
+    if st.loc.(id) >= 0 then st.loc.(id)
+    else begin
       mark_start st id ~pos;
-      let miss why =
-        match st.tr with
-        | None -> ()
-        | Some t ->
-          Trace.emit t (Pref_miss { temp = tname st id; id; pos; why })
-      in
-      let try_move_opt =
-        (* The source register is naturally in [forbidden]; for a move it
-           is precisely the register we want to reuse, so it is checked
-           against conventions only. *)
-        match move_src with
-        | Some rs
-          when st.res.opts.move_opt
-               && st.occ_temp.(rs) < 0
-               && eligible st ~cls:(Temp.cls (temp_of st id)) ~pos rs ->
-          let itv = interval st id in
-          let stop = if Interval.is_empty itv then pos else Interval.stop itv in
-          if hole_end st rs pos >= stop then Some rs
-          else begin
-            miss "source register's availability hole too small";
-            None
-          end
-        | Some _ ->
-          miss
-            (if not st.res.opts.move_opt then "move optimisation disabled"
-             else "source register occupied or convention-blocked");
-          None
-        | None -> None
-      in
-      match try_move_opt with
-      | Some rs ->
-        set_occupant st rs id ~pos;
+      let e = move_pref st id ~pos ~rs:move_src in
+      if e < 0 then assign_reg st id ~pos ~def:true
+      else begin
+        set_occupant st move_src id ~pos;
         (match st.tr with
         | None -> ()
         | Some t ->
@@ -607,16 +585,15 @@ let def_temp st id ~k ~forbidden ~move_src =
                  temp = tname st id;
                  id;
                  pos;
-                 reg = reg_of_flat st rs;
+                 reg = reg_of_flat st move_src;
                  reason = Trace.Move_pref;
-                 hole_end =
-                   (let e = hole_end st rs pos in
-                    if e = max_int - 1 then max_int else e);
+                 hole_end = (if e = max_int - 1 then max_int else e);
                }));
-        rs
-      | None -> assign_reg st id ~pos ~forbidden)
+        move_src
+      end
+    end
   in
-  st.consistent.(id) <- false;
+  Bitset.remove st.consistent id;
   Bitset.add st.cur_w id;
   ri
 
@@ -636,8 +613,8 @@ let release_dead st ~pos =
               (Expire
                  { temp = tname st id; id; pos; reg = reg_of_flat st ri }));
           st.occ_temp.(ri) <- -1;
-          st.loc.(id) <- Some In_mem;
-          st.consistent.(id) <- false
+          st.loc.(id) <- -1;
+          Bitset.remove st.consistent id
         end
         else if st.occ_stop.(ri) < !m then m := st.occ_stop.(ri)
     done;
@@ -665,14 +642,27 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
   let blocks = Cfg.blocks cfg in
   let nb = Array.length blocks in
   let ntemps = Func.temp_bound func in
+  let nregs = Regidx.total regidx in
+  (* Per-block offsets into the flat boundary arrays. *)
+  let offsets live =
+    let off = Array.make (nb + 1) 0 in
+    for bi = 0 to nb - 1 do
+      off.(bi + 1) <- off.(bi) + Bitset.cardinal (live bi)
+    done;
+    off
+  in
+  let top_off = offsets (Liveness.live_in liveness)
+  and bottom_off = offsets (Liveness.live_out liveness) in
   let res =
     {
       func;
       regidx;
       liveness;
       lifetimes;
-      top_loc = Array.make nb [||];
-      bottom_loc = Array.make nb [||];
+      top_loc = Array.make top_off.(nb) (-1);
+      top_off;
+      bottom_loc = Array.make bottom_off.(nb) (-1);
+      bottom_off;
       are_consistent = Array.init nb (fun _ -> Bitset.create ntemps);
       used_consistency = Array.init nb (fun _ -> Bitset.create ntemps);
       wrote_tr = Array.init nb (fun _ -> Bitset.create ntemps);
@@ -685,57 +675,61 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
   let st =
     {
       res;
-      machine;
-      loc = Array.make ntemps None;
-      consistent = Array.make ntemps false;
+      loc = Array.make ntemps (-1);
+      consistent = Bitset.create ntemps;
       cursor = Array.make ntemps 0;
-      occ_temp = Array.make (Regidx.total regidx) (-1);
-      occ_next_busy = Array.make (Regidx.total regidx) max_int;
-      occ_stop = Array.make (Regidx.total regidx) max_int;
+      occ_temp = Array.make nregs (-1);
+      occ_next_busy = Array.make nregs max_int;
+      occ_stop = Array.make nregs max_int;
+      busy =
+        Array.init nregs (fun ri ->
+            Busy_cursor.create (Lifetime.reg_busy lifetimes ri));
       sweep_at = max_int;
       dead_at = max_int;
-      he_scratch = Array.make (Regidx.total regidx) min_int;
-      emit_rev = [];
+      he_scratch = Array.make nregs min_int;
+      body = [||];
+      body_len = 0;
       cur_w = Bitset.create ntemps;
       cur_u = Bitset.create ntemps;
       tr = trace;
       started = Array.make ntemps false;
-      bound = [];
+      bound = Array.make nregs (-1);
+      stamp = 0;
       src_reg = -1;
       use_reg = Array.make ntemps (-1);
     }
   in
   let linear = Lifetime.linear lifetimes in
-  let visited = Array.make nb false in
   let preds = (Cfg.edge_tables cfg).Cfg.preds in
   (* The operand callbacks of the use walks, built once. Pre-binding
-     puts every register-resident use in [st.bound], so that allocating a
-     reload for one source never evicts another source of the same
-     instruction. *)
-  let bind ri = st.bound <- ri :: st.bound in
-  let prebind_temp t =
-    match st.loc.(Temp.id t) with
-    | Some (In_reg r) -> bind (flat_of_reg st r)
-    | Some In_mem | None -> ()
+     stamps every register-resident use, so that allocating a reload for
+     one source never evicts another source of the same instruction. *)
+  let bind ri = st.bound.(ri) <- st.stamp in
+  let prebind_temp t = if st.loc.(Temp.id t) >= 0 then bind st.loc.(Temp.id t) in
+  let bind_reg r = bind (Regidx.of_reg regidx r) in
+  let at_k = ref 0 and next_pos = ref 0 in
+  let start_instr k =
+    convention_sweep st ~k;
+    at_k := k;
+    next_pos := Linear.use_pos k + 1;
+    st.stamp <- st.stamp + 1;
+    st.src_reg <- -1
   in
-  let bind_reg r = bind (flat_of_reg st r) in
   (* Resolving a use: a register source binds itself; a temp gets its
      register, reloading it first when it is in memory (the reload is
      emitted before the instruction). *)
-  let at_k = ref 0 in
   let resolve_temp t =
     let id = Temp.id t in
-    let ri = use_temp st id ~k:!at_k ~forbidden:st.bound in
+    let ri = use_temp st id ~k:!at_k in
     bind ri;
     st.src_reg <- ri;
     st.use_reg.(id) <- ri
   in
   let resolve_reg r =
-    let ri = flat_of_reg st r in
+    let ri = Regidx.of_reg regidx r in
     bind ri;
     st.src_reg <- ri
   in
-  let next_pos = ref 0 in
   let advance t = advance_cursor st (Temp.id t) ~pos:!next_pos in
   let no_reg (_ : Mreg.t) = () in
   (* One rewrite: uses substitute from the resolved registers (pure, so
@@ -743,45 +737,36 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
   let use (l : Loc.t) : Loc.t =
     match l with
     | Loc.Reg _ -> l
-    | Loc.Temp t -> Loc.Reg (reg_of_flat st st.use_reg.(Temp.id t))
+    | Loc.Temp t -> Regidx.to_loc regidx st.use_reg.(Temp.id t)
   in
-  let move_src = ref None in
+  let move_src = ref (-1) in
   let def (l : Loc.t) : Loc.t =
     match l with
     | Loc.Reg r ->
       bind_reg r;
       l
     | Loc.Temp t ->
-      (* sources that died at this instruction release their registers
-         to the destination: reads happen before the write *)
-      let forbidden = List.filter (fun ri -> st.occ_temp.(ri) >= 0) st.bound in
-      let ri =
-        def_temp st (Temp.id t) ~k:!at_k ~forbidden ~move_src:!move_src
-      in
+      let ri = def_temp st (Temp.id t) ~k:!at_k ~move_src:!move_src in
       bind ri;
-      Loc.Reg (reg_of_flat st ri)
+      Regidx.to_loc regidx ri
   in
   let process_instr k (i : Instr.t) =
-    convention_sweep st ~k;
-    at_k := k;
-    st.bound <- [];
-    st.src_reg <- -1;
+    start_instr k;
     Instr.iter_uses ~temp:prebind_temp ~reg:bind_reg i;
     (* Resolve every use to its register up front and remember it: after
        [release_dead] a dead source's register is no longer recoverable
        from the linear state, and having the mapping lets the rewrite
        below happen in a single pass. *)
     Instr.iter_uses ~temp:resolve_temp ~reg:resolve_reg i;
-    next_pos := Linear.use_pos k + 1;
     Instr.iter_uses ~temp:advance ~reg:no_reg i;
     release_dead st ~pos:(Linear.use_pos k);
     move_src :=
       (match Instr.desc i with
-      | Instr.Move { src = Operand.Loc _; _ } -> Some st.src_reg
+      | Instr.Move { src = Operand.Loc _; _ } -> st.src_reg
       | Instr.Move _ | Instr.Bin _ | Instr.Un _ | Instr.Cmp _ | Instr.Load _
       | Instr.Store _ | Instr.Spill_load _ | Instr.Spill_store _
       | Instr.Call _ | Instr.Nop ->
-        None);
+        -1);
     emit st (Instr.rewrite ~use ~def i)
   in
   let term_use (l : Loc.t) : Loc.t =
@@ -790,9 +775,9 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
       bind_reg r;
       l
     | Loc.Temp t ->
-      let ri = use_temp st (Temp.id t) ~k:!at_k ~forbidden:st.bound in
+      let ri = use_temp st (Temp.id t) ~k:!at_k in
       bind ri;
-      Loc.Reg (reg_of_flat st ri)
+      Regidx.to_loc regidx ri
   in
   Stats.timed stats Stats.Scan (fun () ->
   for bi = 0 to nb - 1 do
@@ -800,47 +785,42 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
     (match st.tr with
     | None -> ()
     | Some t -> Trace.emit t (Block { label = Block.label b }));
-    st.emit_rev <- [];
+    st.body_len <- 0;
     st.cur_w <- res.wrote_tr.(bi);
     st.cur_u <- res.used_consistency.(bi);
-    (* Record the allocation assumptions at the top of the block: the
-       linear state, with never-seen temporaries placed in memory. *)
-    res.top_loc.(bi) <- boundary_locs st (Liveness.live_in liveness bi);
+    (* Record the allocation assumptions at the top of the block. *)
+    boundary_locs st (Liveness.live_in liveness bi) res.top_loc top_off.(bi);
     (match opts.consistency with
     | Iterative -> ()
     | Conservative ->
       (* Strictly linear variant (paper §2.6): trust consistency at block
-         entry only when every predecessor's saved vector grants it. *)
+         entry only when every predecessor's saved vector grants it. A
+         predecessor not before [bi] in the linear order has none yet. *)
       let ps = preds.(bi) in
-      let granted id =
-        Array.length ps > 0
-        && Array.for_all
-             (fun pi -> visited.(pi) && Bitset.mem res.are_consistent.(pi) id)
-             ps
-      in
-      for id = 0 to ntemps - 1 do
-        if st.consistent.(id) && not (granted id) then
-          st.consistent.(id) <- false
-      done);
-    Array.iteri
-      (fun j i -> process_instr (Linear.first_instr linear bi + j) i)
-      (Block.body b);
+      if Array.length ps = 0 || Array.exists (fun pi -> pi >= bi) ps then
+        Bitset.clear st.consistent
+      else
+        Array.iter
+          (fun pi ->
+            ignore
+              (Bitset.inter_into ~dst:st.consistent
+                 ~src:res.are_consistent.(pi)))
+          ps);
+    let body = Block.body b and first = Linear.first_instr linear bi in
+    for j = 0 to Array.length body - 1 do
+      process_instr (first + j) body.(j)
+    done;
     (* Terminator: sweep, then rewrite its uses (reloads precede it). *)
     let tk = Linear.last_instr linear bi in
-    convention_sweep st ~k:tk;
-    at_k := tk;
-    st.bound <- [];
+    start_instr tk;
     Block.iter_term_uses ~temp:prebind_temp ~reg:bind_reg b;
     Block.rewrite_term b ~use:term_use;
-    next_pos := Linear.use_pos tk + 1;
     Block.iter_term_uses ~temp:advance ~reg:no_reg b;
     release_dead st ~pos:(Linear.use_pos tk);
     (* Record bottom-of-block state and the consistency snapshot. *)
-    res.bottom_loc.(bi) <- boundary_locs st (Liveness.live_out liveness bi);
-    for id = 0 to ntemps - 1 do
-      if st.consistent.(id) then Bitset.add res.are_consistent.(bi) id
-    done;
-    Block.set_body b (Array.of_list (List.rev st.emit_rev));
-    visited.(bi) <- true
+    boundary_locs st (Liveness.live_out liveness bi) res.bottom_loc
+      bottom_off.(bi);
+    Bitset.assign ~dst:res.are_consistent.(bi) ~src:st.consistent;
+    Block.set_body b (Array.sub st.body 0 st.body_len)
   done);
   res

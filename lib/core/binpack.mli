@@ -36,12 +36,14 @@ type t = {
   regidx : Regidx.t;
   liveness : Liveness.t;
   lifetimes : Lifetime.t;
-  top_loc : int array array;
-      (** per block, the scan's location of every temp live on entry, in
-          the [Bitset.iter] order of the block's [live_in]: [-1] for
-          memory, otherwise the register's {!Regidx} flat index *)
-  bottom_loc : int array array;
-      (** the same for the block's [live_out], at its bottom *)
+  top_loc : int array;
+      (** for block [b], at [top_off.(b)] to [top_off.(b + 1) - 1], the
+          scan's location of every temp live on entry, in the
+          [Bitset.iter] order of [b]'s [live_in]: [-1] for memory,
+          otherwise the register's {!Regidx} flat index *)
+  top_off : int array;  (** [nb + 1] offsets into [top_loc] *)
+  bottom_loc : int array;  (** the same for [live_out], at the bottom *)
+  bottom_off : int array;
   are_consistent : Bitset.t array;
   used_consistency : Bitset.t array;
       (** the paper's USED_CONSISTENCY per block; {!Resolution} adds
@@ -56,6 +58,20 @@ type t = {
 }
 
 exception Out_of_registers of string
+
+(** A forward cursor over one register's busy segments (sorted and
+    disjoint, as {!Lifetime.reg_busy} gives them): queries must come at
+    nondecreasing positions; a lower one raises [Invalid_argument].
+    [next_start_after c pos] is the first segment start after [pos]
+    ([max_int] if none); [hole_end_if_free c pos] is [min_int] when a
+    segment covers [pos], else that start minus one. *)
+module Busy_cursor : sig
+  type t
+
+  val create : Interval.seg array -> t
+  val next_start_after : t -> int -> int
+  val hole_end_if_free : t -> int -> int
+end
 
 (** [analyse stats liveness machine func]: the register index, liveness
     and lifetimes that the scan and {!Spill_everywhere} start from. A

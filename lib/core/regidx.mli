@@ -7,7 +7,6 @@ open Lsra_target
 type t
 
 val create : Machine.t -> t
-val machine : t -> Machine.t
 
 (** Total register count across classes; flat indices live in
     [0, total). *)
@@ -18,6 +17,9 @@ val of_reg : t -> Mreg.t -> int
 (** The register at a flat index. Every call returns the same value,
     built once by {!create}, so it allocates nothing. *)
 val to_reg : t -> int -> Mreg.t
+
+(** [Loc.Reg (to_reg t i)], likewise built once by {!create}. *)
+val to_loc : t -> int -> Loc.t
 
 (** Flat indices of all registers of a class, in register order. The list
     is built once at {!create} and shared between calls. *)

@@ -3,8 +3,8 @@ open Lsra_analysis
 
 (* A pending parallel write on an edge: register [dst] receives the value
    of temp [temp_id], either from register [`Reg r] (a move) or from its
-   spill slot [`Slot s] (a load). *)
-type wop = { dst : Mreg.t; src : [ `Reg of Mreg.t | `Slot of int ]; temp_id : int }
+   spill slot [`Slot s] (a load). Registers are {!Regidx} flat indices. *)
+type wop = { dst : int; src : [ `Reg of int | `Slot of int ]; temp_id : int }
 
 let resolve_instr kind desc =
   Instr.make ~tag:(Instr.Spill { phase = Instr.Resolve; kind }) desc
@@ -34,23 +34,26 @@ let run (res : Binpack.t) =
   let lifetimes = res.Binpack.lifetimes in
   let tname id = Lifetime.temp_name lifetimes id in
   let get_slot id = Binpack.slot trace func lifetimes res.Binpack.slot_of id in
+  let reg = Regidx.to_reg ridx and loc = Regidx.to_loc ridx in
   (* Repair instructions, counted and traced as they are made. *)
   let move ~cycle id dst src =
     stats.Stats.resolve_moves <- stats.Stats.resolve_moves + 1;
-    tr (Trace.Resolve_move { temp = tname id; id; dst; src; cycle });
+    tr
+      (Trace.Resolve_move
+         { temp = tname id; id; dst = reg dst; src = reg src; cycle });
     resolve_instr Instr.Spill_mv
-      (Instr.Move { dst = Loc.Reg dst; src = Operand.Loc (Loc.Reg src) })
+      (Instr.Move { dst = loc dst; src = Operand.Loc (loc src) })
   in
-  let load id reg slot =
+  let load id r slot =
     stats.Stats.resolve_loads <- stats.Stats.resolve_loads + 1;
-    tr (Trace.Resolve_load { temp = tname id; id; reg; slot });
-    resolve_instr Instr.Spill_ld (Instr.Spill_load { dst = Loc.Reg reg; slot })
+    tr (Trace.Resolve_load { temp = tname id; id; reg = reg r; slot });
+    resolve_instr Instr.Spill_ld (Instr.Spill_load { dst = loc r; slot })
   in
-  let store ~cycle id reg =
+  let store ~cycle id r =
     let slot = get_slot id in
     stats.Stats.resolve_stores <- stats.Stats.resolve_stores + 1;
-    tr (Trace.Resolve_store { temp = tname id; id; reg; slot; cycle });
-    resolve_instr Instr.Spill_st (Instr.Spill_store { src = Loc.Reg reg; slot })
+    tr (Trace.Resolve_store { temp = tname id; id; reg = reg r; slot; cycle });
+    resolve_instr Instr.Spill_st (Instr.Spill_store { src = loc r; slot })
   in
   (* Sequentialise the parallel writes of one edge. Destinations are
      distinct, and each register is the source of at most one op (bottom
@@ -67,7 +70,7 @@ let run (res : Binpack.t) =
       in
       match
         List.partition
-          (fun w -> not (List.exists (Mreg.equal w.dst) blockers))
+          (fun w -> not (List.mem w.dst blockers))
           !pending
       with
       | (_ :: _ as ready), stuck ->
@@ -83,7 +86,7 @@ let run (res : Binpack.t) =
       | [], { src = `Reg v; temp_id; _ } :: _ ->
         (* Pure cycle(s) of register moves. Detach the first. *)
         let i, src =
-          match scratch_for (Mreg.cls v) with
+          match scratch_for (Mreg.cls (reg v)) with
           | Some scratch -> (move ~cycle:true temp_id scratch v, `Reg scratch)
           | None -> (store ~cycle:true temp_id v, `Slot (get_slot temp_id))
         in
@@ -92,7 +95,7 @@ let run (res : Binpack.t) =
           List.map
             (fun w ->
               match w.src with
-              | `Reg r when Mreg.equal r v -> { w with src }
+              | `Reg r when r = v -> { w with src }
               | `Reg _ | `Slot _ -> w)
             !pending
       | [], _ -> assert false
@@ -102,24 +105,18 @@ let run (res : Binpack.t) =
   (* The scan's locations across one edge, by temp id: [bot] at the bottom
      of the predecessor, [top] at the top of the successor; -1 is memory,
      otherwise a flat register index. Loaded from the scan's boundary
-     slices; live_in of the successor is within live_out of the
+     ranges; live_in of the successor is within live_out of the
      predecessor, so every temp live across the edge has both. *)
   let bot = Array.make ntemps (-1) and top = Array.make ntemps (-1) in
-  let load_edge p s =
-    let k = ref 0 in
-    Bitset.iter
-      (fun id ->
-        bot.(id) <- res.Binpack.bottom_loc.(p).(!k);
-        incr k)
-      (live_out p);
-    k := 0;
-    Bitset.iter
-      (fun id ->
-        top.(id) <- res.Binpack.top_loc.(s).(!k);
-        incr k)
-      (live_in s)
+  let { Binpack.top_loc; top_off; bottom_loc; bottom_off; _ } = res in
+  let load dst locs off live =
+    let k = ref off in
+    Bitset.iter (fun id -> dst.(id) <- locs.(!k); incr k) live
   in
-  let reg = Regidx.to_reg ridx in
+  let load_edge p s =
+    load bot bottom_loc bottom_off.(p) (live_out p);
+    load top top_loc top_off.(s) (live_in s)
+  in
   let a_bit p id = Bitset.mem res.Binpack.are_consistent.(p) id in
   let used_c = res.Binpack.used_consistency in
 
@@ -137,17 +134,15 @@ let run (res : Binpack.t) =
           (fun id ->
             let lp = bot.(id) and ls = top.(id) in
             if lp >= 0 && ls < 0 then begin
-              if not (a_bit p id) then stores := (reg lp, id) :: !stores
+              if not (a_bit p id) then stores := (lp, id) :: !stores
               else if not (Bitset.mem res.Binpack.wrote_tr.(p) id) then
                 Bitset.add used_c.(p) id
             end
             else if lp < 0 && ls >= 0 then
               writes :=
-                { dst = reg ls; src = `Slot (get_slot id); temp_id = id }
-                :: !writes
+                { dst = ls; src = `Slot (get_slot id); temp_id = id } :: !writes
             else if lp <> ls then
-              writes :=
-                { dst = reg ls; src = `Reg (reg lp); temp_id = id } :: !writes)
+              writes := { dst = ls; src = `Reg lp; temp_id = id } :: !writes)
           (live_in s);
         (!stores, !writes))
       edges
@@ -192,7 +187,7 @@ let run (res : Binpack.t) =
                 Bitset.mem (live_in s) id
                 && (not (a_bit p id))
                 && bot.(id) >= 0 && top.(id) >= 0
-              then stores := (reg bot.(id), id) :: !stores)
+              then stores := (bot.(id), id) :: !stores)
             inv.(s);
           !stores
         | Some _ | None -> stores
@@ -203,17 +198,21 @@ let run (res : Binpack.t) =
           List.map (fun (rp, id) -> store ~cycle:false id rp) stores
         in
         (* Registers holding live values across this edge must not be used
-           as scratch: every register of the two boundary slices. *)
+           as scratch: every register of the two boundary ranges. *)
         Array.fill used_regs 0 (Array.length used_regs) false;
-        let mark r = if r >= 0 then used_regs.(r) <- true in
-        Array.iter mark res.Binpack.bottom_loc.(p);
-        Array.iter mark res.Binpack.top_loc.(s);
+        let mark locs lo hi =
+          for k = lo to hi - 1 do
+            if locs.(k) >= 0 then used_regs.(locs.(k)) <- true
+          done
+        in
+        mark bottom_loc bottom_off.(p) bottom_off.(p + 1);
+        mark top_loc top_off.(s) top_off.(s + 1);
         let scratch_for cls =
           let lo, hi = Regidx.cls_range ridx cls in
           let rec free i =
             if i >= hi then None
             else if used_regs.(i) then free (i + 1)
-            else Some (reg i)
+            else Some i
           in
           free lo
         in

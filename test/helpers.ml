@@ -311,3 +311,36 @@ let loops_by_labels cfg =
       Array.iteri (fun j m -> if m then depth.(j) <- depth.(j) + 1) body)
     loops;
   (depth, List.sort compare (List.of_seq (Hashtbl.to_seq_keys loops)))
+
+(* The scan's former binary searches over a register's busy segments,
+   kept as the reference for [Binpack.Busy_cursor]: whether a segment
+   covers [pos], the start of the first segment after [pos] ([max_int]
+   if none), and both in one answer ([min_int] when covered, else the
+   hole end: next start minus one, [max_int - 1] if none). *)
+let seg_covering (segs : Lsra.Interval.seg array) pos =
+  let lo = ref 0 and hi = ref (Array.length segs) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if segs.(mid).Lsra.Interval.e < pos then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length segs && segs.(!lo).Lsra.Interval.s <= pos
+
+let next_start_after (segs : Lsra.Interval.seg array) pos =
+  let lo = ref 0 and hi = ref (Array.length segs) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if segs.(mid).Lsra.Interval.s <= pos then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length segs then segs.(!lo).Lsra.Interval.s else max_int
+
+let hole_end_if_free (segs : Lsra.Interval.seg array) pos =
+  let len = Array.length segs in
+  let lo = ref 0 and hi = ref len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if segs.(mid).Lsra.Interval.e < pos then lo := mid + 1 else hi := mid
+  done;
+  if !lo < len then
+    if segs.(!lo).Lsra.Interval.s <= pos then min_int
+    else segs.(!lo).Lsra.Interval.s - 1
+  else max_int - 1

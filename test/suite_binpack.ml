@@ -313,6 +313,46 @@ let test_large_pins () =
         expected rows)
     large_cases large_pins
 
+(* The busy cursor answers as the binary searches it replaced, on
+   random sorted, disjoint (possibly touching, possibly no) segments and
+   nondecreasing query positions, asking both questions at every
+   position; a position below the last one raises. *)
+let prop_busy_cursor =
+  QCheck.Test.make ~count:500 ~name:"busy cursor equals the binary searches"
+    QCheck.(
+      pair
+        (small_list (pair (int_range 1 5) (int_range 0 4)))
+        (small_list (int_range 0 6)))
+    (fun (shape, steps) ->
+      let cur = ref (-1) in
+      let segs =
+        Array.of_list
+          (List.map
+             (fun (gap, len) ->
+               let s = !cur + gap in
+               cur := s + len;
+               { Lsra.Interval.s; e = s + len })
+             shape)
+      in
+      let c = Lsra.Binpack.Busy_cursor.create segs in
+      let pos = ref 0 in
+      List.iter
+        (fun step ->
+          pos := !pos + step;
+          let he = Lsra.Binpack.Busy_cursor.hole_end_if_free c !pos in
+          let ns = Lsra.Binpack.Busy_cursor.next_start_after c !pos in
+          if
+            he <> hole_end_if_free segs !pos
+            || (he = min_int) <> seg_covering segs !pos
+            || ns <> next_start_after segs !pos
+          then QCheck.Test.fail_reportf "differs at position %d" !pos)
+        steps;
+      steps = []
+      ||
+      match Lsra.Binpack.Busy_cursor.next_start_after c (!pos - 1) with
+      | _ -> QCheck.Test.fail_reportf "no raise below position %d" !pos
+      | exception Invalid_argument _ -> true)
+
 let suite =
   [
     Alcotest.test_case "straight-line, no spills" `Quick
@@ -330,4 +370,5 @@ let suite =
     Alcotest.test_case "scan allocation is recorded" `Quick
       test_scan_allocation_recorded;
     Alcotest.test_case "large functions are pinned" `Slow test_large_pins;
+    QCheck_alcotest.to_alcotest ~long:false prop_busy_cursor;
   ]
