@@ -41,7 +41,7 @@ module Busy_cursor = struct
   let seek c pos =
     if pos < c.at then invalid_arg "Binpack.Busy_cursor: position moved back";
     c.at <- pos;
-    while c.i < Array.length c.segs && c.segs.(c.i).Interval.e < pos do
+    while c.i < Array.length c.segs && c.segs.(c.i).e < pos do
       c.i <- c.i + 1
     done
 
@@ -50,14 +50,14 @@ module Busy_cursor = struct
   let next_start_after c pos =
     seek c pos;
     let n = Array.length c.segs in
-    let j = if c.i < n && c.segs.(c.i).Interval.s <= pos then c.i + 1 else c.i in
-    if j < n then c.segs.(j).Interval.s else max_int
+    let j = if c.i < n && c.segs.(c.i).s <= pos then c.i + 1 else c.i in
+    if j < n then c.segs.(j).s else max_int
 
   let hole_end_if_free c pos =
     seek c pos;
     if c.i >= Array.length c.segs then max_int - 1
-    else if c.segs.(c.i).Interval.s <= pos then min_int
-    else c.segs.(c.i).Interval.s - 1
+    else if c.segs.(c.i).s <= pos then min_int
+    else c.segs.(c.i).s - 1
 end
 
 type state = {
@@ -81,7 +81,7 @@ type state = {
   he_scratch : int array;
   (* per flat reg, valid only within one [assign_reg] call: hole end at
      the current position, [min_int] for ineligible registers *)
-  mutable body : Instr.t array; (* the current block's output, growable *)
+  ws : Workspace.t; (* [ws.body]: the current block's output *)
   mutable body_len : int;
   mutable cur_w : Bitset.t; (* WROTE_TR of the current block *)
   mutable cur_u : Bitset.t; (* USED_CONSISTENCY of the current block *)
@@ -99,9 +99,10 @@ type state = {
 }
 
 let emit st i =
-  if st.body_len = Array.length st.body then
-    st.body <- Array.append st.body (Array.make (max 16 st.body_len) i);
-  st.body.(st.body_len) <- i;
+  let ws = st.ws in
+  if st.body_len = Array.length ws.body then
+    ws.body <- Array.append ws.body (Array.make (max 16 st.body_len) i);
+  ws.body.(st.body_len) <- i;
   st.body_len <- st.body_len + 1
 
 let interval st id = Lifetime.interval_of_id st.res.lifetimes id
@@ -546,11 +547,12 @@ let move_pref st id ~pos ~rs =
   if rs < 0 then -1
   else
     let itv = interval st id in
+    let cls = Temp.cls (Interval.temp itv) in
     let e =
       if
         st.res.opts.move_opt
         && st.occ_temp.(rs) < 0
-        && Rclass.equal (Mreg.cls (reg_of_flat st rs)) (Temp.cls (temp_of st id))
+        && Rclass.equal (Mreg.cls (reg_of_flat st rs)) cls
       then Busy_cursor.hole_end_if_free st.busy.(rs) pos
       else min_int (* never [>= stop] *)
     in
@@ -558,7 +560,8 @@ let move_pref st id ~pos ~rs =
     else begin
       pref_miss st id ~pos
         (if not st.res.opts.move_opt then "move optimisation disabled"
-         else if e = min_int then "source register occupied or convention-blocked"
+         else if e = min_int then
+           "source register occupied or convention-blocked"
          else "source register's availability hole too small");
       -1
     end
@@ -687,7 +690,7 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
       sweep_at = max_int;
       dead_at = max_int;
       he_scratch = Array.make nregs min_int;
-      body = [||];
+      ws = Workspace.get ();
       body_len = 0;
       cur_w = Bitset.create ntemps;
       cur_u = Bitset.create ntemps;
@@ -705,7 +708,7 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
      stamps every register-resident use, so that allocating a reload for
      one source never evicts another source of the same instruction. *)
   let bind ri = st.bound.(ri) <- st.stamp in
-  let prebind_temp t = if st.loc.(Temp.id t) >= 0 then bind st.loc.(Temp.id t) in
+  let prebind_temp t = let r = st.loc.(Temp.id t) in if r >= 0 then bind r in
   let bind_reg r = bind (Regidx.of_reg regidx r) in
   let at_k = ref 0 and next_pos = ref 0 in
   let start_instr k =
@@ -779,6 +782,9 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
       bind ri;
       Regidx.to_loc regidx ri
   in
+  let meet_snapshot pi =
+    ignore (Bitset.inter_into ~dst:st.consistent ~src:res.are_consistent.(pi))
+  in
   Stats.timed stats Stats.Scan (fun () ->
   for bi = 0 to nb - 1 do
     let b = blocks.(bi) in
@@ -799,13 +805,7 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
       let ps = preds.(bi) in
       if Array.length ps = 0 || Array.exists (fun pi -> pi >= bi) ps then
         Bitset.clear st.consistent
-      else
-        Array.iter
-          (fun pi ->
-            ignore
-              (Bitset.inter_into ~dst:st.consistent
-                 ~src:res.are_consistent.(pi)))
-          ps);
+      else Array.iter meet_snapshot ps);
     let body = Block.body b and first = Linear.first_instr linear bi in
     for j = 0 to Array.length body - 1 do
       process_instr (first + j) body.(j)
@@ -821,6 +821,6 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
     boundary_locs st (Liveness.live_out liveness bi) res.bottom_loc
       bottom_off.(bi);
     Bitset.assign ~dst:res.are_consistent.(bi) ~src:st.consistent;
-    Block.set_body b (Array.sub st.body 0 st.body_len)
+    Block.set_body b (Array.sub st.ws.body 0 st.body_len)
   done);
   res

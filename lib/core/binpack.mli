@@ -67,7 +67,6 @@ exception Out_of_registers of string
     segment covers [pos], else that start minus one. *)
 module Busy_cursor : sig
   type t
-
   val create : Interval.seg array -> t
   val next_start_after : t -> int -> int
   val hole_end_if_free : t -> int -> int

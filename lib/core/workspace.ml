@@ -48,6 +48,10 @@ type t = {
      in place before the exact-size copy out. *)
   sg_s : buf;
   sg_e : buf;
+  (* The binpack scan's output for its current block, grown on demand
+     and kept: a buffer grown from empty in every scan churned large
+     arrays through the major heap and raised the peak RSS. *)
+  mutable body : Instr.t array;
 }
 
 let create () =
@@ -66,6 +70,7 @@ let create () =
     rf_meta = buf_make 256;
     sg_s = buf_make 256;
     sg_e = buf_make 256;
+    body = [||];
   }
 
 let dummy_temp = Temp.make ~cls:Rclass.Int 0

@@ -35,6 +35,8 @@ type t = {
   rf_meta : buf;
   sg_s : buf;
   sg_e : buf;
+  mutable body : Instr.t array;
+      (** the binpack scan's output buffer for its current block *)
 }
 
 val create : unit -> t
