@@ -219,18 +219,28 @@ let figure3 () =
 
 (* The copy the allocator mutates is made outside the timed region, so
    only allocation is measured. Returns the best time and the last run's
-   stats. *)
+   stats, with each binpack pass's wall time the best of the 5 runs. *)
 let best_of_5_alloc ?jobs algo prog =
   let best = ref infinity and stats = ref (Lsra.Stats.create ()) in
+  let low = Array.make 4 infinity in
   for _ = 1 to 5 do
     let p = Program.copy prog in
     let s, t =
       timed (fun () -> Lsra.Allocator.run_program ?jobs algo machine p)
     in
+    Array.iteri
+      (fun k v -> low.(k) <- min low.(k) v)
+      Lsra.Stats.
+        [| s.time_liveness; s.time_lifetime; s.time_scan; s.time_resolution |];
     stats := s;
     best := min !best t
   done;
-  (!best, !stats)
+  let s = !stats in
+  s.time_liveness <- low.(0);
+  s.time_lifetime <- low.(1);
+  s.time_scan <- low.(2);
+  s.time_resolution <- low.(3);
+  (!best, s)
 
 let table3 () =
   print_endline "Table 3: allocation time (seconds, best of 5 runs)";
@@ -239,7 +249,7 @@ let table3 () =
   print_endline " over all coloring iterations, as in the paper;";
   print_endline
     " rds = worklist dataflow rounds, 0 when there is nothing to solve,";
-  print_endline " passes = binpack per-pass wall ms)";
+  print_endline " passes = binpack per-pass wall ms, best of 5)";
   hrule 78;
   Printf.printf "%-10s %10s %12s %12s %12s %8s %4s\n" "module" "cands"
     "edges" "coloring" "binpack" "gc/bp" "rds";

@@ -62,7 +62,7 @@ end
 
 type state = {
   res : t;
-  loc : int array; (* per temp id: flat register, or -1 when in memory *)
+  loc : int array; (* per temp id: flat register, or -1 (memory, unseen) *)
   consistent : Bitset.t; (* per temp id: the working ARE_CONSISTENT bit *)
   cursor : int array; (* per temp id: next-reference cursor *)
   occ_temp : int array; (* per flat reg: occupant temp id, or -1 *)
