@@ -378,23 +378,27 @@ let ablation () =
     (cases ());
   hrule 96;
   (* The time side of the conservative variant, whose quality side is the
-     column above: scan plus resolution under the default pipeline, best
-     of 5 interleaved runs per mode. *)
+     column above: scan and resolution under the default pipeline, each
+     the best of 5 interleaved runs per mode, and resolution's pass-1
+     location comparisons (the same in every run). *)
   print_endline
-    "Consistency modes: scan + resolution ms (best of 5, default passes)";
-  hrule 50;
-  Printf.printf "%-10s %12s %12s %8s\n" "module" "iterative" "conservative"
-    "c/i";
-  hrule 50;
+    "Consistency modes: scan and resolution ms (each best of 5, default \
+     passes)";
+  hrule 82;
+  Printf.printf "%-10s %10s %10s %10s %10s %8s %12s\n" "module" "scan it"
+    "res it" "scan co" "res co" "c/i" "pairs it";
+  hrule 82;
   let scan_res_time cons progs =
     List.fold_left
-      (fun acc prog ->
+      (fun (scan, res, pairs) prog ->
         let s =
           Lsra.Allocator.pipeline (mk ~esc:true ~mo:true ~cons) machine
             (Program.copy prog)
         in
-        acc +. s.Lsra.Stats.time_scan +. s.Lsra.Stats.time_resolution)
-      0. progs
+        ( scan +. s.Lsra.Stats.time_scan,
+          res +. s.Lsra.Stats.time_resolution,
+          pairs + s.Lsra.Stats.resolve_pairs ))
+      (0., 0., 0) progs
   in
   let jit_small =
     Array.to_list
@@ -405,20 +409,29 @@ let ablation () =
   in
   List.iter
     (fun (name, progs) ->
-      let it = ref infinity and co = ref infinity in
+      let best = Array.make 4 infinity and pairs = ref 0 in
+      let keep i t = best.(i) <- min best.(i) t in
       for _ = 1 to 5 do
-        it := min !it (scan_res_time Lsra.Binpack.Iterative progs);
-        co := min !co (scan_res_time Lsra.Binpack.Conservative progs)
+        let s, r, p = scan_res_time Lsra.Binpack.Iterative progs in
+        keep 0 s;
+        keep 1 r;
+        pairs := p;
+        let s, r, _ = scan_res_time Lsra.Binpack.Conservative progs in
+        keep 2 s;
+        keep 3 r
       done;
-      Printf.printf "%-10s %12.2f %12.2f %8.2f\n" name (1e3 *. !it)
-        (1e3 *. !co) (!co /. !it))
+      Printf.printf "%-10s %10.2f %10.2f %10.2f %10.2f %8.2f %12d\n" name
+        (1e3 *. best.(0)) (1e3 *. best.(1)) (1e3 *. best.(2))
+        (1e3 *. best.(3))
+        ((best.(2) +. best.(3)) /. (best.(0) +. best.(1)))
+        !pairs)
     (List.map
        (fun sh ->
          ( sh.Lsra_workloads.Pressure.sname,
            [ Lsra_workloads.Pressure.build machine sh ] ))
        Lsra_workloads.Pressure.[ cvrin; twldrv; fpppp ]
     @ [ ("jit-small", jit_small) ]);
-  hrule 50;
+  hrule 82;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)

@@ -83,6 +83,42 @@ let lowest_bit w =
   if !w land 0x1 = 0 then incr n;
   !n
 
+(* Set bits of a word, including the sign bit: a SWAR popcount of the
+   low [bits_per_word - 1] bits, whose masks fit in a non-negative int,
+   plus the sign. Byte sums stay below 64, so the multiply's top byte
+   holds the total. *)
+let popcount w =
+  let x = w land max_int in
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let m2 = 0x3333_3333_3333_3333 in
+  let x = (x land m2) + ((x lsr 2) land m2) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  ((x * 0x0101_0101_0101_0101) lsr 56) + (if w < 0 then 1 else 0)
+
+let iter_ranked f a ~within ~also =
+  if a.width <> within.width || a.width <> also.width then
+    invalid_arg "Bitset.iter_ranked: width mismatch";
+  let last = ref (Array.length a.words - 1) in
+  while !last >= 0 && a.words.(!last) land within.words.(!last) = 0 do
+    decr last
+  done;
+  let rw = ref 0 and ra = ref 0 in
+  for i = 0 to !last do
+    let ww = within.words.(i) and wa = also.words.(i) in
+    let w = ref (a.words.(i) land ww) in
+    while !w <> 0 do
+      (* [low - 1] masks the bits below the lowest set one; for the sign
+         bit it is [max_int], every other bit. *)
+      let below = (!w land - !w) - 1 in
+      f ((i * bits_per_word) + lowest_bit !w)
+        (!rw + popcount (ww land below))
+        (!ra + popcount (wa land below));
+      w := !w land (!w - 1)
+    done;
+    rw := !rw + popcount ww;
+    ra := !ra + popcount wa
+  done
+
 let iter f t =
   for i = 0 to Array.length t.words - 1 do
     let w = ref t.words.(i) in

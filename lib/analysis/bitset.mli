@@ -22,6 +22,16 @@ val equal : t -> t -> bool
 val is_empty : t -> bool
 val cardinal : t -> int
 val iter : (int -> unit) -> t -> unit
+
+(** [iter_ranked f a ~within ~also] calls [f i (rank within i) (rank also i)]
+    for every [i] of [a ∩ within], in increasing order, where [rank s i] is
+    the number of elements of [s] below [i]: the position of [i] in
+    {!iter}'s order over [within], and over [also] when [i] is in it.
+    Ranks come from a word-wise popcount, so a walk costs O(words up to
+    the last element) plus O(1) per element, however large [within] and
+    [also] are. Raises [Invalid_argument] unless all three have one
+    width. *)
+val iter_ranked : (int -> int -> int -> unit) -> t -> within:t -> also:t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 val of_list : int -> int list -> t

@@ -25,10 +25,18 @@ type t = {
   used_consistency : Bitset.t array;
   wrote_tr : Bitset.t array;
   slot_of : int array;
+  change_off : int array;
+  ws : Workspace.t;
+  scan_no : int;
   stats : Stats.t;
   opts : options;
   trace : Trace.t option;
 }
+
+let change_log res =
+  if res.ws.Workspace.scans <> res.scan_no then
+    invalid_arg "Binpack.change_log: a later scan reused the log";
+  res.ws.Workspace.changes.Workspace.a
 
 exception Out_of_registers of string
 
@@ -97,6 +105,14 @@ type state = {
   (* per temp id: flat register its use at the current instruction was
      resolved to *)
 }
+
+(* Every write of a temp's location goes through here, so that the
+   change log holds each change. *)
+let set_loc st id v =
+  if st.loc.(id) <> v then begin
+    st.loc.(id) <- v;
+    Workspace.buf_push st.ws.changes id
+  end
 
 let emit st i =
   let ws = st.ws in
@@ -178,7 +194,7 @@ let set_occupant st ri id ~pos =
      sweep runs once for nothing and tightens them. *)
   if st.occ_next_busy.(ri) < st.sweep_at then st.sweep_at <- st.occ_next_busy.(ri);
   if st.occ_stop.(ri) < st.dead_at then st.dead_at <- st.occ_stop.(ri);
-  st.loc.(id) <- ri
+  set_loc st id ri
 
 (* Next reference of [id] at or after [pos] without moving the cursor;
    only evaluated on the traced path. *)
@@ -234,7 +250,7 @@ let evict st ri ~pos =
        overwrites, so no store is needed. *)
     Bitset.remove st.consistent id;
   st.occ_temp.(ri) <- -1;
-  st.loc.(id) <- -1
+  set_loc st id (-1)
 
 (* The free register, other than [ri], that may take a value of class
    [cls] at [pos] and whose availability hole covers [stop]: the
@@ -616,7 +632,7 @@ let release_dead st ~pos =
               (Expire
                  { temp = tname st id; id; pos; reg = reg_of_flat st ri }));
           st.occ_temp.(ri) <- -1;
-          st.loc.(id) <- -1;
+          set_loc st id (-1);
           Bitset.remove st.consistent id
         end
         else if st.occ_stop.(ri) < !m then m := st.occ_stop.(ri)
@@ -656,6 +672,9 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
   in
   let top_off = offsets (Liveness.live_in liveness)
   and bottom_off = offsets (Liveness.live_out liveness) in
+  let ws = Workspace.get () in
+  ws.scans <- ws.scans + 1;
+  Workspace.buf_clear ws.changes;
   let res =
     {
       func;
@@ -670,6 +689,9 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
       used_consistency = Array.init nb (fun _ -> Bitset.create ntemps);
       wrote_tr = Array.init nb (fun _ -> Bitset.create ntemps);
       slot_of = Array.make ntemps (-1);
+      change_off = Array.make (nb + 1) 0;
+      ws;
+      scan_no = ws.scans;
       stats;
       opts;
       trace;
@@ -690,7 +712,7 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
       sweep_at = max_int;
       dead_at = max_int;
       he_scratch = Array.make nregs min_int;
-      ws = Workspace.get ();
+      ws;
       body_len = 0;
       cur_w = Bitset.create ntemps;
       cur_u = Bitset.create ntemps;
@@ -794,7 +816,10 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
     st.body_len <- 0;
     st.cur_w <- res.wrote_tr.(bi);
     st.cur_u <- res.used_consistency.(bi);
-    (* Record the allocation assumptions at the top of the block. *)
+    (* Record the allocation assumptions at the top of the block. No
+       location changes between the previous block's bottom record and
+       this one, so one offset marks both. *)
+    res.change_off.(bi) <- ws.changes.n;
     boundary_locs st (Liveness.live_in liveness bi) res.top_loc top_off.(bi);
     (match opts.consistency with
     | Iterative -> ()
@@ -822,5 +847,6 @@ let scan ?(opts = default_options) ?trace ?liveness machine func =
       bottom_off.(bi);
     Bitset.assign ~dst:res.are_consistent.(bi) ~src:st.consistent;
     Block.set_body b (Array.sub st.ws.body 0 st.body_len)
-  done);
+  done;
+  res.change_off.(nb) <- ws.changes.n);
   res

@@ -50,12 +50,33 @@ type t = {
           the stores it suppresses on the block's out-edges *)
   wrote_tr : Bitset.t array;
   slot_of : int array;  (** per temp id, for {!slot}: [-1] before the first *)
+  change_off : int array;
+      (** [nb + 1] offsets into {!change_log}: block [b]'s location
+          changes are entries [change_off.(b)] to [change_off.(b + 1) - 1].
+          [change_off.(b)] is also where the log stood when the scan
+          recorded [b]'s top locations, and [change_off.(b + 1)] where it
+          stood when it recorded [b]'s bottom ones: nothing changes a
+          location between a block's bottom record and the next block's
+          top record *)
+  ws : Workspace.t;  (** the scanning domain's workspace, holding the log *)
+  scan_no : int;  (** this scan's number in [ws], the log's owner check *)
   stats : Stats.t;
   opts : options;
   trace : Trace.t option;
       (** the sink the scan recorded into, for {!Resolution} to
           continue the same function's section *)
 }
+
+(** The change log: the temp id of every location change the scan made
+    (a write of a temp's location that differs from the value before),
+    in scan order, at indices [0] to [change_off.(nb) - 1] of the
+    returned array (which may be longer). A temp's location can differ
+    between two boundary records only if the temp is in the log between
+    them, so {!Resolution} compares an edge's locations only over one
+    slice of it. The log lives in the scanning domain's {!Workspace} and
+    is reused by that domain's next scan: call this before another scan
+    runs there; afterwards it raises [Invalid_argument]. *)
+val change_log : t -> int array
 
 exception Out_of_registers of string
 

@@ -1,13 +1,44 @@
 open Lsra_ir
 open Lsra_analysis
 
-(* A pending parallel write on an edge: register [dst] receives the value
-   of temp [temp_id], either from register [`Reg r] (a move) or from its
-   spill slot [`Slot s] (a load). Registers are {!Regidx} flat indices. *)
-type wop = { dst : int; src : [ `Reg of int | `Slot of int ]; temp_id : int }
-
 let resolve_instr kind desc =
   Instr.make ~tag:(Instr.Spill { phase = Instr.Resolve; kind }) desc
+
+(* A ranked-walk callback for edge [p → s]: [f id lp ls] with the temp's
+   location at the bottom of [p] and at the top of [s] (-1 is memory,
+   otherwise a flat register). live_in [s] is within live_out [p]. *)
+let at_edge (res : Binpack.t) p s f id ts bs =
+  f id
+    res.bottom_loc.(res.bottom_off.(p) + bs)
+    res.top_loc.(res.top_off.(s) + ts)
+
+(* Pass 1's candidates on edge [p → s], in id order: the temps live into
+   [s] that the change log holds between the scan's bottom record of [p]
+   ([change_off.(p + 1)]) and its top record of [s] ([change_off.(s)]).
+   The slice lies after the bottom record on a forward edge, before it on
+   a back edge or a self-loop, and is empty on a fallthrough edge. [mask]
+   is clear scratch and is left clear. *)
+let iter_edge (res : Binpack.t) log mask p s f =
+  let a = res.change_off.(p + 1) and b = res.change_off.(s) in
+  if a <> b then begin
+    let lo = min a b and hi = max a b in
+    for k = lo to hi - 1 do Bitset.add mask log.(k) done;
+    Bitset.iter_ranked (at_edge res p s f) mask
+      ~within:(Liveness.live_in res.liveness s)
+      ~also:(Liveness.live_out res.liveness p);
+    for k = lo to hi - 1 do Bitset.remove mask log.(k) done
+  end
+
+(* [f e p s] for the edges of [succs] in [Cfg.edges] order, [e] counting. *)
+let iter_edges succs f =
+  let e = ref 0 in
+  Array.iteri (fun p -> Array.iter (fun s -> f !e p s; incr e)) succs
+
+let iter_candidates (res : Binpack.t) f =
+  let log = Binpack.change_log res in
+  let mask = Bitset.create (Liveness.width res.liveness) in
+  iter_edges (Cfg.edge_tables (Func.cfg res.func)).Cfg.succs (fun _ p s ->
+      iter_edge res log mask p s (fun id _ _ -> f p s id))
 
 let run (res : Binpack.t) =
   let trace = res.Binpack.trace in
@@ -18,21 +49,12 @@ let run (res : Binpack.t) =
   let ridx = res.Binpack.regidx in
   let liveness = res.Binpack.liveness in
   let ntemps = Liveness.width liveness in
-  (* The CFG's edges as index pairs in [Cfg.edges] order, read off its
-     integer tables before edge splitting appends blocks. *)
+  (* Read before edge splitting appends blocks. *)
   let blocks = Cfg.blocks cfg in
-  let nb = Array.length blocks in
   let label i = Block.label blocks.(i) in
-  let live_in = Liveness.live_in liveness in
-  let live_out = Liveness.live_out liveness in
   let { Cfg.succs; preds } = Cfg.edge_tables cfg in
-  let edges =
-    List.concat
-      (List.init nb (fun p ->
-           Array.fold_right (fun s acc -> (p, s) :: acc) succs.(p) []))
-  in
   let lifetimes = res.Binpack.lifetimes in
-  let tname id = Lifetime.temp_name lifetimes id in
+  let tname id = if trace = None then "" else Lifetime.temp_name lifetimes id in
   let get_slot id = Binpack.slot trace func lifetimes res.Binpack.slot_of id in
   let reg = Regidx.to_reg ridx and loc = Regidx.to_loc ridx in
   (* Repair instructions, counted and traced as they are made. *)
@@ -55,98 +77,100 @@ let run (res : Binpack.t) =
     tr (Trace.Resolve_store { temp = tname id; id; reg = reg r; slot; cycle });
     resolve_instr Instr.Spill_st (Instr.Spill_store { src = loc r; slot })
   in
-  (* Sequentialise the parallel writes of one edge. Destinations are
-     distinct, and each register is the source of at most one op (bottom
-     locations are injective over live temps), so blocked configurations
-     are pure register cycles; we break them with a scratch register when
-     one is free across the edge, falling back to the temp's spill slot. *)
-  let sequentialize ~scratch_for ops =
-    let out = ref [] and pending = ref ops in
-    while !pending <> [] do
-      let blockers =
-        List.filter_map
-          (fun w -> match w.src with `Reg r -> Some r | `Slot _ -> None)
-          !pending
-      in
-      match
-        List.partition
-          (fun w -> not (List.mem w.dst blockers))
-          !pending
-      with
-      | (_ :: _ as ready), stuck ->
-        List.iter
-          (fun w ->
-            out :=
-              (match w.src with
-              | `Reg r -> move ~cycle:false w.temp_id w.dst r
-              | `Slot s -> load w.temp_id w.dst s)
-              :: !out)
-          ready;
-        pending := stuck
-      | [], { src = `Reg v; temp_id; _ } :: _ ->
+  (* Pass 1's repairs, four ints each: edge, dst, src, temp. A store has
+     dst -1 and its register as src; a write (a move or a load) has its
+     register as dst and a register or [-1 - slot] as src. *)
+  let ops = res.Binpack.ws.Workspace.edge_ops in
+  let a i = ops.Workspace.a.(i) in
+  (* The first register of class [cls] that no boundary location of edge
+     [p → s] holds, free to be scratch on it; -1 when there is none. *)
+  let scratch_for p s cls =
+    let holds locs off b r =
+      let k = ref off.(b) in
+      while !k < off.(b + 1) && locs.(!k) <> r do incr k done;
+      !k < off.(b + 1)
+    in
+    let lo, hi = Regidx.cls_range ridx cls in
+    let rec free r =
+      if r >= hi then -1
+      else if holds res.bottom_loc res.bottom_off p r then free (r + 1)
+      else if holds res.top_loc res.top_off s r then free (r + 1)
+      else r
+    in
+    free lo
+  in
+  (* Sequentialise one edge's parallel writes onto [out] (reversed), [pend]
+     holding their [ops] positions in pending order. Destinations are
+     distinct and each register is the source of at most one write
+     (bottom locations are injective over live temps), so blocked writes
+     form register cycles, broken through a register free across the edge
+     or else the temp's spill slot. Each round emits, in pending order,
+     every write whose destination no pending write reads: [readers]
+     counts the reads, released when the round ends. *)
+  let readers = Array.make (Regidx.total ridx) 0 in
+  let read r d = if r >= 0 then readers.(r) <- readers.(r) + d in
+  let sequentialize p s pend out =
+    let np = ref (Array.length pend) in
+    Array.iter (fun j -> read (a (j + 2)) 1) pend;
+    while !np > 0 do
+      let m = ref 0 and freed = ref [] in
+      for q = 0 to !np - 1 do
+        let j = pend.(q) in
+        let id = a (j + 3) and dst = a (j + 1) and r = a (j + 2) in
+        if readers.(dst) > 0 then begin pend.(!m) <- j; incr m end
+        else if r >= 0 then begin
+          freed := r :: !freed;
+          out := move ~cycle:false id dst r :: !out
+        end
+        else out := load id dst (-1 - r) :: !out
+      done;
+      List.iter (fun r -> read r (-1)) !freed;
+      if !m = !np then begin
         (* Pure cycle(s) of register moves. Detach the first. *)
-        let i, src =
-          match scratch_for (Mreg.cls (reg v)) with
-          | Some scratch -> (move ~cycle:true temp_id scratch v, `Reg scratch)
-          | None -> (store ~cycle:true temp_id v, `Slot (get_slot temp_id))
-        in
-        out := i :: !out;
-        pending :=
-          List.map
-            (fun w ->
-              match w.src with
-              | `Reg r when r = v -> { w with src }
-              | `Reg _ | `Slot _ -> w)
-            !pending
-      | [], _ -> assert false
-    done;
-    List.rev !out
-  in
-  (* The scan's locations across one edge, by temp id: [bot] at the bottom
-     of the predecessor, [top] at the top of the successor; -1 is memory,
-     otherwise a flat register index. Loaded from the scan's boundary
-     ranges; live_in of the successor is within live_out of the
-     predecessor, so every temp live across the edge has both. *)
-  let bot = Array.make ntemps (-1) and top = Array.make ntemps (-1) in
-  let { Binpack.top_loc; top_off; bottom_loc; bottom_off; _ } = res in
-  let load dst locs off live =
-    let k = ref off in
-    Bitset.iter (fun id -> dst.(id) <- locs.(!k); incr k) live
-  in
-  let load_edge p s =
-    load bot bottom_loc bottom_off.(p) (live_out p);
-    load top top_loc top_off.(s) (live_in s)
+        let id = a (pend.(0) + 3) and v = a (pend.(0) + 2) in
+        assert (v >= 0);
+        let v' = scratch_for p s (Mreg.cls (reg v)) in
+        if v' >= 0 then out := move ~cycle:true id v' v :: !out
+        else out := store ~cycle:true id v :: !out;
+        let v' = if v' >= 0 then v' else -1 - get_slot id in
+        for q = 0 to !np - 1 do
+          if a (pend.(q) + 2) = v then begin
+            ops.a.(pend.(q) + 2) <- v';
+            read v (-1);
+            read v' 1
+          end
+        done
+      end;
+      np := !m
+    done
   in
   let a_bit p id = Bitset.mem res.Binpack.are_consistent.(p) id in
   let used_c = res.Binpack.used_consistency in
 
-  (* Pass 1: location-mismatch repairs. Suppressing a store because the
-     register and memory were consistent at the bottom of [p] relies on
-     consistency holding on every path into [p] whenever it was not
-     (re-)established inside [p] itself, so such suppressions feed the
-     same dataflow as in-scan ones: they join [p]'s USED_CONSISTENCY. *)
-  let base_ops =
-    List.map
-      (fun (p, s) ->
-        load_edge p s;
-        let stores = ref [] and writes = ref [] in
-        Bitset.iter
-          (fun id ->
-            let lp = bot.(id) and ls = top.(id) in
-            if lp >= 0 && ls < 0 then begin
-              if not (a_bit p id) then stores := (lp, id) :: !stores
-              else if not (Bitset.mem res.Binpack.wrote_tr.(p) id) then
-                Bitset.add used_c.(p) id
-            end
-            else if lp < 0 && ls >= 0 then
-              writes :=
-                { dst = ls; src = `Slot (get_slot id); temp_id = id } :: !writes
-            else if lp <> ls then
-              writes := { dst = ls; src = `Reg lp; temp_id = id } :: !writes)
-          (live_in s);
-        (!stores, !writes))
-      edges
+  (* Pass 1: location-mismatch repairs of edge [!pe] ([!pp] → s), over its
+     candidates: no other temp's location can differ across it. A store
+     suppressed because register and memory were consistent at the bottom
+     of [p] relies on consistency on every path into [p] unless [p] itself
+     (re-)established it, so it joins [p]'s USED_CONSISTENCY. *)
+  Workspace.buf_clear ops;
+  let log = Binpack.change_log res and mask = Bitset.create ntemps in
+  let pairs = ref 0 and pe = ref 0 and pp = ref 0 in
+  let push = Workspace.buf_push ops in
+  let op dst src id = push !pe; push dst; push src; push id in
+  let compare id lp ls =
+    let p = !pp in
+    incr pairs;
+    if lp >= 0 && ls < 0 then begin
+      if not (a_bit p id) then op (-1) lp id
+      else if not (Bitset.mem res.Binpack.wrote_tr.(p) id) then
+        Bitset.add used_c.(p) id
+    end
+    else if lp < 0 && ls >= 0 then op ls (-1 - get_slot id) id
+    else if lp <> ls then op ls lp id
   in
+  iter_edges succs (fun e p s ->
+      pe := e; pp := p; iter_edge res log mask p s compare);
+  stats.Stats.resolve_pairs <- stats.Stats.resolve_pairs + !pairs;
 
   (* Consistency dataflow (paper §2.4): USED_C_in/out over the
      USED_CONSISTENCY gen and WROTE_TR kill sets. The meet is union and
@@ -168,74 +192,50 @@ let run (res : Binpack.t) =
       Some r.Dataflow.in_of
   in
 
-  (* Per edge: pass 2, then sequentialise and place. Pass 2 adds
-     consistency-repair stores on edges whose successor (or deeper) relies
-     on register/memory agreement the predecessor does not provide. Only
-     needed when the temp stays register-resident across the edge; the
-     mismatch cases established consistency in pass 1. *)
-  let used_regs = Array.make (Regidx.total ridx) false in
-  List.iter2
-    (fun (p, s) (stores, writes) ->
-      let stores =
-        match used_c_in with
-        | Some inv when not (Bitset.is_empty inv.(s)) ->
-          load_edge p s;
-          let stores = ref stores in
-          Bitset.iter
-            (fun id ->
-              if
-                Bitset.mem (live_in s) id
-                && (not (a_bit p id))
-                && bot.(id) >= 0 && top.(id) >= 0
-              then stores := (bot.(id), id) :: !stores)
-            inv.(s);
-          !stores
-        | Some _ | None -> stores
-      in
-      if stores <> [] || writes <> [] then begin
+  (* Per edge: pass 2, then sequentialise and place. Pass 2 adds the
+     consistency stores an edge needs when its successor (or deeper) relies
+     on register/memory agreement the predecessor does not provide, for
+     temps register-resident across it (pass 1 repaired the mismatches).
+     Stores come first, pass 2's then pass 1's, then the writes, each in
+     decreasing id order (the writes' pending order). *)
+  let k = ref 0 and stores = ref [] and writes = ref [] in
+  iter_edges succs (fun e p s ->
+      stores := []; writes := [];
+      while !k < ops.n && a !k = e do
+        if a (!k + 1) < 0 then stores := (a (!k + 2), a (!k + 3)) :: !stores
+        else writes := !k :: !writes;
+        k := !k + 4
+      done;
+      (match used_c_in with
+      | Some inv when not (Bitset.is_empty inv.(s)) ->
+        Bitset.iter_ranked
+          (at_edge res p s (fun id lp ls ->
+               if (not (a_bit p id)) && lp >= 0 && ls >= 0 then
+                 stores := (lp, id) :: !stores))
+          inv.(s) ~within:(Liveness.live_in liveness s)
+          ~also:(Liveness.live_out liveness p)
+      | Some _ | None -> ());
+      if !stores <> [] || !writes <> [] then begin
         tr (Trace.Edge { src = label p; dst = label s });
-        let store_instrs =
-          List.map (fun (rp, id) -> store ~cycle:false id rp) stores
-        in
-        (* Registers holding live values across this edge must not be used
-           as scratch: every register of the two boundary ranges. *)
-        Array.fill used_regs 0 (Array.length used_regs) false;
-        let mark locs lo hi =
-          for k = lo to hi - 1 do
-            if locs.(k) >= 0 then used_regs.(locs.(k)) <- true
-          done
-        in
-        mark bottom_loc bottom_off.(p) bottom_off.(p + 1);
-        mark top_loc top_off.(s) top_off.(s + 1);
-        let scratch_for cls =
-          let lo, hi = Regidx.cls_range ridx cls in
-          let rec free i =
-            if i >= hi then None
-            else if used_regs.(i) then free (i + 1)
-            else Some i
-          in
-          free lo
-        in
-        let instrs = store_instrs @ sequentialize ~scratch_for writes in
+        let out = ref [] in
+        List.iter (fun (r, t) -> out := store ~cycle:false t r :: !out) !stores;
+        sequentialize p s (Array.of_list !writes) out;
+        let instrs = Array.of_list (List.rev !out) in
         (* Placement (paper §2.4 footnote): top of a single-predecessor
            successor, else bottom of a single-successor predecessor ending
            in an unconditional jump, else split the edge. *)
         let s_block = blocks.(s) and p_block = blocks.(p) in
         if Array.length preds.(s) = 1 then
-          Block.set_body s_block
-            (Array.append (Array.of_list instrs) (Block.body s_block))
+          Block.set_body s_block (Array.append instrs (Block.body s_block))
         else begin
           match Block.term p_block with
           | Block.Jump _ ->
-            Block.set_body p_block
-              (Array.append (Block.body p_block) (Array.of_list instrs))
+            Block.set_body p_block (Array.append (Block.body p_block) instrs)
           | Block.Branch _ | Block.Ret ->
             let l = Func.fresh_label ~hint:"resolve" func in
             Cfg.append_block cfg
-              (Block.make ~label:l ~body:(Array.of_list instrs)
-                 ~term:(Block.Jump (label s)));
+              (Block.make ~label:l ~body:instrs ~term:(Block.Jump (label s)));
             Block.retarget_term p_block ~from:(label s) ~to_:l
         end
-      end)
-    edges base_ops;
+      end);
   stats.Stats.slots <- Func.n_slots func

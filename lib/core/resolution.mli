@@ -14,3 +14,12 @@
     {!Trace.Edge} event followed by its repair code in parallel-move
     order. *)
 val run : Binpack.t -> unit
+
+(** [iter_candidates scanned f] calls [f p s id] for every temp [id] that
+    pass 1 compares on each edge [p → s] of the scanned function, in
+    [Cfg.edges] order, then in id order: the temps live into [s] whose
+    location the scan changed between its bottom record of [p] and its
+    top record of [s] (a slice of {!Binpack.change_log}). No other temp
+    can have different locations across the edge. Call it before
+    {!run}, which splits edges. *)
+val iter_candidates : Binpack.t -> (int -> int -> int -> unit) -> unit

@@ -8,6 +8,7 @@ type t = {
   mutable slots : int;
   mutable frame_saved : int;
   mutable dataflow_rounds : int;
+  mutable resolve_pairs : int;
   mutable coloring_iterations : int;
   mutable interference_edges : int;
   mutable coalesced_moves : int;
@@ -67,6 +68,7 @@ let create () =
     slots = 0;
     frame_saved = 0;
     dataflow_rounds = 0;
+    resolve_pairs = 0;
     coloring_iterations = 0;
     interference_edges = 0;
     coalesced_moves = 0;
@@ -157,6 +159,7 @@ let add ~into s =
   into.slots <- into.slots + s.slots;
   into.frame_saved <- into.frame_saved + s.frame_saved;
   into.dataflow_rounds <- max into.dataflow_rounds s.dataflow_rounds;
+  into.resolve_pairs <- into.resolve_pairs + s.resolve_pairs;
   into.coloring_iterations <-
     max into.coloring_iterations s.coloring_iterations;
   into.interference_edges <- into.interference_edges + s.interference_edges;
@@ -188,10 +191,11 @@ let pp fmt s =
   Format.fprintf fmt
     "@[<v>evict: %d loads, %d stores, %d moves@,\
      resolve: %d loads, %d stores, %d moves@,\
-     slots: %d; dataflow rounds: %d; coloring iterations: %d@]"
+     slots: %d; dataflow rounds: %d; resolution comparisons: %d; \
+     coloring iterations: %d@]"
     s.evict_loads s.evict_stores s.evict_moves s.resolve_loads
     s.resolve_stores s.resolve_moves s.slots s.dataflow_rounds
-    s.coloring_iterations;
+    s.resolve_pairs s.coloring_iterations;
   if s.frame_saved > 0 then
     Format.fprintf fmt "@,@[<v>frame words saved by slot compaction: %d@]"
       s.frame_saved;

@@ -15,6 +15,10 @@ type t = {
   mutable frame_saved : int;
       (** frame words reclaimed by the {!Slots} compaction pass *)
   mutable dataflow_rounds : int;
+  mutable resolve_pairs : int;
+      (** (edge, temp) location comparisons in resolution's pass 1: the
+          temps live across an edge whose location the scan changed
+          between its two boundary records *)
   mutable coloring_iterations : int;
   mutable interference_edges : int;
   mutable coalesced_moves : int;

@@ -52,6 +52,12 @@ type t = {
      and kept: a buffer grown from empty in every scan churned large
      arrays through the major heap and raised the peak RSS. *)
   mutable body : Instr.t array;
+  (* The binpack scan's location-change log (temp ids in scan order) and
+     the number of scans started on this domain, which owns the log. *)
+  changes : buf;
+  mutable scans : int;
+  (* Resolution's pass-1 repairs, four ints each. *)
+  edge_ops : buf;
 }
 
 let create () =
@@ -71,6 +77,9 @@ let create () =
     sg_s = buf_make 256;
     sg_e = buf_make 256;
     body = [||];
+    changes = buf_make 256;
+    scans = 0;
+    edge_ops = buf_make 64;
   }
 
 let dummy_temp = Temp.make ~cls:Rclass.Int 0

@@ -37,6 +37,13 @@ type t = {
   sg_e : buf;
   mutable body : Instr.t array;
       (** the binpack scan's output buffer for its current block *)
+  changes : buf;
+      (** the binpack scan's change log: the temp id of every location
+          change, in scan order (see [Binpack.change_log]) *)
+  mutable scans : int;
+      (** binpack scans started on this domain; the latest owns
+          [changes] *)
+  edge_ops : buf;  (** [Resolution]'s pass-1 repairs of one function *)
 }
 
 val create : unit -> t

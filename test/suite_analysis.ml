@@ -88,6 +88,35 @@ let bitset_props =
         let visited = ref [] in
         Bitset.iter (fun i -> visited := i :: !visited) s;
         List.rev !visited = naive && Bitset.cardinal s = List.length naive);
+    (* iter_ranked against ranks counted bit by bit, with dense words
+       (every popcount lane) and the top bit of a word in play. *)
+    QCheck.Test.make ~name:"bitset iter_ranked = naive ranks" ~count:300
+      QCheck.(
+        pair (int_range 1 300)
+          (triple (list_of_size (Gen.int_range 0 200) (int_range 0 299))
+             (list_of_size (Gen.int_range 0 200) (int_range 0 299))
+             (list_of_size (Gen.int_range 0 200) (int_range 0 299))))
+      (fun (width, (la, lw, lb)) ->
+        let mk l =
+          let s = Bitset.create width in
+          List.iter (fun i -> Bitset.add s (i mod width)) l;
+          Bitset.add s (min (width - 1) (Sys.int_size - 1));
+          s
+        in
+        let a = mk la and w = mk lw and b = mk lb in
+        let rank s i =
+          List.length (List.filter (fun j -> j < i) (Bitset.elements s))
+        in
+        let naive =
+          List.map
+            (fun i -> (i, rank w i, rank b i))
+            (List.filter (Bitset.mem w) (Bitset.elements a))
+        in
+        let got = ref [] in
+        Bitset.iter_ranked
+          (fun i rw rb -> got := (i, rw, rb) :: !got)
+          a ~within:w ~also:b;
+        List.rev !got = naive);
   ]
 
 (* ---------------- liveness ---------------- *)
