@@ -47,6 +47,68 @@ let test_stats_accumulate () =
     a.Lsra.Stats.coloring_iterations;
   Alcotest.(check int) "total spill" 6 (Lsra.Stats.total_spill a)
 
+(* [Stats.pp]'s text, pinned on a value with every field distinct (and
+   on a fresh one), so that a change to how the counters are stored
+   cannot change a byte of what the CLI prints. The optional lines are
+   joined by cuts outside any box, so two short ones share a line (the
+   slot-compaction and downgrade lines below): that is the text as
+   printed, pinned as it is. *)
+let test_stats_pp_pin () =
+  let s = Lsra.Stats.create () in
+  Alcotest.(check string) "fresh"
+    "evict: 0 loads, 0 stores, 0 moves\n\
+     resolve: 0 loads, 0 stores, 0 moves\n\
+     slots: 0; dataflow rounds: 0; resolution comparisons: 0; coloring \
+     iterations: 0"
+    (Format.asprintf "%a" Lsra.Stats.pp s);
+  s.evict_loads <- 1;
+  s.evict_stores <- 2;
+  s.evict_moves <- 3;
+  s.resolve_loads <- 4;
+  s.resolve_stores <- 5;
+  s.resolve_moves <- 6;
+  s.slots <- 7;
+  s.frame_saved <- 8;
+  s.dataflow_rounds <- 9;
+  s.resolve_pairs <- 10;
+  s.coloring_iterations <- 11;
+  s.interference_edges <- 12;
+  s.coalesced_moves <- 13;
+  s.downgrades <- 14;
+  s.opt_nodes <- 15;
+  s.opt_proven <- 16;
+  s.alloc_time <- 17.;
+  s.time_liveness <- 0.018;
+  s.time_lifetime <- 0.019;
+  s.time_scan <- 0.020;
+  s.time_resolution <- 0.021;
+  s.time_copyprop <- 0.022;
+  s.time_dce <- 0.023;
+  s.time_motion <- 0.024;
+  s.time_peephole <- 0.025;
+  s.time_slots <- 0.026;
+  s.minor_words <- 27.;
+  s.promoted_words <- 28.;
+  s.major_words <- 29.;
+  s.minor_collections <- 30;
+  s.major_collections <- 31;
+  Array.iteri (fun i _ -> s.pass_minor_words.(i) <- float (32 + i))
+    s.pass_minor_words;
+  Alcotest.(check string) "every field set"
+    "evict: 1 loads, 2 stores, 3 moves\n\
+     resolve: 4 loads, 5 stores, 6 moves\n\
+     slots: 7; dataflow rounds: 9; resolution comparisons: 10; coloring \
+     iterations: 11\n\
+     frame words saved by slot compaction: 8deadline downgrades: 14\n\
+     branch-and-bound: 15 nodes, 16 functions proven optimal\n\
+     pass times (ms): liveness 18.00, lifetime 19.00, scan 20.00, \
+     resolution 21.00, peephole 25.00\n\
+     pipeline times (ms): copyprop 22.00, dce 23.00, motion 24.00, slots \
+     26.00\n\
+     gc: 27 minor words (28 promoted, 29 major), 30 minor / 31 major \
+     collections"
+    (Format.asprintf "%a" Lsra.Stats.pp s)
+
 let test_pipeline_runs_dce () =
   (* pipeline must remove dead code before allocating *)
   let machine = Machine.small () in
@@ -330,6 +392,7 @@ let suite =
     Alcotest.test_case "peephole keeps real moves" `Quick
       test_peephole_keeps_real_moves;
     Alcotest.test_case "stats accumulate" `Quick test_stats_accumulate;
+    Alcotest.test_case "stats pp pinned" `Quick test_stats_pp_pin;
     Alcotest.test_case "pipeline runs dce" `Quick test_pipeline_runs_dce;
     Alcotest.test_case "pipeline verifies all algorithms" `Quick
       test_pipeline_verifies_all_algorithms;
