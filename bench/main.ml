@@ -95,18 +95,15 @@ let timed f =
 (* ------------------------------------------------------------------ *)
 (* Shared plumbing                                                     *)
 
-type measured = {
-  outcome : Lsra_sim.Interp.outcome;
-  stats : Lsra.Stats.t;
-}
-
+(* The dynamic counts of [case] allocated by [algo] under the default
+   passes. *)
 let compile_and_run algo (case : Lsra_workloads.Specbench.case) =
   let prog = Program.copy case.Lsra_workloads.Specbench.program in
-  let stats = Lsra.Allocator.pipeline algo machine prog in
+  ignore (Lsra.Allocator.pipeline algo machine prog);
   match
     Lsra_sim.Interp.run machine prog ~input:case.Lsra_workloads.Specbench.input
   with
-  | Ok outcome -> { outcome; stats }
+  | Ok outcome -> outcome.Lsra_sim.Interp.counts
   | Error e ->
     Printf.eprintf "FATAL: %s under %s trapped: %s\n%!"
       case.Lsra_workloads.Specbench.name
@@ -141,15 +138,13 @@ let table1 () =
       let bp = compile_and_run binpack case in
       let gc = compile_and_run coloring case in
       let ratio =
-        float_of_int bp.outcome.Lsra_sim.Interp.counts.Lsra_sim.Interp.total
-        /. float_of_int gc.outcome.Lsra_sim.Interp.counts.Lsra_sim.Interp.total
+        float_of_int bp.Lsra_sim.Interp.total /. float_of_int gc.total
       in
-      let bt = seconds_of_cycles bp.outcome.Lsra_sim.Interp.counts.cycles in
-      let gt = seconds_of_cycles gc.outcome.Lsra_sim.Interp.counts.cycles in
+      let bt = seconds_of_cycles bp.cycles in
+      let gt = seconds_of_cycles gc.cycles in
       Printf.printf "%-10s %14d %14d %7.3f %10.6f %10.6f %7.3f\n"
-        case.Lsra_workloads.Specbench.name
-        bp.outcome.Lsra_sim.Interp.counts.total
-        gc.outcome.Lsra_sim.Interp.counts.total ratio bt gt (bt /. gt))
+        case.Lsra_workloads.Specbench.name bp.total gc.total ratio bt gt
+        (bt /. gt))
     (cases ());
   hrule 86;
   print_newline ()
@@ -162,8 +157,7 @@ let table2 () =
   hrule 46;
   List.iter
     (fun (case : Lsra_workloads.Specbench.case) ->
-      let pct m =
-        let c = m.outcome.Lsra_sim.Interp.counts in
+      let pct c =
         let s = Lsra_sim.Interp.spill_total c in
         if s = 0 then "0%"
         else
@@ -192,12 +186,8 @@ let figure3 () =
     (fun (case : Lsra_workloads.Specbench.case) ->
       let bp = compile_and_run binpack case in
       let gc = compile_and_run coloring case in
-      let bp_total =
-        Lsra_sim.Interp.spill_total bp.outcome.Lsra_sim.Interp.counts
-      in
-      let gc_total =
-        Lsra_sim.Interp.spill_total gc.outcome.Lsra_sim.Interp.counts
-      in
+      let bp_total = Lsra_sim.Interp.spill_total bp in
+      let gc_total = Lsra_sim.Interp.spill_total gc in
       if bp_total > 0 || gc_total > 0 then begin
         let base = float_of_int (max bp_total 1) in
         let row suffix (c : Lsra_sim.Interp.counts) =
@@ -208,8 +198,8 @@ let figure3 () =
             (n c.resolve_loads) (n c.resolve_stores) (n c.resolve_moves)
             (n (Lsra_sim.Interp.spill_total c))
         in
-        row "-b" bp.outcome.Lsra_sim.Interp.counts;
-        row "-c" gc.outcome.Lsra_sim.Interp.counts
+        row "-b" bp;
+        row "-c" gc
       end)
     (cases ());
   hrule 92;
@@ -219,28 +209,31 @@ let figure3 () =
 
 (* The copy the allocator mutates is made outside the timed region, so
    only allocation is measured. Returns the best time and the last run's
-   stats, with each binpack pass's wall time the best of the 5 runs. *)
+   stats, with each pass's wall time the best of the 5 runs. *)
 let best_of_5_alloc ?jobs algo prog =
   let best = ref infinity and stats = ref (Lsra.Stats.create ()) in
-  let low = Array.make 4 infinity in
+  let low = Array.make Lsra.Stats.n_passes infinity in
   for _ = 1 to 5 do
     let p = Program.copy prog in
     let s, t =
       timed (fun () -> Lsra.Allocator.run_program ?jobs algo machine p)
     in
-    Array.iteri
-      (fun k v -> low.(k) <- min low.(k) v)
-      Lsra.Stats.
-        [| s.time_liveness; s.time_lifetime; s.time_scan; s.time_resolution |];
+    Array.iteri (fun i v -> low.(i) <- min low.(i) v) s.Lsra.Stats.pass_time;
     stats := s;
     best := min !best t
   done;
   let s = !stats in
-  s.time_liveness <- low.(0);
-  s.time_lifetime <- low.(1);
-  s.time_scan <- low.(2);
-  s.time_resolution <- low.(3);
+  Array.blit low 0 s.Lsra.Stats.pass_time 0 Lsra.Stats.n_passes;
   (!best, s)
+
+(* [name ms, ...] over [passes], from [s]'s pass table. *)
+let pass_ms s passes =
+  String.concat ", "
+    (List.map
+       (fun p ->
+         Printf.sprintf "%s %.2f" (Lsra.Stats.pass_name p)
+           (1e3 *. s.Lsra.Stats.pass_time.(Lsra.Stats.pass_index p)))
+       passes)
 
 let table3 () =
   print_endline "Table 3: allocation time (seconds, best of 5 runs)";
@@ -265,14 +258,8 @@ let table3 () =
         shape.Lsra_workloads.Pressure.candidates
         (gc_stats.Lsra.Stats.interference_edges / nproc)
         t_gc t_bp (t_gc /. t_bp) bp_stats.Lsra.Stats.dataflow_rounds;
-      Printf.printf
-        "%-10s   passes(ms): liveness %.2f, lifetime %.2f, scan %.2f, \
-         resolution %.2f\n"
-        ""
-        (1e3 *. bp_stats.Lsra.Stats.time_liveness)
-        (1e3 *. bp_stats.Lsra.Stats.time_lifetime)
-        (1e3 *. bp_stats.Lsra.Stats.time_scan)
-        (1e3 *. bp_stats.Lsra.Stats.time_resolution))
+      Printf.printf "%-10s   passes(ms): %s\n" ""
+        (pass_ms bp_stats Lsra.Stats.[ Liveness; Lifetime; Scan; Resolution ]))
     [
       Lsra_workloads.Pressure.cvrin;
       Lsra_workloads.Pressure.twldrv;
@@ -326,11 +313,9 @@ let twopass () =
       | Some case ->
         let sc = compile_and_run binpack case in
         let tp = compile_and_run Lsra.Allocator.Two_pass case in
-        Printf.printf "%-10s %14d %14d %9.3f\n" name
-          sc.outcome.Lsra_sim.Interp.counts.total
-          tp.outcome.Lsra_sim.Interp.counts.total
-          (float_of_int tp.outcome.Lsra_sim.Interp.counts.total
-          /. float_of_int sc.outcome.Lsra_sim.Interp.counts.total))
+        Printf.printf "%-10s %14d %14d %9.3f\n" name sc.Lsra_sim.Interp.total
+          tp.total
+          (float_of_int tp.total /. float_of_int sc.total))
     [ "wc"; "eqntott" ];
   hrule 70;
   print_newline ()
@@ -351,9 +336,7 @@ let ablation () =
   in
   List.iter
     (fun (case : Lsra_workloads.Specbench.case) ->
-      let t algo =
-        (compile_and_run algo case).outcome.Lsra_sim.Interp.counts.total
-      in
+      let t algo = (compile_and_run algo case).Lsra_sim.Interp.total in
       let cleaned =
         let prog = Program.copy case.Lsra_workloads.Specbench.program in
         ignore
@@ -395,8 +378,9 @@ let ablation () =
           Lsra.Allocator.pipeline (mk ~esc:true ~mo:true ~cons) machine
             (Program.copy prog)
         in
-        ( scan +. s.Lsra.Stats.time_scan,
-          res +. s.Lsra.Stats.time_resolution,
+        let time p = s.Lsra.Stats.pass_time.(Lsra.Stats.pass_index p) in
+        ( scan +. time Lsra.Stats.Scan,
+          res +. time Lsra.Stats.Resolution,
           pairs + s.Lsra.Stats.resolve_pairs ))
       (0., 0., 0) progs
   in
@@ -896,12 +880,13 @@ let perfdump () =
           (fun k (_, w, _) -> totals.(k) <- totals.(k) +. w)
           per_jobs;
         let s = seq_stats in
-        let per_pass values =
+        let per_pass table =
           `Assoc
-            (List.map2
-               (fun key v -> (key, `Float v))
-               [ "liveness"; "lifetime"; "scan"; "resolution"; "peephole" ]
-               values)
+            (List.map
+               (fun p ->
+                 ( Lsra.Stats.pass_name p,
+                   `Float table.(Lsra.Stats.pass_index p) ))
+               Lsra.Stats.[ Liveness; Lifetime; Scan; Resolution; Peephole ])
         in
         let mw_per_instr =
           s.Lsra.Stats.minor_words /. float_of_int (max 1 n_instrs)
@@ -918,21 +903,8 @@ let perfdump () =
             ("instrs", `Int n_instrs);
             ("dataflow_rounds", `Int s.Lsra.Stats.dataflow_rounds);
             ("spill_instrs", `Int (Lsra.Stats.total_spill s));
-            ( "pass_times_s",
-              per_pass
-                Lsra.Stats.
-                  [
-                    s.time_liveness; s.time_lifetime; s.time_scan;
-                    s.time_resolution; s.time_peephole;
-                  ] );
-            ( "pass_minor_words",
-              per_pass
-                (List.map
-                   (fun p ->
-                     s.Lsra.Stats.pass_minor_words.(Lsra.Stats.pass_index p))
-                   Lsra.Stats.
-                     [ Liveness; Lifetime; Scan; Resolution; Peephole ])
-            );
+            ("pass_times_s", per_pass s.Lsra.Stats.pass_time);
+            ("pass_minor_words", per_pass s.Lsra.Stats.pass_minor_words);
             ("minor_words_per_instr", `Float mw_per_instr);
             ( "by_jobs",
               `List

@@ -282,8 +282,9 @@ let case_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"NAME"
           ~doc:
-            "Benchmark name: alvinn doduc eqntott espresso fpppp li tomcatv \
-             compress m88ksim sort wc.")
+            ("Benchmark name: "
+            ^ String.concat " " Lsra_workloads.Specbench.names
+            ^ "."))
   in
   let scale_arg =
     Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Workload scale factor.")
@@ -295,6 +296,9 @@ let case_cmd =
         (Lsra_text.Ir_text.to_string case.Lsra_workloads.Specbench.program)
     | None ->
       Printf.eprintf "unknown benchmark %S\n" name;
+      exit 1
+    | exception Lsra_workloads.Specbench.Unfit msg ->
+      Printf.eprintf "%s does not fit the machine: %s\n" name msg;
       exit 1
   in
   Cmd.v

@@ -2,7 +2,6 @@ open Lsra_ir
 
 type t = {
   entry : int;
-  rpo : int array; (* rpo.(i) = position of block i in reverse postorder; -1 if unreachable *)
   idom : int array; (* idom.(i) = linear index of immediate dominator; -1 if unreachable *)
 }
 
@@ -63,7 +62,7 @@ let compute cfg =
         end)
       order
   done;
-  { entry; rpo; idom }
+  { entry; idom }
 
 let idom t i = if t.idom.(i) = i then None else Some t.idom.(i)
 let reachable t i = t.idom.(i) <> -1

@@ -114,13 +114,15 @@ val run_program :
     sequential) plus {!Trace.Pass_begin}/{!Trace.Pass_end} brackets for
     every managed pass. Slots' frame-word savings are reported in the
     returned stats' [frame_saved], and every managed pass's wall time
-    under its own {!Stats.pass} counter.
+    and minor words in its {!Stats.pass} slot of [pass_time] and
+    [pass_minor_words].
 
     When [Dce] runs (it is always the last pre-allocation pass), liveness
     is solved once per function: DCE keeps its solution exact through its
     rounds ({!Passes.run_dce}) and this call hands each one to the
     allocator through {!run_program}, for the length of the call only.
-    The solve is therefore charged to [Dce] and [time_liveness] stays 0;
+    The solve is therefore charged to [Dce] and [Liveness]'s slot of
+    [pass_time] stays 0;
     the allocated program and every counter are identical to a separate
     DCE pass followed by {!run_program}. *)
 val pipeline :

@@ -27,10 +27,8 @@ type move_stage = M_worklist | M_active | M_coalesced | M_constrained | M_frozen
 
 type ctx = {
   func : Func.t;
-  machine : Machine.t;
   cls : Rclass.t;
   k : int; (* number of registers = colors *)
-  n : int; (* node count: k precolored + temp_bound *)
   temp_base : int; (* node id of temp 0 *)
   class_temps : Temp.t option array; (* temp_bound slots; Some for this class *)
   no_spill : bool array; (* per temp id: spill-generated, must not respill *)
@@ -594,10 +592,8 @@ let allocate_class ?trace ?liveness machine func cls stats no_spill_seed =
     let ctx =
       {
         func;
-        machine;
         cls;
         k;
-        n;
         temp_base = k;
         class_temps;
         no_spill;

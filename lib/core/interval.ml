@@ -99,8 +99,6 @@ let covers t pos =
 let in_hole t pos =
   (not (is_empty t)) && pos > start t && pos < stop t && not (covers t pos)
 
-let live_at t pos = covers t pos
-
 let next_ref_at t ~cursor ~pos =
   let n = t.rlen in
   let c = ref cursor in

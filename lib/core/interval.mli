@@ -72,8 +72,6 @@ val covers : t -> int -> bool
 (** Is [pos] strictly inside the lifetime but outside every segment? *)
 val in_hole : t -> int -> bool
 
-val live_at : t -> int -> bool
-
 (** [next_ref_at t ~cursor ~pos] advances a monotone cursor to the first
     reference at or after [pos]; returns the new cursor (= [n_refs] when
     exhausted). *)
@@ -82,7 +80,6 @@ val next_ref_at : t -> cursor:int -> pos:int -> int
 (** Allocation-free reference access by cursor index. *)
 val ref_pos_at : t -> int -> int
 
-val ref_kind_at : t -> int -> ref_kind
 val ref_depth_at : t -> int -> int
 
 val n_refs : t -> int

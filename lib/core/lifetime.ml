@@ -5,7 +5,6 @@ type t = {
   linear : Linear.t;
   intervals : Interval.t array;
   reg_busy : Interval.seg array array;
-  block_depth : int array;
 }
 
 let no_reg (_ : Mreg.t) = ()
@@ -246,7 +245,7 @@ let compute regidx func liveness loops =
         Array.init seg_len.(id) (fun i ->
             { Interval.s = seg_s.(soff + i); e = seg_e.(soff + i) }))
   in
-  { linear; intervals; reg_busy; block_depth }
+  { linear; intervals; reg_busy }
 
 (* The retired list-based construction, kept verbatim as the structural
    oracle for the arena path (qcheck compares the two on random
@@ -402,12 +401,11 @@ let compute_boxed regidx func liveness loops =
   let reg_busy =
     Array.init nregs (fun ri -> Array.of_list (merge_segments reg_segs.(ri)))
   in
-  { linear; intervals; reg_busy; block_depth }
+  { linear; intervals; reg_busy }
 
 let linear t = t.linear
 let interval t temp = t.intervals.(Temp.id temp)
 let interval_of_id t id = t.intervals.(id)
 let temp_name t id = Temp.to_string (Interval.temp t.intervals.(id))
 let reg_busy t ri = t.reg_busy.(ri)
-let block_depth t bi = t.block_depth.(bi)
 let n_temps t = Array.length t.intervals

@@ -31,7 +31,4 @@ val temp_name : t -> int -> string
 (** Busy segments of a register, by flat index, sorted and disjoint. *)
 val reg_busy : t -> int -> Interval.seg array
 
-(** Loop depth of a block by linear index. *)
-val block_depth : t -> int -> int
-
 val n_temps : t -> int

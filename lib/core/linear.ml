@@ -48,8 +48,3 @@ let after_pos k = (k * spacing) + 3
 
 let block_top t bi = boundary_pos t.first.(bi)
 let block_bottom t bi = after_pos t.last.(bi)
-
-let block_of_pos t pos =
-  let k = pos / spacing in
-  if k >= t.n_instrs then invalid_arg "Linear.block_of_pos"
-  else t.instr_block.(k)

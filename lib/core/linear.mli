@@ -38,4 +38,3 @@ val def_pos : int -> int
 val after_pos : int -> int
 val block_top : t -> int -> int
 val block_bottom : t -> int -> int
-val block_of_pos : t -> int -> int

@@ -39,10 +39,6 @@ module Pool : sig
   val shutdown : t -> unit
 end
 
-(** The process-wide pool, created on first use and grown to the largest
-    helper count ever requested. *)
-val get_pool : helpers:int -> Pool.t
-
 (** Shut down the process-wide pool (idempotent; also registered with
     [at_exit] so parked helpers never keep a finished process alive).
     The next {!get_pool} / parallel {!map_array} builds a fresh pool. *)

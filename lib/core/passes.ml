@@ -25,35 +25,21 @@ let is_pre = function
   | Copyprop | Dce -> true
   | Motion | Peephole | Slots -> false
 
-let name = function
-  | Copyprop -> "copyprop"
-  | Dce -> "dce"
-  | Motion -> "motion"
-  | Peephole -> "peephole"
-  | Slots -> "slots"
+let stats_pass = function
+  | Copyprop -> Stats.Copyprop
+  | Dce -> Stats.Dce
+  | Motion -> Stats.Motion
+  | Peephole -> Stats.Peephole
+  | Slots -> Stats.Slots
 
-let of_name = function
-  | "copyprop" -> Some Copyprop
-  | "dce" -> Some Dce
-  | "motion" -> Some Motion
-  | "peephole" -> Some Peephole
-  | "slots" -> Some Slots
-  | _ -> None
-
-let index p =
-  let rec go i = function
-    | [] -> assert false
-    | q :: rest -> if q = p then i else go (i + 1) rest
-  in
-  go 0 all
+let name p = Stats.pass_name (stats_pass p)
+let of_name n = List.find_opt (fun p -> name p = n) all
 
 (* Dedup and restore canonical order: passes are not commutative (Slots
    after Motion sees fewer live slots; Peephole after Motion deletes the
    self-moves Motion exposes), so a caller-supplied order is a request
    for a *set* of passes, not a schedule. *)
-let normalize ps =
-  List.filter (fun p -> List.mem p ps) all |> List.sort_uniq compare
-  |> List.sort (fun a b -> compare (index a) (index b))
+let normalize ps = List.filter (fun p -> List.mem p ps) all
 
 let parse spec =
   match String.trim spec with
@@ -67,16 +53,15 @@ let parse spec =
       |> List.filter (fun x -> x <> "")
     in
     let rec go acc = function
-      | [] -> Ok (normalize (List.rev acc))
+      | [] -> Ok (normalize acc)
       | n :: rest -> (
         match of_name n with
         | Some p -> go (p :: acc) rest
         | None ->
           Error
             (Printf.sprintf
-               "unknown pass %S (expected copyprop, dce, motion, peephole, \
-                slots, or all/none/default/cleanup)"
-               n))
+               "unknown pass %S (expected %s, or all/none/default/cleanup)" n
+               (String.concat ", " (List.map name all))))
     in
     go [] names
 
@@ -84,13 +69,6 @@ let to_spec ps =
   match normalize ps with
   | [] -> "none"
   | ps -> String.concat "," (List.map name ps)
-
-let stats_pass = function
-  | Copyprop -> Stats.Copyprop
-  | Dce -> Stats.Dce
-  | Motion -> Stats.Motion
-  | Peephole -> Stats.Peephole
-  | Slots -> Stats.Slots
 
 (* Run one pass's [work] over the whole program. The return value is
    the pass's own change count (instructions rewritten/removed; frame

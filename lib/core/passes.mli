@@ -34,7 +34,12 @@ val cleanup : t list
 (** [Copyprop] and [Dce] run before allocation; the rest after. *)
 val is_pre : t -> bool
 
+(** The {!Stats.pass} a pass's time and minor words are booked under. *)
+val stats_pass : t -> Stats.pass
+
+(** [Stats.pass_name (stats_pass p)]; {!of_name} is its inverse. *)
 val name : t -> string
+
 val of_name : string -> t option
 
 (** Dedup and restore canonical order. Passes are not commutative
@@ -52,8 +57,8 @@ val to_spec : t list -> string
 
 (** Run one pass over the whole program; returns its change count
     (instructions rewritten or removed; frame words saved for [Slots]).
-    Wall time lands in [stats] under the pass's own {!Stats.pass}
-    counter, [Slots]' savings also land in [stats.frame_saved], and a
+    Wall time and minor words land in [stats]' pass table under
+    [stats_pass p], [Slots]' savings also land in [stats.frame_saved], and a
     [trace] sink brackets the work in {!Trace.Pass_begin} /
     {!Trace.Pass_end} events. *)
 val run_pass : ?stats:Stats.t -> ?trace:Trace.t -> t -> Program.t -> int

@@ -16,20 +16,12 @@ type t = {
   mutable opt_nodes : int;
   mutable opt_proven : int;
   mutable alloc_time : float;
-  mutable time_liveness : float;
-  mutable time_lifetime : float;
-  mutable time_scan : float;
-  mutable time_resolution : float;
-  mutable time_copyprop : float;
-  mutable time_dce : float;
-  mutable time_motion : float;
-  mutable time_peephole : float;
-  mutable time_slots : float;
   mutable minor_words : float;
   mutable promoted_words : float;
   mutable major_words : float;
   mutable minor_collections : int;
   mutable major_collections : int;
+  pass_time : float array;
   pass_minor_words : float array;
 }
 
@@ -57,6 +49,17 @@ let pass_index = function
   | Peephole -> 7
   | Slots -> 8
 
+let pass_name = function
+  | Liveness -> "liveness"
+  | Lifetime -> "lifetime"
+  | Scan -> "scan"
+  | Resolution -> "resolution"
+  | Copyprop -> "copyprop"
+  | Dce -> "dce"
+  | Motion -> "motion"
+  | Peephole -> "peephole"
+  | Slots -> "slots"
+
 let create () =
   {
     evict_loads = 0;
@@ -76,38 +79,18 @@ let create () =
     opt_nodes = 0;
     opt_proven = 0;
     alloc_time = 0.;
-    time_liveness = 0.;
-    time_lifetime = 0.;
-    time_scan = 0.;
-    time_resolution = 0.;
-    time_copyprop = 0.;
-    time_dce = 0.;
-    time_motion = 0.;
-    time_peephole = 0.;
-    time_slots = 0.;
     minor_words = 0.;
     promoted_words = 0.;
     major_words = 0.;
     minor_collections = 0;
     major_collections = 0;
+    pass_time = Array.make n_passes 0.;
     pass_minor_words = Array.make n_passes 0.;
   }
 
 let total_spill s =
   s.evict_loads + s.evict_stores + s.evict_moves + s.resolve_loads
   + s.resolve_stores + s.resolve_moves
-
-let add_pass_time s pass dt =
-  match pass with
-  | Liveness -> s.time_liveness <- s.time_liveness +. dt
-  | Lifetime -> s.time_lifetime <- s.time_lifetime +. dt
-  | Scan -> s.time_scan <- s.time_scan +. dt
-  | Resolution -> s.time_resolution <- s.time_resolution +. dt
-  | Copyprop -> s.time_copyprop <- s.time_copyprop +. dt
-  | Dce -> s.time_dce <- s.time_dce +. dt
-  | Motion -> s.time_motion <- s.time_motion +. dt
-  | Peephole -> s.time_peephole <- s.time_peephole +. dt
-  | Slots -> s.time_slots <- s.time_slots +. dt
 
 (* Elapsed time on the monotonic clock: a wall-clock step can neither
    skew nor negate a duration. *)
@@ -123,8 +106,8 @@ let timed s pass f =
   let t0 = Monotonic_clock.now () in
   let w0 = Gc.minor_words () in
   let account () =
-    add_pass_time s pass (seconds_since t0);
     let i = pass_index pass in
+    s.pass_time.(i) <- s.pass_time.(i) +. seconds_since t0;
     s.pass_minor_words.(i) <-
       s.pass_minor_words.(i) +. (Gc.minor_words () -. w0)
   in
@@ -168,21 +151,13 @@ let add ~into s =
   into.opt_nodes <- into.opt_nodes + s.opt_nodes;
   into.opt_proven <- into.opt_proven + s.opt_proven;
   into.alloc_time <- into.alloc_time +. s.alloc_time;
-  into.time_liveness <- into.time_liveness +. s.time_liveness;
-  into.time_lifetime <- into.time_lifetime +. s.time_lifetime;
-  into.time_scan <- into.time_scan +. s.time_scan;
-  into.time_resolution <- into.time_resolution +. s.time_resolution;
-  into.time_copyprop <- into.time_copyprop +. s.time_copyprop;
-  into.time_dce <- into.time_dce +. s.time_dce;
-  into.time_motion <- into.time_motion +. s.time_motion;
-  into.time_peephole <- into.time_peephole +. s.time_peephole;
-  into.time_slots <- into.time_slots +. s.time_slots;
   into.minor_words <- into.minor_words +. s.minor_words;
   into.promoted_words <- into.promoted_words +. s.promoted_words;
   into.major_words <- into.major_words +. s.major_words;
   into.minor_collections <- into.minor_collections + s.minor_collections;
   into.major_collections <- into.major_collections + s.major_collections;
   for i = 0 to n_passes - 1 do
+    into.pass_time.(i) <- into.pass_time.(i) +. s.pass_time.(i);
     into.pass_minor_words.(i) <-
       into.pass_minor_words.(i) +. s.pass_minor_words.(i)
   done
@@ -205,26 +180,20 @@ let pp fmt s =
     Format.fprintf fmt
       "@,@[<v>branch-and-bound: %d nodes, %d functions proven optimal@]"
       s.opt_nodes s.opt_proven;
-  let ttotal =
-    s.time_liveness +. s.time_lifetime +. s.time_scan +. s.time_resolution
-    +. s.time_copyprop +. s.time_dce +. s.time_motion +. s.time_peephole
-    +. s.time_slots
+  let ms fmt ps =
+    Format.pp_print_list
+      ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
+      (fun fmt p ->
+        Format.fprintf fmt "%s %.2f" (pass_name p)
+          (1e3 *. s.pass_time.(pass_index p)))
+      fmt ps
   in
-  if ttotal > 0. then begin
-    Format.fprintf fmt
-      "@,@[<v>pass times (ms): liveness %.2f, lifetime %.2f, scan %.2f, \
-       resolution %.2f, peephole %.2f@]"
-      (1e3 *. s.time_liveness) (1e3 *. s.time_lifetime) (1e3 *. s.time_scan)
-      (1e3 *. s.time_resolution) (1e3 *. s.time_peephole);
-    let cleanup =
-      s.time_copyprop +. s.time_dce +. s.time_motion +. s.time_slots
-    in
-    if cleanup > 0. then
-      Format.fprintf fmt
-        "@,@[<v>pipeline times (ms): copyprop %.2f, dce %.2f, motion %.2f, \
-         slots %.2f@]"
-        (1e3 *. s.time_copyprop) (1e3 *. s.time_dce) (1e3 *. s.time_motion)
-        (1e3 *. s.time_slots)
+  let cleanup = [ Copyprop; Dce; Motion; Slots ] in
+  if Array.exists (fun t -> t > 0.) s.pass_time then begin
+    Format.fprintf fmt "@,@[<v>pass times (ms): %a@]" ms
+      [ Liveness; Lifetime; Scan; Resolution; Peephole ];
+    if List.exists (fun p -> s.pass_time.(pass_index p) > 0.) cleanup then
+      Format.fprintf fmt "@,@[<v>pipeline times (ms): %a@]" ms cleanup
   end;
   if s.minor_words > 0. then
     Format.fprintf fmt

@@ -33,18 +33,6 @@ type t = {
           proven optimum of the whole-lifetime model *)
   mutable alloc_time : float;
       (** seconds spent inside the allocator, on the monotonic clock *)
-  mutable time_liveness : float;
-      (** wall seconds, per pass, below. In [Allocator.pipeline] with
-          [Dce] the function's one liveness solve is DCE's, so it is
-          charged to [time_dce] and [time_liveness] reads 0 *)
-  mutable time_lifetime : float;
-  mutable time_scan : float;
-  mutable time_resolution : float;
-  mutable time_copyprop : float;
-  mutable time_dce : float;
-  mutable time_motion : float;
-  mutable time_peephole : float;
-  mutable time_slots : float;
   mutable minor_words : float;
       (** GC pressure attributed to the allocator, recorded as
           [Gc.quick_stat] deltas on whichever domain ran the function
@@ -53,9 +41,14 @@ type t = {
   mutable major_words : float;
   mutable minor_collections : int;
   mutable major_collections : int;
+  pass_time : float array;
+      (** wall seconds spent inside each {!timed} pass, indexed by
+          {!pass_index}. In [Allocator.pipeline] with [Dce] the
+          function's one liveness solve is DCE's, so it is charged to
+          [Dce] and [Liveness] reads 0 *)
   pass_minor_words : float array;
-      (** minor words allocated inside each {!timed} pass, indexed by
-          {!pass_index} *)
+      (** minor words allocated inside each {!timed} pass, indexed the
+          same way *)
 }
 
 (** The passes the wall-time breakdown distinguishes: the two analyses
@@ -78,11 +71,16 @@ type pass =
 val create : unit -> t
 val total_spill : t -> int
 
-(** Number of {!pass} constructors; [pass_minor_words] has this length. *)
+(** Number of {!pass} constructors; [pass_time] and [pass_minor_words]
+    have this length. *)
 val n_passes : int
 
-(** Dense index of a pass, for [pass_minor_words]. *)
+(** Dense index of a pass, for [pass_time] and [pass_minor_words]. *)
 val pass_index : pass -> int
+
+(** A pass's name, as [pp], the bench JSON, [--passes] and the trace's
+    pass events spell it. *)
+val pass_name : pass -> string
 
 (** Seconds elapsed since [t0], a [Monotonic_clock.now ()] reading (in
     nanoseconds). The clock never steps backwards, so neither does a
@@ -90,8 +88,8 @@ val pass_index : pass -> int
 val seconds_since : int64 -> float
 
 (** [timed s pass f] runs [f ()] and adds its elapsed time and
-    minor-heap allocation to [pass]'s counters in [s] (also on
-    exception). *)
+    minor-heap allocation to [pass]'s slots of [pass_time] and
+    [pass_minor_words] in [s] (also on exception). *)
 val timed : t -> pass -> (unit -> 'a) -> 'a
 
 (** [record_gc_since s g0] adds the GC-counter deltas between [g0] and
@@ -99,7 +97,7 @@ val timed : t -> pass -> (unit -> 'a) -> 'a
 val record_gc_since : t -> Gc.stat -> unit
 
 (** Accumulate [s] into [into] (max for round/iteration counters, sums
-    elsewhere, including the pass times). *)
+    elsewhere, including every pass's time and minor words). *)
 val add : into:t -> t -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -36,8 +36,6 @@ type reason =
   | Exact  (** proven-optimal whole-lifetime commitment (branch and
                bound) *)
 
-val reason_to_string : reason -> string
-
 (** One register weighed during an eviction deliberation. *)
 type candidate = {
   c_reg : Mreg.t;

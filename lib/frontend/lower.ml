@@ -26,6 +26,19 @@ let fresh_label ctx prefix =
 
 let cls_of_temp t = Temp.cls t
 
+(* [Machine.arg_reg], checked: a call the machine's convention cannot
+   pass in registers is a lowering error, not a crash. *)
+let arg_reg ctx cls i =
+  let args =
+    Machine.(if cls = Rclass.Int then int_args else float_args) ctx.machine
+  in
+  match List.nth_opt args i with
+  | Some r -> r
+  | None ->
+    err "a call needs %s argument register %d, %s has %d"
+      (Rclass.to_string cls) (i + 1) (Machine.name ctx.machine)
+      (List.length args)
+
 (* Lower an expression; returns a temp holding its value. *)
 let rec lower_expr ctx (e : Ast.expr) : Temp.t =
   match e with
@@ -109,9 +122,7 @@ and int_expr ctx e what =
   | Rclass.Float -> err "%s must be an integer" what
 
 and call_builtin ctx name args ret =
-  let arg_regs =
-    List.mapi (fun i _ -> Machine.arg_reg ctx.machine Rclass.Int i) args
-  in
+  let arg_regs = List.mapi (fun i _ -> arg_reg ctx Rclass.Int i) args in
   List.iter2
     (fun r a -> Builder.move ctx.b (Loc.Reg r) (Operand.temp a))
     arg_regs args;
@@ -309,7 +320,7 @@ and lower_stmt ctx (s : Ast.stmt) : bool =
       call_builtin ctx "ext_puti" [ v ] None;
       false
     | Rclass.Float ->
-      let r0 = Machine.arg_reg ctx.machine Rclass.Float 0 in
+      let r0 = arg_reg ctx Rclass.Float 0 in
       Builder.move ctx.b (Loc.Reg r0) (Operand.temp v);
       Builder.call ctx.b ~func:"ext_putf" ~args:[ r0 ]
         ~rets:[ Machine.int_ret ctx.machine ]

@@ -22,7 +22,6 @@ let compare a b =
 
 let is_temp = function Temp _ -> true | Reg _ -> false
 let as_temp = function Temp t -> Some t | Reg _ -> None
-let as_reg = function Reg r -> Some r | Temp _ -> None
 
 let to_buffer buf = function
   | Temp t -> Temp.to_buffer buf t

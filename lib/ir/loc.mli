@@ -12,7 +12,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val is_temp : t -> bool
 val as_temp : t -> Temp.t option
-val as_reg : t -> Mreg.t option
 val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -25,8 +25,6 @@ let find_exn p name =
   | Some f -> f
   | None -> raise (Cfg.Malformed (Printf.sprintf "unknown function %s" name))
 
-let map_funcs p f = { p with funcs = List.map (fun (n, fn) -> (n, f fn)) p.funcs }
-
 let validate p = List.iter (fun (_, f) -> Func.validate f) p.funcs
 
 let pp fmt p =

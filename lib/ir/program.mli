@@ -9,7 +9,6 @@ val main : t -> string
 val heap_words : t -> int
 val find : t -> string -> Func.t option
 val find_exn : t -> string -> Func.t
-val map_funcs : t -> (Func.t -> Func.t) -> t
 val validate : t -> unit
 val pp : Format.formatter -> t -> unit
 

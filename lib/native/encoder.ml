@@ -27,19 +27,6 @@ let r13 = 13
 let r14 = 14
 let r15 = 15
 
-let gpr_names =
-  [|
-    "rax"; "rcx"; "rdx"; "rbx"; "rsp"; "rbp"; "rsi"; "rdi"; "r8"; "r9";
-    "r10"; "r11"; "r12"; "r13"; "r14"; "r15";
-  |]
-
-let reg_name r =
-  if r < 0 || r > 15 then invalid_arg "Encoder.reg_name" else gpr_names.(r)
-
-let xmm_name x =
-  if x < 0 || x > 15 then invalid_arg "Encoder.xmm_name"
-  else Printf.sprintf "xmm%d" x
-
 type cc = E | NE | L | LE | G | GE | A | AE | B | BE | P | NP
 
 let cc_code = function
@@ -377,7 +364,6 @@ let sse_rr_w pfx op t ~reg ~rm =
   modrm t ~md:3 ~reg ~rm
 
 let movq_x_r t ~dst ~src = sse_rr_w 0x66 0x6E t ~reg:dst ~rm:src
-let movq_r_x t ~dst ~src = sse_rr_w 0x66 0x7E t ~reg:src ~rm:dst
 let cvtsi2sd t ~dst ~src = sse_rr_w 0xF2 0x2A t ~reg:dst ~rm:src
 let cvttsd2si t ~dst ~src = sse_rr_w 0xF2 0x2C t ~reg:dst ~rm:src
 

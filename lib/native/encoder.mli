@@ -35,9 +35,6 @@ val r13 : int
 val r14 : int
 val r15 : int
 
-val reg_name : int -> string
-val xmm_name : int -> string
-
 (** Condition codes for [setcc]/[jcc]. *)
 type cc = E | NE | L | LE | G | GE | A | AE | B | BE | P | NP
 
@@ -139,7 +136,6 @@ val add_rsp : t -> int -> unit
 val movsd_x_m : t -> dst:int -> base:int -> disp:int -> unit
 val movsd_m_x : t -> base:int -> disp:int -> src:int -> unit
 val movq_x_r : t -> dst:int -> src:int -> unit
-val movq_r_x : t -> dst:int -> src:int -> unit
 val addsd : t -> dst:int -> src:int -> unit
 val subsd : t -> dst:int -> src:int -> unit
 val mulsd : t -> dst:int -> src:int -> unit

@@ -74,11 +74,6 @@ val render_ok : Service.response -> string
 val render_err : id:string -> code:int -> string -> string
 val render_stats : id:string -> Service.service_counters -> string
 
-(** Normalise a payload for the wire: ensure it ends with exactly one
-    newline (appending one if missing) so [len=] framing keeps the next
-    header on a fresh line. *)
-val frame_body : string -> string
-
 (** [render_frame line payload] is the complete wire rendering of one
     frame: [line] with [ len=<bytes>] appended when [payload] is
     [Some _], the newline, and the (normalised) payload bytes. *)

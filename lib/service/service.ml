@@ -7,11 +7,9 @@ type config = {
   cache_entries : int;
   verify_cold : bool;
   spot_check : int;
-  default_rate : float;
   trace : Lsra.Trace.t option;
   shards : int;
   store_dir : string option;
-  store_bytes : int;
   store_sync : Store.sync_mode;
   native : bool;
       (* cold fills must also emit x86-64 machine code, and cache keys
@@ -25,11 +23,9 @@ let default_config machine =
     cache_entries = 4096;
     verify_cold = true;
     spot_check = 0;
-    default_rate = 2e-7;
     trace = None;
     shards = 1;
     store_dir = None;
-    store_bytes = 16 * 1024 * 1024;
     store_sync = Store.Never;
     native = false;
   }
@@ -89,8 +85,7 @@ let create cfg =
   let store =
     Option.map
       (fun dir ->
-        Store.open_ ~dir ~shards ~max_bytes:cfg.store_bytes
-          ~sync:cfg.store_sync ())
+        Store.open_ ~dir ~shards ~sync:cfg.store_sync ())
       cfg.store_dir
   in
   (* Warm-load: replay the journal, oldest record first, so both cache
@@ -185,10 +180,14 @@ let counters t =
         warm_loaded = t.warm_loaded;
       })
 
+(* The cost model's prior: predicted allocation seconds per instruction
+   before any observation. *)
+let default_rate = 2e-7
+
 let rate t algo =
   match Hashtbl.find_opt t.rates (Lsra.Allocator.short_name algo) with
   | Some r -> r
-  | None -> t.cfg.default_rate
+  | None -> default_rate
 
 let predict t algo n_instrs =
   locked t (fun () -> rate t algo *. float_of_int (max 1 n_instrs))

@@ -38,9 +38,6 @@ type config = {
   spot_check : int;
       (** re-allocate every [n]-th cache hit and require byte-identical
           output; [0] disables *)
-  default_rate : float;
-      (** cost-model prior: predicted allocation seconds per instruction
-          before any observation (default [2e-7]) *)
   trace : Lsra.Trace.t option;
       (** sink for {!Lsra.Trace.Downgrade} events (emission is
           mutex-guarded; allocation itself is not traced) *)
@@ -49,10 +46,8 @@ type config = {
           store by key hash (default 1); cache budgets split evenly *)
   store_dir : string option;
       (** persistent journal directory; [None] (default) = in-memory
-          only *)
-  store_bytes : int;
-      (** per-shard journal byte budget before compaction (default
-          16 MiB) *)
+          only. Each shard's journal is compacted past {!Store.open_}'s
+          default budget *)
   store_sync : Store.sync_mode;
       (** journal append durability: [Store.Never] (default) flushes
           but never fsyncs; [Store.Batch] fsyncs at the scheduler's
@@ -147,6 +142,6 @@ val counters : t -> service_counters
 
 (** [predict t algo n_instrs] is the cost model's current estimate (in
     seconds) for allocating [n_instrs] instructions with [algo]: observed
-    seconds-per-instruction (EWMA over cold compiles), or the
-    [default_rate] prior before any observation. *)
+    seconds-per-instruction (EWMA over cold compiles), or a prior of
+    [2e-7] seconds per instruction before any observation. *)
 val predict : t -> Lsra.Allocator.algorithm -> int -> float

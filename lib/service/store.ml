@@ -39,7 +39,6 @@ type shard = {
 }
 
 type t = {
-  dir : string;
   shards : shard array;
   max_bytes : int;  (* per-shard journal budget before compaction *)
   sync_mode : sync_mode;
@@ -235,7 +234,6 @@ let open_ ~dir ?(shards = 1) ?(max_bytes = 16 * 1024 * 1024) ?(sync = Never) ()
   | None -> write_file (meta_path dir) (Printf.sprintf "shards=%d\n" shards));
   let t =
     {
-      dir;
       max_bytes = max 4096 max_bytes;
       sync_mode = sync;
       shards =

@@ -59,8 +59,6 @@ val shard_of_key : shards:int -> string -> int
 val open_ :
   dir:string -> ?shards:int -> ?max_bytes:int -> ?sync:sync_mode -> unit -> t
 
-val n_shards : t -> int
-
 (** Every journal record in append order (oldest first, duplicate keys
     preserved): replaying them through [Cache.add] reconstructs both
     contents and LRU recency. Each record carries the latest payload

@@ -184,9 +184,6 @@ type fuzz_report = {
 
 val pp_fuzz_report : fuzz_report -> string
 
-(** The generator parameters a given fuzz seed runs with. *)
-val fuzz_params : int -> Lsra_workloads.Gen.params
-
 (** [fuzz ~machines ~seeds ()] generates one program per seed and
     labelled machine ({!Sweep.fuzz_machines} in [bench fuzz]), checks
     it under every algorithm {e through the full managed pipeline}

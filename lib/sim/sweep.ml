@@ -3,15 +3,19 @@ open Lsra_target
 
 type case = { name : string; program : Program.t; input : string }
 
+(* A small machine may not support a program's calling convention (too
+   few argument registers); both sources skip those programs there. *)
 let corpus ?(pressure = true) ~scale machine =
-  List.map
-    (fun (c : Lsra_workloads.Specbench.case) ->
-      { name = "spec:" ^ c.name; program = c.program; input = c.input })
-    (Lsra_workloads.Specbench.all machine ~scale)
+  List.filter_map
+    (fun name ->
+      match Lsra_workloads.Specbench.find machine ~scale name with
+      | Some c ->
+        Some { name = "spec:" ^ name; program = c.program; input = c.input }
+      | None -> None
+      | exception Lsra_workloads.Specbench.Unfit _ -> None)
+    Lsra_workloads.Specbench.names
   @ List.filter_map
       (fun { Lsra_workloads.Mini_corpus.mname; source; minput } ->
-        (* A small machine may not support a program's calling convention
-           (e.g. too few argument registers); skip those entries there. *)
         match Lsra_frontend.Minilang.compile machine source with
         | program -> Some { name = "mini:" ^ mname; program; input = minput }
         | exception Lsra_frontend.Lower.Error _ -> None)

@@ -12,8 +12,8 @@ open Lsra_target
     ["pressure:cvrin"], ["hostile:1000"]); [input] feeds [ext_getc]. *)
 type case = { name : string; program : Program.t; input : string }
 
-(** The Specbench programs, then the Minilang programs the frontend can
-    lower on the machine (the others are dropped, not raised), then,
+(** The Specbench and then the Minilang programs that fit the machine's
+    calling convention (the others are dropped, not raised), then,
     unless [pressure] is [false], the pressure modules cvrin, twldrv and
     fpppp. *)
 val corpus : ?pressure:bool -> scale:int -> Machine.t -> case list

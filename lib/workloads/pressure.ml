@@ -1,5 +1,4 @@
 open Lsra_ir
-module B = Builder
 open Wutil
 
 (* Compile-time workload for Table 3: modules whose functions carry a

@@ -1,5 +1,4 @@
 open Lsra_ir
-module B = Builder
 open Wutil
 
 (* Synthetic stand-ins for the paper's benchmark set (Table 1): each
@@ -1061,20 +1060,25 @@ let m88ksim machine ~scale =
 
 (* ------------------------------------------------------------------ *)
 
-let all machine ~scale =
+exception Unfit = Wutil.Unfit
+
+let programs =
   [
-    alvinn machine ~scale;
-    doduc machine ~scale;
-    eqntott machine ~scale;
-    espresso machine ~scale;
-    fpppp machine ~scale;
-    li machine ~scale;
-    tomcatv machine ~scale;
-    compress machine ~scale;
-    m88ksim machine ~scale;
-    sort machine ~scale;
-    wc machine ~scale;
+    ("alvinn", alvinn);
+    ("doduc", doduc);
+    ("eqntott", eqntott);
+    ("espresso", espresso);
+    ("fpppp", fpppp);
+    ("li", li);
+    ("tomcatv", tomcatv);
+    ("compress", compress);
+    ("m88ksim", m88ksim);
+    ("sort", sort);
+    ("wc", wc);
   ]
 
+let names = List.map fst programs
+let all machine ~scale = List.map (fun (_, build) -> build machine ~scale) programs
+
 let find machine ~scale name =
-  List.find_opt (fun c -> c.name = name) (all machine ~scale)
+  Option.map (fun build -> build machine ~scale) (List.assoc_opt name programs)

@@ -13,8 +13,19 @@ type case = {
   input : string;  (** fed to [ext_getc] *)
 }
 
-(** The eleven benchmarks, in the paper's Table 1 order. [scale]
-    multiplies loop trip counts (1 for tests, larger for benches). *)
+(** A program calls with more argument registers than the machine
+    passes arguments in (the message names the machine, the class and
+    the count). *)
+exception Unfit of string
+
+(** The eleven benchmarks' names, in the paper's Table 1 order. *)
+val names : string list
+
+(** The eleven benchmarks, in {!names} order. [scale] multiplies loop
+    trip counts (1 for tests, larger for benches). Raises {!Unfit} if
+    any of them does not fit the machine. *)
 val all : Machine.t -> scale:int -> case list
 
+(** Builds the named benchmark only ([None] for an unknown name).
+    Raises {!Unfit} if it does not fit the machine. *)
 val find : Machine.t -> scale:int -> string -> case option

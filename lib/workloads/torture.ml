@@ -1,5 +1,4 @@
 open Lsra_ir
-module B = Builder
 open Wutil
 
 (* Stress workloads aimed at specific allocator machinery rather than any

@@ -9,6 +9,24 @@ type ctx = { b : B.t; machine : Machine.t; mutable label_n : int }
 
 let create ~name machine = { b = B.create ~name; machine; label_n = 0 }
 
+(* A call or parameter needs an argument register the machine lacks. *)
+exception Unfit of string
+
+(* [Machine.arg_reg], checked: raises [Unfit] when the machine's
+   convention cannot pass the [i]-th argument of [cls] in a register. *)
+let arg_reg ctx cls i =
+  let args =
+    Machine.(if cls = Rclass.Int then int_args else float_args) ctx.machine
+  in
+  match List.nth_opt args i with
+  | Some r -> r
+  | None ->
+    raise
+      (Unfit
+         (Printf.sprintf "a call needs %s argument register %d, %s has %d"
+            (Rclass.to_string cls) (i + 1) (Machine.name ctx.machine)
+            (List.length args)))
+
 let label ctx prefix =
   ctx.label_n <- ctx.label_n + 1;
   Printf.sprintf "%s_%d" prefix ctx.label_n
@@ -23,9 +41,7 @@ let cf x = Operand.float x
 (* Call with integer arguments and an optional integer result, following
    the machine convention. *)
 let call_int ctx ~func ~args ~ret =
-  let arg_regs =
-    List.mapi (fun i _ -> Machine.arg_reg ctx.machine Rclass.Int i) args
-  in
+  let arg_regs = List.mapi (fun i _ -> arg_reg ctx Rclass.Int i) args in
   List.iter2 (fun r a -> B.move ctx.b (Loc.Reg r) a) arg_regs args;
   B.call ctx.b ~func ~args:arg_regs
     ~rets:[ Machine.int_ret ctx.machine ]
@@ -34,30 +50,15 @@ let call_int ctx ~func ~args ~ret =
   | Some t -> B.movet ctx.b t (Operand.reg (Machine.int_ret ctx.machine))
   | None -> ()
 
-(* Call with one float argument and a float result. *)
-let call_float ctx ~func ~arg ~ret =
-  let r0 = Machine.arg_reg ctx.machine Rclass.Float 0 in
-  B.move ctx.b (Loc.Reg r0) arg;
-  B.call ctx.b ~func ~args:[ r0 ]
-    ~rets:[ Machine.float_ret ctx.machine ]
-    ~clobbers:(Machine.all_caller_saved ctx.machine);
-  match ret with
-  | Some t -> B.movet ctx.b t (Operand.reg (Machine.float_ret ctx.machine))
-  | None -> ()
-
 (* Read the k-th integer parameter into a temp (entry-block moves, the
    §2.5 move-optimisation scenario). *)
 let param_int ctx k =
   let t = itemp ctx in
-  B.movet ctx.b t (Operand.reg (Machine.arg_reg ctx.machine Rclass.Int k));
+  B.movet ctx.b t (Operand.reg (arg_reg ctx Rclass.Int k));
   t
 
 let return_int ctx o =
   B.move ctx.b (Loc.Reg (Machine.int_ret ctx.machine)) o;
-  B.ret ctx.b
-
-let return_float ctx o =
-  B.move ctx.b (Loc.Reg (Machine.float_ret ctx.machine)) o;
   B.ret ctx.b
 
 (* for i = from; i < below; i++ { body i } *)
@@ -75,19 +76,6 @@ let for_ ctx ?(from = 0) ~below body =
   B.jump ctx.b head;
   B.start_block ctx.b exit;
   i
-
-(* while (cond_temp <> 0) { body } — the body must refresh cond_temp. *)
-let while_ ctx cond_setup body =
-  let head = label ctx "while" in
-  let lbody = label ctx "wbody" in
-  let exit = label ctx "wdone" in
-  B.start_block ctx.b head;
-  let c = cond_setup () in
-  B.branch ctx.b Instr.Ne (ti c) (ci 0) ~ifso:lbody ~ifnot:exit;
-  B.start_block ctx.b lbody;
-  body ();
-  B.jump ctx.b head;
-  B.start_block ctx.b exit
 
 let if_ ctx op a bb ~then_ ~else_ =
   let lt = label ctx "then" in
@@ -117,7 +105,7 @@ let getc ctx dst = call_int ctx ~func:"ext_getc" ~args:[] ~ret:(Some dst)
 let putc ctx v = call_int ctx ~func:"ext_putc" ~args:[ v ] ~ret:None
 
 let putf ctx v =
-  let r0 = Machine.arg_reg ctx.machine Rclass.Float 0 in
+  let r0 = arg_reg ctx Rclass.Float 0 in
   B.move ctx.b (Loc.Reg r0) v;
   B.call ctx.b ~func:"ext_putf" ~args:[ r0 ]
     ~rets:[ Machine.int_ret ctx.machine ]

@@ -177,14 +177,13 @@ let test_option_combinations () =
    through [Allocator.pipeline]. *)
 let test_scan_allocation_recorded () =
   let m = Machine.small () in
-  let scan_words s =
-    s.Lsra.Stats.pass_minor_words.(Lsra.Stats.pass_index Lsra.Stats.Scan)
-  in
+  let scan table = table.(Lsra.Stats.pass_index Lsra.Stats.Scan) in
+  let scan_words s = scan s.Lsra.Stats.pass_minor_words in
   let scanned = Lsra.Binpack.scan m (pressure_func ~width:6 ~iters:3) in
   Alcotest.(check bool) "scan minor words" true
     (scan_words scanned.Lsra.Binpack.stats > 0.);
   Alcotest.(check bool) "scan time" true
-    (scanned.Lsra.Binpack.stats.Lsra.Stats.time_scan > 0.);
+    (scan scanned.Lsra.Binpack.stats.Lsra.Stats.pass_time > 0.);
   let stats =
     Lsra.Allocator.pipeline Lsra.Allocator.default_second_chance m
       (prog_of_func (pressure_func ~width:6 ~iters:3))

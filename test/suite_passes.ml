@@ -41,59 +41,55 @@ let test_stats_accumulate () =
   let b = Lsra.Stats.create () in
   b.Lsra.Stats.evict_loads <- 1;
   b.Lsra.Stats.coloring_iterations <- 5;
+  (* distinct per pass, and exact in binary, so the sums are exact *)
+  for i = 0 to Lsra.Stats.n_passes - 1 do
+    a.Lsra.Stats.pass_time.(i) <- float i /. 4.;
+    a.Lsra.Stats.pass_minor_words.(i) <- float (10 * i);
+    b.Lsra.Stats.pass_time.(i) <- float (i + 1) /. 8.;
+    b.Lsra.Stats.pass_minor_words.(i) <- float (100 * i)
+  done;
   Lsra.Stats.add ~into:a b;
   Alcotest.(check int) "sums counters" 3 a.Lsra.Stats.evict_loads;
   Alcotest.(check int) "keeps max iterations" 5
     a.Lsra.Stats.coloring_iterations;
-  Alcotest.(check int) "total spill" 6 (Lsra.Stats.total_spill a)
+  Alcotest.(check int) "total spill" 6 (Lsra.Stats.total_spill a);
+  Alcotest.(check (array (float 0.)))
+    "sums every pass's time"
+    (Array.init Lsra.Stats.n_passes (fun i ->
+         (float i /. 4.) +. (float (i + 1) /. 8.)))
+    a.Lsra.Stats.pass_time;
+  Alcotest.(check (array (float 0.)))
+    "sums every pass's minor words"
+    (Array.init Lsra.Stats.n_passes (fun i -> float (110 * i)))
+    a.Lsra.Stats.pass_minor_words
 
-(* [Stats.pp]'s text, pinned on a value with every field distinct (and
-   on a fresh one), so that a change to how the counters are stored
-   cannot change a byte of what the CLI prints. The optional lines are
-   joined by cuts outside any box, so two short ones share a line (the
-   slot-compaction and downgrade lines below): that is the text as
-   printed, pinned as it is. *)
+(* [Stats.pp]'s text, pinned on a fresh value and on one with every
+   field distinct (a record literal, so a new field must be given here
+   too): how the counters are stored cannot change a byte of what the CLI
+   prints. The optional lines are joined by cuts outside any box, so two
+   short ones share a line (slot compaction and downgrades below): that
+   is the text as printed, pinned as it is. *)
 let test_stats_pp_pin () =
-  let s = Lsra.Stats.create () in
   Alcotest.(check string) "fresh"
     "evict: 0 loads, 0 stores, 0 moves\n\
      resolve: 0 loads, 0 stores, 0 moves\n\
      slots: 0; dataflow rounds: 0; resolution comparisons: 0; coloring \
      iterations: 0"
-    (Format.asprintf "%a" Lsra.Stats.pp s);
-  s.evict_loads <- 1;
-  s.evict_stores <- 2;
-  s.evict_moves <- 3;
-  s.resolve_loads <- 4;
-  s.resolve_stores <- 5;
-  s.resolve_moves <- 6;
-  s.slots <- 7;
-  s.frame_saved <- 8;
-  s.dataflow_rounds <- 9;
-  s.resolve_pairs <- 10;
-  s.coloring_iterations <- 11;
-  s.interference_edges <- 12;
-  s.coalesced_moves <- 13;
-  s.downgrades <- 14;
-  s.opt_nodes <- 15;
-  s.opt_proven <- 16;
-  s.alloc_time <- 17.;
-  s.time_liveness <- 0.018;
-  s.time_lifetime <- 0.019;
-  s.time_scan <- 0.020;
-  s.time_resolution <- 0.021;
-  s.time_copyprop <- 0.022;
-  s.time_dce <- 0.023;
-  s.time_motion <- 0.024;
-  s.time_peephole <- 0.025;
-  s.time_slots <- 0.026;
-  s.minor_words <- 27.;
-  s.promoted_words <- 28.;
-  s.major_words <- 29.;
-  s.minor_collections <- 30;
-  s.major_collections <- 31;
-  Array.iteri (fun i _ -> s.pass_minor_words.(i) <- float (32 + i))
-    s.pass_minor_words;
+    (Format.asprintf "%a" Lsra.Stats.pp (Lsra.Stats.create ()));
+  let n = Lsra.Stats.n_passes in
+  let s =
+    {
+      Lsra.Stats.evict_loads = 1; evict_stores = 2; evict_moves = 3;
+      resolve_loads = 4; resolve_stores = 5; resolve_moves = 6; slots = 7;
+      frame_saved = 8; dataflow_rounds = 9; resolve_pairs = 10;
+      coloring_iterations = 11; interference_edges = 12; coalesced_moves = 13;
+      downgrades = 14; opt_nodes = 15; opt_proven = 16; alloc_time = 17.;
+      pass_time = Array.init n (fun i -> float (18 + i) /. 1e3);
+      minor_words = 27.; promoted_words = 28.; major_words = 29.;
+      minor_collections = 30; major_collections = 31;
+      pass_minor_words = Array.init n (fun i -> float (32 + i));
+    }
+  in
   Alcotest.(check string) "every field set"
     "evict: 1 loads, 2 stores, 3 moves\n\
      resolve: 4 loads, 5 stores, 6 moves\n\
@@ -177,7 +173,30 @@ let test_passes_parse () =
   Alcotest.(check bool) "unknown pass rejected" true
     (match Lsra.Passes.parse "dce,frobnicate" with
     | Error _ -> true
-    | Ok _ -> false)
+    | Ok _ -> false);
+  let pass_t = Alcotest.testable Fmt.(using Lsra.Passes.name string) ( = ) in
+  List.iter
+    (fun p ->
+      Alcotest.(check (option pass_t))
+        (Lsra.Passes.name p ^ " round-trips") (Some p)
+        Lsra.Passes.(of_name (name p)))
+    Lsra.Passes.all;
+  (* a shuffled list with duplicates comes back as the canonical
+     filter over [all]: in order, each pass once *)
+  let rng = Random.State.make [| 7 |] in
+  for _ = 1 to 50 do
+    let ps =
+      List.filter_map
+        (fun _ ->
+          if Random.State.int rng 4 = 0 then None
+          else Some (List.nth Lsra.Passes.all (Random.State.int rng 5)))
+        (List.init 8 Fun.id)
+    in
+    Alcotest.(check (list pass_t))
+      (String.concat "," (List.map Lsra.Passes.name ps) ^ " normalized")
+      (List.filter (fun p -> List.mem p ps) Lsra.Passes.all)
+      (Lsra.Passes.normalize ps)
+  done
 
 let test_pipeline_empty_passes () =
   (* ~passes:[] really runs nothing around the allocation: dead code
@@ -268,15 +287,11 @@ let test_pipeline_records_pass_times () =
       Lsra.Allocator.default_second_chance machine prog
   in
   List.iter
-    (fun (name, t) ->
-      Alcotest.(check bool) (name ^ " time booked") true (t >= 0.))
-    [
-      ("copyprop", stats.Lsra.Stats.time_copyprop);
-      ("dce", stats.Lsra.Stats.time_dce);
-      ("motion", stats.Lsra.Stats.time_motion);
-      ("peephole", stats.Lsra.Stats.time_peephole);
-      ("slots", stats.Lsra.Stats.time_slots);
-    ]
+    (fun p ->
+      let i = Lsra.Stats.pass_index (Lsra.Passes.stats_pass p) in
+      Alcotest.(check bool) (Lsra.Passes.name p ^ " time booked") true
+        (stats.Lsra.Stats.pass_time.(i) >= 0.))
+    Lsra.Passes.all
 
 let test_parallel_allocation_deterministic () =
   (* run_program ~jobs must produce the very same allocated program and
@@ -369,7 +384,8 @@ let test_pipeline_liveness_handover () =
                     (counters s_handed);
                   Alcotest.(check (float 0.))
                     (name ^ ": no liveness solve after DCE") 0.
-                    s_handed.Lsra.Stats.time_liveness)
+                    s_handed.Lsra.Stats.pass_time.(Lsra.Stats.pass_index
+                                                     Lsra.Stats.Liveness))
                 [ 1; 4 ])
             (Lsra_sim.Sweep.oracle_algorithms
             @ [ Lsra.Allocator.default_optimal ]))

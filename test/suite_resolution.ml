@@ -7,11 +7,6 @@ open Helpers
    register swaps (parallel-move cycles), critical-edge splitting, and
    the consistency dataflow. *)
 
-let count_tagged f pred =
-  let n = ref 0 in
-  Func.iter_instrs f (fun i -> if pred i then incr n);
-  !n
-
 let consistency_machine = Machine.small ~int_regs:3 ~float_regs:3 ()
 
 let is_resolve i =
@@ -393,9 +388,9 @@ let header_reload_prog machine =
   prog_of_func (B.finish b)
 
 (* The fixed corpus (Specbench and Minilang) and a few Gen programs of
-   each profile, on every machine, in both modes. Specbench's sort needs
-   more argument registers than min-3 has, so there the suite is not
-   built (nor is a Minilang program that does not compile). *)
+   each profile, on every machine, in both modes. A program whose calls
+   need more argument registers than the machine has is left out there,
+   as [Sweep.corpus] leaves it out. *)
 let test_follows_splits () =
   let counts =
     { mismatches = 0; back_mismatches = 0; candidates = 0; live_pairs = 0 }
@@ -404,19 +399,8 @@ let test_follows_splits () =
     (fun (mname, m) ->
       let corpus =
         List.map
-          (fun (c : Lsra_workloads.Specbench.case) ->
-            Lsra_workloads.Specbench.(c.name, c.program))
-          (try Lsra_workloads.Specbench.all m ~scale:1
-           with Invalid_argument _ -> [])
-        @ List.filter_map
-            (fun (e : Lsra_workloads.Mini_corpus.entry) ->
-              match
-                Lsra_frontend.Minilang.compile m
-                  e.Lsra_workloads.Mini_corpus.source
-              with
-              | p -> Some ("mini:" ^ e.Lsra_workloads.Mini_corpus.mname, p)
-              | exception _ -> None)
-            Lsra_workloads.Mini_corpus.all
+          (fun (c : Lsra_sim.Sweep.case) -> (c.name, c.program))
+          (Lsra_sim.Sweep.corpus ~pressure:false ~scale:1 m)
         @ List.concat_map
             (fun seed ->
               List.map

@@ -186,7 +186,7 @@ let test_deadline_downgrades () =
   let src = source () in
   let trace = Lsra.Trace.create () in
   let svc = make_service ~deadline_trace:trace () in
-  (* The cost model's prior predicts [default_rate] seconds per
+  (* The cost model's prior predicts [2e-7] seconds per
      instruction, so a nanosecond budget provably cannot be met by any
      rung but the cheapest. *)
   let resp =

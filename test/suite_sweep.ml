@@ -50,6 +50,46 @@ let test_corpus_order () =
   Alcotest.(check (list string))
     "no pressure" (spec @ small_minis) (names ~pressure:false S.small_7_7)
 
+(* A machine with too few argument registers for some Specbench
+   programs still gets the ones that fit: [find] builds only the program
+   it is asked for, an unfit one raises the typed [Unfit], and the corpus
+   leaves it out. *)
+let test_corpus_unfit () =
+  let module Sb = Lsra_workloads.Specbench in
+  let tiny_4 = List.assoc "tiny-4" S.fuzz_machines in
+  (match Sb.find tiny_4 ~scale:1 "wc" with
+  | Some c -> Alcotest.(check string) "find wc on tiny-4" "wc" c.Sb.name
+  | None -> Alcotest.fail "wc missing");
+  List.iter
+    (fun name ->
+      match Sb.find tiny_4 ~scale:1 name with
+      | _ -> Alcotest.failf "%s built on tiny-4" name
+      | exception Sb.Unfit _ -> ())
+    [ "eqntott"; "li"; "sort" ];
+  let spec m =
+    List.filter_map
+      (fun c ->
+        if String.starts_with ~prefix:"spec:" c.S.name then Some c.S.name
+        else None)
+      (S.corpus ~scale:1 m)
+  in
+  Alcotest.(check (list string))
+    "tiny-4 corpus"
+    [ "spec:alvinn"; "spec:doduc"; "spec:espresso"; "spec:fpppp";
+      "spec:tomcatv"; "spec:compress"; "spec:m88ksim"; "spec:wc" ]
+    (spec tiny_4);
+  Alcotest.(check (list string))
+    "small:3:3 corpus" []
+    (spec (Machine.small ~int_regs:3 ~float_regs:3 ()));
+  List.iter
+    (fun (what, m) ->
+      Alcotest.(check (list string))
+        (what ^ " corpus")
+        (List.map (( ^ ) "spec:") Sb.names)
+        (spec m))
+    [ ("alpha", Machine.alpha_like); ("small:7:7", S.small_7_7);
+      ("small-8", S.small_8) ]
+
 let test_oracle_budget () =
   Alcotest.(check (list string))
     "Allocator.all's order"
@@ -176,6 +216,8 @@ let suite =
     Alcotest.test_case "exit code rule" `Quick test_exit_code;
     Alcotest.test_case "tally counts" `Quick test_tally_counts;
     Alcotest.test_case "corpus names and order" `Quick test_corpus_order;
+    Alcotest.test_case "corpus skips programs that do not fit" `Quick
+      test_corpus_unfit;
     Alcotest.test_case "oracle budget 2000" `Quick test_oracle_budget;
     Alcotest.test_case "artifact writer" `Quick test_artifact_writer;
     Alcotest.test_case "static counters match the spill code" `Quick

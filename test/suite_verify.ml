@@ -397,6 +397,10 @@ let suite =
       test_error_terminator_temp;
     Alcotest.test_case "error report for a resolution block" `Quick
       test_error_resolution_block;
+    Alcotest.test_case "accepts a loop-carried spill meet" `Quick
+      test_accepts_loop_carried_spill_meet;
+    Alcotest.test_case "rejects a clobbered loop-carried slot" `Quick
+      test_rejects_loop_carried_slot_clobber;
     Alcotest.test_case "all allocators verify on all workloads" `Slow
       test_all_allocators_verify_on_workloads;
   ]
