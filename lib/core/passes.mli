@@ -58,8 +58,8 @@ val to_spec : t list -> string
 (** Run one pass over the whole program; returns its change count
     (instructions rewritten or removed; frame words saved for [Slots]).
     Wall time and minor words land in [stats]' pass table under
-    [stats_pass p], [Slots]' savings also land in [stats.frame_saved], and a
-    [trace] sink brackets the work in {!Trace.Pass_begin} /
+    [stats_pass p], [Slots]' savings also land in [stats.frame_saved],
+    and a [trace] sink brackets the work in {!Trace.Pass_begin} /
     {!Trace.Pass_end} events. *)
 val run_pass : ?stats:Stats.t -> ?trace:Trace.t -> t -> Program.t -> int
 

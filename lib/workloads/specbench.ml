@@ -1078,7 +1078,9 @@ let programs =
   ]
 
 let names = List.map fst programs
-let all machine ~scale = List.map (fun (_, build) -> build machine ~scale) programs
+
+let all machine ~scale =
+  List.map (fun (_, build) -> build machine ~scale) programs
 
 let find machine ~scale name =
   Option.map (fun build -> build machine ~scale) (List.assoc_opt name programs)
