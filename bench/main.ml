@@ -688,9 +688,9 @@ let optgap () =
    allocation wall, emission wall (with emitted bytes/sec, the figure of
    merit for a straight-line one-pass encoder), and native-versus-
    interpreter execution wall, per machine × allocator. Every native run
-   is compared against the post-allocation interpreter run (output bytes
-   and the integer return register); any divergence prints, flips the
-   gate and exits 4 — the benchmark is also a correctness sweep. Writes
+   is compared against the post-allocation interpreter run by the
+   oracle's own rule ({!Lsra_sim.Diffexec.native_mismatch}); any
+   divergence prints, flips the gate and exits 4. Writes
    BENCH_jit.json; on a non-x86-64 host it writes
    { "available": false } and exits 0 so CI can always archive the
    artifact. *)
@@ -711,7 +711,7 @@ let jit () =
   end
   else begin
     (* The four heuristics; the exact allocator's output is native-checked
-       by lsra_tool jit. *)
+       by lsra_tool diffcheck. *)
     let allocators = Lsra.Allocator.heuristics in
     let tally = Sweep.tally () in
     let machines =
@@ -752,35 +752,27 @@ let jit () =
                     | Error e, _ -> diverge ("emission failed: " ^ e)
                     | Ok compiled, emit -> (
                       match timed interpret with
-                      | Error e, _ ->
+                      | Error _, _ ->
                         (* A post-allocation interpreter trap is an allocator
                            finding owned by diffcheck, not a native one;
                            nothing to compare against. *)
-                        Sweep.Skip ("allocated program traps: " ^ e)
+                        Sweep.Skip
                       | Ok expected, interp -> (
                         let o, native =
                           timed (fun () ->
                               Lsra_native.Exec.run_compiled ~input compiled
                                 ~heap_words:(Program.heap_words program))
                         in
-                        match o.Lsra_native.Exec.trap with
-                        | Some t -> diverge ("native run trapped: " ^ t)
-                        | None
-                          when o.Lsra_native.Exec.output
-                               <> expected.Lsra_sim.Interp.output ->
-                          diverge "output mismatch"
-                        | None -> (
+                        match Lsra_sim.Diffexec.native_mismatch expected o with
+                        | Some why -> diverge why
+                        | None ->
                           incr programs;
                           alloc_s := !alloc_s +. alloc;
                           emit_s := !emit_s +. emit;
                           bytes := !bytes + o.Lsra_native.Exec.code_bytes;
                           interp_s := !interp_s +. interp;
                           native_s := !native_s +. native;
-                          match expected.Lsra_sim.Interp.ret with
-                          | Lsra_sim.Value.Int k
-                            when k <> o.Lsra_native.Exec.ret ->
-                            diverge "return-value mismatch"
-                          | _ -> Sweep.Pass))));
+                          Sweep.Pass)));
                 let mb_s =
                   if !emit_s > 0.0 then float_of_int !bytes /. !emit_s /. 1.0e6
                   else 0.0

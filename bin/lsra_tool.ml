@@ -243,7 +243,9 @@ let stats_cmd =
             (100.0
             *. float_of_int (Lsra_sim.Interp.spill_total c)
             /. float_of_int (max 1 c.Lsra_sim.Interp.total))
-        | Error e -> Printf.printf "dynamic: trapped (%s)\n" e)
+        | Error e ->
+          Printf.eprintf "trap: %s\n" e;
+          exit 1)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -353,7 +355,8 @@ let diffcheck_cmd =
       & info [] ~docv:"FILE"
           ~doc:
             "Program to check ('-' for stdin). Without it, the built-in \
-             corpus (specbench + Minilang + pressure modules) is checked.")
+             corpus (specbench + Minilang + pressure modules + hostile \
+             generated programs) is checked.")
   in
   let scale_arg =
     Arg.(
@@ -380,9 +383,12 @@ let diffcheck_cmd =
             (* The given machine, plus a spill-heavy one so the oracle
                exercises eviction and resolution, not just renaming. *)
             List.map
-              (fun m -> (m, Sweep.corpus m ~scale))
+              (fun m -> (m, Sweep.corpus m ~scale @ Sweep.hostile m))
               [ machine; Sweep.small_7_7 ]
         in
+        if not (Lsra_native.Exec.available ()) then
+          print_endline
+            "diffcheck: host is not x86-64; the native stage is skipped";
         let tally = Sweep.tally () in
         let frame_saved = ref 0 in
         List.iter
@@ -439,7 +445,8 @@ let diffcheck_cmd =
           programs through the managed passes and every allocator, \
           re-interpreting and re-verifying after every pass (the \
           allocation also runs under a decision trace whose replay must \
-          agree with the reported statistics). Divergences are shrunk to \
+          agree with the reported statistics), then, on x86-64, emitting \
+          and executing the result natively. Divergences are shrunk to \
           minimal reproducers (written to $(b,LSRA_DIFF_ARTIFACT_DIR) \
           when set). Exits 4 on any behavioral divergence, 3 when only \
           the abstract verifier rejected.")
@@ -451,14 +458,10 @@ let diffcheck_cmd =
 let jit_cmd =
   let file_arg =
     Arg.(
-      value
+      required
       & pos 0 (some string) None
       & info [] ~docv:"FILE"
-          ~doc:
-            "Program to compile and execute natively ('-' for stdin). \
-             Without it, the built-in corpus plus hostile fuzz seeds are \
-             swept through every allocator and cross-checked against the \
-             interpreter.")
+          ~doc:"Program to compile and execute natively ('-' for stdin).")
   in
   let fn_arg =
     Arg.(
@@ -477,117 +480,54 @@ let jit_cmd =
             "Print the annotated listing of the emitted machine code \
              (works on any host; execution still requires x86-64).")
   in
-  let scale_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "scale" ] ~docv:"N" ~doc:"Corpus workload scale factor.")
-  in
-  let seeds_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "seeds" ] ~docv:"N"
-          ~doc:
-            "Number of hostile (call-dense, deep-spill) fuzz programs \
-             added to the corpus sweep.")
-  in
-  let run file fn machine algo input fuel passes no_cleanup dump_asm scale
-      seeds =
+  let run file fn machine algo input fuel passes no_cleanup dump_asm =
     handle_errors (fun () ->
         let passes = resolve_passes passes no_cleanup in
-        match file with
-        | Some f ->
-          (* Single-program mode: allocate, emit, optionally disassemble,
-             then execute in process. *)
-          let prog = load f in
-          ignore
-            (Lsra.Allocator.pipeline ~precheck:true ~verify:false ~passes
-               algo machine prog);
-          (match Lsra_native.Lower.compile machine prog with
-          | Error e ->
-            Printf.eprintf "emission failed: %s\n" e;
-            exit 1
-          | Ok compiled ->
-            if dump_asm then
-              print_string (Lsra_native.Lower.dump_asm ?fn compiled);
-            if not (Lsra_native.Exec.available ()) then (
-              Printf.eprintf
-                "jit: host is not x86-64; emitted %d bytes but cannot \
-                 execute them\n"
-                (Bytes.length compiled.Lsra_native.Lower.code);
-              if not dump_asm then exit 1)
-            else
-              let o =
-                Lsra_native.Exec.run_compiled ~fuel ~input compiled
-                  ~heap_words:(Program.heap_words prog)
-              in
-              print_string o.Lsra_native.Exec.output;
-              (match o.Lsra_native.Exec.trap with
-              | Some t ->
-                Printf.eprintf "native trap: %s\n" t;
-                exit 1
-              | None -> ());
-              Printf.printf "; ret = %d\n" o.Lsra_native.Exec.ret;
-              Printf.printf "; code = %d bytes, fuel left = %d\n"
-                o.Lsra_native.Exec.code_bytes o.Lsra_native.Exec.fuel_left)
-        | None ->
-          (* Sweep mode: the diffcheck corpus on the given machine plus a
-             spill-heavy one, and hostile generated programs, through
-             every allocator — each compared against the interpreter by
-             the native oracle. Divergences gate the exit code at 4. *)
-          if not (Diffexec.native_available ()) then (
-            Printf.printf
-              "jit: native execution unavailable on this host (not \
-               x86-64); nothing checked\n";
-            exit 0);
-          let bytes = ref 0 and tally = Sweep.tally () in
-          List.iter
-            (fun m ->
-              Sweep.run tally
-                (Sweep.corpus m ~scale @ Sweep.hostile ~count:seeds m)
-                Sweep.oracle_algorithms
-                (fun { Sweep.name; program; input } a ->
-                  let status =
-                    Diffexec.check_native ~fuel ~input ~passes m a program
-                  in
-                  (match status with
-                  | Diffexec.Native_ok { code_bytes } ->
-                    bytes := !bytes + code_bytes
-                  | Diffexec.Native_skipped _ -> ()
-                  | Diffexec.Native_diverged why ->
-                    Printf.eprintf "NATIVE DIVERGENCE %s on %s under %s: %s\n%!"
-                      name (Machine.name m)
-                      (Lsra.Allocator.short_name a)
-                      why);
-                  Sweep.of_native status))
-            [ machine; Sweep.small_7_7 ];
-          Printf.printf
-            "jit: %d checks (passes: %s), %d native runs ok (%d bytes \
-             emitted), %d skipped, %d divergences\n"
-            (Sweep.checks tally)
-            (Lsra.Passes.to_spec passes)
-            tally.Sweep.passed !bytes tally.Sweep.skipped tally.Sweep.diverged;
-          List.iter
-            (fun (why, n) -> Printf.printf "jit:   skipped %dx: %s\n" n why)
-            tally.Sweep.skip_reasons;
-          Sweep.exit_on [ tally ])
+        let prog = load file in
+        ignore
+          (Lsra.Allocator.pipeline ~precheck:true ~verify:false ~passes algo
+             machine prog);
+        match Lsra_native.Lower.compile machine prog with
+        | Error e ->
+          Printf.eprintf "emission failed: %s\n" e;
+          exit 1
+        | Ok compiled ->
+          if dump_asm then
+            print_string (Lsra_native.Lower.dump_asm ?fn compiled);
+          if not (Lsra_native.Exec.available ()) then (
+            Printf.eprintf
+              "jit: host is not x86-64; emitted %d bytes but cannot \
+               execute them\n"
+              (Bytes.length compiled.Lsra_native.Lower.code);
+            if not dump_asm then exit 1)
+          else
+            let o =
+              Lsra_native.Exec.run_compiled ~fuel ~input compiled
+                ~heap_words:(Program.heap_words prog)
+            in
+            print_string o.Lsra_native.Exec.output;
+            (match o.Lsra_native.Exec.trap with
+            | Some t ->
+              Printf.eprintf "native trap: %s\n" t;
+              exit 1
+            | None -> ());
+            Printf.printf "; ret = %d\n" o.Lsra_native.Exec.ret;
+            Printf.printf "; code = %d bytes, fuel left = %d\n"
+              o.Lsra_native.Exec.code_bytes o.Lsra_native.Exec.fuel_left)
   in
   Cmd.v
     (Cmd.info "jit"
        ~doc:
          "Emit x86-64 machine code for an allocated program and execute \
-          it in process. With $(i,FILE): allocate, emit (optionally \
-          $(b,--dump-asm)) and run, printing the program's output and \
-          return value. Without $(i,FILE): sweep the built-in corpus \
-          plus hostile call-dense fuzz programs through every allocator, \
-          executing each natively and requiring output and return value \
-          to match the interpreter byte for byte; exits 4 on any \
-          divergence. On non-x86-64 hosts the sweep skips with a notice \
-          and $(b,--dump-asm) still works.")
+          it in process: allocate, emit (optionally $(b,--dump-asm)) and \
+          run, printing the program's output and return value. On \
+          non-x86-64 hosts $(b,--dump-asm) still works. The oracle's \
+          native check is $(b,diffcheck)'s last stage.")
     Term.(
       const run $ file_arg $ fn_arg $ machine_arg $ algo_term $ input_arg
       $ fuel_arg
       $ passes_arg ~default:Lsra.Passes.all
-      $ no_cleanup_arg $ dump_asm_arg $ scale_arg $ seeds_arg)
+      $ no_cleanup_arg $ dump_asm_arg)
 
 let trace_cmd =
   let fn_arg =

@@ -167,19 +167,19 @@ let pp fmt s =
     "@[<v>evict: %d loads, %d stores, %d moves@,\
      resolve: %d loads, %d stores, %d moves@,\
      slots: %d; dataflow rounds: %d; resolution comparisons: %d; \
-     coloring iterations: %d@]"
+     coloring iterations: %d"
     s.evict_loads s.evict_stores s.evict_moves s.resolve_loads
     s.resolve_stores s.resolve_moves s.slots s.dataflow_rounds
     s.resolve_pairs s.coloring_iterations;
   if s.frame_saved > 0 then
-    Format.fprintf fmt "@,@[<v>frame words saved by slot compaction: %d@]"
+    Format.fprintf fmt "@,frame words saved by slot compaction: %d"
       s.frame_saved;
   if s.downgrades > 0 then
-    Format.fprintf fmt "@,@[<v>deadline downgrades: %d@]" s.downgrades;
+    Format.fprintf fmt "@,deadline downgrades: %d" s.downgrades;
   if s.opt_nodes > 0 then
     Format.fprintf fmt
-      "@,@[<v>branch-and-bound: %d nodes, %d functions proven optimal@]"
-      s.opt_nodes s.opt_proven;
+      "@,branch-and-bound: %d nodes, %d functions proven optimal" s.opt_nodes
+      s.opt_proven;
   let ms fmt ps =
     Format.pp_print_list
       ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ", ")
@@ -190,14 +190,15 @@ let pp fmt s =
   in
   let cleanup = [ Copyprop; Dce; Motion; Slots ] in
   if Array.exists (fun t -> t > 0.) s.pass_time then begin
-    Format.fprintf fmt "@,@[<v>pass times (ms): %a@]" ms
+    Format.fprintf fmt "@,pass times (ms): %a" ms
       [ Liveness; Lifetime; Scan; Resolution; Peephole ];
     if List.exists (fun p -> s.pass_time.(pass_index p) > 0.) cleanup then
-      Format.fprintf fmt "@,@[<v>pipeline times (ms): %a@]" ms cleanup
+      Format.fprintf fmt "@,pipeline times (ms): %a" ms cleanup
   end;
   if s.minor_words > 0. then
     Format.fprintf fmt
-      "@,@[<v>gc: %.0f minor words (%.0f promoted, %.0f major), %d minor / \
-       %d major collections@]"
+      "@,gc: %.0f minor words (%.0f promoted, %.0f major), %d minor / %d \
+       major collections"
       s.minor_words s.promoted_words s.major_words s.minor_collections
-      s.major_collections
+      s.major_collections;
+  Format.fprintf fmt "@]"

@@ -6,7 +6,9 @@ open Lsra_target
    the output stream and the returned value. The interpreter poisons
    caller-saved registers at calls and traps on undefined reads, so a
    divergence pins an allocator bug to a concrete execution, which is a
-   strictly stronger (if slower) oracle than the abstract verifier.
+   strictly stronger (if slower) oracle than the abstract verifier. On
+   an x86-64 host the allocated program then runs natively too, so the
+   encoder answers to the same observables.
 
    The fuzzing half drives seeded random programs from Gen through every
    allocator and, on a divergence, shrinks the program — deleting
@@ -22,6 +24,7 @@ type divergence =
   | Allocator_raise of string
   | Trace_mismatch of string
   | Pass_divergence of { pass : string; underlying : divergence }
+  | Native_divergence of string
 
 let rec divergence_to_string = function
   | Reference_trap e -> Printf.sprintf "pre-allocation program traps: %s" e
@@ -40,6 +43,7 @@ let rec divergence_to_string = function
   | Pass_divergence { pass; underlying } ->
     Printf.sprintf "after cleanup pass '%s': %s" pass
       (divergence_to_string underlying)
+  | Native_divergence e -> Printf.sprintf "native stage: %s" e
 
 (* A Verifier_reject (even one attributed to a cleanup pass) means the
    abstract checker balked; everything else is a behavioral failure.
@@ -48,22 +52,58 @@ let rec is_verifier_reject = function
   | Verifier_reject _ -> true
   | Pass_divergence { underlying; _ } -> is_verifier_reject underlying
   | Reference_trap _ | Allocated_trap _ | Output_mismatch _ | Ret_mismatch _
-  | Allocator_raise _ | Trace_mismatch _ ->
+  | Allocator_raise _ | Trace_mismatch _ | Native_divergence _ ->
     false
 
 type alloc_fn = Machine.t -> Func.t -> unit
 
 exception Stop of divergence
 
+let truncated s =
+  if String.length s <= 160 then s else String.sub s 0 160 ^ "…"
+
+let native_mismatch (expected : Interp.outcome)
+    (native : Lsra_native.Exec.outcome) =
+  match native.trap, expected.ret with
+  | Some t, _ -> Some ("native run traps: " ^ t)
+  | None, _ when native.output <> expected.output ->
+    Some
+      (Printf.sprintf "output mismatch: interpreter %S, native %S"
+         (truncated expected.output) (truncated native.output))
+  | None, Value.Int want when want <> native.ret ->
+    Some
+      (Printf.sprintf "return-value mismatch: interpreter %d, native %d" want
+         native.ret)
+  | None, (Value.Int _ | Value.Flt _ | Value.Undef) -> None
+
+(* The last stage: emit the allocated program as x86-64, run it with the
+   same fuel and input, and require what the last accepted interpreter
+   run observed. Only an x86-64 host can run it. *)
+let native_stage ~fuel ~input machine ~heap_words prog expected =
+  if Lsra_native.Exec.available () then
+    let mismatch =
+      match Lsra_native.Lower.compile machine prog with
+      | Error e -> Some ("emission failed: " ^ e)
+      | Ok compiled -> (
+        match
+          Lsra_native.Exec.run_compiled ~fuel ~input compiled ~heap_words
+        with
+        | native -> native_mismatch expected native
+        | exception Failure e -> Some ("execution failed: " ^ e))
+    in
+    Option.iter (fun why -> raise (Stop (Native_divergence why))) mismatch
+
 (* The one oracle core: interpret [prog] for reference, then hand a copy
-   to [stages] with [compare wrap], which re-interprets the copy, stops on
-   any difference from the reference, as [wrap] attributes it, and
-   otherwise returns the run. *)
+   to [stages] with [compare wrap], which re-interprets the copy and stops
+   on any difference from the reference, as [wrap] attributes it. The
+   copy as the stages leave it then runs natively against the last run
+   [compare] accepted. *)
 let differential ~fuel ~input machine prog stages =
   match Interp.run ~fuel machine prog ~input with
   | Error e -> Error (Reference_trap e)
   | Ok reference -> (
     let copy = Program.copy prog in
+    let last = ref None in
     let compare wrap =
       let diverge d = raise (Stop (wrap d)) in
       match Interp.run ~fuel machine copy ~input with
@@ -79,9 +119,16 @@ let differential ~fuel ~input machine prog stages =
         diverge
           (Ret_mismatch
              { expected = reference.Interp.ret; actual = actual.Interp.ret })
-      | Ok actual -> actual
+      | Ok actual -> last := Some actual
     in
-    match stages copy compare with
+    match
+      let result = stages copy compare in
+      Option.iter
+        (native_stage ~fuel ~input machine
+           ~heap_words:(Program.heap_words prog) copy)
+        !last;
+      result
+    with
     | result -> Ok result
     | exception Stop d -> Error d)
 
@@ -114,7 +161,7 @@ let check_with ?(fuel = 200_000_000) ?(verify = true) ?(input = "") machine
               original
           with e -> raise (Stop (of_alloc_exn e)))
         (Program.funcs copy);
-      ignore (compare Fun.id))
+      compare Fun.id)
 
 (* The oracle sandwich over the real pipeline: [Allocator.pipeline], with
    DCE's liveness hand-over, verifies after allocation and after every
@@ -129,7 +176,7 @@ let check_pipeline ?(fuel = 200_000_000) ?(verify = true) ?(input = "")
       let seen = ref [] in
       let check_each stage _ =
         seen := stage :: !seen;
-        ignore (compare (after stage))
+        compare (after stage)
       in
       (* An exception escapes from the first stage not reported yet: a
          pass before allocation, the allocation ([None]), or a pass
@@ -168,74 +215,6 @@ let check_all ?fuel ?verify ?input ?(algorithms = Lsra.Allocator.all) machine
       | Ok () -> None
       | Error d -> Some (Lsra.Allocator.short_name algo, d))
     algorithms
-
-(* ------------------------------------------------------------------ *)
-(* Native cross-check                                                  *)
-
-type native_status =
-  | Native_ok of { code_bytes : int }
-  | Native_skipped of string
-      (** nothing to compare: non-x86-64 host, a trapping reference run
-          (native semantics are only pinned on interpreter-clean
-          executions), or an interpreter-level divergence that the
-          ordinary oracle owns *)
-  | Native_diverged of string
-
-let native_available () = Lsra_native.Exec.available ()
-
-let truncated s =
-  if String.length s <= 160 then s else String.sub s 0 160 ^ "…"
-
-(* The native oracle sandwich: interpret the program before allocation,
-   allocate through the managed pipeline, re-interpret, then emit and
-   execute real x86-64 — and require the machine's observables (ext
-   output bytes and the integer return register) to match the
-   post-allocation interpreter run exactly. Comparison is gated on both
-   interpreter runs being clean and agreeing: trapping or diverging
-   programs are the ordinary {!check_pipeline} oracle's findings, not
-   the encoder's. *)
-let check_native ?(fuel = 200_000_000) ?(input = "")
-    ?(passes = Lsra.Passes.all) machine algo prog =
-  if not (native_available ()) then Native_skipped "host is not x86-64"
-  else
-    match
-      differential ~fuel ~input machine prog (fun copy compare ->
-          (try ignore (Lsra.Allocator.pipeline ~passes algo machine copy)
-           with e -> raise (Stop (Allocator_raise (Printexc.to_string e))));
-          (copy, compare Fun.id))
-    with
-    | Error (Reference_trap e) -> Native_skipped ("reference run traps: " ^ e)
-    | Error (Allocator_raise e) -> Native_skipped ("allocator raised: " ^ e)
-    | Error (Allocated_trap e) -> Native_skipped ("allocated run traps: " ^ e)
-    | Error _ -> Native_skipped "interpreter runs diverge (allocator bug)"
-    | Ok (copy, expected) -> (
-      match Lsra_native.Lower.compile machine copy with
-      | Error e -> Native_diverged ("emission failed: " ^ e)
-      | Ok compiled -> (
-        match
-          Lsra_native.Exec.run_compiled ~fuel ~input compiled
-            ~heap_words:(Program.heap_words prog)
-        with
-        | exception Failure e ->
-          Native_diverged ("native execution failed: " ^ e)
-        | { Lsra_native.Exec.trap = Some t; _ } ->
-          Native_diverged
-            ("native run trapped on an interpreter-clean program: " ^ t)
-        | native when native.Lsra_native.Exec.output <> expected.Interp.output
-          ->
-          Native_diverged
-            (Printf.sprintf "output mismatch: interpreter %S, native %S"
-               (truncated expected.Interp.output)
-               (truncated native.Lsra_native.Exec.output))
-        | native -> (
-          match expected.Interp.ret with
-          | Value.Int want when want <> native.Lsra_native.Exec.ret ->
-            Native_diverged
-              (Printf.sprintf
-                 "return-value mismatch: interpreter %d, native %d" want
-                 native.Lsra_native.Exec.ret)
-          | Value.Int _ | Value.Flt _ | Value.Undef ->
-            Native_ok { code_bytes = native.Lsra_native.Exec.code_bytes })))
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)

@@ -5,7 +5,10 @@
     written through the [ext_put*] routines and the value returned from
     [main]. The interpreter poisons caller-saved registers at calls and
     traps on reads of undefined values, so convention violations and
-    lost spills surface as concrete divergences.
+    lost spills surface as concrete divergences. On an x86-64 host every
+    check ends at the machine: the allocated program is emitted with
+    {!Lsra_native.Lower.compile} and executed, and must reproduce the
+    last interpreter run.
 
     [check] / [check_all] apply the oracle to any {!Lsra.Allocator}
     algorithm; {!fuzz} drives seeded random programs (from
@@ -34,6 +37,11 @@ type divergence =
       (** a managed pipeline pass (named by {!Lsra.Passes.name}), not the
           allocation itself, introduced the underlying divergence — only
           from {!check_pipeline} / {!fuzz} *)
+  | Native_divergence of string
+      (** the allocated program failed to emit, or its native run
+          disagrees with the last interpreter run the oracle accepted
+          ({!native_mismatch}) — an encoder or lowering bug, not
+          attributed to a pass *)
 
 val divergence_to_string : divergence -> string
 
@@ -48,7 +56,8 @@ type alloc_fn = Machine.t -> Func.t -> unit
 (** [check_with machine alloc prog] interprets [prog] (untouched — a copy
     is allocated), allocates every function of the copy with [alloc],
     optionally verifies each against its pre-allocation form
-    ([verify] defaults to [true]), re-interprets, and compares.
+    ([verify] defaults to [true]), re-interprets, compares, and runs the
+    result natively.
     [input] feeds [ext_getc] on both runs. It exists so that the oracle's
     own tests can substitute corrupting allocators; the allocators
     themselves are checked by {!check} and {!check_pipeline}. *)
@@ -94,7 +103,11 @@ val check_all :
     divergence introduced by a managed pass is reported as
     {!Pass_divergence}, pinned to that pass by name; an exception from
     the allocation step is {!Allocator_raise}, and one from a managed
-    pass propagates. On success, returns the pipeline's stats, as
+    pass propagates. The program the last stage leaves then runs natively
+    (with [fuel], [input] and the original's heap size) and must match
+    the last interpreter run, or the check fails with
+    {!Native_divergence}; off x86-64 this stage is skipped. On success,
+    returns the pipeline's stats, as
     {!Lsra.Allocator.pipeline} reports them. *)
 val check_pipeline :
   ?fuel:int ->
@@ -106,39 +119,12 @@ val check_pipeline :
   Program.t ->
   (Lsra.Stats.t, divergence) result
 
-(** Result of a native-versus-interpreter cross-check. *)
-type native_status =
-  | Native_ok of { code_bytes : int }
-  | Native_skipped of string
-      (** nothing to compare: non-x86-64 host, a trapping reference run
-          (native semantics are only pinned on interpreter-clean
-          executions), or an interpreter-level divergence that
-          {!check_pipeline} owns *)
-  | Native_diverged of string
-      (** the emitted machine code disagrees with the post-allocation
-          interpreter run — an encoder/lowering bug, or a failure to
-          emit an interpreter-clean allocated program at all *)
-
-(** Whether {!check_native} can actually execute code on this host. *)
-val native_available : unit -> bool
-
-(** The native oracle sandwich: interpret [prog] before allocation,
-    allocate it through the managed pipeline ([passes] defaults to
-    {!Lsra.Passes.all}), re-interpret, then emit x86-64 with
-    {!Lsra_native.Lower.compile}, execute it in-process and require the
-    machine-level observables — the ext output bytes and the integer
-    return register — to match the post-allocation interpreter run
-    exactly. Comparison is gated on both interpreter runs being clean
-    and agreeing, so a [Native_diverged] always indicts the native
-    backend, never the allocator. *)
-val check_native :
-  ?fuel:int ->
-  ?input:string ->
-  ?passes:Lsra.Passes.t list ->
-  Machine.t ->
-  Lsra.Allocator.algorithm ->
-  Program.t ->
-  native_status
+(** [native_mismatch expected native] compares a native run with the
+    interpreter run it must reproduce: any native trap, the output bytes,
+    and — when the interpreter returned an integer — the integer return
+    register. [None] when they agree, else what differs. *)
+val native_mismatch :
+  Interp.outcome -> Lsra_native.Exec.outcome -> string option
 
 (** Greedy delta-debugging of a failing program: repeatedly delete one
     instruction or straighten one conditional branch, keeping an edit

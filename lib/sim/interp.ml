@@ -158,14 +158,27 @@ let note_spill st (i : Instr.t) =
     | Instr.Resolve, Instr.Spill_mv ->
       c.resolve_moves <- c.resolve_moves + 1)
 
+(* The [i]-th [cls] argument of external routine [name]: a trap when the
+   machine has no such argument register. *)
+let ext_arg st name cls i =
+  let m = st.machine in
+  let args =
+    match (cls : Rclass.t) with
+    | Rclass.Int -> Machine.int_args m
+    | Rclass.Float -> Machine.float_args m
+  in
+  if i >= List.length args then
+    trap "%s: %s has no %s argument register %d" name (Machine.name m)
+      (Rclass.to_string cls) i;
+  reg_get st (Machine.arg_reg m cls i)
+
 (* External routines. Arguments arrive in the convention's argument
    registers; results leave in the return register; all caller-saved
    registers are poisoned, which is what a real (separately compiled)
    callee may do to them. *)
 let intrinsic st name =
-  let m = st.machine in
-  let iarg i = reg_get st (Machine.arg_reg m Rclass.Int i) in
-  let farg i = reg_get st (Machine.arg_reg m Rclass.Float i) in
+  let iarg i = ext_arg st name Rclass.Int i in
+  let farg i = ext_arg st name Rclass.Float i in
   let ret = ref None in
   (match name with
   | "ext_getc" ->

@@ -27,11 +27,13 @@ let corpus ?(pressure = true) ~scale machine =
       (if pressure then Lsra_workloads.Pressure.[ cvrin; twldrv; fpppp ]
        else [])
 
-let hostile ~count machine =
-  List.init count (fun i ->
-      let params = Lsra_workloads.Gen.hostile_params ~seed:(1000 + i) in
+let hostile machine =
+  List.map
+    (fun seed ->
+      let params = Lsra_workloads.Gen.hostile_params ~seed in
       let program = Lsra_workloads.Gen.program ~params machine in
-      { name = Printf.sprintf "hostile:%d" (1000 + i); program; input = "" })
+      { name = Printf.sprintf "hostile:%d" seed; program; input = "" })
+    [ 1000; 1001 ]
 
 let small_7_7 =
   Machine.small ~int_regs:7 ~float_regs:7 ~int_caller_saved:4
@@ -56,7 +58,7 @@ let oracle_algorithms =
 
 type verdict =
   | Pass
-  | Skip of string
+  | Skip
   | Reject of string
   | Diverge of string
 
@@ -64,28 +66,19 @@ let of_divergence d =
   let why = Diffexec.divergence_to_string d in
   if Diffexec.is_verifier_reject d then Reject why else Diverge why
 
-let of_native = function
-  | Diffexec.Native_ok _ -> Pass
-  | Diffexec.Native_skipped why -> Skip why
-  | Diffexec.Native_diverged why -> Diverge why
-
 type tally = {
   mutable passed : int;
   mutable skipped : int;
   mutable rejected : int;
   mutable diverged : int;
-  mutable skip_reasons : (string * int) list;
 }
 
 let tally () =
-  { passed = 0; skipped = 0; rejected = 0; diverged = 0; skip_reasons = [] }
+  { passed = 0; skipped = 0; rejected = 0; diverged = 0 }
 
 let record t = function
   | Pass -> t.passed <- t.passed + 1
-  | Skip why ->
-    t.skipped <- t.skipped + 1;
-    let n = Option.value ~default:0 (List.assoc_opt why t.skip_reasons) in
-    t.skip_reasons <- (why, n + 1) :: List.remove_assoc why t.skip_reasons
+  | Skip -> t.skipped <- t.skipped + 1
   | Reject _ -> t.rejected <- t.rejected + 1
   | Diverge _ -> t.diverged <- t.diverged + 1
 

@@ -8,7 +8,13 @@ open Lsra_target
    number of iterations over dedicated counters, there is no division, and
    shift amounts are literal. They terminate, read no undefined values,
    and print a fold of their live state, so any allocation bug that
-   corrupts a value changes the observable output. *)
+   corrupts a value changes the observable output.
+
+   Termination is not a small bound: loop trip counts multiply through
+   nested loops and down the acyclic call chain, so run length grows
+   geometrically with [max_depth] and [n_funcs]. Under [hostile_params],
+   seeds 1002 and 1003 run past 200 M dynamic instructions, the
+   interpreter's default fuel, on both alpha and small:7:7. *)
 
 type params = {
   seed : int;

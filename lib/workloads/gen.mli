@@ -34,6 +34,7 @@ val default_params : params
     many loop-carried accumulators per loop, so generated programs are
     dominated by call-boundary save/restore traffic and whole-lifetime
     spills to [Slots] frame indices — the stress shape for the native
-    backend's frame addressing and call protocol. *)
+    backend's frame addressing and call protocol. Runs can be long:
+    seeds 1002 and 1003 exceed 200 M dynamic instructions. *)
 val hostile_params : seed:int -> params
 val program : ?params:params -> Machine.t -> Program.t

@@ -210,6 +210,22 @@ let test_alloc_intrinsic () =
   in
   Alcotest.(check string) "bump allocation distance" "4" (ret_of r)
 
+(* An external routine whose argument register the machine lacks is a
+   trap naming the routine and the register, not an exception. *)
+let test_missing_arg_reg_traps () =
+  let m = Machine.small ~int_regs:3 ~float_regs:3 () in
+  let b = B.create ~name:"main" in
+  B.start_block b "entry";
+  B.call b ~func:"ext_puti" ~args:[] ~rets:[ Machine.int_ret m ]
+    ~clobbers:(Machine.all_caller_saved m);
+  B.ret b;
+  let prog = Program.create ~main:"main" [ ("main", B.finish b) ] in
+  Alcotest.(check string)
+    "trap"
+    (Printf.sprintf "trap: ext_puti: %s has no int argument register 0"
+       (Machine.name m))
+    (ret_of (Lsra_sim.Interp.run m prog ~input:""))
+
 let test_caller_saved_poisoning () =
   (* a value wrongly kept in a caller-saved register across a call must
      trap or corrupt deterministically — this is the differential-test
@@ -285,6 +301,8 @@ let suite =
     Alcotest.test_case "getc and putc" `Quick test_getc_putc;
     Alcotest.test_case "getc at eof" `Quick test_getc_eof;
     Alcotest.test_case "bump allocator" `Quick test_alloc_intrinsic;
+    Alcotest.test_case "missing argument register traps" `Quick
+      test_missing_arg_reg_traps;
     Alcotest.test_case "caller-saved poisoning" `Quick
       test_caller_saved_poisoning;
     Alcotest.test_case "callee-saved preservation" `Quick

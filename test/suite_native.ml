@@ -259,6 +259,27 @@ let test_exec_getc_roundtrip () =
       Alcotest.(check (option string)) "no trap" None o.Exec.trap;
       Alcotest.(check string) "echoed" "hi!" o.Exec.output)
 
+(* The oracle's native comparison: a trap, different output bytes or a
+   different integer return value is a mismatch; a return value the
+   interpreter did not define as an integer is not compared. *)
+let test_native_mismatch_rule () =
+  let interp output ret =
+    { Lsra_sim.Interp.counts = Lsra_sim.Interp.fresh_counts (); output; ret }
+  in
+  let native ?trap output ret =
+    { Exec.output; ret; trap; fuel_left = 0; code_bytes = 0 }
+  in
+  let check name want i n =
+    Alcotest.(check bool) name want
+      (Option.is_some (Lsra_sim.Diffexec.native_mismatch i n))
+  in
+  let one = interp "a" (Lsra_sim.Value.Int 1) in
+  check "agree" false one (native "a" 1);
+  check "trap" true one (native ~trap:"out of fuel" "a" 1);
+  check "output" true one (native "b" 1);
+  check "ret" true one (native "a" 2);
+  check "undefined ret" false (interp "a" Lsra_sim.Value.Undef) (native "a" 2)
+
 let test_exec_deep_spill_calls () =
   (* The hostile generator profile: call-dense, spill-heavy programs
      through the full pipeline and the native oracle, on a machine
@@ -271,14 +292,13 @@ let test_exec_deep_spill_calls () =
           let params = Lsra_workloads.Gen.hostile_params ~seed in
           let prog = Lsra_workloads.Gen.program ~params machine in
           match
-            Lsra_sim.Diffexec.check_native machine
+            Lsra_sim.Diffexec.check_pipeline machine
               Lsra.Allocator.default_second_chance prog
           with
-          | Lsra_sim.Diffexec.Native_ok _ | Lsra_sim.Diffexec.Native_skipped _
-            ->
-            ()
-          | Lsra_sim.Diffexec.Native_diverged why ->
-            Alcotest.failf "hostile seed %d diverges: %s" seed why)
+          | Ok _ -> ()
+          | Error d ->
+            Alcotest.failf "hostile seed %d diverges: %s" seed
+              (Lsra_sim.Diffexec.divergence_to_string d))
         [ 1; 2; 3 ])
 
 (* ------------------------------------------------------------------ *)
@@ -296,12 +316,11 @@ let native_property ~mname machine ~aname algo seed =
   in
   let prog = Lsra_workloads.Gen.program ~params machine in
   let input = String.init 8 (fun i -> Char.chr (97 + ((seed + i) mod 26))) in
-  match Lsra_sim.Diffexec.check_native ~input machine algo prog with
-  | Lsra_sim.Diffexec.Native_ok _ | Lsra_sim.Diffexec.Native_skipped _ ->
-    true
-  | Lsra_sim.Diffexec.Native_diverged why ->
-    QCheck.Test.fail_reportf "[%s/%s seed %d] native diverges: %s" mname
-      aname seed why
+  match Lsra_sim.Diffexec.check_pipeline ~input machine algo prog with
+  | Ok _ -> true
+  | Error d ->
+    QCheck.Test.fail_reportf "[%s/%s seed %d] diverges: %s" mname aname seed
+      (Lsra_sim.Diffexec.divergence_to_string d)
 
 let property_tests =
   if not (Exec.available ()) then []
@@ -337,5 +356,6 @@ let suite =
       ("exec: fuel trap", `Quick, test_exec_fuel_trap);
       ("exec: getc/putc roundtrip", `Quick, test_exec_getc_roundtrip);
       ("exec: hostile deep-spill calls", `Quick, test_exec_deep_spill_calls);
+    ("oracle: native mismatch rule", `Quick, test_native_mismatch_rule);
     ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) property_tests

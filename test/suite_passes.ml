@@ -95,7 +95,8 @@ let test_stats_pp_pin () =
      resolve: 4 loads, 5 stores, 6 moves\n\
      slots: 7; dataflow rounds: 9; resolution comparisons: 10; coloring \
      iterations: 11\n\
-     frame words saved by slot compaction: 8deadline downgrades: 14\n\
+     frame words saved by slot compaction: 8\n\
+     deadline downgrades: 14\n\
      branch-and-bound: 15 nodes, 16 functions proven optimal\n\
      pass times (ms): liveness 18.00, lifetime 19.00, scan 20.00, \
      resolution 21.00, peephole 25.00\n\
