@@ -1069,7 +1069,7 @@ let service () =
   let parts = Array.make k [] in
   List.iteri (fun i e -> parts.(i mod k) <- e :: parts.(i mod k)) entries;
   (* One pass: K client domains in lockstep request/response; requests
-     that land in the same event-loop round share a scheduler batch. *)
+     that land in the same event-loop round share a batch. *)
   let replay tag =
     let results, wall =
       timed (fun () ->
@@ -1085,8 +1085,8 @@ let service () =
     (lats, hits, wall)
   in
   (* Boot a server process-equivalent: fresh service (warm-loading from
-     [store_dir] if a journal exists), scheduler over the domain pool,
-     mux on a fresh socket. Returns whatever [f] produced plus the
+     [store_dir] if a journal exists), mux batching over the domain pool
+     on a fresh socket. Returns whatever [f] produced plus the
      warm-load count and the server's exit severity. *)
   let with_server f =
     let svc =
@@ -1101,13 +1101,10 @@ let service () =
     let warm_loaded =
       (Lsra_service.Service.counters svc).Lsra_service.Service.warm_loaded
     in
-    let sched =
-      Lsra_service.Scheduler.create ~capacity:(max 8 (2 * k)) ~jobs svc
-    in
     let srv =
       Domain.spawn (fun () ->
-          Lsra_service.Mux.serve_socket ~max_clients:(k + 4) sched
-            sock_path)
+          Lsra_service.Mux.serve_socket ~max_clients:(k + 4)
+            ~capacity:(max 8 (2 * k)) ~jobs svc sock_path)
     in
     let r = f () in
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

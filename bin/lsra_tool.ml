@@ -120,18 +120,6 @@ let passes_arg ~default =
            subset of copyprop, dce, motion, peephole, slots. Passes always \
            run in canonical pipeline order.")
 
-let no_cleanup_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cleanup" ]
-        ~doc:
-          "Drop every post-allocation cleanup pass (motion, peephole, \
-           slots) from the selected pass set; pre-allocation passes are \
-           kept.")
-
-let resolve_passes passes no_cleanup =
-  if no_cleanup then List.filter Lsra.Passes.is_pre passes else passes
-
 let load file = Lsra_text.Ir_text.of_string (read_input file)
 
 (* [load], then {!Lsra.Precheck} on every function: for the commands that
@@ -173,10 +161,9 @@ let handle_errors f =
     exit 1
 
 let alloc_cmd =
-  let run file machine algo verify jobs passes no_cleanup =
+  let run file machine algo verify jobs passes =
     handle_errors (fun () ->
         let prog = load file in
-        let passes = resolve_passes passes no_cleanup in
         ignore
           (Lsra.Allocator.pipeline ~precheck:true ~verify ~passes ~jobs algo
              machine prog);
@@ -186,8 +173,7 @@ let alloc_cmd =
     (Cmd.info "alloc" ~doc:"Register-allocate a program and print it.")
     Term.(
       const run $ file_arg $ machine_arg $ algo_term $ verify_arg $ jobs_arg
-      $ passes_arg ~default:Lsra.Passes.default
-      $ no_cleanup_arg)
+      $ passes_arg ~default:Lsra.Passes.default)
 
 let input_arg =
   Arg.(
@@ -222,10 +208,9 @@ let run_cmd =
     Term.(const run $ file_arg $ machine_arg $ input_arg $ fuel_arg)
 
 let stats_cmd =
-  let run file machine algo input jobs passes no_cleanup =
+  let run file machine algo input jobs passes =
     handle_errors (fun () ->
         let prog = load file in
-        let passes = resolve_passes passes no_cleanup in
         let stats =
           Lsra.Allocator.pipeline ~precheck:true ~verify:true ~passes ~jobs
             algo machine prog
@@ -252,8 +237,7 @@ let stats_cmd =
        ~doc:"Allocate, verify, and report static and dynamic statistics.")
     Term.(
       const run $ file_arg $ machine_arg $ algo_term $ input_arg $ jobs_arg
-      $ passes_arg ~default:Lsra.Passes.default
-      $ no_cleanup_arg)
+      $ passes_arg ~default:Lsra.Passes.default)
 
 let gen_cmd =
   let seed_arg =
@@ -319,10 +303,9 @@ let compile_cmd =
     Term.(const run $ file_arg $ machine_arg)
 
 let exec_cmd =
-  let run file machine algo input passes no_cleanup =
+  let run file machine algo input passes =
     handle_errors (fun () ->
         let prog = Lsra_frontend.Minilang.compile machine (read_input file) in
-        let passes = resolve_passes passes no_cleanup in
         ignore
           (Lsra.Allocator.pipeline ~precheck:true ~verify:true ~passes algo
              machine prog);
@@ -344,8 +327,7 @@ let exec_cmd =
           and run it.")
     Term.(
       const run $ file_arg $ machine_arg $ algo_term $ input_arg
-      $ passes_arg ~default:Lsra.Passes.default
-      $ no_cleanup_arg)
+      $ passes_arg ~default:Lsra.Passes.default)
 
 let diffcheck_cmd =
   let file_arg =
@@ -368,9 +350,8 @@ let diffcheck_cmd =
      mirroring the fuzz-artifact convention, so a CI failure can be
      diagnosed from the upload alone. *)
   let artifact_dir = Sys.getenv_opt "LSRA_DIFF_ARTIFACT_DIR" in
-  let run file machine input fuel scale passes no_cleanup =
+  let run file machine input fuel scale passes =
     handle_errors (fun () ->
-        let passes = resolve_passes passes no_cleanup in
         let jobs =
           match file with
           | Some f ->
@@ -452,8 +433,7 @@ let diffcheck_cmd =
           the abstract verifier rejected.")
     Term.(
       const run $ file_arg $ machine_arg $ input_arg $ fuel_arg $ scale_arg
-      $ passes_arg ~default:Lsra.Passes.all
-      $ no_cleanup_arg)
+      $ passes_arg ~default:Lsra.Passes.all)
 
 let jit_cmd =
   let file_arg =
@@ -480,9 +460,8 @@ let jit_cmd =
             "Print the annotated listing of the emitted machine code \
              (works on any host; execution still requires x86-64).")
   in
-  let run file fn machine algo input fuel passes no_cleanup dump_asm =
+  let run file fn machine algo input fuel passes dump_asm =
     handle_errors (fun () ->
-        let passes = resolve_passes passes no_cleanup in
         let prog = load file in
         ignore
           (Lsra.Allocator.pipeline ~precheck:true ~verify:false ~passes algo
@@ -527,7 +506,7 @@ let jit_cmd =
       const run $ file_arg $ fn_arg $ machine_arg $ algo_term $ input_arg
       $ fuel_arg
       $ passes_arg ~default:Lsra.Passes.all
-      $ no_cleanup_arg $ dump_asm_arg)
+      $ dump_asm_arg)
 
 let trace_cmd =
   let fn_arg =
@@ -718,11 +697,12 @@ let serve_cmd =
            message, not mid-serve: select(2) cannot watch fds >=
            FD_SETSIZE, so such a server would accept clients it can
            never service. *)
-        if max_clients >= 1024 then begin
+        let fd_setsize = Lsra_service.Mux.fd_setsize in
+        if max_clients >= fd_setsize then begin
           Printf.eprintf
             "serve: --max-clients %d exceeds what select(2) can watch \
-             (FD_SETSIZE = 1024); use 1023 or fewer\n"
-            max_clients;
+             (FD_SETSIZE = %d); use %d or fewer\n"
+            max_clients fd_setsize (fd_setsize - 1);
           exit 2
         end;
         let cfg =
@@ -739,16 +719,14 @@ let serve_cmd =
           }
         in
         let svc = Lsra_service.Service.create cfg in
-        let sched =
-          Lsra_service.Scheduler.create ~capacity:queue ~jobs svc
-        in
         let severity =
           match socket with
           | None ->
-            Lsra_service.Mux.serve_fds sched ~input:Unix.stdin
-              ~output:Unix.stdout
+            Lsra_service.Mux.serve_fds ~capacity:queue ~jobs svc
+              ~input:Unix.stdin ~output:Unix.stdout
           | Some path ->
-            Lsra_service.Mux.serve_socket ~max_clients sched path
+            Lsra_service.Mux.serve_socket ~max_clients ~capacity:queue ~jobs
+              svc path
         in
         if severity > 0 then exit severity)
   in

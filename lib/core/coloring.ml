@@ -324,6 +324,7 @@ let build ctx liveness loops =
       if Rclass.equal (Mreg.cls r) ctx.cls then Some (Mreg.idx r) else None
   in
   let nodes_of locs = List.filter_map node_of_loc locs in
+  let moves = ref [] and n_moves = ref 0 in
   let blocks = Cfg.blocks cfg in
   Array.iteri
     (fun bi b ->
@@ -344,9 +345,9 @@ let build ctx liveness loops =
         | Some (d, s) ->
           (* live := live \ use(I); record the move *)
           Hashtbl.remove live s;
-          let mi = Array.length ctx.moves in
-          ctx.moves <- Array.append ctx.moves [| (d, s) |];
-          ctx.move_stage <- Array.append ctx.move_stage [| M_worklist |];
+          let mi = !n_moves in
+          moves := (d, s) :: !moves;
+          incr n_moves;
           ctx.wl_moves <- mi :: ctx.wl_moves;
           ctx.move_list.(d) <- mi :: ctx.move_list.(d);
           if d <> s then ctx.move_list.(s) <- mi :: ctx.move_list.(s)
@@ -375,7 +376,9 @@ let build ctx liveness loops =
         in
         step_instr uses defs move
       done)
-    blocks
+    blocks;
+  ctx.moves <- Array.of_list (List.rev !moves);
+  ctx.move_stage <- Array.make !n_moves M_worklist
 
 let make_worklist ctx =
   Array.iteri
@@ -431,92 +434,56 @@ let rewrite_spills ~trace ctx spilled =
       tr (Trace.Slot_alloc { temp; id; slot }))
     real;
   let fresh_no_spill = ref [] in
-  let spill_tag kind = Instr.Spill { phase = Instr.Evict; kind } in
+  (* A reference to a spilled temp becomes a fresh unspillable temp,
+     loaded from the slot before a use or stored to it after a def;
+     [emit] places that spill instruction. *)
+  let slot_ref ~load emit (l : Loc.t) =
+    match l with
+    | Loc.Temp t when Hashtbl.mem slot_of (Temp.id t) ->
+      let slot = Hashtbl.find slot_of (Temp.id t) in
+      let nt = Func.fresh_temp func (Temp.cls t) in
+      fresh_no_spill := Temp.id nt :: !fresh_no_spill;
+      let temp = Temp.to_string t and id = Temp.id t in
+      if load then begin
+        emit
+          (Instr.make
+             ~tag:(Instr.Spill { phase = Instr.Evict; kind = Instr.Spill_ld })
+             (Instr.Spill_load { dst = Loc.Temp nt; slot }));
+        ctx.stats.Stats.evict_loads <- ctx.stats.Stats.evict_loads + 1;
+        tr (Trace.Second_chance { temp; id; pos = -1; reg = None; slot })
+      end
+      else begin
+        emit
+          (Instr.make
+             ~tag:(Instr.Spill { phase = Instr.Evict; kind = Instr.Spill_st })
+             (Instr.Spill_store { src = Loc.Temp nt; slot }));
+        ctx.stats.Stats.evict_stores <- ctx.stats.Stats.evict_stores + 1;
+        tr
+          (Trace.Spill_split
+             { temp; id; pos = -1; reg = None; slot; next_ref = None })
+      end;
+      Loc.Temp nt
+    | Loc.Temp _ | Loc.Reg _ -> l
+  in
   Cfg.iter_blocks
     (fun b ->
       let out = ref [] in
-      let rewrite_instr i =
-        let loads = ref [] and stores = ref [] in
-        let use (l : Loc.t) =
-          match l with
-          | Loc.Temp t when Hashtbl.mem slot_of (Temp.id t) ->
-            let slot = Hashtbl.find slot_of (Temp.id t) in
-            let nt = Func.fresh_temp func (Temp.cls t) in
-            fresh_no_spill := Temp.id nt :: !fresh_no_spill;
-            loads :=
-              Instr.make ~tag:(spill_tag Instr.Spill_ld)
-                (Instr.Spill_load { dst = Loc.Temp nt; slot })
-              :: !loads;
-            ctx.stats.Stats.evict_loads <- ctx.stats.Stats.evict_loads + 1;
-            tr
-              (Trace.Second_chance
-                 {
-                   temp = Temp.to_string t;
-                   id = Temp.id t;
-                   pos = -1;
-                   reg = None;
-                   slot;
-                 });
-            Loc.Temp nt
-          | Loc.Temp _ | Loc.Reg _ -> l
-        in
-        let def (l : Loc.t) =
-          match l with
-          | Loc.Temp t when Hashtbl.mem slot_of (Temp.id t) ->
-            let slot = Hashtbl.find slot_of (Temp.id t) in
-            let nt = Func.fresh_temp func (Temp.cls t) in
-            fresh_no_spill := Temp.id nt :: !fresh_no_spill;
-            stores :=
-              Instr.make ~tag:(spill_tag Instr.Spill_st)
-                (Instr.Spill_store { src = Loc.Temp nt; slot })
-              :: !stores;
-            ctx.stats.Stats.evict_stores <- ctx.stats.Stats.evict_stores + 1;
-            tr
-              (Trace.Spill_split
-                 {
-                   temp = Temp.to_string t;
-                   id = Temp.id t;
-                   pos = -1;
-                   reg = None;
-                   slot;
-                   next_ref = None;
-                 });
-            Loc.Temp nt
-          | Loc.Temp _ | Loc.Reg _ -> l
-        in
-        let i' = Instr.rewrite ~use ~def i in
-        out := !loads @ (i' :: !stores) @ !out
-      in
+      let push r i = r := i :: !r in
       let body = Block.body b in
       for j = Array.length body - 1 downto 0 do
-        rewrite_instr body.(j)
+        let loads = ref [] and stores = ref [] in
+        let i =
+          Instr.rewrite
+            ~use:(slot_ref ~load:true (push loads))
+            ~def:(slot_ref ~load:false (push stores))
+            body.(j)
+        in
+        out := !loads @ (i :: !stores) @ !out
       done;
-      Block.set_body b (Array.of_list !out);
-      Block.rewrite_term b ~use:(fun l ->
-          match l with
-          | Loc.Temp t when Hashtbl.mem slot_of (Temp.id t) ->
-            (* loads for terminator uses go at the very end of the body *)
-            let slot = Hashtbl.find slot_of (Temp.id t) in
-            let nt = Func.fresh_temp func (Temp.cls t) in
-            fresh_no_spill := Temp.id nt :: !fresh_no_spill;
-            Block.set_body b
-              (Array.append (Block.body b)
-                 [|
-                   Instr.make ~tag:(spill_tag Instr.Spill_ld)
-                     (Instr.Spill_load { dst = Loc.Temp nt; slot });
-                 |]);
-            ctx.stats.Stats.evict_loads <- ctx.stats.Stats.evict_loads + 1;
-            tr
-              (Trace.Second_chance
-                 {
-                   temp = Temp.to_string t;
-                   id = Temp.id t;
-                   pos = -1;
-                   reg = None;
-                   slot;
-                 });
-            Loc.Temp nt
-          | Loc.Temp _ | Loc.Reg _ -> l))
+      (* loads for terminator uses go at the very end of the body *)
+      let term_loads = ref [] in
+      Block.rewrite_term b ~use:(slot_ref ~load:true (push term_loads));
+      Block.set_body b (Array.of_list (!out @ List.rev !term_loads)))
     (Func.cfg func);
   !fresh_no_spill
 

@@ -11,8 +11,8 @@ open Lsra_ir
    Domains are expensive to spawn and each brings its own minor heap, so
    the pool is {e persistent}: helpers are spawned once, parked on a
    condition variable between batches, and reused by every [map_array]
-   call in the process ([fold_stats] batches, the service scheduler,
-   bench). [teardown] (also registered [at_exit]) joins them so tests and
+   call in the process ([fold_stats] batches, the service's request
+   batches, bench). [teardown] (also registered [at_exit]) joins them so tests and
    one-shot tools exit cleanly.
 
    Exceptions: a worker never lets one escape into the pool loop. Each

@@ -6,8 +6,8 @@
     work over a few domains buys wall-clock time without touching the
     algorithm. Domains are expensive to spawn, so helpers are created
     once and parked between batches; every [map_array] in the process —
-    [fold_stats] batches, the allocation service's
-    [Lsra_service.Scheduler], bench — shares the same pool. *)
+    [fold_stats] batches, the allocation service's request batches
+    ([Lsra_service.Mux]), bench — shares the same pool. *)
 
 open Lsra_ir
 

@@ -29,7 +29,8 @@ let iter_edge (res : Binpack.t) log mask p s f =
     for k = lo to hi - 1 do Bitset.remove mask log.(k) done
   end
 
-(* [f e p s] for the edges of [succs] in [Cfg.edges] order, [e] counting. *)
+(* [f e p s] for the edges of [succs] in [Cfg.edge_tables] order (by
+   source block, then {!Block.succ_labels} order), [e] counting. *)
 let iter_edges succs f =
   let e = ref 0 in
   Array.iteri (fun p -> Array.iter (fun s -> f !e p s; incr e)) succs

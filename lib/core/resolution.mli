@@ -17,9 +17,10 @@ val run : Binpack.t -> unit
 
 (** [iter_candidates scanned f] calls [f p s id] for every temp [id] that
     pass 1 compares on each edge [p → s] of the scanned function, in
-    [Cfg.edges] order, then in id order: the temps live into [s] whose
-    location the scan changed between its bottom record of [p] and its
-    top record of [s] (a slice of {!Binpack.change_log}). No other temp
-    can have different locations across the edge. Call it before
-    {!run}, which splits edges. *)
+    {!Cfg.edge_tables} order (by source block, then {!Block.succ_labels}
+    order), then in id order: the temps live into [s] whose location the
+    scan changed between its bottom record of [p] and its top record of
+    [s] (a slice of {!Binpack.change_log}). No other temp can have
+    different locations across the edge. Call it before {!run}, which
+    splits edges. *)
 val iter_candidates : Binpack.t -> (int -> int -> int -> unit) -> unit

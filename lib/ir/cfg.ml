@@ -67,8 +67,6 @@ let append_block t b =
   t.blocks <- Array.append t.blocks [| b |];
   Hashtbl.add t.index l (Array.length t.blocks - 1)
 
-let succs t b = List.map (block t) (Block.succ_labels b)
-
 let preds_table t =
   let tbl = Hashtbl.create 16 in
   Array.iter (fun b -> Hashtbl.replace tbl (Block.label b) []) t.blocks;
@@ -151,11 +149,6 @@ let edge_tables t =
           c_edges;
         };
     c_edges
-
-let edges t =
-  Array.to_list t.blocks
-  |> List.concat_map (fun b ->
-         List.map (fun s -> (Block.label b, s)) (Block.succ_labels b))
 
 let iter_blocks f t = Array.iter f t.blocks
 

@@ -28,7 +28,6 @@ val block : t -> string -> Block.t
 val block_index : t -> string -> int
 
 val append_block : t -> Block.t -> unit
-val succs : t -> Block.t -> Block.t list
 
 (** Predecessor labels of every block, in first-encountered order. *)
 val preds_table : t -> (string, string list) Hashtbl.t
@@ -45,9 +44,6 @@ val preds_table : t -> (string, string list) Hashtbl.t
 type edges = { succs : int array array; preds : int array array }
 
 val edge_tables : t -> edges
-
-(** All CFG edges as [(src_label, dst_label)] pairs. *)
-val edges : t -> (string * string) list
 
 val iter_blocks : (Block.t -> unit) -> t -> unit
 

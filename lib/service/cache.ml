@@ -45,16 +45,6 @@ let create ?(max_bytes = 64 * 1024 * 1024) ?(max_entries = 4096) () =
     lock = Mutex.create ();
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-    Mutex.unlock t.lock;
-    v
-  | exception e ->
-    Mutex.unlock t.lock;
-    raise e
-
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
   (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
@@ -84,7 +74,7 @@ let evict_lru t =
     t.evictions <- t.evictions + 1
 
 let find t key =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.table key with
       | Some n ->
         t.hits <- t.hits + 1;
@@ -97,7 +87,7 @@ let find t key =
         None)
 
 let add t key e =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let e = { e with stats = copy_stats e.stats } in
       let size = entry_size key e in
       (match Hashtbl.find_opt t.table key with
@@ -122,7 +112,7 @@ let add t key e =
       end)
 
 let counters t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       {
         hits = t.hits;
         misses = t.misses;
@@ -132,7 +122,7 @@ let counters t =
       })
 
 let lru_order t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let rec walk acc = function
         | None -> List.rev acc
         | Some n -> walk (n.key :: acc) n.next

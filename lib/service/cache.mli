@@ -4,8 +4,8 @@
     IR) plus the allocation's statistics. Capacity is bounded both by
     entry count and by payload bytes; inserting past either budget evicts
     least-recently-used entries until the new entry fits. Every operation
-    is guarded by a mutex, so one cache may be shared by the scheduler's
-    worker domains. *)
+    is guarded by a mutex, so one cache may be shared by the domains that
+    serve a {!Mux} batch. *)
 
 type entry = {
   output : string;  (** allocated program, canonical textual IR *)

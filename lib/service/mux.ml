@@ -34,13 +34,15 @@ type conn = {
 }
 
 type t = {
-  sched : Scheduler.t;
+  svc : Service.t;
+  capacity : int;  (* batch size that forces a flush *)
+  jobs : int;  (* domain fan-out per batch *)
   lsock : Unix.file_descr option;
   max_clients : int;
   mutable conns : conn list;
-  (* Submission order across all connections; must stay in lockstep
-     with the scheduler's queue. *)
-  pending : (conn * string) Queue.t;
+  (* The one request queue: every connection's completed requests,
+     newest first, each with the connection it answers to. *)
+  mutable batch : (conn * Service.request) list;
   mutable quit : bool;
   mutable severity : int;
 }
@@ -121,47 +123,53 @@ let try_write t c =
     | exception Unix.Unix_error _ -> mark_dead t c  (* EPIPE & friends *)
   end
 
-(* Route (request, result) pairs back to their connections. The mux's
-   pending queue and the scheduler's batch were filled in the same
-   submission order, so the heads must agree — anything else means the
-   pairing invariant broke, and failing loudly beats answering the
-   wrong client. *)
-let route t pairs =
-  List.iter
-    (fun ((req : Service.request), result) ->
-      match Queue.take_opt t.pending with
-      | None ->
-        failwith "Mux: internal error: response without a pending request"
-      | Some (c, rid) ->
-        if not (String.equal rid req.Service.req_id) then
-          failwith
-            (Printf.sprintf
-               "Mux: internal error: response for %S routed to slot %S"
-               req.Service.req_id rid);
-        (match result with
-        | Ok (resp : Service.response) ->
-          queue_frame c (Protocol.render_ok resp) (Some resp.Service.output)
-        | Error e ->
-          let code = Protocol.err_code_of_exn e in
-          (* Bad input (code 1) is the client's problem; verifier
-             rejects and spot-check divergences are ours. *)
-          c.severity <- max c.severity (if code = 1 then 0 else code);
-          queue_frame c
-            (Protocol.render_err ~id:rid ~code
-               (Protocol.err_message_of_exn e))
-            None))
-    pairs
+let answer c id = function
+  | Ok (resp : Service.response) ->
+    queue_frame c (Protocol.render_ok resp) (Some resp.Service.output)
+  | Error e ->
+    let code = Protocol.err_code_of_exn e in
+    (* Bad input (code 1) is the client's problem; verifier rejects and
+       spot-check divergences are ours. *)
+    c.severity <- max c.severity (if code = 1 then 0 else code);
+    queue_frame c
+      (Protocol.render_err ~id ~code (Protocol.err_message_of_exn e))
+      None
 
-let flush_batch t = route t (Scheduler.flush t.sched)
+(* Serve the batch over the domain pool and answer each request on its
+   own connection, in submission order. Requests are independent: an
+   exception stays in its own slot, so one malformed request cannot
+   poison the batch (map_array would re-raise and abandon the other
+   results). Source length stands in for compile cost, so the largest
+   requests are dealt first. *)
+let flush_batch t =
+  if t.batch <> [] then begin
+    let batch = Array.of_list (List.rev t.batch) in
+    t.batch <- [];
+    let results =
+      Lsra.Parallel.map_array ~jobs:t.jobs
+        ~weight:(fun (_, req) -> String.length req.Service.source)
+        batch
+        (fun (c, (req : Service.request)) ->
+          ( c,
+            req.req_id,
+            match Service.handle t.svc req with
+            | resp -> Ok resp
+            | exception e -> Error e ))
+    in
+    (* The batch boundary is the store's durability point: one fsync per
+       shard covers every append the batch produced (see Store.sync_mode;
+       a no-op in the default Never mode). *)
+    Service.sync_store t.svc;
+    Array.iter (fun (c, id, result) -> answer c id result) results
+  end
 
 let submit_req t c (r : Protocol.req) body =
   let req =
     Service.request ~algo:r.algo ~passes:r.passes ?deadline:r.deadline
       ~id:r.id body
   in
-  Queue.push (c, r.id) t.pending;
-  (* Capacity auto-drain may answer a whole batch right here. *)
-  route t (Scheduler.submit t.sched req)
+  t.batch <- (c, req) :: t.batch;
+  if List.compare_length_with t.batch t.capacity >= 0 then flush_batch t
 
 (* ------------------------------------------------------------------ *)
 (* Incremental reading and parsing                                     *)
@@ -257,8 +265,7 @@ let rec parse_conn t c =
           | Ok (Protocol.H_stats id) ->
             flush_batch t;
             queue_frame c
-              (Protocol.render_stats ~id
-                 (Service.counters (Scheduler.service t.sched)))
+              (Protocol.render_stats ~id (Service.counters t.svc))
               None;
             parse_conn t c
           | Ok Protocol.H_quit -> t.quit <- true))
@@ -323,14 +330,16 @@ let fd_setsize = 1024
 
 (* Serve until QUIT, or until there is no listener and no connection
    left; pending responses are drained first. *)
-let serve sched ?lsock ~max_clients conns =
+let serve ?(capacity = 64) ?(jobs = 1) svc ?lsock ~max_clients conns =
   let t =
     {
-      sched;
+      svc;
+      capacity = max 1 capacity;
+      jobs;
       lsock;
       max_clients = max 1 max_clients;
       conns;
-      pending = Queue.create ();
+      batch = [];
       quit = false;
       severity = 0;
     }
@@ -379,8 +388,8 @@ let serve sched ?lsock ~max_clients conns =
                end)
              t.conns;
            (* Batch boundary: everything that arrived this round — from
-              every connection — is one scheduler batch. *)
-           if Scheduler.pending t.sched > 0 then flush_batch t;
+              every connection — is one batch. *)
+           flush_batch t;
            List.iter
              (fun c ->
                if List.memq c.wfd ws || wq_len c > 0 then try_write t c)
@@ -394,10 +403,11 @@ let serve sched ?lsock ~max_clients conns =
   t.conns <- [];
   t.severity
 
-let serve_fds sched ~input ~output =
-  serve sched ~max_clients:1 [ make_conn ~owned:false input output ]
+let serve_fds ?capacity ?jobs svc ~input ~output =
+  serve ?capacity ?jobs svc ~max_clients:1
+    [ make_conn ~owned:false input output ]
 
-let serve_socket ?(max_clients = 64) sched path =
+let serve_socket ?(max_clients = 64) ?capacity ?jobs svc path =
   if max_clients >= fd_setsize then
     invalid_arg
       (Printf.sprintf
@@ -415,4 +425,4 @@ let serve_socket ?(max_clients = 64) sched path =
       Unix.bind sock (Unix.ADDR_UNIX path);
       Unix.listen sock 64;
       Unix.set_nonblock sock;
-      serve sched ~lsock:sock ~max_clients [])
+      serve ?capacity ?jobs svc ~lsock:sock ~max_clients [])

@@ -136,16 +136,6 @@ let cache_fill t key (e : Cache.entry) =
   | None -> ()
   | Some st -> Store.append st ~key ~algo:e.Cache.algo ~output:e.Cache.output
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-    Mutex.unlock t.lock;
-    v
-  | exception e ->
-    Mutex.unlock t.lock;
-    raise e
-
 type service_counters = {
   cache : Cache.counters;
   requests : int;
@@ -170,7 +160,7 @@ let counters t =
       { Cache.hits = 0; misses = 0; evictions = 0; entries = 0; bytes = 0 }
       t.caches
   in
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       {
         cache;
         requests = t.requests;
@@ -190,11 +180,11 @@ let rate t algo =
   | None -> default_rate
 
 let predict t algo n_instrs =
-  locked t (fun () -> rate t algo *. float_of_int (max 1 n_instrs))
+  Mutex.protect t.lock (fun () -> rate t algo *. float_of_int (max 1 n_instrs))
 
 let observe t algo n_instrs seconds =
   if n_instrs > 0 && seconds >= 0. then
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         let obs = seconds /. float_of_int n_instrs in
         let key = Lsra.Allocator.short_name algo in
         let blended =
@@ -224,7 +214,7 @@ let degrade t ~req_id ~budget ~n_instrs requested =
     <> Lsra.Allocator.short_name requested
   then begin
     let predicted = predict t requested n_instrs in
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         t.downgrades <- t.downgrades + 1;
         match t.cfg.trace with
         | None -> ()
@@ -271,7 +261,7 @@ let compile t ~req_id ~passes algo prog =
    entries warm-loaded from the journal — a corrupt record that parsed
    cleanly still cannot serve wrong bytes unnoticed. *)
 let spot_check t ~req_id ~key ~canonical ~passes algo (entry : Cache.entry) =
-  locked t (fun () -> t.spot_checks <- t.spot_checks + 1);
+  Mutex.protect t.lock (fun () -> t.spot_checks <- t.spot_checks + 1);
   let prog = Lsra_text.Ir_text.of_string canonical in
   ignore
     (Lsra.Allocator.pipeline ~precheck:true ~verify:false ~passes algo
@@ -282,7 +272,7 @@ let spot_check t ~req_id ~key ~canonical ~passes algo (entry : Cache.entry) =
 
 let handle t (req : request) =
   let t0 = Monotonic_clock.now () in
-  locked t (fun () -> t.requests <- t.requests + 1);
+  Mutex.protect t.lock (fun () -> t.requests <- t.requests + 1);
   let prog = Lsra_text.Ir_text.of_string req.source in
   (* Rendered once: the cache keys and the spot check both use it. *)
   let canonical = Lsra_text.Ir_text.to_string prog in
@@ -306,7 +296,11 @@ let handle t (req : request) =
     }
   in
   let serve_hit ~key ~downgraded_to algo (entry : Cache.entry) =
-    (let n = locked t (fun () -> t.hit_seq <- t.hit_seq + 1; t.hit_seq) in
+    (let n =
+       Mutex.protect t.lock (fun () ->
+           t.hit_seq <- t.hit_seq + 1;
+           t.hit_seq)
+     in
      if t.cfg.spot_check > 0 && n mod t.cfg.spot_check = 0 then
        spot_check t ~req_id:req.req_id ~key ~canonical ~passes algo entry);
     let stats = entry.Cache.stats in
@@ -326,39 +320,26 @@ let handle t (req : request) =
       | None -> req.algo
       | Some budget -> degrade t ~req_id:req.req_id ~budget ~n_instrs req.algo
     in
-    let downgraded =
-      Lsra.Allocator.short_name effective
-      <> Lsra.Allocator.short_name req.algo
-    in
     let downgraded_to =
-      if downgraded then Some (Lsra.Allocator.short_name effective) else None
+      let name = Lsra.Allocator.short_name effective in
+      if name <> Lsra.Allocator.short_name req.algo then Some name else None
     in
-    if downgraded then
-      (* The cheaper allocation may itself already be cached. *)
-      let key = key_of effective in
-      match cache_find t key with
-      | Some entry -> serve_hit ~key ~downgraded_to effective entry
-      | None ->
-        let stats, dt = compile t ~req_id:req.req_id ~passes effective prog in
-        observe t effective n_instrs dt;
-        let output = Lsra_text.Ir_text.to_string prog in
-        cache_fill t key
-          {
-            Cache.output;
-            stats;
-            algo = Lsra.Allocator.short_name effective;
-          };
-        stats.Lsra.Stats.downgrades <- 1;
-        respond ~key ~cached:false ~downgraded_to ~output ~stats
-    else begin
+    (* The cheaper allocation may itself already be cached; the requested
+       key was looked up above. *)
+    let key, hit =
+      match downgraded_to with
+      | None -> (requested_key, None)
+      | Some _ ->
+        let key = key_of effective in
+        (key, cache_find t key)
+    in
+    match hit with
+    | Some entry -> serve_hit ~key ~downgraded_to effective entry
+    | None ->
       let stats, dt = compile t ~req_id:req.req_id ~passes effective prog in
       observe t effective n_instrs dt;
       let output = Lsra_text.Ir_text.to_string prog in
-      cache_fill t requested_key
-        {
-          Cache.output;
-          stats;
-          algo = Lsra.Allocator.short_name effective;
-        };
-      respond ~key:requested_key ~cached:false ~downgraded_to ~output ~stats
-    end
+      cache_fill t key
+        { Cache.output; stats; algo = Lsra.Allocator.short_name effective };
+      if downgraded_to <> None then stats.Lsra.Stats.downgrades <- 1;
+      respond ~key ~cached:false ~downgraded_to ~output ~stats

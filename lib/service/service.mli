@@ -50,7 +50,7 @@ type config = {
           default budget *)
   store_sync : Store.sync_mode;
       (** journal append durability: [Store.Never] (default) flushes
-          but never fsyncs; [Store.Batch] fsyncs at the scheduler's
+          but never fsyncs; [Store.Batch] fsyncs at {!Mux}'s
           batch boundaries (see {!sync_store}) *)
   native : bool;
       (** native-backend mode (default [false]): every cold fill must
@@ -116,14 +116,14 @@ val config : t -> config
 (** The persistent store, when the service was configured with one. *)
 val store : t -> Store.t option
 
-(** Force the store's journals to disk ({!Store.sync}); the scheduler
-    calls this at every batch boundary. A no-op without a store or under
+(** Force the store's journals to disk ({!Store.sync}); {!Mux} calls
+    this at every batch boundary. A no-op without a store or under
     [Store.Never]. *)
 val sync_store : t -> unit
 
 (** Serve one request. Thread-/domain-safe: cache shards, cost model,
-    store and trace emission are mutex-guarded, so {!Scheduler} may call
-    this from many domains. Raises what parsing, {!Lsra.Verify} or
+    store and trace emission are mutex-guarded, so {!Mux} may call this
+    from many domains. Raises what parsing, {!Lsra.Verify} or
     {!Lsra.Precheck} raise on bad or mis-allocated input, and
     {!Spot_check_failed} on a spot-check divergence. *)
 val handle : t -> request -> response

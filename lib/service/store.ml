@@ -62,16 +62,6 @@ let shard_of_key ~shards key =
     !h mod shards
   end
 
-let locked lock f =
-  Mutex.lock lock;
-  match f () with
-  | v ->
-    Mutex.unlock lock;
-    v
-  | exception e ->
-    Mutex.unlock lock;
-    raise e
-
 let rec mkdirs d =
   if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
     mkdirs (Filename.dirname d);
@@ -268,7 +258,7 @@ let open_ ~dir ?(shards = 1) ?(max_bytes = 16 * 1024 * 1024) ?(sync = Never) ()
             Queue.push key sh.order)
           records;
         sh.bytes <- valid_end;
-        locked t.lock (fun () ->
+        Mutex.protect t.lock (fun () ->
             t.loaded <- t.loaded + List.length records;
             if torn then t.torn <- t.torn + 1);
         if torn then write_file sh.path (String.sub data 0 valid_end)
@@ -283,7 +273,7 @@ let n_shards t = Array.length t.shards
 let load t =
   Array.to_list t.shards
   |> List.concat_map (fun (sh : shard) ->
-         locked sh.lock (fun () ->
+         Mutex.protect sh.lock (fun () ->
              Queue.fold
                (fun acc key ->
                  match Hashtbl.find_opt sh.table key with
@@ -296,20 +286,20 @@ let append t ~key ~algo ~output =
   if not (valid_token key && valid_token algo) then
     invalid_arg "Store.append: key and algo must be single tokens";
   let sh = t.shards.(shard_of_key ~shards:(n_shards t) key) in
-  locked sh.lock (fun () ->
+  Mutex.protect sh.lock (fun () ->
       Hashtbl.replace sh.table key (algo, output);
       Queue.push key sh.order;
       let oc = append_oc sh in
       output_string oc (record key algo output);
       flush oc;
       sh.bytes <- sh.bytes + record_size key algo output;
-      locked t.lock (fun () -> t.appended <- t.appended + 1);
+      Mutex.protect t.lock (fun () -> t.appended <- t.appended + 1);
       if sh.bytes > t.max_bytes then begin
         (* Compact down to a low-water mark of half the budget: keeping
            up to the full budget would let the very next append cross it
            again, compacting on every append. *)
         ignore (compact_shard (t.max_bytes / 2) sh);
-        locked t.lock (fun () -> t.compactions <- t.compactions + 1)
+        Mutex.protect t.lock (fun () -> t.compactions <- t.compactions + 1)
       end)
 
 (* Batch-boundary durability point: force every shard's open journal to
@@ -321,7 +311,7 @@ let sync t =
   | Batch ->
     Array.iter
       (fun (sh : shard) ->
-        locked sh.lock (fun () ->
+        Mutex.protect sh.lock (fun () ->
             match sh.oc with
             | Some oc ->
               flush oc;
@@ -334,11 +324,11 @@ let counters t =
   let entries = ref 0 and bytes = ref 0 in
   Array.iter
     (fun (sh : shard) ->
-      locked sh.lock (fun () ->
+      Mutex.protect sh.lock (fun () ->
           entries := !entries + Hashtbl.length sh.table;
           bytes := !bytes + sh.bytes))
     t.shards;
-  locked t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       {
         entries = !entries;
         bytes = !bytes;
@@ -351,7 +341,7 @@ let counters t =
 let close t =
   Array.iter
     (fun (sh : shard) ->
-      locked sh.lock (fun () ->
+      Mutex.protect sh.lock (fun () ->
           match sh.oc with
           | Some oc ->
             close_out_noerr oc;

@@ -39,7 +39,7 @@ type t
 (** Journal durability policy. [Never] (the default) flushes appends to
     the OS but never fsyncs them — a process crash loses nothing, a
     power loss may lose the most recent appends. [Batch] makes {!sync}
-    (called by the scheduler at batch boundaries) fsync every shard's
+    (called by {!Mux} at batch boundaries) fsync every shard's
     journal, bounding power-loss exposure to the current batch at the
     cost of one fsync per shard per batch. Compaction and meta rewrites
     are always crash-safe regardless of the mode (tmp-file fsync +

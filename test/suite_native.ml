@@ -149,10 +149,9 @@ let test_mux_rejects_fd_setsize () =
     Lsra_service.Service.create
       (Lsra_service.Service.default_config (Machine.small ()))
   in
-  let sched = Lsra_service.Scheduler.create ~capacity:4 ~jobs:1 svc in
   let path = Filename.temp_file "lsra-mux" ".sock" in
   Sys.remove path;
-  (match Lsra_service.Mux.serve_socket ~max_clients:1024 sched path with
+  (match Lsra_service.Mux.serve_socket ~max_clients:1024 svc path with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "max_clients=1024 (FD_SETSIZE) must be rejected");
   Alcotest.(check bool) "socket path not created" false (Sys.file_exists path)

@@ -5,7 +5,6 @@
 
 open Lsra_target
 module Service = Lsra_service.Service
-module Scheduler = Lsra_service.Scheduler
 module Mux = Lsra_service.Mux
 module Protocol = Lsra_service.Protocol
 module Store = Lsra_service.Store
@@ -48,28 +47,27 @@ let rec rm_rf path =
   | _ -> Unix.unlink path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-let make_sched ?(spot_check = 0) ?store_dir ?(shards = 1) () =
-  Scheduler.create
-    (Service.create
-       {
-         (Service.default_config machine) with
-         Service.spot_check;
-         store_dir;
-         shards;
-       })
+let make_service ?(spot_check = 0) ?store_dir ?(shards = 1) () =
+  Service.create
+    {
+      (Service.default_config machine) with
+      Service.spot_check;
+      store_dir;
+      shards;
+    }
 
 (* Serve the given input bytes as one connection over file descriptors,
    as [lsra_tool serve] serves stdin/stdout; returns (severity, raw
    output bytes). *)
-let serve_io ?spot_check ?store_dir ?shards input =
-  let sched = make_sched ?spot_check ?store_dir ?shards () in
+let serve_io ?capacity ?jobs ?spot_check ?store_dir ?shards input =
+  let svc = make_service ?spot_check ?store_dir ?shards () in
   let in_path = Filename.temp_file "lsra-serve" ".in" in
   let out_path = Filename.temp_file "lsra-serve" ".out" in
   Out_channel.with_open_bin in_path (fun oc ->
       Out_channel.output_string oc input);
   let input = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
   let output = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
-  let sev = Mux.serve_fds sched ~input ~output in
+  let sev = Mux.serve_fds ?capacity ?jobs svc ~input ~output in
   Unix.close input;
   Unix.close output;
   let out = In_channel.with_open_bin out_path In_channel.input_all in
@@ -268,7 +266,7 @@ let test_output_reader_closed () =
   let input = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
   let r, w = Unix.pipe () in
   Unix.close r;
-  let sev = Mux.serve_fds (make_sched ()) ~input ~output:w in
+  let sev = Mux.serve_fds (make_service ()) ~input ~output:w in
   Unix.close input;
   Unix.close w;
   Sys.remove in_path;
@@ -305,6 +303,49 @@ let test_stats_mid_batch () =
     Alcotest.(check bool) "warm-loaded reported" true
       (List.mem_assoc "warm-loaded" fields)
   | rs -> Alcotest.failf "unexpected replies: %s" (String.concat " " (ids rs))
+
+(* Program [i] sums [i + 3] temps, all live at once: a few hundred
+   bytes that spill on the 4-register machine. *)
+let sum_source i =
+  let n = i + 3 in
+  let lines f = String.concat "" (List.init n f) in
+  "program main=main heap=16\n\nfunc main {\n"
+  ^ lines (Printf.sprintf "  temp t.%d int\n")
+  ^ "  block entry:\n"
+  ^ lines (fun k -> Printf.sprintf "    t.%d := %d\n" k (k + i))
+  ^ lines (fun k ->
+        if k = 0 then "" else Printf.sprintf "    t.0 := add t.0, t.%d\n" k)
+  ^ "    $r0 := t.0\n    ret\n}\n"
+
+(* The batch settings change only when and where requests run: six
+   requests served as one batch on four domains, or one batch per
+   request, give the ids, order and bodies of the default single-domain
+   batch. The six frames are small enough to arrive in one read, so
+   the default and the four-domain runs serve them as one batch. *)
+let test_batch_settings_same_replies () =
+  let input =
+    String.concat ""
+      (List.init 6 (fun i -> req (Printf.sprintf "r%d" i) (sum_source i)))
+    ^ "QUIT\n"
+  in
+  let replies ?capacity ?jobs () =
+    let sev, out = serve_io ?capacity ?jobs input in
+    Alcotest.(check int) "clean" 0 sev;
+    let rs = parse_replies out in
+    (ids rs, List.map snd rs)
+  in
+  let ids, bodies = replies () in
+  Alcotest.(check (list string)) "all six served in order"
+    (List.init 6 (Printf.sprintf "OK:r%d")) ids;
+  List.iter
+    (fun (name, r) ->
+      let ids', bodies' = r in
+      Alcotest.(check (list string)) (name ^ ": ids and order") ids ids';
+      Alcotest.(check (list (option string))) (name ^ ": bodies") bodies bodies')
+    [
+      ("jobs 4", replies ~jobs:4 ());
+      ("capacity 1", replies ~capacity:1 ());
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The persistent store.                                               *)
@@ -519,10 +560,9 @@ let test_mux_concurrent_clients () =
   let dir = temp_dir "lsra-mux" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let svc = Service.create (Service.default_config machine) in
-  let sched = Scheduler.create ~jobs:2 svc in
   let path = Filename.concat dir "serve.sock" in
   let srv =
-    Domain.spawn (fun () -> Mux.serve_socket ~max_clients:8 sched path)
+    Domain.spawn (fun () -> Mux.serve_socket ~max_clients:8 ~jobs:2 svc path)
   in
   let src = source ~seed:41 () in
   let expected = direct_output src in
@@ -619,6 +659,8 @@ let suite =
       test_quit_mid_batch;
     Alcotest.test_case "frames: STATS mid-batch flushes first" `Quick
       test_stats_mid_batch;
+    Alcotest.test_case "batch: jobs and capacity keep the replies" `Quick
+      test_batch_settings_same_replies;
     Alcotest.test_case "store: journal round-trip, shard guard" `Quick
       test_store_round_trip;
     Alcotest.test_case "store: torn tail skipped and healed" `Quick

@@ -3,7 +3,6 @@ open Lsra_target
 module Cachekey = Lsra_service.Cachekey
 module Cache = Lsra_service.Cache
 module Service = Lsra_service.Service
-module Scheduler = Lsra_service.Scheduler
 module Protocol = Lsra_service.Protocol
 
 let machine = Machine.small ~int_regs:4 ~float_regs:4 ()
@@ -264,66 +263,6 @@ let test_ladder () =
     (shorts Lsra.Allocator.default_optimal)
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler: a parallel batch is bit-identical to sequential, in
-   submission order.                                                   *)
-
-let test_batch_parallel_identical () =
-  let sources = List.init 6 (fun i -> source ~seed:(20 + i) ~n_funcs:1 ()) in
-  let reqs tag =
-    List.mapi
-      (fun i s -> Service.request ~id:(Printf.sprintf "%s%d" tag i) s)
-      sources
-  in
-  let run jobs tag =
-    let sched = Scheduler.create ~jobs (make_service ()) in
-    List.map
-      (fun ((req : Service.request), result) ->
-        match result with
-        | Ok (r : Service.response) ->
-          Alcotest.(check string) "paired with its own request"
-            req.Service.req_id r.Service.resp_id;
-          r
-        | Error e ->
-          Alcotest.failf "request failed: %s" (Printexc.to_string e))
-      (Scheduler.run_batch sched (reqs tag))
-  in
-  let seq = run 1 "s" and par = run 4 "p" in
-  Alcotest.(check int) "all served" (List.length sources) (List.length par);
-  List.iteri
-    (fun i (s, p) ->
-      Alcotest.(check string)
-        (Printf.sprintf "slot %d in submission order" i)
-        (Printf.sprintf "p%d" i) p.Service.resp_id;
-      Alcotest.(check string)
-        (Printf.sprintf "slot %d bit-identical" i)
-        s.Service.output p.Service.output)
-    (List.combine seq par)
-
-let test_batch_isolates_errors () =
-  let sched = Scheduler.create (make_service ()) in
-  let results =
-    Scheduler.run_batch sched
-      [
-        Service.request ~id:"good" (source ());
-        Service.request ~id:"bad" "this is not ir\n";
-      ]
-  in
-  match results with
-  | [ (_, Ok good); (bad_req, Error _) ] ->
-    Alcotest.(check string) "good slot served" "good" good.Service.resp_id;
-    Alcotest.(check string) "error paired with the bad request" "bad"
-      bad_req.Service.req_id
-  | _ -> Alcotest.fail "expected [Ok; Error] in submission order"
-
-let test_capacity_auto_drain () =
-  let sched = Scheduler.create ~capacity:2 (make_service ()) in
-  let r i = Service.request ~id:(Printf.sprintf "q%d" i) (source ()) in
-  Alcotest.(check int) "first enqueued" 0 (List.length (Scheduler.submit sched (r 0)));
-  Alcotest.(check int) "capacity drains" 2
-    (List.length (Scheduler.submit sched (r 1)));
-  Alcotest.(check int) "queue empty after drain" 0 (Scheduler.pending sched)
-
-(* ------------------------------------------------------------------ *)
 (* Wire protocol headers.                                              *)
 
 (* One line per parse: a request with its options, a bodiless frame,
@@ -421,12 +360,6 @@ let suite =
     Alcotest.test_case "deadline: generous budget does not" `Quick
       test_generous_deadline_no_downgrade;
     Alcotest.test_case "deadline: degradation ladders" `Quick test_ladder;
-    Alcotest.test_case "scheduler: parallel batch bit-identical" `Quick
-      test_batch_parallel_identical;
-    Alcotest.test_case "scheduler: errors stay in their slot" `Quick
-      test_batch_isolates_errors;
-    Alcotest.test_case "scheduler: capacity auto-drains" `Quick
-      test_capacity_auto_drain;
     Alcotest.test_case "protocol: header parsing" `Quick test_protocol_headers;
     Alcotest.test_case "protocol: frame rendering and reply parsing" `Quick
       test_render_frame;
