@@ -304,8 +304,8 @@ let test_stats_mid_batch () =
       (List.mem_assoc "warm-loaded" fields)
   | rs -> Alcotest.failf "unexpected replies: %s" (String.concat " " (ids rs))
 
-(* Program [i] sums [i + 3] temps, all live at once: a few hundred
-   bytes that spill on the 4-register machine. *)
+(* Program [i] sums [i + 3] temps, all live at once: 200-500 bytes of
+   text, and the larger ones spill on the 4-register machine. *)
 let sum_source i =
   let n = i + 3 in
   let lines f = String.concat "" (List.init n f) in
