@@ -347,6 +347,32 @@ let test_batch_settings_same_replies () =
       ("capacity 1", replies ~capacity:1 ());
     ]
 
+(* A request that raises answers ERR in its own slot of a four-domain
+   batch: the requests before and after it in the same batch are still
+   served, in submission order, with the direct pipeline's bytes. *)
+let test_batch_isolates_errors () =
+  let good = List.init 4 sum_source in
+  let frames =
+    List.mapi (fun i src -> req (Printf.sprintf "r%d" i) src) good
+  in
+  let input =
+    List.nth frames 0 ^ List.nth frames 1
+    ^ req "bad" "this is not ir\n"
+    ^ List.nth frames 2 ^ List.nth frames 3 ^ "QUIT\n"
+  in
+  let sev, out = serve_io ~jobs:4 input in
+  Alcotest.(check int) "bad input is severity 0" 0 sev;
+  let rs = parse_replies out in
+  Alcotest.(check (list string)) "error stays in its slot"
+    [ "OK:r0"; "OK:r1"; "ERR:bad:1"; "OK:r2"; "OK:r3" ]
+    (ids rs);
+  Alcotest.(check (list (option string))) "good slots served"
+    (List.map (fun src -> Some (direct_output src)) good)
+    (List.filter_map
+       (fun (r, body) ->
+         match r with Protocol.R_ok _ -> Some body | _ -> None)
+       rs)
+
 (* ------------------------------------------------------------------ *)
 (* The persistent store.                                               *)
 
@@ -661,6 +687,8 @@ let suite =
       test_stats_mid_batch;
     Alcotest.test_case "batch: jobs and capacity keep the replies" `Quick
       test_batch_settings_same_replies;
+    Alcotest.test_case "batch: errors stay in their slot" `Quick
+      test_batch_isolates_errors;
     Alcotest.test_case "store: journal round-trip, shard guard" `Quick
       test_store_round_trip;
     Alcotest.test_case "store: torn tail skipped and healed" `Quick

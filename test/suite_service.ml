@@ -234,6 +234,53 @@ let test_deadline_downgrades () =
     (Lsra_text.Ir_text.to_string prog)
     resp.Service.output
 
+(* Each cold request looks up its requested key once, and a downgraded
+   one then looks up the cheaper rung's key; a hit on either serves
+   without compiling. The cache counters count exactly those lookups. *)
+let test_downgrade_lookups () =
+  let src = source () in
+  let svc = make_service () in
+  let tight id =
+    Service.handle svc
+      (Service.request ~id ~algo:Lsra.Allocator.Graph_coloring ~deadline:1e-9
+         src)
+  in
+  let check_counts what hits misses =
+    let k = (Service.counters svc).Service.cache in
+    Alcotest.(check (pair int int)) (what ^ ": hits, misses") (hits, misses)
+      (k.Cache.hits, k.Cache.misses)
+  in
+  let cold = tight "t1" in
+  Alcotest.(check bool) "first tight request compiles" false cold.Service.cached;
+  check_counts "gc miss, poletto miss" 0 2;
+  let warm = tight "t2" in
+  Alcotest.(check bool) "second tight request hits the cheaper rung" true
+    warm.Service.cached;
+  Alcotest.(check (option string)) "still reported downgraded"
+    (Some "poletto") warm.Service.downgraded_to;
+  Alcotest.(check int) "hit stats flip the downgrade" 1
+    warm.Service.stats.Lsra.Stats.downgrades;
+  Alcotest.(check string) "same bytes as the cold fill" cold.Service.output
+    warm.Service.output;
+  check_counts "gc miss, poletto hit" 1 3;
+  let direct =
+    Service.handle svc
+      (Service.request ~id:"p" ~algo:Lsra.Allocator.Poletto src)
+  in
+  Alcotest.(check bool) "a plain poletto request hits the fill" true
+    direct.Service.cached;
+  Alcotest.(check (option string)) "and is not downgraded" None
+    direct.Service.downgraded_to;
+  check_counts "poletto hit" 2 3;
+  let gc = Service.request ~id:"g" ~algo:Lsra.Allocator.Graph_coloring src in
+  Alcotest.(check bool) "gc without a deadline compiles" false
+    (Service.handle svc gc).Service.cached;
+  check_counts "gc miss only" 2 4;
+  Alcotest.(check bool) "and then hits" true (Service.handle svc gc).Service.cached;
+  check_counts "gc hit" 3 4;
+  Alcotest.(check int) "two downgrades counted" 2
+    (Service.counters svc).Service.downgrades
+
 let test_generous_deadline_no_downgrade () =
   let src = source () in
   let svc = make_service () in
@@ -357,6 +404,8 @@ let suite =
       test_warm_hit_and_spot_check;
     Alcotest.test_case "deadline: tight budget downgrades" `Quick
       test_deadline_downgrades;
+    Alcotest.test_case "deadline: downgraded fill, then hits" `Quick
+      test_downgrade_lookups;
     Alcotest.test_case "deadline: generous budget does not" `Quick
       test_generous_deadline_no_downgrade;
     Alcotest.test_case "deadline: degradation ladders" `Quick test_ladder;
