@@ -8,8 +8,6 @@ let create width =
   if width < 0 then invalid_arg "Bitset.create: negative width";
   { width; words = Array.make (max 1 (nwords width)) 0 }
 
-let width t = t.width
-
 let check t i =
   if i < 0 || i >= t.width then
     invalid_arg (Printf.sprintf "Bitset: index %d out of [0,%d)" i t.width)
@@ -128,18 +126,12 @@ let iter f t =
     done
   done
 
-let fold f t acc =
-  let r = ref acc in
-  iter (fun i -> r := f i !r) t;
-  !r
-
-let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
+let elements t =
+  let r = ref [] in
+  iter (fun i -> r := i :: !r) t;
+  List.rev !r
 
 let of_list width l =
   let t = create width in
   List.iter (add t) l;
   t
-
-let pp fmt t =
-  Format.fprintf fmt "{%s}"
-    (String.concat "," (List.map string_of_int (elements t)))

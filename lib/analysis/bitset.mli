@@ -4,7 +4,6 @@
 type t
 
 val create : int -> t
-val width : t -> int
 val add : t -> int -> unit
 val remove : t -> int -> unit
 val mem : t -> int -> bool
@@ -32,7 +31,5 @@ val iter : (int -> unit) -> t -> unit
     [also] are. Raises [Invalid_argument] unless all three have one
     width. *)
 val iter_ranked : (int -> int -> int -> unit) -> t -> within:t -> also:t -> unit
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 val of_list : int -> int list -> t
-val pp : Format.formatter -> t -> unit

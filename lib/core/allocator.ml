@@ -188,12 +188,12 @@ let pipeline ?(precheck = false) ?(verify = false) ?(passes = Passes.default)
         handed)
       None pre
   in
-  (* Snapshot after the pre-allocation passes: the verifier matches
-     instructions by uid, so the original must be the exact program the
-     allocator saw. *)
+  (* Indexed after the pre-allocation passes, once for every check: the
+     verifier matches instructions by uid, so the original must be the
+     exact program the allocator saw. *)
   let originals =
     if verify then
-      List.map (fun (n, f) -> (n, Func.copy f)) (Program.funcs prog)
+      List.map (fun (n, f) -> (n, Verify.index f)) (Program.funcs prog)
     else []
   in
   let stats = run_program ?jobs ?trace ?liveness algorithm machine prog in
@@ -202,7 +202,7 @@ let pipeline ?(precheck = false) ?(verify = false) ?(passes = Passes.default)
     if verify then
       List.iter
         (fun (n, allocated) ->
-          Verify.run machine ~original:(List.assoc n originals) ~allocated)
+          Verify.against machine (List.assoc n originals) ~allocated)
         (Program.funcs prog)
   in
   verify_all ();

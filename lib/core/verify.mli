@@ -32,5 +32,14 @@ exception Mismatch of error
 (** Raises {!Mismatch} on the first inconsistency. *)
 val run : Machine.t -> original:Func.t -> allocated:Func.t -> unit
 
+(** The input function, indexed for {!against}. Build it once, before
+    allocation changes the function, and reuse it for every
+    re-verification: [run m ~original ~allocated] is
+    [against m (index original) ~allocated]. *)
+type original
+
+val index : Func.t -> original
+val against : Machine.t -> original -> allocated:Func.t -> unit
+
 val check :
   Machine.t -> original:Func.t -> allocated:Func.t -> (unit, error) result

@@ -153,11 +153,11 @@ let check_with ?(fuel = 200_000_000) ?(verify = true) ?(input = "") machine
   differential ~fuel ~input machine prog (fun copy compare ->
       List.iter
         (fun (_, f) ->
-          let original = if verify then Some (Func.copy f) else None in
+          let original = if verify then Some (Lsra.Verify.index f) else None in
           try
             alloc machine f;
             Option.iter
-              (fun original -> Lsra.Verify.run machine ~original ~allocated:f)
+              (fun original -> Lsra.Verify.against machine original ~allocated:f)
               original
           with e -> raise (Stop (of_alloc_exn e)))
         (Program.funcs copy);

@@ -373,6 +373,252 @@ let test_all_allocators_verify_on_workloads () =
         Lsra.Allocator.heuristics)
     (Lsra_workloads.Specbench.all machine ~scale:1)
 
+(* A terminator or instruction whose operand count differs from its
+   input counterpart (same uid) is a mismatch at its site, not a crash. *)
+let test_operand_count_mismatch () =
+  let original, allocated = allocated_pair () in
+  Block.set_term (Cfg.block (Func.cfg allocated) "entry") Block.Ret;
+  expect_error ~fn:"f" ~block:"entry" ~where:"entry"
+    ~what:"operand count differs from the input program's" original
+    allocated;
+  let original, allocated = allocated_pair () in
+  map_instr_in_block allocated "a" (fun i ->
+      match Instr.desc i with
+      | Instr.Bin { dst; a; _ } ->
+        Instr.with_desc i (Instr.Un { op = Instr.Neg; dst; src = a })
+      | _ -> i);
+  expect_error ~fn:"f" ~block:"a" ~where:"$r0 := neg $r0"
+    ~what:"operand count differs from the input program's" original
+    allocated
+
+(* The library's sparse checker against the dense reference
+   ([Verify_ref]): the same verdict and the same error record, on
+   allocator output, on cleanup-pass output, and on allocations mutated
+   the way an allocator bug would mutate them. *)
+
+let outcome f =
+  match f () with
+  | () -> "accepted"
+  | exception Lsra.Verify.Mismatch { fn; block; where; what } ->
+    Printf.sprintf "Mismatch {fn=%s; block=%s; where=%s; what=%s}" fn block
+      where what
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let agree ~name machine ~original ~indexed ~allocated =
+  let dense =
+    outcome (fun () -> Verify_ref.run machine ~original ~allocated)
+  in
+  let sparse =
+    outcome (fun () -> Lsra.Verify.run machine ~original ~allocated)
+  in
+  let shared =
+    outcome (fun () -> Lsra.Verify.against machine indexed ~allocated)
+  in
+  if dense <> sparse || dense <> shared then
+    Alcotest.failf "%s: reference %s; sparse %s; shared index %s" name dense
+      sparse shared
+
+(* Copies of [f], each with one bug injected at the [j]th candidate
+   site (modulo their number): a dropped spill store, a use reading a
+   neighbouring register, a spill slot retagged, and an operand count
+   changed (a branch turned into a return, or a binary instruction into
+   a unary one, keeping its uid). *)
+let mutants machine j f =
+  let sites f pick =
+    Array.to_list (Cfg.blocks (Func.cfg f))
+    |> List.concat_map (fun b ->
+           List.filter_map
+             (fun (k, i) -> pick b k i)
+             (List.mapi (fun k i -> (k, i)) (Array.to_list (Block.body b))))
+  in
+  let edit b k fn =
+    let body = Array.to_list (Block.body b) in
+    Block.set_body b
+      (Array.of_list
+         (List.concat (List.mapi (fun k' i -> if k' = k then fn i else [ i ]) body)))
+  in
+  let mutant label candidates =
+    let g = Func.copy f in
+    match candidates g with
+    | [] -> None
+    | cs ->
+      (List.nth cs (j mod List.length cs)) ();
+      Some (label, g)
+  in
+  let neighbour r =
+    let n = Machine.n_regs machine (Mreg.cls r) in
+    Mreg.make ~cls:(Mreg.cls r) ((Mreg.idx r + 1) mod n)
+  in
+  List.filter_map Fun.id
+    [
+      mutant "dropped spill store" (fun g ->
+          sites g (fun b k i ->
+              match Instr.desc i with
+              | Instr.Spill_store _ -> Some (fun () -> edit b k (fun _ -> []))
+              | _ -> None));
+      mutant "swapped register" (fun g ->
+          sites g (fun b k i ->
+              match Instr.tag i, Instr.desc i, Instr.uses i with
+              | Instr.Original, Instr.Call _, _ -> None
+              | Instr.Original, _, Loc.Reg r :: _ ->
+                let swap = ref true in
+                let use (l : Loc.t) =
+                  match l with
+                  | Loc.Reg r' when !swap && Mreg.equal r r' ->
+                    swap := false;
+                    Loc.Reg (neighbour r)
+                  | _ -> l
+                in
+                Some
+                  (fun () ->
+                    edit b k (fun i -> [ Instr.rewrite ~use ~def:Fun.id i ]))
+              | _ -> None));
+      mutant "retagged slot" (fun g ->
+          let n = max 1 (Func.n_slots g) in
+          sites g (fun b k i ->
+              let retag d = Some (fun () -> edit b k (fun i -> [ Instr.with_desc i d ])) in
+              match Instr.desc i with
+              | Instr.Spill_load { dst; slot } ->
+                retag (Instr.Spill_load { dst; slot = (slot + 1) mod n })
+              | Instr.Spill_store { src; slot } ->
+                retag (Instr.Spill_store { src; slot = (slot + 1) mod n })
+              | _ -> None));
+      mutant "changed operand count" (fun g ->
+          let terms =
+            Array.to_list (Cfg.blocks (Func.cfg g))
+            |> List.filter_map (fun b ->
+                   match Block.term b with
+                   | Block.Branch _ -> Some (fun () -> Block.set_term b Block.Ret)
+                   | Block.Jump _ | Block.Ret -> None)
+          in
+          terms
+          @ sites g (fun b k i ->
+                match Instr.tag i, Instr.desc i with
+                | Instr.Original, Instr.Bin { dst; a; b = Operand.Loc _; _ } ->
+                  Some
+                    (fun () ->
+                      edit b k (fun i ->
+                          [ Instr.with_desc i (Instr.Un { op = Instr.Neg; dst; src = a }) ]))
+                | _ -> None));
+    ]
+
+(* Allocates a copy of [prog], then checks both checkers agree on every
+   function: allocated, under each mutant, and after the cleanup passes
+   (against the index built before allocation). Only a known-bad
+   program ([may_fail]) may make the allocator raise; it is then not
+   checked. *)
+let agree_on_program ~name ?(may_fail = false) ?(mutations = [ 0 ]) machine
+    algo prog =
+  let prog = Program.copy prog in
+  let funcs = Program.funcs prog in
+  let originals = List.map (fun (n, f) -> (n, Func.copy f)) funcs in
+  let indexed = List.map (fun (n, f) -> (n, Lsra.Verify.index f)) funcs in
+  match Lsra.Allocator.run_program algo machine prog with
+  | exception _ when may_fail -> ()
+  | _ ->
+    let each stage f =
+      List.iter
+        (fun (n, allocated) ->
+          f
+            (Printf.sprintf "%s/%s/%s/%s" name
+               (Lsra.Allocator.short_name algo)
+               n stage)
+            (List.assoc n originals) (List.assoc n indexed) allocated)
+        (Program.funcs prog)
+    in
+    let check name original indexed allocated =
+      agree ~name machine ~original ~indexed ~allocated
+    in
+    each "allocated" (fun name original indexed allocated ->
+        check name original indexed allocated;
+        List.iter
+          (fun j ->
+            List.iter
+              (fun (label, mutant) ->
+                check
+                  (Printf.sprintf "%s/%s@%d" name label j)
+                  original indexed mutant)
+              (mutants machine j allocated))
+          mutations);
+    List.iter
+      (fun pass ->
+        ignore (Lsra.Passes.run_pass pass prog);
+        each (Lsra.Passes.name pass) check)
+      [ Lsra.Passes.Motion; Lsra.Passes.Peephole; Lsra.Passes.Slots ]
+
+let equivalence_machines =
+  [ ("tiny-4", Machine.small ~int_regs:4 ~float_regs:4 ());
+    ("small:7:7", Lsra_sim.Sweep.small_7_7) ]
+
+let equivalence_on_gen ~profile params_of =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "sparse = dense reference on Gen (%s)" profile)
+    ~count:20
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let mname, machine =
+        List.nth equivalence_machines (seed mod List.length equivalence_machines)
+      in
+      let algo =
+        List.nth Lsra.Allocator.heuristics
+          (seed / 2 mod List.length Lsra.Allocator.heuristics)
+      in
+      let prog = Lsra_workloads.Gen.program ~params:(params_of seed) machine in
+      agree_on_program
+        ~name:(Printf.sprintf "gen %s seed %d on %s" profile seed mname)
+        ~mutations:[ seed; seed / 7 ] machine algo prog;
+      true)
+
+let test_equivalence_on_corpus_and_fixtures () =
+  let dir = Filename.concat (Filename.dirname Sys.executable_name) "fixtures" in
+  (* Every fixture that parses: the known-bad programs the oracles must
+     reject (hostile_*.lsra are parse errors and stop there). *)
+  let fixtures =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun n -> Filename.check_suffix n ".lsra")
+    |> List.filter_map (fun n ->
+           match
+             Lsra_text.Ir_text.of_string
+               (In_channel.with_open_bin (Filename.concat dir n)
+                  In_channel.input_all)
+           with
+           | p -> Some ("fixture:" ^ n, p)
+           | exception _ -> None)
+  in
+  Alcotest.(check bool) "fixtures parse" true (List.length fixtures >= 3);
+  let programs machine =
+    List.map
+      (fun (c : Lsra_sim.Sweep.case) -> (c.name, false, c.program))
+      (Lsra_sim.Sweep.corpus ~pressure:false ~scale:1 machine)
+    @ List.map (fun (name, p) -> (name, true, p)) fixtures
+  in
+  List.iter
+    (fun (mname, machine) ->
+      List.iter
+        (fun (name, may_fail, prog) ->
+          List.iter
+            (fun algo ->
+              agree_on_program ~name:(mname ^ ":" ^ name) ~may_fail
+                ~mutations:[ 0; 5 ] machine algo prog)
+            Lsra.Allocator.heuristics)
+        (programs machine))
+    [ ("alpha", Machine.alpha_like); ("small:7:7", Lsra_sim.Sweep.small_7_7) ]
+
+(* The large pressure functions verify in bounded time and memory: the
+   dense state made them cost seconds and gigabytes. *)
+let test_large_functions_verify () =
+  let machine = Lsra_sim.Sweep.small_7_7 in
+  List.iter
+    (fun shape ->
+      List.iter
+        (fun passes ->
+          let prog = Lsra_workloads.Pressure.build machine shape in
+          ignore
+            (Lsra.Allocator.pipeline ~verify:true ~passes
+               Lsra.Allocator.default_second_chance machine prog))
+        [ []; Lsra.Passes.default ])
+    Lsra_workloads.Pressure.[ twldrv; fpppp ]
+
 let suite =
   [
     Alcotest.test_case "accepts a correct allocation" `Quick
@@ -403,4 +649,24 @@ let suite =
       test_rejects_loop_carried_slot_clobber;
     Alcotest.test_case "all allocators verify on all workloads" `Slow
       test_all_allocators_verify_on_workloads;
+    Alcotest.test_case "a changed operand count is a mismatch" `Quick
+      test_operand_count_mismatch;
+    Alcotest.test_case "sparse = dense reference on corpus and fixtures"
+      `Slow test_equivalence_on_corpus_and_fixtures;
+    Alcotest.test_case "twldrv and fpppp verify at small:7:7" `Slow
+      test_large_functions_verify;
   ]
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~long:false)
+      [
+        equivalence_on_gen ~profile:"default" (fun seed ->
+            {
+              Lsra_workloads.Gen.default_params with
+              Lsra_workloads.Gen.seed;
+              n_temps = 6 + (seed mod 13);
+              n_stmts = 8 + (seed mod 17);
+              n_funcs = 1 + (seed mod 3);
+            });
+        equivalence_on_gen ~profile:"hostile" (fun seed ->
+            Lsra_workloads.Gen.hostile_params ~seed);
+      ]
