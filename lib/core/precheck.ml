@@ -10,6 +10,15 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Rejected s)) fmt
 
 let no_temp (_ : Temp.t) = ()
 
+let rec mem_reg r = function
+  | [] -> false
+  | a :: rest -> Mreg.equal r a || mem_reg r rest
+
+(* The first of [args] that is not one of [arg_regs]. *)
+let rec stray_arg arg_regs = function
+  | [] -> None
+  | r :: rest -> if mem_reg r arg_regs then stray_arg arg_regs rest else Some r
+
 let run ?(allow_undefined = false) machine func =
   Func.validate func;
   let cfg = Func.cfg func in
@@ -68,7 +77,27 @@ let run ?(allow_undefined = false) machine func =
   Func.iter_instrs func (fun i ->
       Instr.iter_uses ~temp:no_temp ~reg:check_reg i;
       Instr.iter_defs ~temp:no_temp ~reg:check_reg i);
-  (* 4. No temporary may be live into the entry block (used before any
+  (* 4. A call passes its arguments in the machine's argument registers:
+     a callee reads nothing else at entry, and an external routine traps
+     on a register the machine lacks. Loops rather than closures, so the
+     walk allocates nothing. *)
+  let blocks = Cfg.blocks cfg in
+  for bi = 0 to Array.length blocks - 1 do
+    let body = Block.body blocks.(bi) in
+    for k = 0 to Array.length body - 1 do
+      match Instr.desc body.(k) with
+      | Instr.Call { func = callee; args; _ } -> (
+        match stray_arg arg_regs args with
+        | None -> ()
+        | Some r ->
+          fail "%s: call to %s passes %s, which is not an argument \
+                register on %s: %s"
+            (Func.name func) callee (Mreg.to_string r) (Machine.name machine)
+            (Instr.to_string body.(k)))
+      | _ -> ()
+    done
+  done;
+  (* 5. No temporary may be live into the entry block (used before any
      definition on some path). The compressed liveness excludes
      single-block temps, which can still be used-before-def inside the
      entry block, so this check needs the full vectors. *)

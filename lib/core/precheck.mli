@@ -1,8 +1,9 @@
 (** Pre-allocation input validation: the well-formedness invariants the
     allocators rely on beyond {!Lsra_ir.Func.validate} — no pre-existing
     spill code, block-local machine-register live ranges (parameters at
-    entry excepted), registers that exist on the target, and no
-    temporaries live into the entry block. *)
+    entry excepted), registers that exist on the target, call arguments
+    passed only in the target's argument registers, and no temporaries
+    live into the entry block. *)
 
 open Lsra_ir
 open Lsra_target

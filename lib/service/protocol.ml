@@ -117,12 +117,13 @@ let render_err ~id ~code msg =
 let render_stats ~id (c : Service.service_counters) =
   Printf.sprintf
     "STATS %s requests=%d hits=%d misses=%d evictions=%d entries=%d \
-     bytes=%d downgrades=%d spot-checks=%d shards=%d warm-loaded=%d"
+     bytes=%d downgrades=%d spot-checks=%d shards=%d warm-loaded=%d \
+     memo-hits=%d"
     id c.Service.requests c.Service.cache.Cache.hits
     c.Service.cache.Cache.misses c.Service.cache.Cache.evictions
     c.Service.cache.Cache.entries c.Service.cache.Cache.bytes
     c.Service.downgrades c.Service.spot_checks c.Service.shards
-    c.Service.warm_loaded
+    c.Service.warm_loaded c.Service.memo_hits
 
 (* A payload always ends with exactly one newline on the wire, so the
    advertised [len=] covers it and the next header starts on a fresh

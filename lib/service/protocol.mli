@@ -31,7 +31,7 @@
     OK <id> cache=hit|cold [downgraded-to=<short>] wall-us=<int> len=<bytes>
     <exactly len bytes: the allocated program, textual IR>
     ERR <id> <code> <message>
-    STATS <id> requests=<n> hits=<n> misses=<n> evictions=<n> entries=<n> bytes=<n> downgrades=<n> spot-checks=<n> shards=<n> warm-loaded=<n>
+    STATS <id> requests=<n> hits=<n> misses=<n> evictions=<n> entries=<n> bytes=<n> downgrades=<n> spot-checks=<n> shards=<n> warm-loaded=<n> memo-hits=<n>
     v}
     Response bodies are always length-prefixed (the payload is
     normalised to end with exactly one newline, covered by [len=]).

@@ -56,6 +56,18 @@ exception Spot_check_failed of { req_id : string; key : string }
 
 exception Native_emit_failed of { req_id : string; msg : string }
 
+(* Raw-body memo: a digest of a request's bytes and of the header fields
+   its cache key binds, mapped to that key. On a fixed machine the key is
+   a pure function of those inputs, so an entry never goes stale; the
+   bound only limits memory. First in, first out: a body dropped while
+   still hot takes the full path once and is recorded again. *)
+type memo = {
+  keys : (string, string) Hashtbl.t;  (* body digest -> cache key *)
+  order : string Queue.t;  (* body digests, oldest first *)
+  capacity : int;
+  memo_lock : Mutex.t;
+}
+
 type t = {
   cfg : config;
   (* One LRU per shard, indexed by the same restart-stable key hash
@@ -66,7 +78,9 @@ type t = {
   (* EWMA seconds-per-instruction, keyed by allocator short name (the
      options of a binpack variant barely move its asymptotics). *)
   rates : (string, float) Hashtbl.t;
+  memo : memo option;  (* [None] when a cache budget is 0 *)
   mutable requests : int;
+  mutable memo_hits : int;
   mutable downgrades : int;
   mutable spot_checks : int;
   mutable hit_seq : int;
@@ -109,7 +123,18 @@ let create cfg =
     store;
     warm_loaded;
     rates = Hashtbl.create 8;
+    memo =
+      (if cfg.cache_entries > 0 && cfg.cache_bytes > 0 then
+         Some
+           {
+             keys = Hashtbl.create 64;
+             order = Queue.create ();
+             capacity = cfg.cache_entries;
+             memo_lock = Mutex.create ();
+           }
+       else None);
     requests = 0;
+    memo_hits = 0;
     downgrades = 0;
     spot_checks = 0;
     hit_seq = 0;
@@ -136,6 +161,31 @@ let cache_fill t key (e : Cache.entry) =
   | None -> ()
   | Some st -> Store.append st ~key ~algo:e.Cache.algo ~output:e.Cache.output
 
+(* The memo's key: the digest of the raw body, under the allocator (with
+   its options), the normalized pass spec and the backend fingerprint.
+   Every field but the last is NUL-free, so none can pass for another. *)
+let body_digest ~backend ~passes (req : request) =
+  Digest.string
+    (String.concat "\x00"
+       [
+         Cachekey.algo_fingerprint req.algo;
+         Lsra.Passes.to_spec passes;
+         Option.value backend ~default:"";
+         Digest.string req.source;
+       ])
+
+let memo_find m body =
+  Mutex.protect m.memo_lock (fun () -> Hashtbl.find_opt m.keys body)
+
+let memo_add m body key =
+  Mutex.protect m.memo_lock (fun () ->
+      if not (Hashtbl.mem m.keys body) then begin
+        if Queue.length m.order >= m.capacity then
+          Hashtbl.remove m.keys (Queue.pop m.order);
+        Hashtbl.replace m.keys body key;
+        Queue.push body m.order
+      end)
+
 type service_counters = {
   cache : Cache.counters;
   requests : int;
@@ -143,6 +193,8 @@ type service_counters = {
   spot_checks : int;
   shards : int;
   warm_loaded : int;
+  memo_hits : int;
+  memo_entries : int;
 }
 
 let counters t =
@@ -160,6 +212,11 @@ let counters t =
       { Cache.hits = 0; misses = 0; evictions = 0; entries = 0; bytes = 0 }
       t.caches
   in
+  let memo_entries =
+    match t.memo with
+    | None -> 0
+    | Some m -> Mutex.protect m.memo_lock (fun () -> Hashtbl.length m.keys)
+  in
   Mutex.protect t.lock (fun () ->
       {
         cache;
@@ -168,6 +225,8 @@ let counters t =
         spot_checks = t.spot_checks;
         shards = Array.length t.caches;
         warm_loaded = t.warm_loaded;
+        memo_hits = t.memo_hits;
+        memo_entries;
       })
 
 (* The cost model's prior: predicted allocation seconds per instruction
@@ -273,16 +332,9 @@ let spot_check t ~req_id ~key ~canonical ~passes algo (entry : Cache.entry) =
 let handle t (req : request) =
   let t0 = Monotonic_clock.now () in
   Mutex.protect t.lock (fun () -> t.requests <- t.requests + 1);
-  let prog = Lsra_text.Ir_text.of_string req.source in
-  (* Rendered once: the cache keys and the spot check both use it. *)
-  let canonical = Lsra_text.Ir_text.to_string prog in
   let passes = Lsra.Passes.normalize req.passes in
-  let key_of algo =
-    let backend =
-      if t.cfg.native then Some Lsra_native.Lower.fingerprint else None
-    in
-    Cachekey.digest_canonical ?backend ~machine:t.cfg.machine ~algo ~passes
-      canonical
+  let backend =
+    if t.cfg.native then Some Lsra_native.Lower.fingerprint else None
   in
   let respond ~key ~cached ~downgraded_to ~output ~(stats : Lsra.Stats.t) =
     {
@@ -295,51 +347,96 @@ let handle t (req : request) =
       elapsed = seconds_since t0;
     }
   in
-  let serve_hit ~key ~downgraded_to algo (entry : Cache.entry) =
+  (* [canonical] is forced only by a due spot check. *)
+  let serve_hit ~key ~downgraded_to ~canonical algo (entry : Cache.entry) =
     (let n =
        Mutex.protect t.lock (fun () ->
            t.hit_seq <- t.hit_seq + 1;
            t.hit_seq)
      in
      if t.cfg.spot_check > 0 && n mod t.cfg.spot_check = 0 then
-       spot_check t ~req_id:req.req_id ~key ~canonical ~passes algo entry);
+       spot_check t ~req_id:req.req_id ~key ~canonical:(Lazy.force canonical)
+         ~passes algo entry);
     let stats = entry.Cache.stats in
     if downgraded_to <> None then stats.Lsra.Stats.downgrades <- 1;
     respond ~key ~cached:true ~downgraded_to ~output:entry.Cache.output ~stats
   in
-  let requested_key = key_of req.algo in
-  match cache_find t requested_key with
-  | Some entry ->
-    (* A warm hit costs no allocation at all, so the deadline is never at
-       risk: serve the requested quality. *)
-    serve_hit ~key:requested_key ~downgraded_to:None req.algo entry
-  | None ->
-    let n_instrs = n_instrs_of prog in
-    let effective =
-      match req.deadline with
-      | None -> req.algo
-      | Some budget -> degrade t ~req_id:req.req_id ~budget ~n_instrs req.algo
+  let body =
+    Option.map (fun m -> (m, body_digest ~backend ~passes req)) t.memo
+  in
+  (* A remembered key has been looked up (and the lookup counted) here,
+     so the full path below does not look it up again. *)
+  let remembered =
+    Option.bind body (fun (m, digest) ->
+        Option.map (fun key -> (key, cache_find t key)) (memo_find m digest))
+  in
+  match remembered with
+  | Some (key, Some entry) ->
+    (* A byte-identical repeat whose entry is cached: no parse, render or
+       digest of its program. *)
+    Mutex.protect t.lock (fun () -> t.memo_hits <- t.memo_hits + 1);
+    let canonical =
+      lazy
+        (Lsra_text.Ir_text.to_string (Lsra_text.Ir_text.of_string req.source))
     in
-    let downgraded_to =
-      let name = Lsra.Allocator.short_name effective in
-      if name <> Lsra.Allocator.short_name req.algo then Some name else None
+    serve_hit ~key ~downgraded_to:None ~canonical req.algo entry
+  | Some (_, None) | None ->
+    let prog = Lsra_text.Ir_text.of_string req.source in
+    (* Rendered once: the cache keys and the spot check both use it. *)
+    let canonical = Lsra_text.Ir_text.to_string prog in
+    let key_of algo =
+      Cachekey.digest_canonical ?backend ~machine:t.cfg.machine ~algo ~passes
+        canonical
     in
-    (* The cheaper allocation may itself already be cached; the requested
-       key was looked up above. *)
-    let key, hit =
-      match downgraded_to with
-      | None -> (requested_key, None)
-      | Some _ ->
-        let key = key_of effective in
-        (key, cache_find t key)
+    let canonical = Lazy.from_val canonical in
+    let requested_key = key_of req.algo in
+    let requested_hit =
+      match remembered with
+      | Some _ -> None
+      | None -> cache_find t requested_key
     in
-    match hit with
-    | Some entry -> serve_hit ~key ~downgraded_to effective entry
-    | None ->
-      let stats, dt = compile t ~req_id:req.req_id ~passes effective prog in
-      observe t effective n_instrs dt;
-      let output = Lsra_text.Ir_text.to_string prog in
-      cache_fill t key
-        { Cache.output; stats; algo = Lsra.Allocator.short_name effective };
-      if downgraded_to <> None then stats.Lsra.Stats.downgrades <- 1;
-      respond ~key ~cached:false ~downgraded_to ~output ~stats
+    let resp =
+      match requested_hit with
+      | Some entry ->
+        (* A warm hit costs no allocation at all, so the deadline is never
+           at risk: serve the requested quality. *)
+        serve_hit ~key:requested_key ~downgraded_to:None ~canonical req.algo
+          entry
+      | None -> (
+        let n_instrs = n_instrs_of prog in
+        let effective =
+          match req.deadline with
+          | None -> req.algo
+          | Some budget ->
+            degrade t ~req_id:req.req_id ~budget ~n_instrs req.algo
+        in
+        let downgraded_to =
+          let name = Lsra.Allocator.short_name effective in
+          if name <> Lsra.Allocator.short_name req.algo then Some name
+          else None
+        in
+        (* The cheaper allocation may itself already be cached; the
+           requested key was looked up above. *)
+        let key, hit =
+          match downgraded_to with
+          | None -> (requested_key, None)
+          | Some _ ->
+            let key = key_of effective in
+            (key, cache_find t key)
+        in
+        match hit with
+        | Some entry -> serve_hit ~key ~downgraded_to ~canonical effective entry
+        | None ->
+          let stats, dt =
+            compile t ~req_id:req.req_id ~passes effective prog
+          in
+          observe t effective n_instrs dt;
+          let output = Lsra_text.Ir_text.to_string prog in
+          cache_fill t key
+            { Cache.output; stats; algo = Lsra.Allocator.short_name effective };
+          if downgraded_to <> None then stats.Lsra.Stats.downgrades <- 1;
+          respond ~key ~cached:false ~downgraded_to ~output ~stats)
+    in
+    (* Only a served request is remembered: an error is never memoized. *)
+    Option.iter (fun (m, digest) -> memo_add m digest requested_key) body;
+    resp

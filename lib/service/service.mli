@@ -33,7 +33,9 @@ open Lsra_target
 type config = {
   machine : Machine.t;
   cache_bytes : int;  (** result-cache payload budget (see {!Cache}) *)
-  cache_entries : int;  (** result-cache entry budget *)
+  cache_entries : int;
+      (** result-cache entry budget; it also bounds the raw-body memo
+          (see {!handle}) *)
   verify_cold : bool;  (** run {!Lsra.Verify} on every cold fill *)
   spot_check : int;
       (** re-allocate every [n]-th cache hit and require byte-identical
@@ -122,10 +124,28 @@ val store : t -> Store.t option
 val sync_store : t -> unit
 
 (** Serve one request. Thread-/domain-safe: cache shards, cost model,
-    store and trace emission are mutex-guarded, so {!Mux} may call this
-    from many domains. Raises what parsing, {!Lsra.Verify} or
+    memo, store and trace emission are mutex-guarded, so {!Mux} may call
+    this from many domains. Raises what parsing, {!Lsra.Verify} or
     {!Lsra.Precheck} raise on bad or mis-allocated input, and
-    {!Spot_check_failed} on a spot-check divergence. *)
+    {!Spot_check_failed} on a spot-check divergence.
+
+    Raw-body memo: every served request records the MD5 of its raw
+    source, taken together with the allocator fingerprint, the
+    normalized pass spec and (native mode) the backend fingerprint,
+    against the cache key it requested. A byte-identical repeat whose
+    key is still cached is answered from the cache without parsing,
+    rendering or digesting its program; it counts as a cache hit and
+    toward the spot-check cadence like any other, and one whose spot
+    check is due still parses its source for the re-allocation. Anything else (a memo
+    miss, an evicted entry, an error) takes the full path, and an error
+    is never recorded. The machine is fixed per service and the key is
+    a pure function of the recorded fields, so no entry goes stale.
+
+    The memo holds at most [cache_entries] entries, dropped first in,
+    first out. Each is fixed-size: a 16-byte digest and a 32-char key,
+    48 payload bytes, 140 bytes of heap with its table and queue cells;
+    the default 4096 entries bound it at 192 KiB of payload, 560 KiB of
+    heap. A cache budget of 0 disables it. *)
 val handle : t -> request -> response
 
 type service_counters = {
@@ -136,6 +156,9 @@ type service_counters = {
   shards : int;
   warm_loaded : int;
       (** journal records replayed into the cache at startup *)
+  memo_hits : int;
+      (** cache hits whose key came from the raw-body memo *)
+  memo_entries : int;  (** current memo entries, at most [cache_entries] *)
 }
 
 val counters : t -> service_counters

@@ -374,6 +374,68 @@ let test_batch_isolates_errors () =
        rs)
 
 (* ------------------------------------------------------------------ *)
+(* The raw-body memo over the wire.                                    *)
+
+let stats_of replies =
+  match List.rev replies with
+  | (Protocol.R_stats { fields; _ }, None) :: _ ->
+    fun name -> (
+      match List.assoc_opt name fields with
+      | Some v -> int_of_string v
+      | None -> Alcotest.failf "STATS lacks %s=" name)
+  | _ -> Alcotest.fail "no trailing STATS reply"
+
+(* Three programs compiled in one batch, then sent byte-identically
+   twice more in a second: every repeat is a memo hit, a spot check
+   every hit still runs on each, and four domains serve the bytes one
+   does. *)
+let test_memo_repeats_over_the_wire () =
+  let bodies = List.init 3 sum_source in
+  let round r =
+    String.concat ""
+      (List.mapi (fun i b -> req (Printf.sprintf "r%d.%d" r i) b) bodies)
+  in
+  let input = round 0 ^ "FLUSH\n" ^ round 1 ^ round 2 ^ "STATS s\nQUIT\n" in
+  let serve ?jobs ?spot_check () =
+    let sev, out = serve_io ?jobs ?spot_check input in
+    Alcotest.(check int) "clean" 0 sev;
+    parse_replies out
+  in
+  let one = serve () in
+  let served rs =
+    List.filter_map
+      (fun (r, body) ->
+        match r with Protocol.R_ok _ -> body | _ -> None)
+      rs
+  in
+  Alcotest.(check (list string)) "direct pipeline bytes"
+    (List.concat (List.init 3 (fun _ -> List.map direct_output bodies)))
+    (served one);
+  let stat = stats_of one in
+  Alcotest.(check (list int)) "hits, misses, memo-hits" [ 6; 3; 6 ]
+    (List.map stat [ "hits"; "misses"; "memo-hits" ]);
+  let four = serve ~jobs:4 () in
+  Alcotest.(check (list string)) "jobs 4: ids and order" (ids one) (ids four);
+  Alcotest.(check (list string)) "jobs 4: same bytes" (served one)
+    (served four);
+  Alcotest.(check int) "jobs 4: memo-hits" 6 (stats_of four "memo-hits");
+  let checked = stats_of (serve ~spot_check:1 ()) in
+  Alcotest.(check int) "spot-checks = hits" (checked "hits")
+    (checked "spot-checks")
+
+(* A malformed body sent twice answers ERR 1 both times: errors are
+   never memoized. *)
+let test_memo_malformed_twice () =
+  let src = source () in
+  let bad = req "bad" "this is not ir\n" in
+  let input = bad ^ req "a" src ^ bad ^ "STATS s\nQUIT\n" in
+  let _, out = serve_io input in
+  let rs = parse_replies out in
+  Alcotest.(check (list string)) "ERR 1 both times"
+    [ "ERR:bad:1"; "OK:a"; "ERR:bad:1"; "STATS:s" ] (ids rs);
+  Alcotest.(check int) "no memo hit" 0 (stats_of rs "memo-hits")
+
+(* ------------------------------------------------------------------ *)
 (* The persistent store.                                               *)
 
 let test_store_round_trip () =
@@ -689,6 +751,10 @@ let suite =
       test_batch_settings_same_replies;
     Alcotest.test_case "batch: errors stay in their slot" `Quick
       test_batch_isolates_errors;
+    Alcotest.test_case "memo: repeats over the wire, jobs and spot checks"
+      `Quick test_memo_repeats_over_the_wire;
+    Alcotest.test_case "memo: a malformed body errs every time" `Quick
+      test_memo_malformed_twice;
     Alcotest.test_case "store: journal round-trip, shard guard" `Quick
       test_store_round_trip;
     Alcotest.test_case "store: torn tail skipped and healed" `Quick

@@ -386,6 +386,184 @@ let test_render_frame () =
   | Ok _ -> Alcotest.fail "wrong reply kind"
   | Error e -> Alcotest.failf "reply parse failed: %s" e
 
+(* ------------------------------------------------------------------ *)
+(* The raw-body memo: a byte-identical repeat is served from the cache
+   without parsing; every other request takes the full path.          *)
+
+let direct ?(algo = bp) ?(passes = Lsra.Passes.default) src =
+  let prog = Lsra_text.Ir_text.of_string src in
+  ignore (Lsra.Allocator.pipeline ~verify:true ~passes algo machine prog);
+  Lsra_text.Ir_text.to_string prog
+
+let counters = Service.counters
+
+let test_memo_byte_identical_repeats () =
+  let src = source () in
+  (* Same canonical text, other bytes: comments and blank lines. *)
+  let reformatted = "; reformatted\n\n" ^ src ^ "\n; trailing comment\n" in
+  let check_one svc what ~memo ~cached ?algo ?passes body =
+    let before = (counters svc).Service.memo_hits in
+    let r =
+      Service.handle svc (Service.request ?algo ?passes ~id:what body)
+    in
+    Alcotest.(check string) (what ^ ": direct pipeline bytes")
+      (direct ?algo ?passes body) r.Service.output;
+    Alcotest.(check bool) (what ^ ": cached") cached r.Service.cached;
+    Alcotest.(check int) (what ^ ": memo hit") (Bool.to_int memo)
+      ((counters svc).Service.memo_hits - before);
+    r
+  in
+  let svc = make_service () in
+  let check = check_one svc in
+  let first = check "first" ~memo:false ~cached:false src in
+  ignore (check "repeat" ~memo:true ~cached:true src);
+  ignore (check "reformatted" ~memo:false ~cached:true reformatted);
+  ignore (check "reformatted repeat" ~memo:true ~cached:true reformatted);
+  let cleanup = Lsra.Passes.cleanup and gc = Lsra.Allocator.Graph_coloring in
+  ignore (check "passes" ~memo:false ~cached:false ~passes:cleanup src);
+  ignore (check "passes repeat" ~memo:true ~cached:true ~passes:cleanup src);
+  ignore (check "algo" ~memo:false ~cached:false ~algo:gc src);
+  ignore (check "algo repeat" ~memo:true ~cached:true ~algo:gc src);
+  let k = counters svc in
+  Alcotest.(check int) "memo-hits: the byte-identical repeats" 4
+    k.Service.memo_hits;
+  Alcotest.(check (pair int int)) "cache hits, misses" (5, 3)
+    (k.Service.cache.Cache.hits, k.Service.cache.Cache.misses);
+  Alcotest.(check int) "one memo entry per body and header" 4
+    k.Service.memo_entries;
+  (* Native mode binds the backend fingerprint: its key differs, and its
+     repeats are memo hits with the same bytes. *)
+  let native =
+    Service.create { (Service.default_config machine) with Service.native = true }
+  in
+  let n = check_one native "native" ~memo:false ~cached:false src in
+  ignore (check_one native "native repeat" ~memo:true ~cached:true src);
+  Alcotest.(check bool) "native key differs" false
+    (String.equal first.Service.key n.Service.key)
+
+(* The memo holds at most [cache_entries] bodies, first in, first out;
+   a dropped body, or a remembered one whose entry the cache evicted,
+   takes the full path and still answers the direct pipeline's bytes. *)
+let test_memo_bound () =
+  let cap = 3 in
+  let svc =
+    Service.create
+      { (Service.default_config machine) with Service.cache_entries = cap }
+  in
+  let srcs = Array.init 5 (fun i -> source ~seed:(40 + i) ()) in
+  let serve i =
+    let r = Service.handle svc (Service.request ~id:"r" srcs.(i)) in
+    Alcotest.(check string) "direct pipeline bytes" (direct srcs.(i))
+      r.Service.output;
+    Alcotest.(check bool) "memo within its bound" true
+      ((counters svc).Service.memo_entries <= cap);
+    r.Service.cached
+  in
+  Array.iteri (fun i _ -> ignore (serve i)) srcs;
+  Alcotest.(check int) "memo full" cap (counters svc).Service.memo_entries;
+  (* Newest first: the three remembered bodies hit through the memo, the
+     two older ones compile again. *)
+  let cached = List.map serve [ 4; 3; 2; 1; 0 ] in
+  Alcotest.(check (list bool)) "hits, then the full path"
+    [ true; true; true; false; false ] cached;
+  Alcotest.(check int) "memo hits" 3 (counters svc).Service.memo_hits;
+  (* A byte budget that holds one entry: the memo remembers both bodies,
+     but the second fill evicts the first from the cache. *)
+  let src = source () in
+  let cleanup = Lsra.Passes.cleanup in
+  let size passes = String.length (direct ~passes src) + 32 + 64 in
+  let svc =
+    Service.create
+      {
+        (Service.default_config machine) with
+        Service.cache_bytes = max (size Lsra.Passes.default) (size cleanup);
+      }
+  in
+  let serve ?passes () =
+    let r = Service.handle svc (Service.request ?passes ~id:"r" src) in
+    Alcotest.(check string) "direct pipeline bytes" (direct ?passes src)
+      r.Service.output;
+    r.Service.cached
+  in
+  ignore (serve ());
+  ignore (serve ~passes:cleanup ());
+  let misses () = (counters svc).Service.cache.Cache.misses in
+  let before = misses () in
+  Alcotest.(check bool) "evicted entry compiles again" false (serve ());
+  Alcotest.(check int) "its lookup counted once" 1 (misses () - before);
+  Alcotest.(check bool) "then hits" true (serve ());
+  Alcotest.(check int) "through the memo" 1 (counters svc).Service.memo_hits
+
+(* Errors are never memoized: a malformed body and a rejected one answer
+   the same error each time, and leave the memo empty. *)
+let test_memo_skips_errors () =
+  let svc = make_service () in
+  let raises what body =
+    for _ = 1 to 2 do
+      match Service.handle svc (Service.request ~id:what body) with
+      | _ -> Alcotest.failf "%s: served" what
+      | exception e ->
+        Alcotest.(check int) (what ^ ": ERR 1") 1
+          (Protocol.err_code_of_exn e)
+    done
+  in
+  raises "malformed" "this is not ir\n";
+  raises "rejected" "program main=main heap=1\n\nfunc main {\n  block entry:\n    $r0 := $r9\n    ret\n}\n";
+  let k = counters svc in
+  Alcotest.(check (pair int int)) "nothing memoized" (0, 0)
+    (k.Service.memo_entries, k.Service.memo_hits)
+
+(* A due spot check still re-allocates a memo hit. *)
+let test_memo_spot_check () =
+  let svc = make_service ~spot_check:1 () in
+  let srcs = [ source (); source ~seed:12 () ] in
+  for _ = 1 to 3 do
+    List.iter
+      (fun src ->
+        let r = Service.handle svc (Service.request ~id:"r" src) in
+        Alcotest.(check string) "direct pipeline bytes" (direct src)
+          r.Service.output)
+      srcs
+  done;
+  let k = counters svc in
+  Alcotest.(check int) "hits" 4 k.Service.cache.Cache.hits;
+  Alcotest.(check int) "spot-checks = hits" k.Service.cache.Cache.hits
+    k.Service.spot_checks;
+  Alcotest.(check int) "memo hits" 4 k.Service.memo_hits
+
+(* wc generated for small:4:4 passes ext_puti its argument in $r1, which
+   is no argument register on small:3:3: the interpreter traps there, so
+   the precheck rejects it and the service answers ERR 1. *)
+let test_call_args_rejected () =
+  let m4 = Machine.small ~int_regs:4 ~float_regs:4 ()
+  and m3 = Machine.small ~int_regs:3 ~float_regs:3 () in
+  let wc =
+    match Lsra_workloads.Specbench.find m4 ~scale:1 "wc" with
+    | Some c -> c.Lsra_workloads.Specbench.program
+    | None -> Alcotest.fail "no wc benchmark"
+  in
+  List.iter
+    (fun (_, f) ->
+      Alcotest.(check bool) "small:4:4 accepts" true
+        (Result.is_ok (Lsra.Precheck.check m4 f)))
+    (Program.funcs wc);
+  let rejected =
+    List.exists
+      (fun (_, f) -> Result.is_error (Lsra.Precheck.check m3 f))
+      (Program.funcs wc)
+  in
+  Alcotest.(check bool) "small:3:3 rejects" true rejected;
+  let svc = Service.create (Service.default_config m3) in
+  match
+    Service.handle svc
+      (Service.request ~id:"wc" (Lsra_text.Ir_text.to_string wc))
+  with
+  | _ -> Alcotest.fail "served"
+  | exception (Lsra.Precheck.Rejected msg as e) ->
+    Alcotest.(check int) "ERR 1" 1 (Protocol.err_code_of_exn e);
+    Alcotest.(check bool) msg true
+      (String.ends_with ~suffix:"call ext_puti($r1) -> $r0" msg)
+
 let suite =
   [
     Alcotest.test_case "digest: textual round-trip stable" `Quick
@@ -412,4 +590,14 @@ let suite =
     Alcotest.test_case "protocol: header parsing" `Quick test_protocol_headers;
     Alcotest.test_case "protocol: frame rendering and reply parsing" `Quick
       test_render_frame;
+    Alcotest.test_case "memo: only byte-identical repeats" `Quick
+      test_memo_byte_identical_repeats;
+    Alcotest.test_case "memo: bounded, evictions take the full path" `Quick
+      test_memo_bound;
+    Alcotest.test_case "memo: errors are never memoized" `Quick
+      test_memo_skips_errors;
+    Alcotest.test_case "memo: spot checks still run on memo hits" `Quick
+      test_memo_spot_check;
+    Alcotest.test_case "precheck: call arguments in argument registers" `Quick
+      test_call_args_rejected;
   ]
