@@ -45,6 +45,19 @@ let algo_conv =
   let print fmt a = Format.pp_print_string fmt (Lsra.Allocator.short_name a) in
   Arg.conv (parse, print)
 
+(* A count that must be at least 1; anything else is a usage error. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let scale_arg ~doc =
+  Arg.(value & opt positive_int 1 & info [ "scale" ] ~docv:"N" ~doc)
+
 let file_arg =
   Arg.(
     required
@@ -272,9 +285,6 @@ let case_cmd =
             ^ String.concat " " Lsra_workloads.Specbench.names
             ^ "."))
   in
-  let scale_arg =
-    Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Workload scale factor.")
-  in
   let run machine name scale =
     match Lsra_workloads.Specbench.find machine ~scale name with
     | Some case ->
@@ -289,7 +299,9 @@ let case_cmd =
   in
   Cmd.v
     (Cmd.info "case" ~doc:"Emit one of the paper's synthetic benchmarks.")
-    Term.(const run $ machine_arg $ name_arg $ scale_arg)
+    Term.(
+      const run $ machine_arg $ name_arg
+      $ scale_arg ~doc:"Workload scale factor.")
 
 let compile_cmd =
   let run file machine =
@@ -338,17 +350,12 @@ let diffcheck_cmd =
           ~doc:
             "Program to check ('-' for stdin). Without it, the built-in \
              corpus (specbench + Minilang + pressure modules + hostile \
-             generated programs) is checked.")
-  in
-  let scale_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "scale" ] ~docv:"N" ~doc:"Corpus workload scale factor.")
+             generated programs) is checked on MACHINE and small:7:7, and \
+             100 seeded generated programs on alpha, small-8 and tiny-4.")
   in
   (* With LSRA_DIFF_ARTIFACT_DIR set, every divergence leaves its shrunk
-     reproducer and the diverging allocator's decision trace there,
-     mirroring the fuzz-artifact convention, so a CI failure can be
-     diagnosed from the upload alone. *)
+     reproducer and the diverging allocator's decision trace there, so a
+     CI failure can be diagnosed from the upload alone. *)
   let artifact_dir = Sys.getenv_opt "LSRA_DIFF_ARTIFACT_DIR" in
   let run file machine input fuel scale passes =
     handle_errors (fun () ->
@@ -359,13 +366,21 @@ let diffcheck_cmd =
                oracle must see them (test/fixtures/use_before_def.lsra). *)
             let program = load_checked ~allow_undefined:true machine f in
             let case = { Sweep.name = "file:" ^ f; program; input } in
-            [ (machine, [ case ]) ]
+            [ (machine, [ case ], Sweep.oracle_algorithms) ]
           | None ->
             (* The given machine, plus a spill-heavy one so the oracle
-               exercises eviction and resolution, not just renaming. *)
+               exercises eviction and resolution, not just renaming. The
+               generated programs run under [Allocator.all]: the exact
+               allocator's default node budget proves more of their
+               functions than the oracle list's 2,000 nodes. *)
             List.map
-              (fun m -> (m, Sweep.corpus m ~scale @ Sweep.hostile m))
+              (fun m ->
+                (m, Sweep.corpus m ~scale @ Sweep.hostile m,
+                 Sweep.oracle_algorithms))
               [ machine; Sweep.small_7_7 ]
+            @ List.map
+                (fun (_, m) -> (m, Sweep.generated m, Lsra.Allocator.all))
+                Sweep.fuzz_machines
         in
         if not (Lsra_native.Exec.available ()) then
           print_endline
@@ -373,9 +388,9 @@ let diffcheck_cmd =
         let tally = Sweep.tally () in
         let frame_saved = ref 0 in
         List.iter
-          (fun (m, cases) ->
+          (fun (m, cases, algorithms) ->
             let mname = Machine.name m and saved_before = !frame_saved in
-            Sweep.run tally cases Sweep.oracle_algorithms
+            Sweep.run tally cases algorithms
               (fun { Sweep.name; program; input } algo ->
                 match
                   Diffexec.check_pipeline ~fuel ~input ~passes m algo program
@@ -389,7 +404,7 @@ let diffcheck_cmd =
                     mname aname
                     (Diffexec.divergence_to_string d);
                   (* Minimise with the same full-pipeline oracle and dump
-                     the reproducer, as the fuzzer would. *)
+                     the reproducer. *)
                   let text =
                     Lsra_text.Ir_text.to_string
                       (Diffexec.shrink_pipeline ~input ~passes m algo program)
@@ -432,7 +447,8 @@ let diffcheck_cmd =
           when set). Exits 4 on any behavioral divergence, 3 when only \
           the abstract verifier rejected.")
     Term.(
-      const run $ file_arg $ machine_arg $ input_arg $ fuel_arg $ scale_arg
+      const run $ file_arg $ machine_arg $ input_arg $ fuel_arg
+      $ scale_arg ~doc:"Corpus workload scale factor."
       $ passes_arg ~default:Lsra.Passes.all)
 
 let jit_cmd =

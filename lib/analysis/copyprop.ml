@@ -39,10 +39,7 @@ let run func =
               | Loc.Reg _ -> l
             in
             let i' = Instr.rewrite ~use ~def:(fun l -> l) i in
-            List.iter
-              (fun (l : Loc.t) ->
-                match l with Loc.Temp d -> kill d | Loc.Reg _ -> ())
-              (Instr.defs i');
+            Instr.iter_defs ~temp:kill ~reg:ignore i';
             (match Instr.desc i' with
             | Instr.Move { dst = Loc.Temp d; src = Operand.Loc (Loc.Temp s) }
               when not (Temp.equal d s) ->

@@ -9,10 +9,11 @@ open Lsra_ir
    slots that are never read anywhere in the function. *)
 
 let writes_reg (i : Instr.t) r =
-  List.exists
-    (fun (l : Loc.t) ->
-      match l with Loc.Reg r' -> Mreg.equal r r' | Loc.Temp _ -> false)
-    (Instr.defs i)
+  let writes = ref false in
+  Instr.iter_defs ~temp:ignore
+    ~reg:(fun r' -> if Mreg.equal r r' then writes := true)
+    i;
+  !writes
 
 let forward_in_block body =
   (* available: slot -> register whose value the slot currently mirrors *)
@@ -36,7 +37,7 @@ let forward_in_block body =
           | _ -> i
         in
         (* transfer: kill slots mirroring any overwritten register (call
-           clobbers included, via Instr.defs), then record the new
+           clobbers included, via Instr.iter_defs), then record the new
            store/load fact *)
         Hashtbl.iter
           (fun slot r ->

@@ -88,8 +88,8 @@ val err_message_of_exn : exn -> string
 
 (** {2 Client side}
 
-    Reply parsing for socket clients (the [bench service --clients]
-    replay and the test suite). *)
+    Reply parsing for socket clients (perfbench's serving workload and
+    the test suite). *)
 
 type reply =
   | R_ok of {

@@ -10,10 +10,9 @@ open Lsra_target
    an x86-64 host the allocated program then runs natively too, so the
    encoder answers to the same observables.
 
-   The fuzzing half drives seeded random programs from Gen through every
-   allocator and, on a divergence, shrinks the program — deleting
-   instructions and straightening branches while the failure persists —
-   to a minimal textual reproducer. *)
+   On a divergence, the shrinker deletes instructions and straightens
+   branches while the failure persists, down to a minimal textual
+   reproducer. *)
 
 type divergence =
   | Reference_trap of string
@@ -343,92 +342,3 @@ let shrink_pipeline ?fuel ?verify ?input ?passes ?max_checks machine algo prog
       Result.map ignore
         (check_pipeline ~fuel ?verify ?input ?passes machine algo p))
     prog
-
-(* ------------------------------------------------------------------ *)
-(* Fuzzing                                                             *)
-
-type fuzz_report = {
-  seed : int;
-  machine_name : string;
-  machine : Machine.t;
-  algorithm : Lsra.Allocator.algorithm;
-  divergence : divergence;
-  reproducer : string;
-}
-
-let pp_fuzz_report r =
-  Printf.sprintf
-    "seed %d on %s under %s: %s\nminimal reproducer:\n%s" r.seed
-    r.machine_name
-    (Lsra.Allocator.short_name r.algorithm)
-    (divergence_to_string r.divergence)
-    r.reproducer
-
-(* Parameters are derived from the seed so a fixed seed set covers a
-   spread of sizes, call densities and loop-carried pressure. *)
-let fuzz_params seed =
-  {
-    Lsra_workloads.Gen.default_params with
-    Lsra_workloads.Gen.seed;
-    n_funcs = 1 + (seed mod 3);
-    n_temps = 6 + (seed mod 13);
-    n_stmts = 6 + (seed mod 15);
-    max_depth = 2 + (seed mod 2);
-    carried = 1 + (seed mod 4);
-    ext_call_prob = 0.05 +. (0.02 *. float_of_int (seed mod 5));
-  }
-
-let fuzz ?fuel ?(verify = true) ~machines ?(algorithms = Lsra.Allocator.all)
-    ?(passes = Lsra.Passes.all) ?(log = ignore) ~seeds () =
-  let failures = ref [] in
-  List.iter
-    (fun seed ->
-      let params = fuzz_params seed in
-      List.iter
-        (fun (machine_name, machine) ->
-          let prog = Lsra_workloads.Gen.program ~params machine in
-          let input =
-            String.init 8 (fun i -> Char.chr (65 + ((seed + i) mod 26)))
-          in
-          List.iter
-            (fun algo ->
-              match
-                check_pipeline ?fuel ~verify ~input ~passes machine algo prog
-              with
-              | Ok _ -> ()
-              | Error d ->
-                log
-                  (Printf.sprintf "seed %d on %s under %s: %s — shrinking"
-                     seed machine_name
-                     (Lsra.Allocator.short_name algo)
-                     (divergence_to_string d));
-                (* Shrink under the very same full-pipeline (traced)
-                   oracle, so divergences from cleanup passes and trace
-                   mismatches keep reproducing while the program
-                   shrinks. *)
-                let small =
-                  shrink_pipeline ?fuel ~verify ~input ~passes machine algo
-                    prog
-                in
-                let divergence =
-                  match
-                    check_pipeline ?fuel ~verify ~input ~passes machine algo
-                      small
-                  with
-                  | Error d' -> d'
-                  | Ok _ -> d
-                in
-                failures :=
-                  {
-                    seed;
-                    machine_name;
-                    machine;
-                    algorithm = algo;
-                    divergence;
-                    reproducer = Lsra_text.Ir_text.to_string small;
-                  }
-                  :: !failures)
-            algorithms)
-        machines)
-    seeds;
-  List.rev !failures

@@ -10,10 +10,9 @@
     {!Lsra_native.Lower.compile} and executed, and must reproduce the
     last interpreter run.
 
-    [check] / [check_all] apply the oracle to any {!Lsra.Allocator}
-    algorithm; {!fuzz} drives seeded random programs (from
-    {!Lsra_workloads.Gen}) through every allocator and shrinks failures
-    to minimal textual reproducers. *)
+    [check] / [check_all] / [check_pipeline] apply the oracle to any
+    {!Lsra.Allocator} algorithm; {!shrink} and {!shrink_pipeline} reduce
+    a failing program to a minimal textual reproducer. *)
 
 open Lsra_ir
 open Lsra_target
@@ -36,7 +35,7 @@ type divergence =
   | Pass_divergence of { pass : string; underlying : divergence }
       (** a managed pipeline pass (named by {!Lsra.Passes.name}), not the
           allocation itself, introduced the underlying divergence — only
-          from {!check_pipeline} / {!fuzz} *)
+          from {!check_pipeline} *)
   | Native_divergence of string
       (** the allocated program failed to emit, or its native run
           disagrees with the last interpreter run the oracle accepted
@@ -158,33 +157,3 @@ val shrink_pipeline :
   Lsra.Allocator.algorithm ->
   Program.t ->
   Program.t
-
-type fuzz_report = {
-  seed : int;
-  machine_name : string;  (** the machine's label in [machines] *)
-  machine : Machine.t;
-  algorithm : Lsra.Allocator.algorithm;
-  divergence : divergence;
-  reproducer : string;  (** textual IR of the shrunk failing program *)
-}
-
-val pp_fuzz_report : fuzz_report -> string
-
-(** [fuzz ~machines ~seeds ()] generates one program per seed and
-    labelled machine ({!Sweep.fuzz_machines} in [bench fuzz]), checks
-    it under every algorithm {e through the full managed pipeline}
-    ({!check_pipeline} with [passes], default {!Lsra.Passes.all} — so
-    the fuzzer exercises Copyprop, DCE, Motion, Peephole and Slots, not
-    just allocation), and shrinks each failure under the same pipeline
-    oracle. Deterministic: the same seed set always exercises the same
-    programs. [log] receives one progress line per divergence found. *)
-val fuzz :
-  ?fuel:int ->
-  ?verify:bool ->
-  machines:(string * Machine.t) list ->
-  ?algorithms:Lsra.Allocator.algorithm list ->
-  ?passes:Lsra.Passes.t list ->
-  ?log:(string -> unit) ->
-  seeds:int list ->
-  unit ->
-  fuzz_report list

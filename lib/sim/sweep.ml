@@ -35,6 +35,29 @@ let hostile machine =
       { name = Printf.sprintf "hostile:%d" seed; program; input = "" })
     [ 1000; 1001 ]
 
+(* Parameters are derived from the seed so the fixed seed set covers a
+   spread of sizes, call densities and loop-carried pressure. *)
+let generated_params seed =
+  {
+    Lsra_workloads.Gen.default_params with
+    Lsra_workloads.Gen.seed;
+    n_funcs = 1 + (seed mod 3);
+    n_temps = 6 + (seed mod 13);
+    n_stmts = 6 + (seed mod 15);
+    max_depth = 2 + (seed mod 2);
+    carried = 1 + (seed mod 4);
+    ext_call_prob = 0.05 +. (0.02 *. float_of_int (seed mod 5));
+  }
+
+let generated machine =
+  List.init 100 (fun seed ->
+      let params = generated_params seed in
+      let program = Lsra_workloads.Gen.program ~params machine in
+      let input =
+        String.init 8 (fun i -> Char.chr (65 + ((seed + i) mod 26)))
+      in
+      { name = Printf.sprintf "gen:%d" seed; program; input })
+
 let small_7_7 =
   Machine.small ~int_regs:7 ~float_regs:7 ~int_caller_saved:4
     ~float_caller_saved:4 ()

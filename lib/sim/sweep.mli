@@ -1,15 +1,15 @@
 (** What the corpus × machine × allocator oracle sweeps share: the
-    corpus, the spill-heavy machines, the oracle allocator list, typed
-    verdicts with one exit-code rule, and one artifact writer. The
-    sweeps are [lsra_tool diffcheck], [bench optgap], [bench jit] and
-    [bench fuzz]; each keeps only its oracle call, the lines it prints
+    corpus, the generated programs, the spill-heavy machines, the oracle
+    allocator list, typed verdicts with one exit-code rule, and one
+    artifact writer. The sweeps are [lsra_tool diffcheck] and
+    [bench optgap]; each keeps only its oracle call, the lines it prints
     and its JSON. *)
 
 open Lsra_ir
 open Lsra_target
 
 (** A corpus entry, named by source (["spec:wc"], ["mini:collatz"],
-    ["pressure:cvrin"], ["hostile:1000"]); [input] feeds [ext_getc]. *)
+    ["pressure:cvrin"], ["hostile:1000"], ["gen:0"]); [input] feeds [ext_getc]. *)
 type case = { name : string; program : Program.t; input : string }
 
 (** The Specbench and then the Minilang programs that fit the machine's
@@ -25,6 +25,12 @@ val corpus : ?pressure:bool -> scale:int -> Machine.t -> case list
     they would compare nothing. *)
 val hostile : Machine.t -> case list
 
+(** One generated program per seed 0-99 (["gen:0"] ...): seeded
+    {!Lsra_workloads.Gen} programs whose size, call density and
+    loop-carried pressure vary with the seed, each with an 8-byte input.
+    A fixed seed set, so every sweep checks the same programs. *)
+val generated : Machine.t -> case list
+
 (** [small:7:7]: 7 int and 7 float registers, 4 of each caller-saved. *)
 val small_7_7 : Machine.t
 
@@ -36,7 +42,8 @@ val small_8 : Machine.t
 (** [alpha] and [small-8], labelled as the bench sweeps print them. *)
 val bench_machines : (string * Machine.t) list
 
-(** {!bench_machines} plus [tiny-4], 4 registers per class. *)
+(** {!bench_machines} plus [tiny-4], 4 registers per class: the
+    machines {!generated} programs are checked on. *)
 val fuzz_machines : (string * Machine.t) list
 
 (** {!Lsra.Allocator.all} with the exact allocator under a node budget of

@@ -1079,8 +1079,16 @@ let programs =
 
 let names = List.map fst programs
 
+(* Below 1 the loops run no iterations, or a negative count: a program
+   that computes nothing, or one that reads values it never wrote. *)
+let check_scale scale =
+  if scale < 1 then
+    invalid_arg (Printf.sprintf "Specbench: scale %d is below 1" scale)
+
 let all machine ~scale =
+  check_scale scale;
   List.map (fun (_, build) -> build machine ~scale) programs
 
 let find machine ~scale name =
+  check_scale scale;
   Option.map (fun build -> build machine ~scale) (List.assoc_opt name programs)

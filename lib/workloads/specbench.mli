@@ -23,9 +23,11 @@ val names : string list
 
 (** The eleven benchmarks, in {!names} order. [scale] multiplies loop
     trip counts (1 for tests, larger for benches). Raises {!Unfit} if
-    any of them does not fit the machine. *)
+    any of them does not fit the machine, and [Invalid_argument] if
+    [scale < 1]. *)
 val all : Machine.t -> scale:int -> case list
 
 (** Builds the named benchmark only ([None] for an unknown name).
-    Raises {!Unfit} if it does not fit the machine. *)
+    Raises {!Unfit} if it does not fit the machine, and
+    [Invalid_argument] if [scale < 1]. *)
 val find : Machine.t -> scale:int -> string -> case option

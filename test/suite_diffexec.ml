@@ -144,13 +144,28 @@ let test_corpus_spot_check () =
   | (algo, d) :: _ ->
     Alcotest.failf "collatz under %s: %s" algo (D.divergence_to_string d)
 
+(* The first three of diffcheck's generated cases (seeds 0-2) on every
+   machine they are checked on, under every allocator and every managed
+   pass. *)
 let test_fuzz_smoke () =
-  let reports =
-    D.fuzz ~machines:Lsra_sim.Sweep.fuzz_machines ~seeds:[ 0; 1; 2 ] ()
-  in
-  match reports with
-  | [] -> ()
-  | r :: _ -> Alcotest.failf "fuzz found: %s" (D.pp_fuzz_report r)
+  List.iter
+    (fun (mname, machine) ->
+      let cases =
+        List.filteri (fun i _ -> i < 3) (Lsra_sim.Sweep.generated machine)
+      in
+      List.iter
+        (fun { Lsra_sim.Sweep.name; program; input } ->
+          List.iter
+            (fun algo ->
+              match D.check_pipeline ~input machine algo program with
+              | Ok _ -> ()
+              | Error d ->
+                Alcotest.failf "%s on %s under %s: %s" name mname
+                  (Lsra.Allocator.short_name algo)
+                  (D.divergence_to_string d))
+            Lsra.Allocator.all)
+        cases)
+    Lsra_sim.Sweep.fuzz_machines
 
 (* The full managed pipeline (every cleanup pass, per-pass oracle
    checks) must pass every allocator, and it is the real pipeline: its

@@ -81,30 +81,39 @@ let test_encoder_sse () =
 (* Lowering: allocated programs must emit, and the machine-code        *)
 (* fingerprint must key caches differently in native mode.             *)
 
-let allocated prog machine algo =
-  let copy = Lsra_ir.Program.copy prog in
-  ignore
-    (Lsra.Allocator.pipeline ~precheck:false ~verify:false
-       ~passes:Lsra.Passes.all algo machine copy);
-  copy
-
+(* The corpus without the pressure modules, on both bench machines,
+   under the four heuristics and the default passes: every program must
+   emit, and on x86-64 its native run must reproduce the interpreter's
+   (the oracle's last stage). Elsewhere that stage is skipped, but
+   emission is host-independent, so it is checked here. *)
 let test_lower_corpus () =
-  let machine = Machine.alpha_like in
   List.iter
-    (fun (case : Lsra_workloads.Specbench.case) ->
-      let prog =
-        allocated case.Lsra_workloads.Specbench.program machine
-          Lsra.Allocator.default_second_chance
-      in
-      match Lower.compile machine prog with
-      | Error e ->
-        Alcotest.failf "%s does not emit: %s"
-          case.Lsra_workloads.Specbench.name e
-      | Ok compiled ->
-        if Bytes.length compiled.Lower.code = 0 then
-          Alcotest.failf "%s emitted no code"
-            case.Lsra_workloads.Specbench.name)
-    (Lsra_workloads.Specbench.all machine ~scale:1)
+    (fun (mname, machine) ->
+      List.iter
+        (fun { Lsra_sim.Sweep.name; program; input } ->
+          List.iter
+            (fun algo ->
+              let fail why =
+                Alcotest.failf "%s on %s under %s: %s" name mname
+                  (Lsra.Allocator.short_name algo)
+                  why
+              in
+              (match
+                 Lsra_sim.Diffexec.check_pipeline
+                   ~passes:Lsra.Passes.default ~input machine algo program
+               with
+              | Ok _ -> ()
+              | Error d -> fail (Lsra_sim.Diffexec.divergence_to_string d));
+              if not (Exec.available ()) then begin
+                let copy = Lsra_ir.Program.copy program in
+                ignore (Lsra.Allocator.pipeline algo machine copy);
+                match Lower.compile machine copy with
+                | Ok _ -> ()
+                | Error e -> fail ("emission failed: " ^ e)
+              end)
+            Lsra.Allocator.heuristics)
+        (Lsra_sim.Sweep.corpus ~pressure:false ~scale:1 machine))
+    Lsra_sim.Sweep.bench_machines
 
 let test_lower_rejects_temp () =
   (* A pre-allocation program still has virtual temps: emission must

@@ -296,19 +296,21 @@ let test_pipeline_records_pass_times () =
 
 let test_parallel_allocation_deterministic () =
   (* run_program ~jobs must produce the very same allocated program and
-     the same merged counters as the sequential path, on every Specbench
-     workload *)
+     the same merged counters as the sequential path, on every corpus
+     program: Specbench, Minilang and the pressure modules *)
   let machine = Machine.alpha_like in
   List.iter
-    (fun (case : Lsra_workloads.Specbench.case) ->
-      let seq = Program.copy case.Lsra_workloads.Specbench.program in
-      let par = Program.copy case.Lsra_workloads.Specbench.program in
-      let s_seq = Lsra.Allocator.run_program Lsra.Allocator.default_second_chance machine seq in
+    (fun { Lsra_sim.Sweep.name; program; input = _ } ->
+      let seq = Program.copy program in
+      let par = Program.copy program in
+      let s_seq =
+        Lsra.Allocator.run_program Lsra.Allocator.default_second_chance
+          machine seq
+      in
       let s_par =
         Lsra.Allocator.run_program ~jobs:4
           Lsra.Allocator.default_second_chance machine par
       in
-      let name = case.Lsra_workloads.Specbench.name in
       Alcotest.(check string)
         (name ^ ": identical allocated program")
         (Lsra_text.Ir_text.to_string seq)
@@ -323,7 +325,7 @@ let test_parallel_allocation_deterministic () =
       Alcotest.(check int)
         (name ^ ": same dataflow rounds")
         s_seq.Lsra.Stats.dataflow_rounds s_par.Lsra.Stats.dataflow_rounds)
-    (Lsra_workloads.Specbench.all machine ~scale:1)
+    (Lsra_sim.Sweep.corpus ~scale:1 machine)
 
 (* Every counter of a Stats record except times and GC readings. *)
 let counters (s : Lsra.Stats.t) =

@@ -644,80 +644,131 @@ let read_reply ic =
   in
   go ()
 
+(* The STATS field [name] of a STATS reply, as an int. *)
+let stat fields name =
+  match List.assoc_opt name fields with
+  | Some v -> int_of_string v
+  | None -> Alcotest.failf "no %s field" name
+
 let test_mux_concurrent_clients () =
   let dir = temp_dir "lsra-mux" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let svc = Service.create (Service.default_config machine) in
+  let store_dir = Filename.concat dir "store" in
   let path = Filename.concat dir "serve.sock" in
-  let srv =
-    Domain.spawn (fun () -> Mux.serve_socket ~max_clients:8 ~jobs:2 svc path)
+  (* A generated program and every Specbench program that fits the
+     machine at scale 1, each with the bytes the direct pipeline gives. *)
+  let programs =
+    List.map
+      (fun src -> (src, direct_output src))
+      (source ~seed:41 ()
+      :: List.filter_map
+           (fun name ->
+             match Lsra_workloads.Specbench.find machine ~scale:1 name with
+             | Some c ->
+               Some
+                 (Lsra_text.Ir_text.to_string
+                    c.Lsra_workloads.Specbench.program)
+             | None | (exception Lsra_workloads.Specbench.Unfit _) -> None)
+           Lsra_workloads.Specbench.names)
   in
-  let src = source ~seed:41 () in
-  let expected = direct_output src in
-  (* A client that dies mid-frame (header promised 1000 bytes, sent a
-     handful, hung up) must poison only its own connection. *)
-  let ragged = connect path in
-  let roc = Unix.out_channel_of_descr ragged in
-  output_string roc "REQ ragged len=1000\nonly a little";
-  flush roc;
-  Unix.close ragged;
-  (* Three well-behaved concurrent clients, two requests each; all six
-     answers must be byte-identical and routed to the connection that
-     asked. *)
-  let client i =
+  let n = List.length programs in
+  (* Client [i] sends every program once per round, in lockstep. *)
+  let client ~rounds i =
     let fd = connect path in
     let ic = Unix.in_channel_of_descr fd in
     let oc = Unix.out_channel_of_descr fd in
     let replies =
-      List.map
+      List.concat_map
         (fun round ->
-          let id = Printf.sprintf "c%d.%d" i round in
-          output_string oc (req id src);
-          flush oc;
-          (id, read_reply ic))
-        [ 1; 2 ]
+          List.mapi
+            (fun k (src, expected) ->
+              let id = Printf.sprintf "c%d.%d.%d" i round k in
+              output_string oc (req id src);
+              flush oc;
+              (id, expected, read_reply ic))
+            programs)
+        rounds
     in
     Unix.close fd;
     replies
   in
-  let doms = List.init 3 (fun i -> Domain.spawn (fun () -> client i)) in
-  (* Checked on this domain once the clients are done: Alcotest reports
-     through a Format queue that concurrent domains corrupt. *)
-  List.iter
-    (fun (id, reply) ->
-      match reply with
-      | Protocol.R_ok { id = rid; _ }, Some body ->
-        Alcotest.(check string) "routed to the requesting connection" id rid;
-        Alcotest.(check string) "payload bit-identical" expected body
-      | _ -> Alcotest.failf "request %s: unexpected reply" id)
-    (List.concat_map Domain.join doms);
-  (* STATS over a fresh connection, then QUIT to shut the server down. *)
-  let fd = connect path in
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  output_string oc "STATS s\nQUIT\n";
-  flush oc;
-  (match read_reply ic with
-  | Protocol.R_stats { id = "s"; fields }, None ->
-    Alcotest.(check (option string)) "six requests served" (Some "6")
-      (List.assoc_opt "requests" fields);
-    (* Identical requests that land in the same first batch each miss
-       (they run concurrently), so only the second round is guaranteed
-       warm: 3 <= hits <= 5. *)
-    let hits =
-      match List.assoc_opt "hits" fields with
-      | Some v -> int_of_string v
-      | None -> Alcotest.fail "no hits field"
+  (* Three concurrent clients. Checked on this domain once they are
+     done: Alcotest reports through a Format queue that concurrent
+     domains corrupt. Every answer must be byte-identical to the direct
+     pipeline and routed to the connection that asked; returns how many
+     were cache hits. *)
+  let replay ~rounds =
+    let doms =
+      List.init 3 (fun i -> Domain.spawn (fun () -> client ~rounds i))
     in
-    Alcotest.(check bool)
-      (Printf.sprintf "second round all warm (hits=%d)" hits)
-      true
-      (hits >= 3 && hits <= 5)
-  | _ -> Alcotest.fail "expected a STATS reply");
-  Unix.close fd;
-  let sev = Domain.join srv in
-  Alcotest.(check int) "server severity clean" 0 sev;
-  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+    List.fold_left
+      (fun hits (id, expected, reply) ->
+        match reply with
+        | Protocol.R_ok { id = rid; hit; _ }, Some body ->
+          Alcotest.(check string) "routed to the requesting connection" id rid;
+          Alcotest.(check string) "payload bit-identical" expected body;
+          if hit then hits + 1 else hits
+        | _ -> Alcotest.failf "request %s: unexpected reply" id)
+      0
+      (List.concat_map Domain.join doms)
+  in
+  (* One server over the 4-shard journal in [store_dir], spot-checking
+     every second hit: runs [f], then STATS and QUIT over a fresh
+     connection. Returns [f]'s result, the records the server
+     warm-loaded at boot and its STATS fields. *)
+  let with_server f =
+    let svc = make_service ~spot_check:2 ~store_dir ~shards:4 () in
+    let warm_loaded = (Service.counters svc).Service.warm_loaded in
+    let srv =
+      Domain.spawn (fun () -> Mux.serve_socket ~max_clients:8 ~jobs:2 svc path)
+    in
+    let r = f () in
+    let fd = connect path in
+    let ic = Unix.in_channel_of_descr fd in
+    let oc = Unix.out_channel_of_descr fd in
+    output_string oc "STATS s\nQUIT\n";
+    flush oc;
+    let fields =
+      match read_reply ic with
+      | Protocol.R_stats { id = "s"; fields }, None -> fields
+      | _ -> Alcotest.fail "expected a STATS reply"
+    in
+    Unix.close fd;
+    Alcotest.(check int) "server severity clean" 0 (Domain.join srv);
+    Alcotest.(check bool) "socket file removed" false (Sys.file_exists path);
+    (r, warm_loaded, fields)
+  in
+  let hits, _, fields =
+    with_server (fun () ->
+        (* A client that dies mid-frame (header promised 1000 bytes, sent
+           a handful, hung up) must poison only its own connection. *)
+        let ragged = connect path in
+        let roc = Unix.out_channel_of_descr ragged in
+        output_string roc "REQ ragged len=1000\nonly a little";
+        flush roc;
+        Unix.close ragged;
+        replay ~rounds:[ 1; 2 ])
+  in
+  Alcotest.(check int) "every request served" (6 * n) (stat fields "requests");
+  Alcotest.(check int) "replies agree with STATS" hits (stat fields "hits");
+  (* Identical requests that land in the same batch each miss (they run
+     concurrently), so only the second round is guaranteed warm, and
+     each program's first request is cold. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "second round all warm (hits=%d of %d)" hits (6 * n))
+    true
+    (hits >= 3 * n && hits <= 5 * n);
+  (* A fresh server on the same directory starts with an empty cache:
+     every answer must come from the journal. *)
+  let hits, warm_loaded, fields =
+    with_server (fun () -> replay ~rounds:[ 1 ])
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "journal warm-loaded (%d records)" warm_loaded)
+    true (warm_loaded >= n);
+  Alcotest.(check int) "every request after the restart a hit" (3 * n) hits;
+  Alcotest.(check bool) "hits spot-checked" true
+    (stat fields "spot-checks" > 0)
 
 let suite =
   [

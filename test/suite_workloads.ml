@@ -59,8 +59,28 @@ let machine_tests machine mname =
         (fun () -> check_case machine case))
     (Lsra_workloads.Specbench.all machine ~scale:1)
 
+(* A scale below 1 builds loops that never run or run a negative count;
+   both entry points refuse it instead of building such a program. *)
+let test_scale_below_one () =
+  let machine = Machine.alpha_like in
+  List.iter
+    (fun scale ->
+      let raises what f =
+        match f () with
+        | _ -> Alcotest.failf "%s ~scale:%d built a program" what scale
+        | exception Invalid_argument _ -> ()
+      in
+      raises "find" (fun () ->
+          ignore (Lsra_workloads.Specbench.find machine ~scale "wc"));
+      raises "find (unknown name)" (fun () ->
+          ignore (Lsra_workloads.Specbench.find machine ~scale "nope"));
+      raises "all" (fun () ->
+          ignore (Lsra_workloads.Specbench.all machine ~scale)))
+    [ 0; -1 ]
+
 let suite =
-  machine_tests Machine.alpha_like "alpha"
+  Alcotest.test_case "scale below 1 is refused" `Quick test_scale_below_one
+  :: machine_tests Machine.alpha_like "alpha"
   @ machine_tests
       (Machine.small ~int_regs:9 ~float_regs:9 ~int_caller_saved:5
          ~float_caller_saved:5 ())
