@@ -353,9 +353,12 @@ let diffcheck_cmd =
              generated programs) is checked on MACHINE and small:7:7, and \
              100 seeded generated programs on alpha, small-8 and tiny-4.")
   in
-  (* With LSRA_DIFF_ARTIFACT_DIR set, every divergence leaves its shrunk
+  (* With LSRA_DIFF_ARTIFACT_DIR set, every divergence leaves its
      reproducer and the diverging allocator's decision trace there, so a
-     CI failure can be diagnosed from the upload alone. *)
+     CI failure can be diagnosed from the upload alone. Only the first
+     divergence of each allocator in each job is shrunk: a fault that
+     breaks many cases would otherwise keep the sweep shrinking for
+     hours; the later ones are written as they are. *)
   let artifact_dir = Sys.getenv_opt "LSRA_DIFF_ARTIFACT_DIR" in
   let run file machine input fuel scale passes =
     handle_errors (fun () ->
@@ -366,7 +369,7 @@ let diffcheck_cmd =
                oracle must see them (test/fixtures/use_before_def.lsra). *)
             let program = load_checked ~allow_undefined:true machine f in
             let case = { Sweep.name = "file:" ^ f; program; input } in
-            [ (machine, [ case ], Sweep.oracle_algorithms) ]
+            [ ("file", machine, [ case ], Sweep.oracle_algorithms) ]
           | None ->
             (* The given machine, plus a spill-heavy one so the oracle
                exercises eviction and resolution, not just renaming. The
@@ -375,11 +378,12 @@ let diffcheck_cmd =
                functions than the oracle list's 2,000 nodes. *)
             List.map
               (fun m ->
-                (m, Sweep.corpus m ~scale @ Sweep.hostile m,
+                ("corpus", m, Sweep.corpus m ~scale @ Sweep.hostile m,
                  Sweep.oracle_algorithms))
               [ machine; Sweep.small_7_7 ]
             @ List.map
-                (fun (_, m) -> (m, Sweep.generated m, Lsra.Allocator.all))
+                (fun (_, m) ->
+                  ("generated", m, Sweep.generated m, Lsra.Allocator.all))
                 Sweep.fuzz_machines
         in
         if not (Lsra_native.Exec.available ()) then
@@ -388,8 +392,9 @@ let diffcheck_cmd =
         let tally = Sweep.tally () in
         let frame_saved = ref 0 in
         List.iter
-          (fun (m, cases, algorithms) ->
+          (fun (job, m, cases, algorithms) ->
             let mname = Machine.name m and saved_before = !frame_saved in
+            let shrunk = Hashtbl.create 8 in
             Sweep.run tally cases algorithms
               (fun { Sweep.name; program; input } algo ->
                 match
@@ -403,13 +408,27 @@ let diffcheck_cmd =
                   Printf.eprintf "DIVERGENCE %s on %s under %s: %s\n%!" name
                     mname aname
                     (Diffexec.divergence_to_string d);
-                  (* Minimise with the same full-pipeline oracle and dump
-                     the reproducer. *)
+                  (* Minimise the allocator's first divergence in this job
+                     with the same full-pipeline oracle and dump the
+                     reproducer; keep later ones whole. *)
                   let text =
-                    Lsra_text.Ir_text.to_string
-                      (Diffexec.shrink_pipeline ~input ~passes m algo program)
+                    match Hashtbl.find_opt shrunk aname with
+                    | Some first ->
+                      Printf.eprintf
+                        "  not shrunk: %s's first divergence on %s %s was \
+                         %s\n%!"
+                        aname mname job first;
+                      Lsra_text.Ir_text.to_string program
+                    | None ->
+                      Hashtbl.replace shrunk aname name;
+                      let text =
+                        Lsra_text.Ir_text.to_string
+                          (Diffexec.shrink_pipeline ~input ~passes m algo
+                             program)
+                      in
+                      Printf.eprintf "minimal reproducer:\n%s%!" text;
+                      text
                   in
-                  Printf.eprintf "minimal reproducer:\n%s%!" text;
                   Option.iter
                     (fun dir ->
                       Printf.eprintf "  reproducer written to %s\n%!"
@@ -418,8 +437,8 @@ let diffcheck_cmd =
                     artifact_dir;
                   Sweep.of_divergence d);
             if !frame_saved > saved_before then
-              Printf.printf "diffcheck: %s: %d frame words saved by slots\n"
-                mname (!frame_saved - saved_before))
+              Printf.printf "diffcheck: %s %s: %d frame words saved by slots\n"
+                mname job (!frame_saved - saved_before))
           jobs;
         Printf.printf
           "diffcheck: %d checks (passes: %s), %d divergences (%d verifier \
@@ -442,10 +461,12 @@ let diffcheck_cmd =
           re-interpreting and re-verifying after every pass (the \
           allocation also runs under a decision trace whose replay must \
           agree with the reported statistics), then, on x86-64, emitting \
-          and executing the result natively. Divergences are shrunk to \
-          minimal reproducers (written to $(b,LSRA_DIFF_ARTIFACT_DIR) \
-          when set). Exits 4 on any behavioral divergence, 3 when only \
-          the abstract verifier rejected.")
+          and executing the result natively. The first divergence of \
+          each allocator on each machine and program set is shrunk to a \
+          minimal reproducer, later ones are reported as they are (all \
+          written to $(b,LSRA_DIFF_ARTIFACT_DIR) when set). Exits 4 on \
+          any behavioral divergence, 3 when only the abstract verifier \
+          rejected.")
     Term.(
       const run $ file_arg $ machine_arg $ input_arg $ fuel_arg
       $ scale_arg ~doc:"Corpus workload scale factor."

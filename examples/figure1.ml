@@ -69,10 +69,12 @@ let () =
       let itv = Lsra.Lifetime.interval lifetimes t in
       Format.printf "%-6s lifetime %a@." (Temp.to_string t) Lsra.Interval.pp
         itv;
-      List.iter
-        (fun { Lsra.Interval.s; e } ->
-          Format.printf "       hole     [%d,%d]@." s e)
-        (Lsra.Interval.holes itv))
+      (* the holes: the gaps between consecutive segments *)
+      for i = 1 to Lsra.Interval.n_segs itv - 1 do
+        Format.printf "       hole     [%d,%d]@."
+          (Lsra.Interval.seg_end itv (i - 1) + 1)
+          (Lsra.Interval.seg_start itv i - 1)
+      done)
     [ t1; t2; t3; t4 ];
   Format.printf
     "@.Note how block boundaries begin and end holes (e.g. T4 is dead@.\

@@ -59,24 +59,24 @@ let failed = function
     true
   | _ -> false
 
-(* The dispatch [run] measures. The exact allocator's rungs and its
-   budget-trip fallback are this same dispatch, one rung down, so they
-   take the handed-over liveness too. *)
-let rec dispatch ?trace ?liveness algorithm machine func =
+(* The dispatch [run] measures, on [run]'s one liveness solution. The
+   exact allocator's rungs and its budget-trip fallback are this same
+   dispatch, one rung down, on that same solution. *)
+let rec dispatch ?trace ~liveness algorithm machine func =
   match algorithm with
   | Second_chance opts ->
     (* The paper's allocator: the allocate-and-rewrite scan, then
        CFG-edge resolution. *)
-    let scanned = Binpack.scan ~opts ?trace ?liveness machine func in
+    let scanned = Binpack.scan ~opts ?trace ~liveness machine func in
     Stats.timed scanned.Binpack.stats Stats.Resolution (fun () ->
         Resolution.run scanned);
     scanned.Binpack.stats
-  | Two_pass -> Two_pass.run ?trace ?liveness machine func
-  | Poletto -> Poletto.run ?trace ?liveness machine func
-  | Graph_coloring -> Coloring.run ?trace ?liveness machine func
+  | Two_pass -> Two_pass.run ?trace ~liveness machine func
+  | Poletto -> Poletto.run ?trace ~liveness machine func
+  | Graph_coloring -> Coloring.run ?trace ~liveness machine func
   | Optimal opts -> (
     let rungs = below algorithm in
-    let rung a trace f = dispatch ?trace ?liveness a machine f in
+    let rung a trace f = dispatch ?trace ~liveness a machine f in
     match
       Optimal.run_exact opts trace liveness ~rungs:(List.map rung rungs)
         ~failed machine func
@@ -99,7 +99,7 @@ let rec dispatch ?trace ?liveness algorithm machine func =
                  predicted = float_of_int opts.Optimal.node_budget;
                }))
         trace;
-      let stats = dispatch ?trace ?liveness next machine func in
+      let stats = dispatch ?trace ~liveness next machine func in
       stats.Stats.downgrades <- stats.Stats.downgrades + 1;
       stats)
 
@@ -121,17 +121,29 @@ let check_trace algorithm fname evs stats =
   Result.iter_error (fail "event stream") (Trace.well_formed ~strict evs)
 
 (* The one place an allocation is measured: the clock and the GC
-   counters are read once around the dispatch, so the allocators that run
-   others (the exact allocator's rungs and its fallback) are counted
-   once. [Gc.quick_stat] reads the calling domain's counters,
-   which keeps the attribution right under [Parallel.fold_stats]. A
-   traced run then checks its own section of the sink, outside the
-   measured window. *)
+   counters are read once around the liveness solve and the dispatch, so
+   the allocators that run others (the exact allocator's rungs and its
+   fallback) are counted once. [Gc.quick_stat] reads the calling domain's
+   counters, which keeps the attribution right under
+   [Parallel.fold_stats]. A traced run then checks its own section of the
+   sink, outside the measured window. *)
 let run ?trace ?liveness algorithm machine func =
   let mark = Option.fold ~none:0 ~some:Trace.count trace in
   let t0 = Monotonic_clock.now () in
   let g0 = Gc.quick_stat () in
-  let stats = dispatch ?trace ?liveness algorithm machine func in
+  let liveness, own_solve =
+    match liveness with
+    | Some l -> (l, None)
+    | None ->
+      let s = Stats.create () in
+      let l =
+        Stats.timed s Stats.Liveness (fun () ->
+            Lsra_analysis.Liveness.compute func)
+      in
+      (l, Some s)
+  in
+  let stats = dispatch ?trace ~liveness algorithm machine func in
+  Option.iter (fun s -> Stats.add ~into:stats s) own_solve;
   Stats.record_gc_since stats g0;
   stats.Stats.alloc_time <- Stats.seconds_since t0;
   Option.iter

@@ -62,9 +62,12 @@ val check_trace : algorithm -> string -> Trace.event list -> Stats.t -> unit
     allocators inside it.
 
     [liveness], when given, must be [func]'s exact liveness as it stands,
-    such as {!Lsra_analysis.Dce.run_to_fixpoint} returns; every allocator
-    then uses it in place of its own first {!Lsra_analysis.Liveness}
-    solve (see {!Binpack.analyse}), with identical output. *)
+    such as {!Lsra_analysis.Dce.run_to_fixpoint} returns. Without it,
+    [run] solves {!Lsra_analysis.Liveness} once, inside the measured
+    window, and charges the solve to [Stats.Liveness] in the returned
+    stats. Either way that one solution is what the allocator starts
+    from (the exact allocator's rungs, model and fallback included), and
+    the output is the same. *)
 val run :
   ?trace:Trace.t ->
   ?liveness:Lsra_analysis.Liveness.t ->

@@ -163,8 +163,8 @@ let advance_cursor st id ~pos =
 let pow10 = Array.init 32 (fun d -> 10.0 ** float_of_int d)
 
 let benefit st id ~pos =
-  (* Index-based: runs inside the eviction scans, so it must not build
-     a [ref_point] record. *)
+  (* Index-based: runs inside the eviction scans, so it allocates
+     nothing. *)
   let itv = interval st id in
   let c = Interval.next_ref_at itv ~cursor:st.cursor.(id) ~pos in
   st.cursor.(id) <- c;
@@ -642,22 +642,22 @@ let release_dead st ~pos =
 
 let analyse stats liveness machine func =
   let regidx = Regidx.create machine in
-  let liveness =
-    match liveness with
-    | Some l -> l
-    | None -> Stats.timed stats Stats.Liveness (fun () -> Liveness.compute func)
-  in
   let lifetimes =
     Stats.timed stats Stats.Lifetime (fun () ->
         Lifetime.compute regidx func liveness (Loop.compute (Func.cfg func)))
   in
-  (regidx, liveness, lifetimes)
+  (regidx, lifetimes)
 
 let scan ?(opts = default_options) ?trace ?liveness machine func =
   let stats = Stats.create () in
   Trace.emit_fn trace func;
   let cfg = Func.cfg func in
-  let regidx, liveness, lifetimes = analyse stats liveness machine func in
+  let liveness =
+    match liveness with
+    | Some l -> l
+    | None -> Stats.timed stats Stats.Liveness (fun () -> Liveness.compute func)
+  in
+  let regidx, lifetimes = analyse stats liveness machine func in
   let blocks = Cfg.blocks cfg in
   let nb = Array.length blocks in
   let ntemps = Func.temp_bound func in

@@ -93,17 +93,12 @@ module Busy_cursor : sig
   val hole_end_if_free : t -> int -> int
 end
 
-(** [analyse stats liveness machine func]: the register index, liveness
-    and lifetimes that the scan and {!Spill_everywhere} start from. A
-    given [liveness] (see {!scan}) is used as is, otherwise it is solved
-    under {!Stats.Liveness}; loops and lifetimes are timed under
-    {!Stats.Lifetime}. *)
+(** [analyse stats liveness machine func]: the register index and
+    lifetimes that the scan and {!Spill_everywhere} start from, built on
+    [liveness], [func]'s exact liveness as it stands; loops and lifetimes
+    are timed under {!Stats.Lifetime}. *)
 val analyse :
-  Stats.t ->
-  Liveness.t option ->
-  Machine.t ->
-  Func.t ->
-  Regidx.t * Liveness.t * Lifetime.t
+  Stats.t -> Liveness.t -> Machine.t -> Func.t -> Regidx.t * Lifetime.t
 
 (** [slot trace func lifetimes slot_of id]: the stack slot of temporary
     [id], memoised in [slot_of] ([-1]: none yet); the first call takes a
@@ -121,8 +116,9 @@ val slot : Trace.t option -> Func.t -> Lifetime.t -> int array -> int -> int
 
     [liveness], when given, must be [func]'s exact liveness as it stands,
     such as the solution {!Dce.run_to_fixpoint} returns; the scan then
-    skips its own solve and charges nothing to {!Stats.Liveness}
-    ([Allocator.pipeline] hands DCE's solution over this way). *)
+    skips its own solve and charges nothing to {!Stats.Liveness}.
+    [Allocator.run] always hands one over (DCE's, or its own solve);
+    without one the scan solves under {!Stats.Liveness}. *)
 val scan :
   ?opts:options ->
   ?trace:Trace.t ->

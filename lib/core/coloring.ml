@@ -312,18 +312,24 @@ let assign_colors ctx =
     ctx.coalesced_nodes
 
 (* Build the interference graph and move lists from per-block backward
-   scans seeded with liveness. *)
+   scans seeded with liveness. Each instruction's operands are walked
+   into two reused buffers of node ids, uses and defs, in operand order. *)
 let build ctx liveness loops =
   let cfg = Func.cfg ctx.func in
-  let node_of_loc (l : Loc.t) =
-    match l with
-    | Loc.Temp t ->
-      if Rclass.equal (Temp.cls t) ctx.cls then Some (ctx.temp_base + Temp.id t)
-      else None
-    | Loc.Reg r ->
-      if Rclass.equal (Mreg.cls r) ctx.cls then Some (Mreg.idx r) else None
+  let node_of_temp t =
+    if Rclass.equal (Temp.cls t) ctx.cls then ctx.temp_base + Temp.id t
+    else -1
   in
-  let nodes_of locs = List.filter_map node_of_loc locs in
+  let node_of_reg r =
+    if Rclass.equal (Mreg.cls r) ctx.cls then Mreg.idx r else -1
+  in
+  let uses = { Workspace.a = Array.make 8 0; n = 0 }
+  and defs = { Workspace.a = Array.make 8 0; n = 0 } in
+  let push buf n = if n >= 0 then Workspace.buf_push buf n in
+  let use_temp t = push uses (node_of_temp t)
+  and use_reg r = push uses (node_of_reg r)
+  and def_temp t = push defs (node_of_temp t)
+  and def_reg r = push defs (node_of_reg r) in
   let moves = ref [] and n_moves = ref 0 in
   let blocks = Cfg.blocks cfg in
   Array.iteri
@@ -338,11 +344,12 @@ let build ctx liveness loops =
           | None -> ())
         (Liveness.live_out liveness bi);
       let account n = ctx.spill_cost.(n) <- ctx.spill_cost.(n) +. weight in
-      let step_instr uses defs move =
-        List.iter account uses;
-        List.iter account defs;
-        (match move with
-        | Some (d, s) ->
+      (* [d] and [s]: the move's nodes, or -1 when it is not a move of
+         this class. *)
+      let step_instr d s =
+        for x = 0 to uses.n - 1 do account uses.a.(x) done;
+        for x = 0 to defs.n - 1 do account defs.a.(x) done;
+        if d >= 0 then begin
           (* live := live \ use(I); record the move *)
           Hashtbl.remove live s;
           let mi = !n_moves in
@@ -351,30 +358,31 @@ let build ctx liveness loops =
           ctx.wl_moves <- mi :: ctx.wl_moves;
           ctx.move_list.(d) <- mi :: ctx.move_list.(d);
           if d <> s then ctx.move_list.(s) <- mi :: ctx.move_list.(s)
-        | None -> ());
-        List.iter (fun d -> Hashtbl.replace live d ()) defs;
-        List.iter
-          (fun d -> Hashtbl.iter (fun l () -> add_edge ctx l d) live)
-          defs;
-        List.iter (fun d -> Hashtbl.remove live d) defs;
-        List.iter (fun u -> Hashtbl.replace live u ()) uses
+        end;
+        for x = 0 to defs.n - 1 do Hashtbl.replace live defs.a.(x) () done;
+        for x = 0 to defs.n - 1 do
+          let d = defs.a.(x) in
+          Hashtbl.iter (fun l () -> add_edge ctx l d) live
+        done;
+        for x = 0 to defs.n - 1 do Hashtbl.remove live defs.a.(x) done;
+        for x = 0 to uses.n - 1 do Hashtbl.replace live uses.a.(x) () done
       in
       (* terminator first (we scan backward) *)
-      step_instr (nodes_of (Block.term_uses b)) [] None;
+      Workspace.buf_clear uses;
+      Workspace.buf_clear defs;
+      Block.iter_term_uses ~temp:use_temp ~reg:use_reg b;
+      step_instr (-1) (-1);
       let body = Block.body b in
       for j = Array.length body - 1 downto 0 do
         let i = body.(j) in
-        let uses = nodes_of (Instr.uses i) in
-        let defs = nodes_of (Instr.defs i) in
-        let move =
-          match Instr.is_move i with
-          | Some (dst, src) -> (
-            match node_of_loc dst, node_of_loc src with
-            | Some d, Some s -> Some (d, s)
-            | (Some _ | None), _ -> None)
-          | None -> None
-        in
-        step_instr uses defs move
+        Workspace.buf_clear uses;
+        Workspace.buf_clear defs;
+        Instr.iter_uses ~temp:use_temp ~reg:use_reg i;
+        Instr.iter_defs ~temp:def_temp ~reg:def_reg i;
+        (* A move of this class: its one def and its one use. *)
+        if Option.is_some (Instr.is_move i) && defs.n = 1 && uses.n = 1 then
+          step_instr defs.a.(0) uses.a.(0)
+        else step_instr (-1) (-1)
       done)
     blocks;
   ctx.moves <- Array.of_list (List.rev !moves);
@@ -528,9 +536,14 @@ let apply_colors ~trace ctx =
       Block.rewrite_term b ~use:map)
     (Func.cfg ctx.func)
 
-let allocate_class ?trace ?liveness machine func cls stats no_spill_seed =
+(* Color one class, starting from [liveness], the function's exact
+   liveness as it stands. A spill rewrite changes the function, so every
+   later round solves it again; the CFG stays, and so do [loops]. The
+   re-solves are the allocator's own work: [Stats.Liveness] holds the
+   function's one solve before allocation, which [Allocator.run] owns. *)
+let allocate_class ?trace machine func cls stats loops liveness =
   let max_rounds = 48 in
-  let rec round no_spill_ids iter =
+  let rec round no_spill_ids iter liveness =
     if iter > max_rounds then
       raise (Coloring_failure "too many spill/rebuild iterations");
     stats.Stats.coloring_iterations <-
@@ -585,14 +598,6 @@ let allocate_class ?trace ?liveness machine func cls stats no_spill_seed =
         stats;
       }
     in
-    (* A handed-over solution describes the function as it came in:
-       only the first round of the first class sees it unchanged. *)
-    let liveness =
-      match liveness with
-      | Some l when iter = 1 -> l
-      | Some _ | None -> Liveness.compute func
-    in
-    let loops = Loop.compute (Func.cfg func) in
     build ctx liveness loops;
     make_worklist ctx;
     let rec work () =
@@ -609,14 +614,17 @@ let allocate_class ?trace ?liveness machine func cls stats no_spill_seed =
     | [] -> apply_colors ~trace ctx
     | spilled ->
       let fresh = rewrite_spills ~trace ctx spilled in
-      round (fresh @ no_spill_ids) (iter + 1)
+      round (fresh @ no_spill_ids) (iter + 1) (Liveness.compute func)
   in
-  round no_spill_seed 1
+  round [] 1 liveness
 
-let run ?trace ?liveness machine func =
+let run ?trace ~liveness machine func =
   Trace.emit_fn trace func;
   let stats = Stats.create () in
-  allocate_class ?trace ?liveness machine func Rclass.Int stats [];
-  allocate_class ?trace machine func Rclass.Float stats [];
+  let loops = Loop.compute (Func.cfg func) in
+  allocate_class ?trace machine func Rclass.Int stats loops liveness;
+  (* The integer colors rewrote the function: solve it again. *)
+  allocate_class ?trace machine func Rclass.Float stats loops
+    (Liveness.compute func);
   stats.Stats.slots <- Func.n_slots func;
   stats

@@ -14,12 +14,14 @@ exception Coloring_failure of string
 (** Allocate one function in place. [trace] records spill-slot grants,
     spill/reload insertions and the final color of every temporary (see
     {!Trace}). [coloring_iterations] and [interference_edges] feed
-    Table 3. [liveness], when given, must be [func]'s exact liveness as it
-    stands (see {!Binpack.analyse}); it replaces the solve of the first
-    coloring round, the only one that sees the function unchanged. *)
+    Table 3. [liveness] must be [func]'s exact liveness as it stands; run
+    it through [Allocator.run], which solves it once. It seeds the first
+    integer round, the only one that sees the function unchanged; the
+    floating-point class and every round after a spill rewrite solve
+    again, inside the allocation (not under {!Stats.Liveness}). *)
 val run :
   ?trace:Trace.t ->
-  ?liveness:Lsra_analysis.Liveness.t ->
+  liveness:Lsra_analysis.Liveness.t ->
   Machine.t ->
   Func.t ->
   Stats.t

@@ -4,8 +4,6 @@ type seg = { s : int; e : int }
 
 type ref_kind = Read | Write
 
-type ref_point = { rpos : int; rkind : ref_kind; rdepth : int }
-
 (* An interval is a view over flat, shared backing arrays: segment starts
    and ends live in [seg_s]/[seg_e] at [soff, soff+slen), references in
    [ref_pos]/[ref_meta] at [roff, roff+rlen). One [Lifetime.compute] call
@@ -34,44 +32,16 @@ let depth_of_meta m = m lsr 1
 let of_slices ~temp ~seg_s ~seg_e ~soff ~slen ~ref_pos ~ref_meta ~roff ~rlen =
   { temp; seg_s; seg_e; soff; slen; ref_pos; ref_meta; roff; rlen }
 
-let make ~temp ~segs ~refs =
-  Array.iteri
-    (fun i { s; e } ->
-      assert (s <= e);
-      if i > 0 then assert (segs.(i - 1).e < s))
-    segs;
-  Array.iteri
-    (fun i r -> if i > 0 then assert (refs.(i - 1).rpos <= r.rpos))
-    refs;
-  let slen = Array.length segs and rlen = Array.length refs in
-  {
-    temp;
-    seg_s = Array.map (fun { s; _ } -> s) segs;
-    seg_e = Array.map (fun { e; _ } -> e) segs;
-    soff = 0;
-    slen;
-    ref_pos = Array.map (fun r -> r.rpos) refs;
-    ref_meta =
-      Array.map (fun r -> meta_of_ref ~kind:r.rkind ~depth:r.rdepth) refs;
-    roff = 0;
-    rlen;
-  }
-
 let temp t = t.temp
 let n_segs t = t.slen
 let seg_start t i = t.seg_s.(t.soff + i)
 let seg_end t i = t.seg_e.(t.soff + i)
-let segs t = List.init t.slen (fun i -> { s = seg_start t i; e = seg_end t i })
 
 let ref_pos_at t i = t.ref_pos.(t.roff + i)
 let ref_kind_at t i = kind_of_meta t.ref_meta.(t.roff + i)
 let ref_depth_at t i = depth_of_meta t.ref_meta.(t.roff + i)
 
-let ref_at t i =
-  { rpos = ref_pos_at t i; rkind = ref_kind_at t i; rdepth = ref_depth_at t i }
-
 let n_refs t = t.rlen
-let refs t = List.init t.rlen (fun i -> ref_at t i)
 let is_empty t = t.slen = 0
 
 let start t =
@@ -106,13 +76,6 @@ let next_ref_at t ~cursor ~pos =
     incr c
   done;
   !c
-
-let holes t =
-  let hs = ref [] in
-  for i = t.slen - 1 downto 1 do
-    hs := { s = seg_end t (i - 1) + 1; e = seg_start t i - 1 } :: !hs
-  done;
-  !hs
 
 let pp fmt t =
   Format.fprintf fmt "%s:" (Temp.to_string t.temp);

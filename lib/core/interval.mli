@@ -16,13 +16,7 @@ open Lsra_ir
 
 type seg = { s : int; e : int }
 type ref_kind = Read | Write
-type ref_point = { rpos : int; rkind : ref_kind; rdepth : int }
 type t
-
-(** Build from materialised arrays (copies them into a private backing).
-    Segments must be sorted, disjoint and non-touching; refs sorted by
-    position (checked by assertions). *)
-val make : temp:Temp.t -> segs:seg array -> refs:ref_point array -> t
 
 (** Zero-copy view over shared backing arrays: segments at
     [soff, soff+slen) of [seg_s]/[seg_e], references at [roff, roff+rlen)
@@ -53,11 +47,6 @@ val n_segs : t -> int
 val seg_start : t -> int -> int
 val seg_end : t -> int -> int
 
-(** Materialised copies, for tests and pretty-printing; the allocators'
-    hot paths use the index accessors instead. *)
-val segs : t -> seg list
-
-val refs : t -> ref_point list
 val is_empty : t -> bool
 
 (** First position of the lifetime. Raises on empty intervals. *)
@@ -80,8 +69,7 @@ val next_ref_at : t -> cursor:int -> pos:int -> int
 (** Allocation-free reference access by cursor index. *)
 val ref_pos_at : t -> int -> int
 
+val ref_kind_at : t -> int -> ref_kind
 val ref_depth_at : t -> int -> int
-
 val n_refs : t -> int
-val holes : t -> seg list
 val pp : Format.formatter -> t -> unit

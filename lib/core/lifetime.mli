@@ -16,11 +16,6 @@ type t
 
 val compute : Regidx.t -> Func.t -> Liveness.t -> Loop.t -> t
 
-(** The retired list-based construction, kept as a structural oracle:
-    produces intervals, references and busy segments identical to
-    {!compute}. Nothing in the library calls it; the lifetime tests
-    compare the two. *)
-val compute_boxed : Regidx.t -> Func.t -> Liveness.t -> Loop.t -> t
 val linear : t -> Linear.t
 val interval : t -> Temp.t -> Interval.t
 val interval_of_id : t -> int -> Interval.t

@@ -61,11 +61,12 @@ exception Budget_exceeded of string
     [func], and is skipped if it raises an exception [failed] accepts;
     any other exception propagates. If the search cannot strictly beat
     the best rung (the earliest on ties), that rung's run on [func] is
-    adopted. [liveness] is as in {!Binpack.analyse}. *)
+    adopted. [liveness] is [func]'s exact liveness as it stands; it holds
+    for each rung's copy too, so [Allocator]'s rungs reuse it. *)
 val run_exact :
   options ->
   Trace.t option ->
-  Lsra_analysis.Liveness.t option ->
+  Lsra_analysis.Liveness.t ->
   rungs:(Trace.t option -> Func.t -> Stats.t) list ->
   failed:(exn -> bool) ->
   Machine.t ->

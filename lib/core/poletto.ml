@@ -100,7 +100,7 @@ let allocate (t : Spill_everywhere.t) =
         items)
     Rclass.all
 
-let run ?trace ?liveness machine func =
+let run ?trace ~liveness machine func =
   Trace.emit_fn trace func;
   let t = Spill_everywhere.create trace liveness machine func in
   allocate t;

@@ -19,7 +19,7 @@ type t = {
 
 let create trace liveness machine func =
   let stats = Stats.create () in
-  let regidx, _, lifetimes = Binpack.analyse stats liveness machine func in
+  let regidx, lifetimes = Binpack.analyse stats liveness machine func in
   let ntemps = Func.temp_bound func in
   {
     func;

@@ -24,11 +24,12 @@ type t = private {
 }
 
 (** [create trace liveness machine func] builds the analyses of [func]
-    with {!Binpack.analyse}, timed into the new [stats], with nothing
-    assigned; [trace] is the sink the allocator records into. *)
+    on [liveness] with {!Binpack.analyse}, timed into the new [stats],
+    with nothing assigned; [trace] is the sink the allocator records
+    into. *)
 val create :
   Trace.t option ->
-  Lsra_analysis.Liveness.t option ->
+  Lsra_analysis.Liveness.t ->
   Machine.t ->
   Func.t ->
   t

@@ -52,8 +52,8 @@ type t = {
 }
 
 (** The passes the wall-time breakdown distinguishes: the two analyses
-    feeding the allocator (liveness only when the allocator solves it
-    itself: a solution handed over by DCE was paid for under [Dce]), the
+    feeding the allocator (liveness only when [Allocator.run] solves it:
+    a solution handed over by DCE was paid for under [Dce]), the
     allocate-and-rewrite scan, the CFG-edge resolution, and the managed
     pipeline passes around allocation (copy propagation, DCE, spill
     motion, the peephole and slot compaction). *)

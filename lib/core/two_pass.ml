@@ -234,7 +234,7 @@ let allocate (t : Spill_everywhere.t) =
   drain ();
   point_reg
 
-let run ?trace ?liveness machine func =
+let run ?trace ~liveness machine func =
   Trace.emit_fn trace func;
   let t = Spill_everywhere.create trace liveness machine func in
   let point_reg = allocate t in

@@ -13,11 +13,11 @@ exception Out_of_registers of string
 
 (** Allocate one function in place. [trace] records each decision (see
     {!Trace}); with it absent tracing costs one pointer test per site.
-    [liveness], when given, must be [func]'s exact liveness as it stands
-    (see {!Binpack.analyse}); it replaces the allocator's own solve. *)
+    [liveness] must be [func]'s exact liveness as it stands; run it
+    through [Allocator.run], which solves it once. *)
 val run :
   ?trace:Trace.t ->
-  ?liveness:Lsra_analysis.Liveness.t ->
+  liveness:Lsra_analysis.Liveness.t ->
   Machine.t ->
   Func.t ->
   Stats.t

@@ -39,8 +39,6 @@ let iter_term_uses ~temp ~reg b =
     Operand.iter ~temp ~reg a;
     Operand.iter ~temp ~reg rhs
 
-let term_uses b = Loc.collect iter_term_uses b
-
 let rewrite_term ~use b =
   match b.term with
   | Jump _ | Ret -> ()

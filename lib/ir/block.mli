@@ -36,9 +36,6 @@ val succ_labels : t -> string list
     reads, in operand order, like {!Instr.iter_uses}. Allocates nothing. *)
 val iter_term_uses : temp:(Temp.t -> unit) -> reg:(Mreg.t -> unit) -> t -> unit
 
-(** Locations read by the terminator: {!iter_term_uses} as a fresh list. *)
-val term_uses : t -> Loc.t list
-
 (** Substitute the terminator's used locations in place. *)
 val rewrite_term : use:(Loc.t -> Loc.t) -> t -> unit
 

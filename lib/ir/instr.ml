@@ -97,9 +97,6 @@ let iter_defs ~temp ~reg t =
   | Call { clobbers; _ } -> List.iter reg clobbers
   | Store _ | Spill_store _ | Nop -> ()
 
-let uses t = Loc.collect iter_uses t
-let defs t = Loc.collect iter_defs t
-
 let map_operand f (o : Operand.t) : Operand.t =
   match o with
   | Operand.Loc l -> Operand.Loc (f l)

@@ -82,19 +82,13 @@ val is_spill : t -> bool
 
 (** [iter_uses ~temp ~reg i] visits the locations [i] reads, in operand
     order: [temp] for a temporary, [reg] for a machine register (for
-    calls: the argument registers). The walk itself allocates nothing,
-    so the analyses run it on every instruction instead of {!uses}. *)
+    calls: the argument registers). The walk itself allocates nothing;
+    {!Loc.collect} turns it into a list. *)
 val iter_uses : temp:(Temp.t -> unit) -> reg:(Mreg.t -> unit) -> t -> unit
 
-(** The locations [i] writes, in the order {!defs} lists them (for calls:
-    the clobber set). Allocates nothing. *)
+(** The locations [i] writes (for calls: the clobber set, in order).
+    Allocates nothing. *)
 val iter_defs : temp:(Temp.t -> unit) -> reg:(Mreg.t -> unit) -> t -> unit
-
-(** Locations read, in operand order: {!iter_uses} as a fresh list. *)
-val uses : t -> Loc.t list
-
-(** Locations written: {!iter_defs} as a fresh list. *)
-val defs : t -> Loc.t list
 
 (** [rewrite ~use ~def i] substitutes every used location through [use] and
     every defined location through [def], preserving uid and tag. Call

@@ -138,6 +138,11 @@ let walked iter x : Loc.t list =
     x;
   List.rev !acc
 
+(* The list forms of the operand walks, in visiting order. *)
+let uses i = Loc.collect Instr.iter_uses i
+let defs i = Loc.collect Instr.iter_defs i
+let term_uses b = Loc.collect Block.iter_term_uses b
+
 (* The DCE every round of which solves liveness afresh: the reference
    [Dce.run_to_fixpoint] must match instruction for instruction and in
    its count. *)
@@ -160,12 +165,12 @@ let dce_round_by_round func =
     Array.iteri
       (fun bi b ->
         let live = S.copy (L.live_out liveness bi) in
-        temp_ids (S.add live) (Block.term_uses b);
+        temp_ids (S.add live) (term_uses b);
         let keep = ref [] in
         let body = Block.body b in
         for k = Array.length body - 1 downto 0 do
           let i = body.(k) in
-          let defs = Instr.defs i in
+          let defs = defs i in
           let keeps_live =
             List.exists
               (fun l ->
@@ -179,7 +184,7 @@ let dce_round_by_round func =
           else begin
             keep := i :: !keep;
             temp_ids (S.remove live) defs;
-            temp_ids (S.add live) (Instr.uses i)
+            temp_ids (S.add live) (uses i)
           end
         done;
         Block.set_body b (Array.of_list !keep))

@@ -3,8 +3,8 @@ open Lsra_target
 open Helpers
 module B = Builder
 
-let two_pass machine f = ignore (Lsra.Two_pass.run machine f)
-let poletto machine f = ignore (Lsra.Poletto.run machine f)
+let two_pass machine f = ignore (Lsra.Allocator.(run Two_pass) machine f)
+let poletto machine f = ignore (Lsra.Allocator.(run Poletto) machine f)
 
 let test_two_pass_basic () =
   let machine = Machine.small () in

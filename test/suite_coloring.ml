@@ -3,7 +3,7 @@ open Lsra_target
 module B = Builder
 open Helpers
 
-let coloring machine f = ignore (Lsra.Coloring.run machine f)
+let coloring machine f = ignore (Lsra.Allocator.(run Graph_coloring) machine f)
 
 let test_straightline () =
   let machine = Machine.small () in
@@ -61,7 +61,7 @@ let test_coalescing_entry_moves () =
   B.move b (Loc.Reg (Machine.int_ret machine)) (o_temp r);
   B.ret b;
   let f = B.finish b in
-  let stats = Lsra.Coloring.run machine f in
+  let stats = Lsra.Allocator.(run Graph_coloring) machine f in
   Alcotest.(check bool)
     "some move coalesced" true
     (stats.Lsra.Stats.coalesced_moves >= 1);

@@ -22,7 +22,7 @@ let test_move_chain_coalesces () =
   B.move b (Loc.Reg (Machine.int_ret machine)) (o_temp t3);
   B.ret b;
   let f = B.finish b in
-  let stats = Lsra.Coloring.run machine f in
+  let stats = Lsra.Allocator.(run Graph_coloring) machine f in
   Alcotest.(check bool) "several moves coalesced" true
     (stats.Lsra.Stats.coalesced_moves >= 3);
   ignore (Lsra.Peephole.run f);
@@ -48,7 +48,7 @@ let test_constrained_move_not_coalesced () =
   let prog = prog_of_func f in
   let outcome =
     check_differential ~name:"constrained" machine prog (fun fn ->
-        ignore (Lsra.Coloring.run machine fn))
+        ignore (Lsra.Allocator.(run Graph_coloring) machine fn))
   in
   Alcotest.(check string) "result" "3"
     (Lsra_sim.Value.to_string outcome.Lsra_sim.Interp.ret)
@@ -63,8 +63,8 @@ let test_iteration_count_grows_with_pressure () =
     Lsra_workloads.Pressure.proc machine ~name:"high" ~candidates:3000
       ~window:12 ~clique:44
   in
-  let s_low = Lsra.Coloring.run machine low in
-  let s_high = Lsra.Coloring.run machine high in
+  let s_low = Lsra.Allocator.(run Graph_coloring) machine low in
+  let s_high = Lsra.Allocator.(run Graph_coloring) machine high in
   Alcotest.(check int) "no spill iterations on low pressure" 1
     s_low.Lsra.Stats.coloring_iterations;
   Alcotest.(check bool) "spill iterations on high pressure" true
@@ -81,7 +81,7 @@ let test_precolored_constraints_respected () =
   let f = pressure_func ~width:2 ~iters:3 in
   ignore
     (check_differential ~name:"precolored" machine (prog_of_func f)
-       (fun fn -> ignore (Lsra.Coloring.run machine fn)))
+       (fun fn -> ignore (Lsra.Allocator.(run Graph_coloring) machine fn)))
 
 let test_separate_classes () =
   (* int pressure must not cause float spills and vice versa *)
@@ -106,7 +106,7 @@ let test_separate_classes () =
   B.ret b;
   let f = B.finish b in
   let f' = Func.copy f in
-  let stats = Lsra.Coloring.run machine f' in
+  let stats = Lsra.Allocator.(run Graph_coloring) machine f' in
   (* ints spill (6 simultaneous > 3 regs), floats must not *)
   Alcotest.(check bool) "some spills happened" true
     (Lsra.Stats.total_spill stats > 0);
@@ -121,7 +121,7 @@ let test_separate_classes () =
   Alcotest.(check int) "no float spill traffic" 0 !float_spills;
   ignore
     (check_differential ~name:"classes" machine (prog_of_func f) (fun fn ->
-         ignore (Lsra.Coloring.run machine fn)))
+         ignore (Lsra.Allocator.(run Graph_coloring) machine fn)))
 
 let test_spill_fragments_are_local () =
   (* after a spill round, the rewritten program's fresh temps are block-
@@ -129,7 +129,7 @@ let test_spill_fragments_are_local () =
   let machine = Machine.small ~int_regs:3 ~float_regs:3 () in
   let f = pressure_func ~width:6 ~iters:4 in
   let bound_before = Func.temp_bound f in
-  ignore (Lsra.Coloring.run machine f);
+  ignore (Lsra.Allocator.(run Graph_coloring) machine f);
   (* allocation completed: every temp is gone, so just check that spill
      code was inserted and the function still validates *)
   Alcotest.(check bool) "fresh temps were created" true

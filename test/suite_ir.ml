@@ -60,16 +60,16 @@ let test_instr_defs_uses () =
   in
   Alcotest.(check (list string))
     "uses in operand order" [ "t1"; "t2" ]
-    (List.map Loc.to_string (Instr.uses i));
+    (List.map Loc.to_string (Helpers.uses i));
   Alcotest.(check (list string))
     "defs" [ "t3" ]
-    (List.map Loc.to_string (Instr.defs i));
+    (List.map Loc.to_string (Helpers.defs i));
   let st =
     Instr.make
       (Instr.Store { src = Operand.temp t1; base = Operand.temp t2; off = 4 })
   in
-  Alcotest.(check int) "store has no defs" 0 (List.length (Instr.defs st));
-  Alcotest.(check int) "store uses src and base" 2 (List.length (Instr.uses st))
+  Alcotest.(check int) "store has no defs" 0 (List.length (Helpers.defs st));
+  Alcotest.(check int) "store uses src and base" 2 (List.length (Helpers.uses st))
 
 let test_instr_call_sets () =
   let r0 = Mreg.make ~cls:Rclass.Int 0 in
@@ -80,8 +80,8 @@ let test_instr_call_sets () =
       (Instr.Call
          { func = "f"; args = [ r0 ]; rets = [ r0 ]; clobbers = [ r0; r1; f0 ] })
   in
-  Alcotest.(check int) "call uses args" 1 (List.length (Instr.uses c));
-  Alcotest.(check int) "call defs clobbers" 3 (List.length (Instr.defs c))
+  Alcotest.(check int) "call uses args" 1 (List.length (Helpers.uses c));
+  Alcotest.(check int) "call defs clobbers" 3 (List.length (Helpers.defs c))
 
 let test_instr_rewrite_preserves_uid () =
   let t1 = t_int 1 in
@@ -91,7 +91,7 @@ let test_instr_rewrite_preserves_uid () =
   Alcotest.(check int) "uid preserved" (Instr.uid i) (Instr.uid i');
   Alcotest.(check (list string))
     "def rewritten" [ "$r4" ]
-    (List.map Loc.to_string (Instr.defs i'))
+    (List.map Loc.to_string (Helpers.defs i'))
 
 let test_is_move () =
   let t1 = t_int 1 and t2 = t_int 2 in
@@ -270,8 +270,8 @@ let test_regidx_shared () =
 
 let same_locs = List.equal Loc.equal
 
-(* Every walk visits exactly its reference list, in order, and the list
-   functions agree with both. *)
+(* Every walk visits exactly its reference list, in order, and
+   [Loc.collect] over each walk agrees with both. *)
 let walks_match_reference f =
   Array.for_all
     (fun b ->
@@ -279,13 +279,13 @@ let walks_match_reference f =
         (fun i ->
           same_locs (Helpers.walked Instr.iter_uses i) (Helpers.ref_uses i)
           && same_locs (Helpers.walked Instr.iter_defs i) (Helpers.ref_defs i)
-          && same_locs (Instr.uses i) (Helpers.ref_uses i)
-          && same_locs (Instr.defs i) (Helpers.ref_defs i))
+          && same_locs (Helpers.uses i) (Helpers.ref_uses i)
+          && same_locs (Helpers.defs i) (Helpers.ref_defs i))
         (Block.body b)
       && same_locs
            (Helpers.walked Block.iter_term_uses b)
            (Helpers.ref_term_uses b)
-      && same_locs (Block.term_uses b) (Helpers.ref_term_uses b))
+      && same_locs (Helpers.term_uses b) (Helpers.ref_term_uses b))
     (Cfg.blocks (Func.cfg f))
 
 let walk_machines =

@@ -48,8 +48,7 @@ let test_straightline_interval () =
   let it = Lsra.Lifetime.interval lt t in
   Alcotest.(check int) "t starts at its def" 2 (Lsra.Interval.start it);
   Alcotest.(check int) "t stops at its use" 9 (Lsra.Interval.stop it);
-  Alcotest.(check int) "t has one segment" 1
-    (List.length (Lsra.Interval.segs it));
+  Alcotest.(check int) "t has one segment" 1 (Lsra.Interval.n_segs it);
   let iu = Lsra.Lifetime.interval lt u in
   Alcotest.(check int) "u spans def..use" 6 (Lsra.Interval.start iu);
   Alcotest.(check int) "u stops at the store" 13 (Lsra.Interval.stop iu);
@@ -102,17 +101,17 @@ let figure1_func () =
 let test_figure1_holes () =
   let f, t1, t2, t3, t4 = figure1_func () in
   let lt = compute f (Machine.small ()) in
-  let holes t = Lsra.Interval.holes (Lsra.Lifetime.interval lt t) in
-  let segs t = Lsra.Interval.segs (Lsra.Lifetime.interval lt t) in
+  let holes t = Lifetime_ref.holes_of (Lsra.Lifetime.interval lt t) in
+  let segs t = Lifetime_ref.segs_of (Lsra.Lifetime.interval lt t) in
   (* T2 lives from its def in B1 to its use in B2, no holes *)
-  Alcotest.(check int) "T2 hole-free" 0 (List.length (holes t2));
+  Alcotest.(check int) "T2 hole-free" 0 (Array.length (holes t2));
   (* T3 lives entirely inside B2 *)
-  Alcotest.(check int) "T3 single segment" 1 (List.length (segs t3));
+  Alcotest.(check int) "T3 single segment" 1 (Array.length (segs t3));
   (* T1: live through B1, B2; hole over B3's start until its redef *)
-  Alcotest.(check int) "T1 has one hole" 1 (List.length (holes t1));
+  Alcotest.(check int) "T1 has one hole" 1 (Array.length (holes t1));
   (* T4: def in B2 (dead there in the linear view: B2 exits to B4 but B3
      redefines first in linear order)... the figure shows two holes *)
-  Alcotest.(check int) "T4 has two holes" 2 (List.length (holes t4));
+  Alcotest.(check int) "T4 has two holes" 2 (Array.length (holes t4));
   (* T3's lifetime sits inside T1's hole? No — T1 has no hole in B2; the
      figure's point is T3 ⊆ T1's hole in *its* B2 rendering. Verify
      instead the linear fact the allocator uses: T3 and T2 overlap, T3
@@ -120,13 +119,13 @@ let test_figure1_holes () =
   let t3i = Lsra.Lifetime.interval lt t3 in
   let t4i = Lsra.Lifetime.interval lt t4 in
   Alcotest.(check bool) "T4's first segment is a point def" true
-    (match Lsra.Interval.segs t4i with
-    | { Lsra.Interval.s; e } :: _ -> s = e
-    | [] -> false);
+    (match Lifetime_ref.segs_of t4i with
+    | [||] -> false
+    | segs -> segs.(0).Lsra.Interval.s = segs.(0).Lsra.Interval.e);
   Alcotest.(check bool) "T3 covers its refs" true
-    (List.for_all
-       (fun r -> Lsra.Interval.covers t3i r.Lsra.Interval.rpos)
-       (Lsra.Interval.refs t3i))
+    (Array.for_all
+       (fun r -> Lsra.Interval.covers t3i r.Lifetime_ref.rpos)
+       (Lifetime_ref.refs_of t3i))
 
 let test_hole_across_block_boundary () =
   (* a temp dead across a linear boundary and live again later *)
@@ -150,7 +149,7 @@ let test_hole_across_block_boundary () =
   let lt = compute f (Machine.small ()) in
   let it = Lsra.Lifetime.interval lt t in
   Alcotest.(check bool) "has at least one hole" true
-    (List.length (Lsra.Interval.holes it) >= 1);
+    (Array.length (Lifetime_ref.holes_of it) >= 1);
   Alcotest.(check bool) "in_hole between B1 use and bb def" true
     (Lsra.Interval.in_hole it (Lsra.Linear.block_top (Lsra.Lifetime.linear lt) 1))
 
@@ -217,7 +216,8 @@ let interval_invariants seed =
       List.for_all
         (fun t ->
           let it = Lsra.Lifetime.interval lt t in
-          let segs = Lsra.Interval.segs it in
+          let segs = Array.to_list (Lifetime_ref.segs_of it) in
+          let refs = Array.to_list (Lifetime_ref.refs_of it) in
           let sorted_disjoint =
             let rec go = function
               | { Lsra.Interval.s; e } :: ({ Lsra.Interval.s = s'; _ } :: _ as rest)
@@ -230,25 +230,26 @@ let interval_invariants seed =
           in
           let refs_covered =
             List.for_all
-              (fun r -> Lsra.Interval.covers it r.Lsra.Interval.rpos)
-              (Lsra.Interval.refs it)
+              (fun r -> Lsra.Interval.covers it r.Lifetime_ref.rpos)
+              refs
           in
           let refs_sorted =
             let rec go = function
               | a :: (b :: _ as rest) ->
-                a.Lsra.Interval.rpos <= b.Lsra.Interval.rpos && go rest
+                a.Lifetime_ref.rpos <= b.Lifetime_ref.rpos && go rest
               | [ _ ] | [] -> true
             in
-            go (Lsra.Interval.refs it)
+            go refs
           in
           sorted_disjoint && refs_covered && refs_sorted)
         (Func.temps f))
     (Program.funcs prog)
 
 (* The arena construction (flat per-domain workspace, CSR slices) must be
-   structurally indistinguishable from the retired list-based one: same
-   segments, same references (position, kind, depth), same register busy
-   segments — on both register files. *)
+   structurally indistinguishable from the list-based reference in
+   lifetime_ref.ml: same segments, same references (position, kind,
+   depth), same register busy segments — on both register files. The
+   arena's intervals are read through [Interval]'s index accessors. *)
 let arena_matches_boxed seed =
   let params =
     {
@@ -266,18 +267,17 @@ let arena_matches_boxed seed =
           let liveness = Liveness.compute f in
           let loops = Loop.compute (Func.cfg f) in
           let arena = Lsra.Lifetime.compute regidx f liveness loops in
-          let boxed = Lsra.Lifetime.compute_boxed regidx f liveness loops in
+          let boxed = Lifetime_ref.compute regidx f liveness loops in
           let same_interval t =
-            let a = Lsra.Lifetime.interval arena t in
-            let b = Lsra.Lifetime.interval boxed t in
-            Lsra.Interval.segs a = Lsra.Interval.segs b
-            && Lsra.Interval.refs a = Lsra.Interval.refs b
+            let a = Lsra.Lifetime.interval arena t and id = Temp.id t in
+            Lifetime_ref.segs_of a = boxed.Lifetime_ref.segs.(id)
+            && Lifetime_ref.refs_of a = boxed.Lifetime_ref.refs.(id)
           in
           let temps_ok = List.for_all same_interval (Func.temps f) in
           let regs_ok =
             let ok = ref true in
             for r = 0 to Lsra.Regidx.total regidx - 1 do
-              if Lsra.Lifetime.reg_busy arena r <> Lsra.Lifetime.reg_busy boxed r
+              if Lsra.Lifetime.reg_busy arena r <> boxed.Lifetime_ref.reg_busy.(r)
               then ok := false
             done;
             !ok

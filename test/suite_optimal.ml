@@ -220,7 +220,9 @@ let test_failing_rungs () =
   let failed = function Lsra.Poletto.Out_of_registers _ -> true | _ -> false in
   let gc trace f = Lsra.Allocator.(run ?trace Graph_coloring) machine f in
   let run_exact rungs =
-    Lsra.Optimal.run_exact opts None None ~rungs ~failed machine (Func.copy f)
+    let f = Func.copy f in
+    Lsra.Optimal.run_exact opts None (Lsra_analysis.Liveness.compute f) ~rungs
+      ~failed machine f
   in
   let fails _ _ = raise (Lsra.Poletto.Out_of_registers "injected") in
   let s = run_exact [ fails; gc ] in

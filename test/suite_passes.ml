@@ -395,6 +395,29 @@ let test_pipeline_liveness_handover () =
         (programs m))
     [ ("alpha", Machine.alpha_like); ("small-8", Lsra_sim.Sweep.small_8) ]
 
+(* [Allocator.run] owns the liveness solve: without a hand-over it
+   solves once and charges the solve to [Stats.Liveness], whatever the
+   allocator; with one, nothing is charged there. *)
+let test_liveness_charged_once () =
+  let m = Machine.small () in
+  let f = pressure_func ~width:6 ~iters:3 in
+  let words s =
+    s.Lsra.Stats.pass_minor_words.(Lsra.Stats.pass_index Lsra.Stats.Liveness)
+  in
+  List.iter
+    (fun algo ->
+      let name = Lsra.Allocator.short_name algo in
+      let own = Lsra.Allocator.run algo m (Func.copy f) in
+      Alcotest.(check bool)
+        (name ^ ": own solve charged to liveness") true (words own > 0.);
+      let g = Func.copy f in
+      let handed =
+        Lsra.Allocator.run ~liveness:(Lsra_analysis.Liveness.compute g) algo m g
+      in
+      Alcotest.(check (float 0.))
+        (name ^ ": nothing charged after a hand-over") 0. (words handed))
+    Lsra.Allocator.all
+
 let test_allocator_names () =
   Alcotest.(check string) "binpack short name" "binpack"
     (Lsra.Allocator.short_name Lsra.Allocator.default_second_chance);
@@ -430,5 +453,7 @@ let suite =
       test_parallel_allocation_deterministic;
     Alcotest.test_case "pipeline liveness handover is exact" `Quick
       test_pipeline_liveness_handover;
+    Alcotest.test_case "liveness is charged once, by Allocator.run" `Quick
+      test_liveness_charged_once;
     Alcotest.test_case "allocator names" `Quick test_allocator_names;
   ]

@@ -25,9 +25,9 @@ let algorithms =
             move_opt = true;
             consistency = Lsra.Binpack.Conservative;
           } );
-    ("coloring", fun m f -> ignore (Lsra.Coloring.run m f));
-    ("two-pass", fun m f -> ignore (Lsra.Two_pass.run m f));
-    ("poletto", fun m f -> ignore (Lsra.Poletto.run m f));
+    ("coloring", fun m f -> ignore (Lsra.Allocator.(run Graph_coloring) m f));
+    ("two-pass", fun m f -> ignore (Lsra.Allocator.(run Two_pass) m f));
+    ("poletto", fun m f -> ignore (Lsra.Allocator.(run Poletto) m f));
   ]
 
 let run_one ~mname machine ~aname alloc seed =

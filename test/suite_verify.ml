@@ -458,7 +458,7 @@ let mutants machine j f =
               | _ -> None));
       mutant "swapped register" (fun g ->
           sites g (fun b k i ->
-              match Instr.tag i, Instr.desc i, Instr.uses i with
+              match Instr.tag i, Instr.desc i, Helpers.uses i with
               | Instr.Original, Instr.Call _, _ -> None
               | Instr.Original, _, Loc.Reg r :: _ ->
                 let swap = ref true in

@@ -3,11 +3,11 @@ open Lsra_analysis
 module Regidx = Lsra.Regidx
 
 (* The dense reference checker for [Lsra.Verify], as
-   [Lifetime.compute_boxed] is for lifetimes: the same model (see
+   [Lifetime_ref] is for lifetimes: the same model (see
    lib/core/verify.ml), stated densely. Every register and slot of every
    block state is a [Bitset] over all temps, every block with a state is
    re-walked in every round of the fixed point, operands come from the
-   list forms [Instr.uses]/[Instr.defs]/[Block.term_uses], and the
+   list forms [Helpers.uses]/[Helpers.defs]/[Helpers.term_uses], and the
    original is indexed on every call. The equivalence property in
    [Suite_verify] holds the library's sparse checker to its verdicts and
    error reports. *)
@@ -90,10 +90,10 @@ let index_original (func : Func.t) =
       Array.iter
         (fun i ->
           Hashtbl.replace tbl (Instr.uid i)
-            { o_uses = Instr.uses i; o_defs = Instr.defs i })
+            { o_uses = Helpers.uses i; o_defs = Helpers.defs i })
         (Block.body b);
       Hashtbl.replace tbl (Block.term_uid b)
-        { o_uses = Block.term_uses b; o_defs = [] })
+        { o_uses = Helpers.term_uses b; o_defs = [] })
     (Func.cfg func);
   tbl
 
@@ -261,7 +261,7 @@ let run machine ~original ~allocated =
       match Hashtbl.find_opt orig (Instr.uid i) with
       | None -> fail site "instruction does not come from the input program"
       | Some o ->
-        check_original_refs o (Instr.uses i) (Instr.defs i);
+        check_original_refs o (Helpers.uses i) (Helpers.defs i);
         (* Calls additionally clobber caller-saved registers. *)
         (match Instr.desc i with
         | Instr.Call { clobbers; rets; _ } ->
@@ -320,7 +320,7 @@ let run machine ~original ~allocated =
           | _, Loc.Temp t ->
             fail site "temporary %s in terminator"
               (Temp.to_string t))
-        o.o_uses (Block.term_uses b)
+        o.o_uses (Helpers.term_uses b)
   in
 
   (* Fixed-point walk over the allocated CFG. *)
